@@ -11,7 +11,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from math import ceil, log
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -324,23 +324,31 @@ class OneFactorization:
         return out
 
 
-def one_factorize(factor: BipartiteFactor) -> OneFactorization:
-    """Split an r-regular factor into r disjoint perfect matchings by
-    successive extraction; deterministic for a given input."""
+def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
+    """Yield the r disjoint perfect matchings of an r-regular factor one
+    at a time, by successive extraction from sorted adjacency lists;
+    deterministic for a given input.  Each matching is extracted only
+    when it is asked for, so a caller that needs the first t pays for t
+    extractions; the first t matchings never depend on how many follow.
+    """
     m, r = factor.m, factor.r
     adj: list[list[int]] = [[] for _ in range(m)]
     for a, b in factor.cells:
         adj[a - 1].append(b - 1)
     for row in adj:
         row.sort()
-    matchings = []
     for _ in range(r):
         match_row, _ = _hopcroft_karp(m, adj)
         if any(b == -1 for b in match_row):
             raise RuntimeError("regular factor lost a perfect matching; degree audit bug")
-        matchings.append(tuple(b + 1 for b in match_row))
+        yield tuple(b + 1 for b in match_row)
         for a, b in enumerate(match_row):
             adj[a].remove(b)
     if any(adj[a] for a in range(m)):
         raise RuntimeError("edges left over after extracting all factors")
-    return OneFactorization(m=m, factors=tuple(matchings))
+
+
+def one_factorize(factor: BipartiteFactor) -> OneFactorization:
+    """Split an r-regular factor into r disjoint perfect matchings by
+    successive extraction; deterministic for a given input."""
+    return OneFactorization(factor.m, tuple(iter_matchings(factor)))

@@ -9,6 +9,7 @@ than trusted; randomized steps are reproducible from a master seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil, log, sqrt
 from typing import Optional
 
@@ -16,7 +17,7 @@ from .bifactor import (
     BipartiteFactor,
     circulant_factor,
     derive_seed,
-    one_factorize,
+    iter_matchings,
     sample_r_factor,
 )
 from .grid import FeasibilityMatrix, GridSpec, PointSet, feasibility_matrix_4x4
@@ -175,7 +176,7 @@ def _factorization_of(points: PointSet, k: int):
     if not points.is_regular(k):
         raise ConstructionError(f"point set is not a {k}-factor per row/column")
     factor = BipartiteFactor(points.n, k, frozenset(points.points))
-    return one_factorize(factor)
+    return iter_matchings(factor)
 
 
 def adjust_k(
@@ -186,24 +187,24 @@ def adjust_k(
 ) -> tuple[PointSet, VerificationReport]:
     """Shrink a k-factor with verified reserve `reserve` to a
     k_new-factor by removing the first k - k_new extracted 1-factors;
-    the survivor keeps reserve reserve - (k - k_new).
+    the survivor keeps reserve reserve - (k - k_new).  Only those
+    k - k_new 1-factors are extracted, not all k.
 
     Returns the new set together with its re-verification report (the
     report can only fail if the claimed input reserve was wrong).
     """
     drop = k - k_new
-    if drop < 0:
-        raise ConstructionError(f"k_new={k_new} exceeds k={k}")
+    if not 0 <= k_new <= k:
+        raise ConstructionError(f"k_new={k_new} outside [0, k={k}]")
     if drop > reserve:
         raise ConstructionError(
             f"reserve {reserve} insufficient to drop {drop} factors"
         )
     if drop == 0:
         return points, verify(points, k, reserve, mode="threshold")
-    factorization = _factorization_of(points, k)
     removed: set[tuple[int, int]] = set()
-    for t in range(drop):
-        removed |= factorization.cells_of(t)
+    for matching in islice(_factorization_of(points, k), drop):
+        removed.update(enumerate(matching, start=1))
     remaining = points.points - removed
     out = PointSet(points.grid, remaining)
     report = verify(out, k_new, reserve - drop, mode="threshold")
@@ -218,10 +219,11 @@ def adjust_n(
     """Grow the grid by slack/2 rows and columns, spending an even
     generic-line slack (verified reserve) of the input k-factor.
 
-    For each new index i, one extracted 1-factor donates its k cells of
-    smallest x: those cells are erased and re-emitted as a full new
-    column (n+i, y) and a full new row (x, n+i).  The result is a
-    k-factor of [1, n + slack/2]^2, re-verified at reserve 0.
+    For each new index i, the i-th extracted 1-factor donates its k
+    cells of smallest x: those cells are erased and re-emitted as a full
+    new column (n+i, y) and a full new row (x, n+i).  Only these slack/2
+    1-factors are extracted, not all k.  The result is a k-factor of
+    [1, n + slack/2]^2, re-verified at reserve 0.
     """
     if slack < 0 or slack % 2 != 0:
         raise ConstructionError(f"slack must be even and >= 0, got {slack}")
@@ -235,11 +237,10 @@ def adjust_n(
         )
     if k > n:
         raise ConstructionError("k may not exceed n")
-    factorization = _factorization_of(points, k)
     grow = slack // 2
     new_pts = set(points.points)
-    for i in range(1, grow + 1):
-        matching = factorization.factors[i - 1]
+    matchings = islice(_factorization_of(points, k), grow)
+    for i, matching in enumerate(matchings, start=1):
         donated = [(x, matching[x - 1]) for x in range(1, k + 1)]
         for x, y in donated:
             new_pts.remove((x, y))

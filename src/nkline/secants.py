@@ -115,8 +115,8 @@ def verify(
     if mode == "exhaustive" or k - reserve < 2:
         dirs = _directions_for(n)
     else:
-        cutoff = (n - 1) // (k - reserve)
-        dirs = [d for d in _directions_for(n) if d.modulus <= cutoff]
+        # lines of modulus > (n-1)//(k-reserve) hold at most k-reserve grid points
+        dirs = primitive_directions(n, k - reserve + 1)
 
     generic_max = 0
     worst: Optional[tuple[Direction, int]] = None

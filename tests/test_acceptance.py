@@ -21,8 +21,6 @@ import time
 from fractions import Fraction
 from math import pi, sqrt
 
-import pytest
-
 from nkline.bifactor import (
     derive_seed,
     matching_containment_probability,
@@ -35,10 +33,9 @@ from nkline.grid import feasibility_matrix_3x3, feasibility_matrix_4x4, max_expe
 from nkline.pointfile import serialize
 from nkline.secants import census, verify
 
+from conftest import ACCEPTANCE_SEED, DESK_K, DESK_N, DESK_RESERVE, desk_scale_construct
 from oracles import brute_max_expected_load, grid_line_sizes
 
-ACCEPTANCE_SEED = 7
-DESK_N, DESK_K, DESK_RESERVE = 400, 240, 15
 CHAIN_N, CHAIN_K = 403, 233
 CHAIN_SLACK = 2 * (CHAIN_N - DESK_N)
 
@@ -170,31 +167,11 @@ def test_criterion_07_factorization_roundtrip():
     assert done == 100
 
 
-def _desk_scale_construct():
-    matrix = feasibility_matrix_4x4(DESK_N, DESK_K)
-    return biuniform_construct(
-        DESK_N,
-        DESK_K,
-        matrix,
-        seed=ACCEPTANCE_SEED,
-        max_retries=64,
-        target_reserve=DESK_RESERVE,
-    )
-
-
 def _adjust_chain(cert):
     reserve = cert.report.required_reserve
     shrunk, rep1 = adjust_k(cert.output, DESK_K, CHAIN_K, reserve=reserve)
     grown, rep2 = adjust_n(shrunk, CHAIN_K, CHAIN_SLACK)
     return shrunk, rep1, grown, rep2
-
-
-@pytest.fixture(scope="module")
-def desk_scale_run():
-    t0 = time.perf_counter()
-    cert = _desk_scale_construct()
-    elapsed = time.perf_counter() - t0
-    return cert, elapsed
 
 
 def test_criterion_08_biuniform_desk_scale(desk_scale_run):
@@ -253,7 +230,7 @@ def test_criterion_09_adjustment_chain(desk_scale_run):
 
 def test_criterion_10_byte_determinism(desk_scale_run, tmp_path):
     cert, _ = desk_scale_run
-    rerun = _desk_scale_construct()
+    rerun = desk_scale_construct()
     assert cert.certified and rerun.certified, "no certified desk-scale run to compare"
     reserve = cert.report.required_reserve
     first = serialize(cert.output, DESK_K, reserve=reserve, seed=ACCEPTANCE_SEED)

@@ -1,14 +1,18 @@
 """Tests for factor sampling, matchings and 1-factorization."""
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkline.bifactor import (
     BipartiteFactor,
     circulant_cells,
     circulant_factor,
     derive_seed,
+    iter_matchings,
     matching_containment_probability,
     one_factorize,
     perfect_matching,
@@ -168,6 +172,66 @@ def test_one_factorize_random_factors_roundtrip():
 def test_one_factorize_is_deterministic():
     f = sample_r_factor(15, 6, seed=5)
     assert one_factorize(f).factors == one_factorize(f).factors
+
+
+def _permuted_circulant(m, r, seed):
+    """Circulant r-factor under row and column permutations drawn from
+    random.Random(seed); independent of the switch-chain sampler."""
+    rng = random.Random(seed)
+    rows = list(range(1, m + 1))
+    cols = list(range(1, m + 1))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    cells = frozenset((rows[a - 1], cols[b - 1]) for a, b in circulant_cells(m, r))
+    return BipartiteFactor(m, r, cells)
+
+
+# first matchings extracted by the eager one_factorize before extraction
+# became lazy; any change to the extraction order moves adjust_k/adjust_n
+# output bytes
+GOLDEN_MATCHINGS = {
+    (8, 3, 1): (
+        (8, 1, 3, 5, 6, 2, 7, 4),
+        (4, 2, 7, 3, 8, 1, 5, 6),
+        (6, 5, 8, 7, 3, 4, 1, 2),
+    ),
+    (11, 6, 2): (
+        (2, 1, 3, 4, 5, 7, 6, 8, 10, 11, 9),
+        (5, 11, 1, 6, 9, 10, 7, 4, 3, 8, 2),
+        (8, 2, 7, 5, 3, 11, 10, 9, 6, 1, 4),
+    ),
+    (16, 7, 3): (
+        (3, 4, 5, 1, 2, 7, 6, 16, 10, 12, 9, 15, 13, 8, 11, 14),
+        (4, 3, 7, 15, 1, 5, 9, 2, 11, 8, 10, 6, 14, 13, 12, 16),
+        (9, 7, 16, 4, 5, 11, 13, 12, 2, 10, 6, 8, 15, 1, 14, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_MATCHINGS))
+def test_iter_matchings_golden_prefix(key):
+    m, r, seed = key
+    f = _permuted_circulant(m, r, seed)
+    want = GOLDEN_MATCHINGS[key]
+    assert tuple(islice(iter_matchings(f), len(want))) == want
+    assert one_factorize(f).factors[: len(want)] == want
+
+
+@given(m=st.integers(1, 24), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_iter_matchings_prefix_is_disjoint_perfect_matchings(m, data):
+    r = data.draw(st.integers(0, m))
+    t = data.draw(st.integers(0, r))
+    f = sample_r_factor(m, r, seed=data.draw(st.integers(0, 2**32)))
+    seen: set[tuple[int, int]] = set()
+    prefix = list(islice(iter_matchings(f), t))
+    assert len(prefix) == t
+    for matching in prefix:
+        assert sorted(matching) == list(range(1, m + 1))
+        cells = set(enumerate(matching, start=1))
+        assert cells <= f.cells
+        assert seen.isdisjoint(cells)
+        seen |= cells
 
 
 def test_containment_probability_trivial_cases():

@@ -1,10 +1,10 @@
 """Tests for the constructions, adjustments and the pipeline."""
 
-import functools
 import random
 
 import pytest
 
+from nkline import bifactor
 from nkline.bifactor import BipartiteFactor, sample_r_factor
 from nkline.construct import (
     ConstructionError,
@@ -115,12 +115,28 @@ def test_adjust_k_rejects_bad_targets():
         adjust_k(s, 8, 9, reserve=5)
     with pytest.raises(ConstructionError):
         adjust_k(s, 8, 5, reserve=2)
+    with pytest.raises(ConstructionError):
+        adjust_k(s, 8, -1, reserve=9)
     skew = PointSet.from_points(4, [(1, 1), (1, 2), (2, 1)])
     with pytest.raises(ConstructionError):
         adjust_k(skew, 2, 1, reserve=1)
 
 
-def test_adjust_k_never_increases_any_line_count():
+@pytest.fixture
+def extractions(monkeypatch):
+    """List that grows by one entry per perfect-matching extraction."""
+    calls = []
+    matcher = bifactor._hopcroft_karp
+
+    def counting(m, adj):
+        calls.append(m)
+        return matcher(m, adj)
+
+    monkeypatch.setattr(bifactor, "_hopcroft_karp", counting)
+    return calls
+
+
+def test_adjust_k_never_increases_any_line_count(extractions):
     rng = random.Random(3)
     for trial in range(4):
         m = rng.choice([8, 10, 12])
@@ -128,7 +144,9 @@ def test_adjust_k_never_increases_any_line_count():
         f = sample_r_factor(m, r, seed=40 + trial)
         s = PointSet.from_points(m, f.cells)
         before = generic_line_sizes(s.points)
+        extractions.clear()
         out, _ = adjust_k(s, r, r - 2, reserve=2)
+        assert len(extractions) == 2
         after = generic_line_sizes(out.points)
         for key, cnt in after.items():
             assert cnt <= before.get(key, cnt)
@@ -149,29 +167,26 @@ def test_adjust_n_rejects_odd_or_unearned_slack():
         adjust_n(s, 8, 2)
 
 
-@functools.lru_cache(maxsize=1)
-def _large_reserve_certificate():
-    mat = feasibility_matrix_4x4(400, 240)
-    return biuniform_construct(400, 240, mat, seed=7, max_retries=16, target_reserve=15)
-
-
-def test_adjustment_chain_at_scale():
-    cert = _large_reserve_certificate()
+def test_adjustment_chain_at_scale(desk_scale_run, extractions):
+    cert, _ = desk_scale_run
     assert cert.certified, cert.report.summary()
     shrunk, rep1 = adjust_k(cert.output, 240, 233, reserve=15)
+    assert len(extractions) == 7
     assert rep1.passed
     assert rep1.achieved_reserve >= 8
     assert shrunk.is_regular(233)
+    extractions.clear()
     grown, rep2 = adjust_n(shrunk, 233, 6)
+    assert len(extractions) == 3
     assert rep2.passed
     assert grown.n == 403
     assert len(grown) == 233 * 403
     assert grown.is_regular(233)
 
 
-def test_adjust_n_row_col_exactness_small():
+def test_adjust_n_row_col_exactness_small(desk_scale_run):
     # earn a small verified slack by shrinking k below the certified bound
-    cert = _large_reserve_certificate()
+    cert, _ = desk_scale_run
     out, rep = adjust_n(cert.output, 240, 4)
     assert rep.passed
     assert out.n == 402

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nkline import secants
 from nkline.grid import Direction, PointSet
 from nkline.secants import (
     census,
@@ -108,6 +109,26 @@ def test_threshold_and_exhaustive_agree_on_pass_fail():
                 fast = verify(s, k, h, mode="threshold")
                 full = verify(s, k, h, mode="exhaustive")
                 assert fast.passed == full.passed, (n, sorted(pts), k, h)
+
+
+def test_threshold_sweeps_the_short_directions_without_the_cache(monkeypatch):
+    monkeypatch.setattr(secants, "_dir_cache", {})
+    rng = random.Random(9)
+    n = 40
+    pts = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)}
+    s = PointSet.from_points(n, pts)
+    fast = {(k, h): verify(s, k, h, mode="threshold") for k, h in [(12, 0), (12, 9), (7, 2), (3, 1)]}
+    assert secants._dir_cache == {}
+    full = verify(s, 12, 0, mode="exhaustive")
+    assert list(secants._dir_cache) == [n]
+    for (k, h), rep in fast.items():
+        cutoff = (n - 1) // (k - h)
+        swept = [d for d in full.per_direction_max if d.modulus <= cutoff]
+        assert rep.per_direction_max == {d: full.per_direction_max[d] for d in swept}
+        assert list(rep.per_direction_max) == swept
+        # strict-> witness: the first direction in sweep order reaching the max
+        worst = next(d for d in swept if rep.per_direction_max[d] == rep.generic_max)
+        assert rep.worst_line[0] == worst
 
 
 @given(
