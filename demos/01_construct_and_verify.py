@@ -12,7 +12,7 @@ n, k = 16, 11
 s = explicit_construct(n, k)
 print(f"built {len(s)} points on [1,{n}]^2 (k*n = {k * n})")
 
-report = verify(s, k, reserve=0, mode="exhaustive")
+report = verify(s, k, reserve=0)
 print(report.summary())
 
 # the worst line is an actual witness: recount it by hand

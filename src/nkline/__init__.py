@@ -35,7 +35,6 @@ from .grid import (
     FeasibilityMatrix,
     GridSpec,
     PointSet,
-    SubgridDecomposition,
     expected_load,
     feasibility_matrix_3x3,
     feasibility_matrix_4x4,
@@ -48,7 +47,6 @@ from .secants import (
     CensusRow,
     VerificationReport,
     census,
-    primitive_directions,
     richness_bound,
     verify,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "ParsedPointSet",
     "PointSet",
     "RetriesExhausted",
-    "SubgridDecomposition",
     "VerificationReport",
     "adjust_k",
     "adjust_n",
@@ -94,7 +91,6 @@ __all__ = [
     "parse",
     "perfect_matching",
     "pipeline",
-    "primitive_directions",
     "richness_bound",
     "sample_r_factor",
     "serialize",

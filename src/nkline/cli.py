@@ -47,7 +47,7 @@ def cmd_construct(args) -> int:
     try:
         if args.mode == "explicit":
             points = explicit_construct(args.n, args.k)
-            report = verify(points, args.k, 0, mode="threshold")
+            report = verify(points, args.k, 0)
             lineage = [("explicit", {"n": args.n, "k": args.k})]
             certified = report.passed
             retries_used = 0
@@ -110,6 +110,7 @@ def cmd_construct(args) -> int:
         f"axis max: {report.axis_max}",
         f"generic max: {report.generic_max}",
         f"achieved reserve: {report.achieved_reserve}",
+        f"directions swept: {report.directions_swept}",
         f"retries used: {retries_used}",
         f"per-retry reserves: {list(reserves)}",
         f"wall time: {elapsed:.2f}s",
@@ -136,12 +137,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     k = args.k if args.k is not None else parsed.k
-    report = verify(
-        parsed.points,
-        k,
-        args.reserve,
-        mode="exhaustive" if args.exhaustive else "threshold",
-    )
+    report = verify(parsed.points, k, args.reserve)
     print(report.summary())
     print(f"points: {len(parsed.points)}  expected k*n: {k * parsed.points.n}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, default=None, help="override the k recorded in the file")
     p.add_argument("--reserve", type=int, default=0)
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="rich-secant census of the full grid")

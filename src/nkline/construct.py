@@ -140,7 +140,7 @@ def biuniform_construct(
                 factor = sample_r_factor(q, r, derive_seed(seed, t, i, j))
                 pts.extend(_translate_block(factor, i, j, q))
         sample = PointSet.from_points(n, pts)
-        report = verify(sample, k, target_reserve, mode="threshold")
+        report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if best is None or report.achieved_reserve > best[1].achieved_reserve:
             best = (sample, report)
@@ -201,13 +201,13 @@ def adjust_k(
             f"reserve {reserve} insufficient to drop {drop} factors"
         )
     if drop == 0:
-        return points, verify(points, k, reserve, mode="threshold")
+        return points, verify(points, k, reserve)
     removed: set[tuple[int, int]] = set()
     for matching in islice(_factorization_of(points, k), drop):
         removed.update(enumerate(matching, start=1))
     remaining = points.points - removed
     out = PointSet(points.grid, remaining)
-    report = verify(out, k_new, reserve - drop, mode="threshold")
+    report = verify(out, k_new, reserve - drop)
     return out, report
 
 
@@ -229,8 +229,8 @@ def adjust_n(
         raise ConstructionError(f"slack must be even and >= 0, got {slack}")
     n = points.n
     if slack == 0:
-        return points, verify(points, k, 0, mode="threshold")
-    audit = verify(points, k, slack, mode="threshold")
+        return points, verify(points, k, 0)
+    audit = verify(points, k, slack)
     if not audit.passed:
         raise ConstructionError(
             f"input does not have reserve {slack}: {audit.summary()}"
@@ -248,7 +248,7 @@ def adjust_n(
             new_pts.add((x, n + i))
     n_new = n + grow
     out = PointSet.from_points(n_new, new_pts)
-    report = verify(out, k, 0, mode="threshold")
+    report = verify(out, k, 0)
     return out, report
 
 
@@ -285,7 +285,7 @@ def pipeline(
 
     if 3 * k >= 2 * n:
         points = explicit_construct(n, k)
-        report = verify(points, k, 0, mode="threshold")
+        report = verify(points, k, 0)
         assert report.passed, report.summary()
         return ConstructionCertificate(
             n=n,

@@ -1,5 +1,5 @@
-"""Core grid domain: point sets, primitive directions, block decompositions,
-and block-density matrices with an exact expected-load evaluator.
+"""Core grid domain: point sets, primitive directions swept by modulus
+class, and block-density matrices with an exact expected-load evaluator.
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  Load computations use
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -137,10 +137,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet(n={self.grid.n}, size={len(self._points)})"
 
-    def iter_rowmajor(self) -> Iterator[tuple[int, int]]:
-        """Points ordered row by row (by y, then x)."""
-        return iter(sorted(self._points, key=lambda p: (p[1], p[0])))
-
     def sorted_xy(self) -> list[tuple[int, int]]:
         """Points sorted ascending by (x, y); the file-format order."""
         return sorted(self._points)
@@ -163,36 +159,6 @@ class PointSet:
         return all(c == r for c in self.row_counts()) and all(
             c == r for c in self.col_counts()
         )
-
-
-@dataclass(frozen=True)
-class SubgridDecomposition:
-    """Tiling of [1,n]^2 into m x m square blocks of side n/m.
-
-    Block (i, j), 1-indexed, covers [(i-1)q+1, iq] x [(j-1)q+1, jq]
-    with q = n/m.
-    """
-
-    grid: GridSpec
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"block count must be >= 1, got {self.m}")
-        if self.m > self.grid.n or self.grid.n % self.m != 0:
-            raise ValueError(f"m={self.m} must divide n={self.grid.n}")
-
-    @property
-    def block_side(self) -> int:
-        return self.grid.n // self.m
-
-    def block_of(self, x: int, y: int) -> tuple[int, int]:
-        q = self.block_side
-        return (x - 1) // q + 1, (y - 1) // q + 1
-
-    def block_range(self, i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        q = self.block_side
-        return ((i - 1) * q + 1, i * q), ((j - 1) * q + 1, j * q)
 
 
 class FeasibilityMatrix:
@@ -239,9 +205,6 @@ class FeasibilityMatrix:
     @property
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
-
-    def decomposition(self) -> SubgridDecomposition:
-        return SubgridDecomposition(GridSpec(self.n), self.m)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -297,14 +260,12 @@ def feasibility_matrix_3x3(n: int, k: int) -> FeasibilityMatrix:
 
 def expected_load(
     matrix: FeasibilityMatrix,
-    dec: Optional[SubgridDecomposition],
     direction: Direction,
     c: int,
 ) -> Fraction:
     """Exact expected number of selected points on one generic secant:
     sum over blocks of alpha_{i,j} * |block ∩ line|.
     """
-    dec = _check_dec(matrix, dec)
     pts = line_points(matrix.n, direction, c)
     if len(pts) < 2:
         raise ValueError(
@@ -318,30 +279,44 @@ def expected_load(
     return Fraction(weight, q)
 
 
-def _check_dec(
-    matrix: FeasibilityMatrix, dec: Optional[SubgridDecomposition]
-) -> SubgridDecomposition:
-    if dec is None:
-        return matrix.decomposition()
-    if dec.m != matrix.m or dec.block_side != matrix.block_side:
-        raise ValueError(
-            f"decomposition ({dec.m} blocks of side {dec.block_side}) does not match "
-            f"matrix ({matrix.m} blocks of side {matrix.block_side})"
-        )
-    return dec
-
-
 def _directions_of_modulus(M: int) -> list[Direction]:
+    """The primitive directions of modulus M, ascending by (vx, vy)."""
+    if M < 1:
+        raise ValueError(f"modulus must be >= 1, got {M}")
     dirs = []
-    for b in range(1, M + 1):
-        if gcd(M, b) == 1:
-            dirs.append(Direction(M, b))
-            dirs.append(Direction(M, -b))
-    for a in range(1, M):
-        if gcd(a, M) == 1:
-            dirs.append(Direction(a, M))
-            dirs.append(Direction(a, -M))
+    for vx in range(1, M):
+        if gcd(vx, M) == 1:
+            dirs += (Direction(vx, -M), Direction(vx, M))
+    vys = [b for b in range(1, M + 1) if gcd(M, b) == 1]
+    dirs += [Direction(M, -b) for b in reversed(vys)]
+    dirs += [Direction(M, b) for b in vys]
     return dirs
+
+
+def _sweep_by_modulus(
+    n: int,
+    cap: Callable[[int], int],
+    line_max: Callable[[Direction], tuple[int, Optional[int]]],
+) -> tuple[int, Optional[tuple[Direction, int]], int]:
+    """Largest `line_max(d)` = (value, intercept) over the primitive
+    directions of [1,n]^2, walked in (modulus, vx, vy) order.
+
+    `cap(M)` bounds the value of every line of modulus M or more; the
+    walk stops at the first class whose cap cannot beat the best value
+    so far, so the result equals that of the full walk.  The first line
+    to reach the maximum is the witness.  Returns (best value, witness
+    (direction, intercept) or None, number of directions swept).
+    """
+    best, witness, swept = 0, None, 0
+    for M in range(1, n):
+        if cap(M) <= best:
+            break
+        for d in _directions_of_modulus(M):
+            value, c = line_max(d)
+            swept += 1
+            if value > best:
+                best, witness = value, (d, c)
+    return best, witness, swept
 
 
 def _line_starts(n: int, d: Direction) -> Iterator[tuple[int, int]]:
@@ -360,45 +335,37 @@ def _line_starts(n: int, d: Direction) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
-def max_expected_load(
-    matrix: FeasibilityMatrix,
-    dec: Optional[SubgridDecomposition] = None,
-    with_witness: bool = False,
-):
+def max_expected_load(matrix: FeasibilityMatrix, with_witness: bool = False):
     """Exact maximum of the expected load over all generic secants.
 
     Branch and bound over modulus classes: a modulus-M line holds at
     most (n-1)//M + 1 grid points, so its load is at most
-    alpha_max * ((n-1)//M + 1).  Classes are scanned in increasing M
-    and the scan stops once that cap cannot beat the best line found.
-    Loads are compared as integer numerators over the common
-    denominator block_side.
+    alpha_max * ((n-1)//M + 1), and the sweep stops once that cap
+    cannot beat the best line found.  Loads are compared as integer
+    numerators over the common denominator block_side.
     """
-    dec = _check_dec(matrix, dec)
     n = matrix.n
     q = matrix.block_side
     entries = matrix.entries
     rmax = matrix.max_entry
-    best_w = 0
-    best_line: Optional[tuple[Direction, int]] = None
-    for M in range(1, n):
-        cap = rmax * ((n - 1) // M + 1)
-        if cap <= best_w:
-            break
-        for d in _directions_of_modulus(M):
-            vx, vy = d.vx, d.vy
-            for x, y in _line_starts(n, d):
-                w = 0
-                pts = 0
-                cx, cy = x, y
-                while 1 <= cx <= n and 1 <= cy <= n:
-                    w += entries[(cx - 1) // q][(cy - 1) // q]
-                    pts += 1
-                    cx += vx
-                    cy += vy
-                if pts >= 2 and w > best_w:
-                    best_w = w
-                    best_line = (d, vy * x - vx * y)
+
+    def line_max(d: Direction) -> tuple[int, Optional[int]]:
+        vx, vy = d.vx, d.vy
+        best_w, best_c = 0, None
+        for x, y in _line_starts(n, d):
+            w = 0
+            pts = 0
+            cx, cy = x, y
+            while 1 <= cx <= n and 1 <= cy <= n:
+                w += entries[(cx - 1) // q][(cy - 1) // q]
+                pts += 1
+                cx += vx
+                cy += vy
+            if pts >= 2 and w > best_w:
+                best_w, best_c = w, vy * x - vx * y
+        return best_w, best_c
+
+    best_w, best_line, _ = _sweep_by_modulus(n, lambda M: rmax * ((n - 1) // M + 1), line_max)
     load = Fraction(best_w, q)
     if with_witness:
         return load, best_line

@@ -3,71 +3,43 @@
 The verifier buckets every point of a set by the integer intercept
 c = vy*x - vx*y of each swept direction; the largest bucket of a
 direction is the largest number of set points on one line of that
-direction.  Axis-parallel lines are handled separately by row/column
-histograms.  Sweeps are numpy-vectorised per direction; intercept
-histograms are dense arrays, not hash maps, since the sweep is the hot
-loop for grids in the hundreds.
+direction.  Directions are swept by increasing modulus M, and the sweep
+stops once no line of modulus M or more can hold more points than the
+fullest line found, so the reported maximum and its witness are exact.
+Axis-parallel lines are handled separately by row/column histograms.
+Sweeps are numpy-vectorised per direction; intercept histograms are
+dense arrays, not hash maps, since the sweep is the hot loop for grids
+in the hundreds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
-from .grid import Direction, PointSet, line_points
-
-_dir_cache: dict[int, list[Direction]] = {}
-
-
-def primitive_directions(n: int, threshold: int = 2) -> list[Direction]:
-    """Primitive directions whose lines can hold at least `threshold`
-    grid points of [1,n]^2, i.e. those of modulus <= (n-1)//(threshold-1).
-    Both sign classes of vy are included.
-    """
-    if threshold < 2:
-        raise ValueError(f"threshold must be >= 2, got {threshold}")
-    cutoff = (n - 1) // (threshold - 1)
-    dirs = []
-    for vx in range(1, cutoff + 1):
-        for vy in range(1, cutoff + 1):
-            if max(vx, vy) <= cutoff and gcd(vx, vy) == 1:
-                dirs.append(Direction(vx, vy))
-                dirs.append(Direction(vx, -vy))
-    dirs.sort(key=lambda d: (d.modulus, d.vx, d.vy))
-    return dirs
-
-
-def _directions_for(n: int) -> list[Direction]:
-    dirs = _dir_cache.get(n)
-    if dirs is None:
-        dirs = primitive_directions(n, 2)
-        _dir_cache[n] = dirs
-    return dirs
+from .grid import Direction, PointSet, _sweep_by_modulus, line_points
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Certificate for one verification run.
 
-    generic_max is the largest number of set points found on one swept
-    generic line and achieved_reserve = k - generic_max.  In
-    threshold-limited mode only directions of modulus <=
-    (n-1)//(k-reserve) are swept; unswept lines cannot hold more than
-    k-reserve grid points, so `passed` is sound either way, but
-    generic_max is exact only in exhaustive mode.
+    generic_max is the exact largest number of set points on one
+    generic line, worst_line the first such line in (modulus, vx, vy)
+    order, and achieved_reserve = k - generic_max.  directions_swept
+    counts the directions the sweep visited before its stop.
     """
 
     k: int
     required_reserve: int
-    mode: str
     axis_max: int
     generic_max: int
     achieved_reserve: int
     worst_line: Optional[tuple[Direction, int]]
-    per_direction_max: dict[Direction, int] = field(repr=False)
+    directions_swept: int
     passed: bool = False
 
     def summary(self) -> str:
@@ -79,72 +51,46 @@ class VerificationReport:
         )
         status = "PASS" if self.passed else "FAIL"
         return (
-            f"{status} k={self.k} reserve>={self.required_reserve} mode={self.mode} "
+            f"{status} k={self.k} reserve>={self.required_reserve} "
             f"axis_max={self.axis_max} generic_max={self.generic_max} "
-            f"achieved_reserve={self.achieved_reserve} worst_line={worst}"
+            f"achieved_reserve={self.achieved_reserve} worst_line={worst} "
+            f"directions_swept={self.directions_swept}"
         )
 
 
-def verify(
-    points: PointSet,
-    k: int,
-    reserve: int = 0,
-    mode: str = "threshold",
-) -> VerificationReport:
+def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     """Check |S ∩ line| <= k on every line and <= k - reserve on every
     generic line.  A failing set yields a failing report, never an error.
-
-    mode="threshold" sweeps only directions whose lines can hold more
-    than k - reserve grid points (sufficient for the certificate);
-    mode="exhaustive" sweeps every direction up to modulus n-1.
     """
-    if mode not in ("threshold", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
     n = points.n
     xy = points.sorted_xy()
-    if xy:
-        xs = np.fromiter((p[0] for p in xy), dtype=np.int64, count=len(xy))
-        ys = np.fromiter((p[1] for p in xy), dtype=np.int64, count=len(xy))
-        axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max()))
-    else:
-        xs = ys = np.empty(0, dtype=np.int64)
-        axis_max = 0
+    xs = np.fromiter((p[0] for p in xy), dtype=np.int64, count=len(xy))
+    ys = np.fromiter((p[1] for p in xy), dtype=np.int64, count=len(xy))
+    axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if xy else 0
 
-    if mode == "exhaustive" or k - reserve < 2:
-        dirs = _directions_for(n)
-    else:
-        # lines of modulus > (n-1)//(k-reserve) hold at most k-reserve grid points
-        dirs = primitive_directions(n, k - reserve + 1)
+    def line_max(d: Direction) -> tuple[int, int]:
+        c = d.vy * xs - d.vx * ys
+        cmin = int(c.min())
+        counts = np.bincount(c - cmin)
+        top = int(np.argmax(counts))
+        return int(counts[top]), cmin + top
 
-    generic_max = 0
-    worst: Optional[tuple[Direction, int]] = None
-    per_dir: dict[Direction, int] = {}
-    if len(xy) > 0:
-        for d in dirs:
-            c = d.vy * xs - d.vx * ys
-            cmin = int(c.min())
-            counts = np.bincount(c - cmin)
-            m = int(counts.max())
-            per_dir[d] = m
-            if m > generic_max:
-                generic_max = m
-                worst = (d, cmin + int(np.argmax(counts)))
-    else:
-        per_dir = {d: 0 for d in dirs}
-
-    passed = axis_max <= k and generic_max <= k - reserve
+    # a modulus-M line holds at most (n-1)//M + 1 grid points, and no
+    # line holds more points than the set
+    generic_max, worst, swept = _sweep_by_modulus(
+        n, lambda M: min(len(xy), (n - 1) // M + 1), line_max
+    )
     return VerificationReport(
         k=k,
         required_reserve=reserve,
-        mode=mode,
         axis_max=axis_max,
         generic_max=generic_max,
         achieved_reserve=k - generic_max,
         worst_line=worst,
-        per_direction_max=per_dir,
-        passed=passed,
+        directions_swept=swept,
+        passed=axis_max <= k and generic_max <= k - reserve,
     )
 
 

@@ -47,7 +47,7 @@ def _report(criterion, ok, detail):
 def test_criterion_01_explicit_exactness():
     t0 = time.perf_counter()
     s = explicit_construct(16, 11)
-    rep = verify(s, 11, 0, mode="exhaustive")
+    rep = verify(s, 11, 0)
     elapsed = time.perf_counter() - t0
     ok = (
         len(s) == 176
@@ -56,7 +56,7 @@ def test_criterion_01_explicit_exactness():
         and rep.generic_max <= 11
         and elapsed < 1.0
     )
-    _report(1, ok, f"176-point set, rows/cols exactly 11, exhaustive pass, {elapsed:.3f}s")
+    _report(1, ok, f"176-point set, rows/cols exactly 11, exact pass, {elapsed:.3f}s")
     assert len(s) == 176
     assert s.is_regular(11)
     assert rep.passed
@@ -71,11 +71,11 @@ def test_criterion_02_explicit_regime_sweep():
             s = explicit_construct(n, k)
             assert len(s) == k * n, (n, k)
             assert s.is_regular(k), (n, k)
-            rep = verify(s, k, 0, mode="exhaustive")
+            rep = verify(s, k, 0)
             assert rep.passed, (n, k, rep.summary())
             runs += 1
     elapsed = time.perf_counter() - t0
-    _report(2, elapsed < 60, f"{runs} (n,k) pairs exhaustively verified in {elapsed:.1f}s")
+    _report(2, elapsed < 60, f"{runs} (n,k) pairs exactly verified in {elapsed:.1f}s")
     assert elapsed < 60
 
 

@@ -53,7 +53,7 @@ def test_construct_retries_exhausted_exit_code(tmp_path):
 def test_verify_roundtrip_exit_zero(tmp_path):
     out = tmp_path / "s.txt"
     assert main(["construct", "--n", "12", "--k", "9", "--mode", "explicit", "--out", str(out)]) == 0
-    assert main(["verify", "--in", str(out), "--k", "9", "--exhaustive"]) == 0
+    assert main(["verify", "--in", str(out), "--k", "9"]) == 0
 
 
 def test_verify_collinear_triple_exit_three(tmp_path, capsys):

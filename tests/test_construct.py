@@ -25,7 +25,7 @@ def test_explicit_16_11_matches_reference_scenario():
     s = explicit_construct(16, 11)
     assert len(s) == 176
     assert s.is_regular(11)
-    rep = verify(s, 11, 0, mode="exhaustive")
+    rep = verify(s, 11, 0)
     assert rep.passed
     brute, _ = brute_generic_max(s.points)
     assert brute <= 11
@@ -40,7 +40,7 @@ def test_explicit_12_8():
     s = explicit_construct(12, 8)
     assert len(s) == 96
     assert s.is_regular(8)
-    assert verify(s, 8, 0, mode="exhaustive").passed
+    assert verify(s, 8, 0).passed
 
 
 def test_explicit_rejects_small_k():
@@ -56,7 +56,7 @@ def test_explicit_small_sweep_verified():
             s = explicit_construct(n, k)
             assert len(s) == k * n, (n, k)
             assert s.is_regular(k), (n, k)
-            assert verify(s, k, 0, mode="exhaustive").passed, (n, k)
+            assert verify(s, k, 0).passed, (n, k)
 
 
 def _zero_matrix(n, m):

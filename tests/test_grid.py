@@ -11,7 +11,6 @@ from nkline.grid import (
     FeasibilityMatrix,
     GridSpec,
     PointSet,
-    SubgridDecomposition,
     expected_load,
     feasibility_matrix_3x3,
     feasibility_matrix_4x4,
@@ -51,7 +50,6 @@ def test_pointset_bounds_and_membership():
 
 def test_pointset_rowmajor_order():
     s = PointSet.from_points(3, [(3, 1), (1, 2), (2, 1)])
-    assert list(s.iter_rowmajor()) == [(2, 1), (3, 1), (1, 2)]
     assert s.sorted_xy() == [(1, 2), (2, 1), (3, 1)]
 
 
@@ -92,25 +90,6 @@ def test_line_points_hits_seed_point(n, vx, vy, x, y):
     assert (x, y) in pts
     for px, py in pts:
         assert d.intercept(px, py) == d.intercept(x, y)
-
-
-@given(st.integers(1, 48), st.integers(1, 48))
-@settings(max_examples=150)
-def test_decomposition_tiles_exactly(n, m):
-    if n % m != 0:
-        with pytest.raises(ValueError):
-            SubgridDecomposition(GridSpec(n), m)
-        return
-    dec = SubgridDecomposition(GridSpec(n), m)
-    hits = {}
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            i, j = dec.block_of(x, y)
-            assert 1 <= i <= m and 1 <= j <= m
-            (xlo, xhi), (ylo, yhi) = dec.block_range(i, j)
-            assert xlo <= x <= xhi and ylo <= y <= yhi
-            hits[(x, y)] = (i, j)
-    assert len(hits) == n * n
 
 
 def test_matrix_4x4_values_and_sums():
@@ -156,7 +135,7 @@ def test_matrix_3x3_rejects_bad_args():
 def test_expected_load_main_diagonal():
     mat = feasibility_matrix_4x4(40, 30)
     d = Direction(1, 1)
-    load = expected_load(mat, None, d, 0)
+    load = expected_load(mat, d, 0)
     assert load == expected_load_by_scan(mat, 1, 1, 0)
     assert load == 24
     assert load == Fraction(4, 5) * 30
@@ -165,26 +144,20 @@ def test_expected_load_main_diagonal():
 def test_expected_load_offset_diagonal():
     mat = feasibility_matrix_4x4(40, 30)
     d = Direction(1, 1)
-    load = expected_load(mat, None, d, 10)
+    load = expected_load(mat, d, 10)
     assert load == expected_load_by_scan(mat, 1, 1, 10)
     assert load == 24  # 9 + 6 + 9
 
 
 def test_expected_load_zero_matrix():
     mat = FeasibilityMatrix(4, 3, [[0] * 4] * 4)
-    assert expected_load(mat, None, Direction(1, 1), 0) == 0
+    assert expected_load(mat, Direction(1, 1), 0) == 0
 
 
 def test_expected_load_rejects_thin_lines():
     mat = feasibility_matrix_4x4(12, 10)
     with pytest.raises(ValueError):
-        expected_load(mat, None, Direction(1, 1), 11)  # single point (12,1)
-
-
-def test_expected_load_checks_decomposition_consistency():
-    mat = feasibility_matrix_4x4(40, 30)
-    with pytest.raises(ValueError):
-        expected_load(mat, SubgridDecomposition(GridSpec(40), 8), Direction(1, 1), 0)
+        expected_load(mat, Direction(1, 1), 11)  # single point (12,1)
 
 
 def test_expected_load_block_additivity():
@@ -198,7 +171,7 @@ def test_expected_load_block_additivity():
     total = sum(
         Fraction(mat.entries[i][j], 4) * g for (i, j), g in per_block.items()
     )
-    assert expected_load(mat, None, d, 5) == total
+    assert expected_load(mat, d, 5) == total
     for (i, j), g in per_block.items():
         assert Fraction(mat.entries[i][j], 4) * g <= mat.alpha(i + 1, j + 1) * 4
 
@@ -221,7 +194,7 @@ def test_max_expected_load_zero_matrix():
 def test_max_expected_load_witness_attains_max():
     mat = feasibility_matrix_4x4(16, 10)
     load, (d, c) = max_expected_load(mat, with_witness=True)
-    assert expected_load(mat, None, d, c) == load
+    assert expected_load(mat, d, c) == load
 
 
 def _all_block_counts_up_to(limit):
@@ -256,9 +229,9 @@ def test_slope_one_load_piecewise_linear():
     segments = [(0, 10), (10, 20), (20, 30), (30, 38)]
     for lo, hi in segments:
         for c in range(lo + 1, hi):
-            left = expected_load(mat, None, d, c - 1)
-            mid = expected_load(mat, None, d, c)
-            right = expected_load(mat, None, d, c + 1)
+            left = expected_load(mat, d, c - 1)
+            mid = expected_load(mat, d, c)
+            right = expected_load(mat, d, c + 1)
             assert left + right == 2 * mid
 
 
@@ -273,7 +246,7 @@ def test_is_feasible_tight_delta_fails_with_line_witness():
     assert not check.ok
     kind, d, c, load = check.witness
     assert kind == "line"
-    assert load == expected_load(mat, None, d, c)
+    assert load == expected_load(mat, d, c)
     assert load > Fraction(79, 100) * 30
 
 

@@ -1,58 +1,70 @@
 """Tests for the sweep verifier and the rich-secant census."""
 
 import random
-from math import pi
+from collections import Counter
+from math import gcd, pi
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkline import secants
-from nkline.grid import Direction, PointSet
-from nkline.secants import (
-    census,
-    count_on_line,
-    primitive_directions,
-    richness_bound,
-    verify,
-)
+from nkline.grid import Direction, PointSet, _directions_of_modulus
+from nkline.secants import census, count_on_line, richness_bound, verify
 
 from oracles import brute_generic_max, census_by_pairs, grid_line_sizes
 
 
+def _rich_directions(n, t):
+    """Directions whose lines can hold >= t grid points of [1,n]^2: the
+    modulus classes whose cap (n-1)//M + 1 reaches t."""
+    return [d for M in range(1, n) if (n - 1) // M + 1 >= t for d in _directions_of_modulus(M)]
+
+
+def _oracle_rich_directions(n, t):
+    return {(vx, vy) for (vx, vy, _), size in grid_line_sizes(n).items() if size >= t}
+
+
 def test_primitive_directions_n5_t3():
-    dirs = {(d.vx, d.vy) for d in primitive_directions(5, 3)}
+    dirs = {(d.vx, d.vy) for d in _rich_directions(5, 3)}
     assert dirs == {(1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1)}
+    assert dirs == _oracle_rich_directions(5, 3)
 
 
 def test_primitive_directions_n3_t3():
-    dirs = {(d.vx, d.vy) for d in primitive_directions(3, 3)}
-    assert dirs == {(1, 1), (1, -1)}
+    dirs = {(d.vx, d.vy) for d in _rich_directions(3, 3)}
+    assert dirs == {(1, 1), (1, -1)} == _oracle_rich_directions(3, 3)
 
 
 def test_primitive_directions_n2_t3_empty():
-    assert primitive_directions(2, 3) == []
+    assert _rich_directions(2, 3) == []
+    assert _oracle_rich_directions(2, 3) == set()
 
 
 def test_primitive_directions_rejects_small_threshold():
-    with pytest.raises(ValueError):
-        primitive_directions(5, 1)
+    # the modulus of a direction is at least 1
+    for M in (0, -1):
+        with pytest.raises(ValueError):
+            _directions_of_modulus(M)
 
 
 def test_primitive_directions_no_duplicates_and_primitive():
-    dirs = primitive_directions(12, 2)
-    assert len(dirs) == len(set(dirs))
-    from math import gcd
-
-    for d in dirs:
-        assert gcd(d.vx, abs(d.vy)) == 1
-        assert d.modulus <= 11
+    for M in range(1, 31):
+        dirs = [(d.vx, d.vy) for d in _directions_of_modulus(M)]
+        expect = [
+            (vx, vy)
+            for vx in range(1, M + 1)
+            for vy in range(-M, M + 1)
+            if vy != 0 and max(vx, abs(vy)) == M and gcd(vx, abs(vy)) == 1
+        ]
+        assert dirs == sorted(expect), M
+        assert len(dirs) == len(set(dirs))
+        assert {(vx, -vy) for vx, vy in dirs} == set(dirs)
 
 
 def test_verify_full_grid():
     n = 4
     s = PointSet.from_points(n, [(x, y) for x in range(1, 5) for y in range(1, 5)])
-    rep = verify(s, 4, 0, mode="exhaustive")
+    rep = verify(s, 4, 0)
     assert rep.axis_max == 4
     assert rep.generic_max == 4
     assert rep.achieved_reserve == 0
@@ -61,7 +73,7 @@ def test_verify_full_grid():
 
 def test_verify_three_collinear_fails():
     s = PointSet.from_points(3, [(1, 1), (2, 2), (3, 3)])
-    rep = verify(s, 2, 0, mode="exhaustive")
+    rep = verify(s, 2, 0)
     assert not rep.passed
     assert rep.generic_max == 3
     d, c = rep.worst_line
@@ -70,16 +82,17 @@ def test_verify_three_collinear_fails():
 
 def test_verify_empty_set():
     s = PointSet.from_points(5, [])
-    rep = verify(s, 0, 0, mode="exhaustive")
+    rep = verify(s, 0, 0)
     assert rep.passed
     assert rep.axis_max == 0 and rep.generic_max == 0
+    assert rep.worst_line is None and rep.directions_swept == 0
 
 
 def test_verify_worst_line_recount_matches():
     rng = random.Random(7)
     pts = {(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(40)}
     s = PointSet.from_points(12, pts)
-    rep = verify(s, 3, 0, mode="exhaustive")
+    rep = verify(s, 3, 0)
     d, c = rep.worst_line
     assert count_on_line(s, d, c) == rep.generic_max
 
@@ -93,42 +106,64 @@ def test_verify_matches_bruteforce_generic_max():
         while len(pts) < size:
             pts.add((rng.randint(1, n), rng.randint(1, n)))
         s = PointSet.from_points(n, pts)
-        rep = verify(s, n, 0, mode="exhaustive")
-        brute, _ = brute_generic_max(pts)
-        assert rep.generic_max == max(brute, 1 if pts and n >= 2 else 0)
+        rep = verify(s, n, 0)
+        assert rep.generic_max == _expected_generic_max(n, pts)
 
 
-def test_threshold_and_exhaustive_agree_on_pass_fail():
-    rng = random.Random(5)
-    for trial in range(6):
-        n = rng.randint(4, 20)
-        pts = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(2, 2 * n))}
-        s = PointSet.from_points(n, pts)
-        for k in range(0, n + 1):
-            for h in range(0, k + 1):
-                fast = verify(s, k, h, mode="threshold")
-                full = verify(s, k, h, mode="exhaustive")
-                assert fast.passed == full.passed, (n, sorted(pts), k, h)
+def _expected_generic_max(n, pts):
+    brute, _ = brute_generic_max(pts)
+    # a lone point still lies on a generic line once n >= 2
+    return max(brute, 1 if pts and n >= 2 else 0)
 
 
-def test_threshold_sweeps_the_short_directions_without_the_cache(monkeypatch):
-    monkeypatch.setattr(secants, "_dir_cache", {})
-    rng = random.Random(9)
-    n = 40
-    pts = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)}
+@given(
+    n=st.integers(1, 9),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_matches_oracles_on_random_sets(n, data):
+    cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    pts = set(data.draw(st.lists(st.sampled_from(cells), max_size=n * n)))
     s = PointSet.from_points(n, pts)
-    fast = {(k, h): verify(s, k, h, mode="threshold") for k, h in [(12, 0), (12, 9), (7, 2), (3, 1)]}
-    assert secants._dir_cache == {}
-    full = verify(s, 12, 0, mode="exhaustive")
-    assert list(secants._dir_cache) == [n]
-    for (k, h), rep in fast.items():
-        cutoff = (n - 1) // (k - h)
-        swept = [d for d in full.per_direction_max if d.modulus <= cutoff]
-        assert rep.per_direction_max == {d: full.per_direction_max[d] for d in swept}
-        assert list(rep.per_direction_max) == swept
-        # strict-> witness: the first direction in sweep order reaching the max
-        worst = next(d for d in swept if rep.per_direction_max[d] == rep.generic_max)
-        assert rep.worst_line[0] == worst
+    rep = verify(s, n, 0)
+    expect = _expected_generic_max(n, pts)
+    assert rep.generic_max == expect
+    assert rep.axis_max == max(s.row_counts() + s.col_counts())
+    for k in range(n + 1):
+        for h in range(k + 1):
+            assert verify(s, k, h).passed == (rep.axis_max <= k and expect <= k - h), (k, h)
+    if expect == 0:
+        assert rep.worst_line is None
+        return
+    d, c = rep.worst_line
+    assert count_on_line(s, d, c) == rep.generic_max
+    # the witness is the first line to reach the maximum in (modulus, vx, vy)
+    # order, and on its direction the one of smallest intercept
+    order = sorted(
+        ((vx, vy) for vx in range(1, n) for vy in range(1 - n, n)
+         if vy != 0 and gcd(vx, abs(vy)) == 1),
+        key=lambda v: (max(v[0], abs(v[1])), v[0], v[1]),
+    )
+    for vx, vy in order:
+        per_line = Counter(vy * x - vx * y for x, y in pts)
+        top = max(per_line.values())
+        if top == expect:
+            assert (d.vx, d.vy, c) == (vx, vy, min(i for i, m in per_line.items() if m == top))
+            break
+    else:
+        pytest.fail("no direction reaches generic_max")
+
+
+def test_verify_stops_at_the_line_length_cap():
+    n, k = 40, 6
+    pts = {(x, (x + s) % n + 1) for x in range(1, n + 1) for s in range(k)}
+    s = PointSet.from_points(n, pts)
+    assert s.is_regular(k)
+    rep = verify(s, k, 0)
+    assert rep.generic_max == _expected_generic_max(n, pts)
+    stop = next(M for M in range(1, n) if (n - 1) // M + 1 <= rep.generic_max)
+    assert rep.directions_swept == sum(len(_directions_of_modulus(M)) for M in range(1, stop))
+    assert rep.directions_swept < sum(len(_directions_of_modulus(M)) for M in range(1, n))
 
 
 @given(
@@ -139,8 +174,6 @@ def test_threshold_sweeps_the_short_directions_without_the_cache(monkeypatch):
 )
 @settings(max_examples=120)
 def test_intercept_identity_iff_collinear(n, vx, vy, data):
-    from math import gcd
-
     if gcd(vx, abs(vy)) != 1:
         return
     d = Direction(vx, vy)
@@ -185,7 +218,6 @@ def test_census_n100_j20_matches_walk_oracle():
     # Independent oracle: bucket all grid points of each candidate
     # direction by intercept and count buckets of size >= 20.
     import numpy as np
-    from math import gcd
 
     n, j = 100, 20
     xs, ys = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
