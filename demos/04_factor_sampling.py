@@ -1,9 +1,10 @@
-"""Random r-factors via the 2x2 switch chain, and their decomposition
-into perfect matchings.
+"""Random r-factors via the global Curveball chain, and their
+decomposition into perfect matchings.
 
-The chain starts from the circulant factor and swaps checkerboards of
-two present cells when the opposite corners are free; every state keeps
-all row and column degrees at r.
+The chain starts from the circulant factor.  Each round pairs the rows
+at random; each pair shuffles the columns that lie in exactly one of its
+two rows and splits them back with each row's size unchanged, so every
+state keeps all row and column degrees at r.
 """
 
 from nkline import derive_seed, matching_containment_probability, one_factorize, sample_r_factor

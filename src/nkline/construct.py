@@ -8,7 +8,7 @@ than trusted; randomized steps are reproducible from a master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import ceil, log, sqrt
 from typing import Optional
@@ -20,7 +20,7 @@ from .bifactor import (
     iter_matchings,
     sample_r_factor,
 )
-from .grid import FeasibilityMatrix, GridSpec, PointSet, feasibility_matrix_4x4
+from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
 
 
@@ -103,6 +103,18 @@ def _translate_block(factor: BipartiteFactor, i: int, j: int, q: int) -> list[tu
     return [(x0 + a, y0 + b) for a, b in factor.cells]
 
 
+def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
+    """Union of the per-block factors of retry t; block (i, j) gets an
+    r_{i,j}-factor sampled with seed derived from (seed, t, i, j)."""
+    m, q = matrix.m, matrix.block_side
+    pts: list[tuple[int, int]] = []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            factor = sample_r_factor(q, matrix.entry(i, j), derive_seed(seed, t, i, j))
+            pts.extend(_translate_block(factor, i, j, q))
+    return PointSet.from_points(matrix.n, pts)
+
+
 def biuniform_construct(
     n: int,
     k: int,
@@ -129,17 +141,10 @@ def biuniform_construct(
     if max_retries < 1:
         raise ConstructionError("max_retries must be >= 1")
     m = matrix.m
-    q = matrix.block_side
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
-        pts: list[tuple[int, int]] = []
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                r = matrix.entry(i, j)
-                factor = sample_r_factor(q, r, derive_seed(seed, t, i, j))
-                pts.extend(_translate_block(factor, i, j, q))
-        sample = PointSet.from_points(n, pts)
+        sample = _sample_retry(matrix, seed, t)
         report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if best is None or report.achieved_reserve > best[1].achieved_reserve:
@@ -157,6 +162,8 @@ def biuniform_construct(
                 lineage=(("biuniform", {"n": n, "k": k, "m": m, "seed": seed, "retry": t}),),
                 per_retry_reserves=tuple(reserves),
             )
+        # a retry that is not the best must not stay alive while the next is built
+        del sample, report
     sample, report = best
     return ConstructionCertificate(
         n=n,

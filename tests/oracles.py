@@ -8,6 +8,7 @@ direction, counts by inverting triangular pair counts.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
 
 
@@ -122,3 +123,26 @@ def census_by_pairs(n, j):
     """Number of generic secants of [1,n]^2 holding >= j grid points."""
     sizes = grid_line_sizes(n)
     return sum(1 for c in sizes.values() if c >= j)
+
+
+def all_r_factors(m, r):
+    """Every r-regular cell set on [1,m]^2, by row-by-row enumeration of
+    r-subsets of columns with column capacities; independent of the
+    sampler's chain."""
+    rows = [frozenset(c) for c in combinations(range(1, m + 1), r)]
+    out = []
+
+    def extend(a, cells, col_free):
+        if a > m:
+            out.append(frozenset(cells))
+            return
+        for row in rows:
+            if all(col_free[b] > 0 for b in row):
+                for b in row:
+                    col_free[b] -= 1
+                extend(a + 1, cells + [(a, b) for b in row], col_free)
+                for b in row:
+                    col_free[b] += 1
+
+    extend(1, [], {b: r for b in range(1, m + 1)})
+    return out

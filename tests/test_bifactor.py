@@ -1,6 +1,8 @@
 """Tests for factor sampling, matchings and 1-factorization."""
 
+import hashlib
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -18,6 +20,7 @@ from nkline.bifactor import (
     perfect_matching,
     sample_r_factor,
 )
+from oracles import all_r_factors
 
 
 def test_derive_seed_stable_and_sensitive():
@@ -91,6 +94,48 @@ def test_sample_stays_regular_across_seeds():
     for seed in range(10):
         f = sample_r_factor(9, 4, seed=seed)  # constructor audits degrees
         assert len(f.cells) == 36
+
+
+def test_sample_rejects_bad_rounds():
+    with pytest.raises(ValueError):
+        sample_r_factor(6, 2, 1, rounds=0)
+
+
+# sha256 of str(sorted(sample_r_factor(12, 5, 42).cells)); a change that
+# moves sampler bytes moves every randomized construction
+GOLDEN_SAMPLE_SHA256 = "944ced9c8d2293e65f034ca330b4e0392f407da96cf2384c3ca016afd47fd3b9"
+
+
+def test_sample_golden_bytes():
+    cells = sorted(sample_r_factor(12, 5, 42).cells)
+    assert hashlib.sha256(str(cells).encode()).hexdigest() == GOLDEN_SAMPLE_SHA256
+
+
+@given(m=st.integers(1, 30), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_sample_is_regular_and_deterministic(m, data):
+    r = data.draw(st.integers(0, m))
+    seed = data.draw(st.integers(0, 2**63 - 1))
+    rounds = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+    f = sample_r_factor(m, r, seed, rounds)  # constructor audits degrees
+    assert (f.m, f.r, len(f.cells)) == (m, r, m * r)
+    assert sample_r_factor(m, r, seed, rounds).cells == f.cells
+
+
+@pytest.mark.parametrize("m, r", [(4, 2), (5, 1)])
+def test_sampler_matches_uniform_on_enumerated_factors(m, r):
+    # about 30 samples per factor; chi-square against uniform over the
+    # brute-force state space, by its normal approximation with the
+    # limit z <= 5 fixed in advance
+    states = all_r_factors(m, r)
+    per_state = 30
+    samples = per_state * len(states)
+    counts = Counter(sample_r_factor(m, r, derive_seed(606, m, r, i)).cells for i in range(samples))
+    assert set(counts) <= set(states)
+    chi2 = sum((counts[s] - per_state) ** 2 / per_state for s in states)
+    dof = len(states) - 1
+    z = (chi2 - dof) / (2 * dof) ** 0.5
+    assert z <= 5, (chi2, dof, z)
 
 
 def test_sample_moves_off_the_circulant_start():
@@ -176,7 +221,7 @@ def test_one_factorize_is_deterministic():
 
 def _permuted_circulant(m, r, seed):
     """Circulant r-factor under row and column permutations drawn from
-    random.Random(seed); independent of the switch-chain sampler."""
+    random.Random(seed); independent of the Curveball sampler."""
     rng = random.Random(seed)
     rows = list(range(1, m + 1))
     cols = list(range(1, m + 1))

@@ -48,7 +48,7 @@ def test_pointset_bounds_and_membership():
         PointSet.from_points(3, [(1, 4)])
 
 
-def test_pointset_rowmajor_order():
+def test_pointset_sorted_xy_order():
     s = PointSet.from_points(3, [(3, 1), (1, 2), (2, 1)])
     assert s.sorted_xy() == [(1, 2), (2, 1), (3, 1)]
 
