@@ -17,7 +17,7 @@ print(report.summary())
 
 # the worst line is an actual witness: recount it by hand
 d, c = report.worst_line
-on_line = [(x, y) for (x, y) in s.points if d.vy * x - d.vx * y == c]
+on_line = [(x, y) for (x, y) in s.sorted_xy() if d.vy * x - d.vx * y == c]
 print(f"worst line has {len(on_line)} points; bound is k = {k}")
 
 # file round-trip

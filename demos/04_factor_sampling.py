@@ -13,7 +13,7 @@ m, r = 40, 12
 
 # single-cell marginal: should approach r/m
 samples = 400
-hits = sum(1 for i in range(samples) if (1, 1) in sample_r_factor(m, r, derive_seed(1, i)).cells)
+hits = sum(1 for i in range(samples) if (1, 1) in sample_r_factor(m, r, derive_seed(1, i)).points)
 print(f"cell (1,1) frequency over {samples} samples: {hits / samples:.3f} (r/m = {r / m})")
 
 # containment of a fixed 2-matching: should stay near (r/m)^2
@@ -26,4 +26,4 @@ fac = one_factorize(f)
 print(f"one 4-factor on 10+10 vertices splits into {len(fac.factors)} matchings:")
 for t, perm in enumerate(fac.factors):
     print(f"  matching {t}: {perm}")
-assert fac.all_cells() == set(f.cells)
+assert fac.all_cells() == f.points

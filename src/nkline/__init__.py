@@ -9,7 +9,6 @@ from .bifactor import (
     iter_matchings,
     matching_containment_probability,
     one_factorize,
-    perfect_matching,
     sample_r_factor,
 )
 from .bounds import (
@@ -33,7 +32,6 @@ from .construct import (
 from .grid import (
     Direction,
     FeasibilityMatrix,
-    GridSpec,
     PointSet,
     expected_load,
     feasibility_matrix_3x3,
@@ -61,7 +59,6 @@ __all__ = [
     "ConstructionError",
     "Direction",
     "FeasibilityMatrix",
-    "GridSpec",
     "OneFactorization",
     "ParseError",
     "ParsedPointSet",
@@ -89,7 +86,6 @@ __all__ = [
     "max_expected_load",
     "one_factorize",
     "parse",
-    "perfect_matching",
     "pipeline",
     "richness_bound",
     "sample_r_factor",

@@ -1,11 +1,13 @@
-"""Regular bipartite structure: Curveball sampling of r-factors,
-perfect matchings with Hall witnesses, and 1-factorization.
+"""Regular bipartite structure: Curveball sampling of r-factors and
+their 1-factorization.
 
-Cells are (row, column) pairs in [1,m]^2; a factor is r-regular when
-every row index and every column index occurs in exactly r cells.  The
-sampler runs on an m x m numpy bool matrix and trades rows in pairs;
-its output, like every factor, passes the `BipartiteFactor` degree
-audit when it is built.
+A factor on m rows and m columns is a `PointSet` on [1,m]^2 whose point
+(a, b) is the cell of row a and column b: one sorted array of keys
+(a-1)*m + (b-1).  It is r-regular when every row index and every column
+index occurs in exactly r cells.  The sampler runs on an m x m numpy
+bool matrix, trades rows in pairs and returns the matrix's flat nonzero
+indices, which are those keys; its output, like every factor, passes
+the `BipartiteFactor` degree audit when it is built.
 """
 
 from __future__ import annotations
@@ -14,77 +16,58 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from math import ceil, log
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
+
+from .grid import PointSet
 
 
 def derive_seed(master: int, *indices: int) -> int:
     """Stable 64-bit stream seed for (master, *indices); reruns with the
-    same arguments reproduce the same factor on any platform."""
+    same arguments reproduce the same factor on any platform.  Every
+    argument must lie in the signed 64-bit range [-2^63, 2^63)."""
     h = hashlib.blake2b(digest_size=8)
     h.update(b"nkline-seed")
     for v in (master, *indices):
+        if not -(2**63) <= v < 2**63:
+            raise ValueError(f"seed {v} outside the signed 64-bit range [-2^63, 2^63)")
         h.update(struct.pack(">q", v))
     return int.from_bytes(h.digest(), "big")
 
 
 @dataclass(frozen=True)
 class BipartiteFactor:
-    """An r-regular set of cells on an m x m row/column index grid."""
+    """An r-regular cell set on the m x m row/column index grid."""
 
-    m: int
     r: int
-    cells: frozenset[tuple[int, int]]
+    points: PointSet
 
     def __post_init__(self) -> None:
-        m, r = self.m, self.r
-        if not 0 <= r <= m:
-            raise ValueError(f"regularity {r} outside [0, {m}]")
-        if len(self.cells) != r * m:
-            raise ValueError(f"expected {r * m} cells, got {len(self.cells)}")
-        row_deg = [0] * (m + 1)
-        col_deg = [0] * (m + 1)
-        for a, b in self.cells:
-            if not (1 <= a <= m and 1 <= b <= m):
-                raise ValueError(f"cell ({a}, {b}) outside [1,{m}]^2")
-            row_deg[a] += 1
-            col_deg[b] += 1
-        for v in range(1, m + 1):
-            if row_deg[v] != r or col_deg[v] != r:
-                raise ValueError(
-                    f"degree audit failed at index {v}: row {row_deg[v]}, col {col_deg[v]}, want {r}"
-                )
+        if not self.points.is_regular(self.r):
+            raise ValueError(f"degree audit failed: not {self.r}-regular on [1,{self.m}]^2")
+
+    @property
+    def m(self) -> int:
+        return self.points.n
 
 
-def circulant_cells(m: int, r: int) -> set[tuple[int, int]]:
-    """Cell (a, b) present iff (b - a) mod m < r; the canonical r-factor."""
-    return {
-        (a, b)
-        for a in range(1, m + 1)
-        for b in range(1, m + 1)
-        if (b - a) % m < r
-    }
-
-
-def circulant_factor(rows: list[int], cols: list[int], r: int) -> set[tuple[int, int]]:
+def circulant_factor(rows: list[int], cols: list[int], r: int) -> tuple[np.ndarray, np.ndarray]:
     """r-regular cell set on arbitrary index lists: for each offset
     d < r, the shifted diagonal (cols[a], rows[(a + d) mod q]).
 
-    Cell order is (x, y) = (cols[a], rows[b]); every given row and
-    column index ends up in exactly r cells.
+    Returns the cells as coordinate arrays (xs, ys) = (cols[a],
+    rows[b]); every given row and column index ends up in exactly r
+    cells.
     """
     q = len(rows)
     if len(cols) != q:
         raise ValueError("rows and cols must have equal length")
     if not 0 <= r <= q:
         raise ValueError(f"regularity {r} outside [0, {q}]")
-    return {
-        (cols[a], rows[b])
-        for a in range(q)
-        for b in range(q)
-        if (b - a) % q < r
-    }
+    a = np.repeat(np.arange(q), r)
+    b = (a + np.tile(np.arange(r), q)) % q
+    return np.asarray(cols, dtype=np.int64)[a], np.asarray(rows, dtype=np.int64)[b]
 
 
 def default_chain_rounds(m: int) -> int:
@@ -126,13 +109,13 @@ def sample_r_factor(
         raise ValueError(f"regularity {r} outside [0, {m}]")
     if rounds is not None and rounds < 1:
         raise ValueError("rounds must be positive when given")
-    if r in (0, m) or m == 1:
-        # unique factor; no trade can move it
-        return BipartiteFactor(m, r, frozenset(circulant_cells(m, r)))
     if rounds is None:
         rounds = default_chain_rounds(m)
+    if r in (0, m):
+        rounds = 0  # the factor is unique; no trade can move it
 
     idx = np.arange(m)
+    # circulant start: cell (a, b) is present iff (b - a) mod m < r
     present = (idx[None, :] - idx[:, None]) % m < r
     pairs = m // 2
     row_start = (np.arange(pairs) * m)[:, None]
@@ -152,9 +135,8 @@ def sample_r_factor(
         present[top] = common | to_a
         present[bottom] = common | (diff ^ to_a)
 
-    rows, cols = np.nonzero(present)
-    cells = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
-    return BipartiteFactor(m, r, cells)
+    # row-major flat indices are the keys (a-1)*m + (b-1), ascending
+    return BipartiteFactor(r, PointSet(m, np.flatnonzero(present)))
 
 
 def matching_containment_probability(
@@ -172,27 +154,12 @@ def matching_containment_probability(
         raise ValueError(f"matching size {s} outside [1, {m}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    target = [(t, t) for t in range(1, s + 1)]
     hits = 0
     for t in range(trials):
         factor = sample_r_factor(m, r, derive_seed(seed, t), rounds)
-        if all(cell in factor.cells for cell in target):
+        if all((a, a) in factor.points for a in range(1, s + 1)):
             hits += 1
     return hits / trials
-
-
-@dataclass(frozen=True)
-class MatchingResult:
-    """Either a perfect matching (match[a-1] = column of row a) or a
-    Hall-violating row set whose joint neighborhood is smaller."""
-
-    matching: Optional[tuple[int, ...]]
-    violator_rows: Optional[frozenset[int]] = None
-    neighborhood: Optional[frozenset[int]] = None
-
-    @property
-    def found(self) -> bool:
-        return self.matching is not None
 
 
 def _hopcroft_karp(m: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -264,47 +231,6 @@ def _hopcroft_karp(m: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
                         chosen.pop()
 
 
-def perfect_matching(m: int, cells: Iterable[tuple[int, int]]) -> MatchingResult:
-    """Perfect matching of a bipartite graph on m + m vertices given as
-    (row, column) cells, or a Hall-violating witness.  Absence is a
-    result, not an error."""
-    adj: list[list[int]] = [[] for _ in range(m)]
-    seen = set()
-    for a, b in cells:
-        if not (1 <= a <= m and 1 <= b <= m):
-            raise ValueError(f"cell ({a}, {b}) outside [1,{m}]^2")
-        if (a, b) not in seen:
-            seen.add((a, b))
-            adj[a - 1].append(b - 1)
-    for row in adj:
-        row.sort()
-    match_row, match_col = _hopcroft_karp(m, adj)
-    if all(b != -1 for b in match_row):
-        return MatchingResult(matching=tuple(b + 1 for b in match_row))
-    # alternating-reachability witness from one unmatched row
-    start = next(a for a in range(m) if match_row[a] == -1)
-    rows = {start}
-    cols: set[int] = set()
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in adj[a]:
-                if b in cols:
-                    continue
-                cols.add(b)
-                a2 = match_col[b]
-                if a2 != -1 and a2 not in rows:
-                    rows.add(a2)
-                    nxt.append(a2)
-        frontier = nxt
-    return MatchingResult(
-        matching=None,
-        violator_rows=frozenset(a + 1 for a in rows),
-        neighborhood=frozenset(b + 1 for b in cols),
-    )
-
-
 @dataclass(frozen=True)
 class OneFactorization:
     """Ordered decomposition of a k-regular factor into k disjoint
@@ -313,14 +239,17 @@ class OneFactorization:
     m: int
     factors: tuple[tuple[int, ...], ...]
 
-    def cells_of(self, t: int) -> set[tuple[int, int]]:
-        return {(a + 1, b) for a, b in enumerate(self.factors[t])}
+    def cells_of(self, t: int) -> PointSet:
+        return _matching_cells(self.m, [self.factors[t]])
 
-    def all_cells(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for t in range(len(self.factors)):
-            out |= self.cells_of(t)
-        return out
+    def all_cells(self) -> PointSet:
+        return _matching_cells(self.m, self.factors)
+
+
+def _matching_cells(m: int, matchings) -> PointSet:
+    """Union of the cells (a, matching[a-1]) of the given matchings."""
+    cols = np.asarray(matchings, dtype=np.int64).reshape(-1, m)
+    return PointSet.from_xy(m, np.tile(np.arange(1, m + 1), len(cols)), cols.ravel())
 
 
 def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
@@ -331,11 +260,9 @@ def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
     extractions; the first t matchings never depend on how many follow.
     """
     m, r = factor.m, factor.r
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for a, b in factor.cells:
-        adj[a - 1].append(b - 1)
-    for row in adj:
-        row.sort()
+    # points come in (row, column) order, r per row: row a's sorted columns
+    _, cols = factor.points.xy()
+    adj = (cols - 1).reshape(m, r).tolist()
     for _ in range(r):
         match_row, _ = _hopcroft_karp(m, adj)
         if any(b == -1 for b in match_row):

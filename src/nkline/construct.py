@@ -13,8 +13,11 @@ from itertools import islice
 from math import ceil, log, sqrt
 from typing import Optional
 
+import numpy as np
+
 from .bifactor import (
     BipartiteFactor,
+    OneFactorization,
     circulant_factor,
     derive_seed,
     iter_matchings,
@@ -73,46 +76,35 @@ def explicit_construct(n: int, k: int) -> PointSet:
     if 3 * k < 2 * n:
         raise ConstructionError(f"k={k} below 2n/3 (n={n}); the filler factor needs n-k <= 2k-n")
     s = n - k
-    complement: set[tuple[int, int]] = set()
+    # complement[x-1, y-1]: cell (x, y) is left out
+    complement = np.zeros((n, n), dtype=bool)
     # low square on the main diagonal, offset square on the antidiagonal
-    for x in range(1, s + 1):
-        for y in range(1, s + 1):
-            complement.add((x, y))
-    for x in range(s + 1, 2 * s + 1):
-        for y in range(2 * k - n + 1, k + 1):
-            complement.add((x, y))
+    complement[:s, :s] = True
+    complement[s : 2 * s, 2 * k - n : k] = True
     covered_cols = 2 * s
     zero_cols = list(range(covered_cols + 1, n + 1))
     zero_rows = [y for y in range(1, n + 1) if not (y <= s or 2 * k - n + 1 <= y <= k)]
     assert len(zero_rows) == len(zero_cols) == 2 * k - n
-    complement |= circulant_factor(zero_rows, zero_cols, s)
-    points = [
-        (x, y)
-        for x in range(1, n + 1)
-        for y in range(1, n + 1)
-        if (x, y) not in complement
-    ]
-    out = PointSet.from_points(n, points)
+    xs, ys = circulant_factor(zero_rows, zero_cols, s)
+    complement[xs - 1, ys - 1] = True
+    xs, ys = np.nonzero(~complement)
+    out = PointSet.from_xy(n, xs + 1, ys + 1)
     assert len(out) == k * n
     return out
-
-
-def _translate_block(factor: BipartiteFactor, i: int, j: int, q: int) -> list[tuple[int, int]]:
-    x0 = (i - 1) * q
-    y0 = (j - 1) * q
-    return [(x0 + a, y0 + b) for a, b in factor.cells]
 
 
 def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     """Union of the per-block factors of retry t; block (i, j) gets an
     r_{i,j}-factor sampled with seed derived from (seed, t, i, j)."""
     m, q = matrix.m, matrix.block_side
-    pts: list[tuple[int, int]] = []
+    xs, ys = [], []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             factor = sample_r_factor(q, matrix.entry(i, j), derive_seed(seed, t, i, j))
-            pts.extend(_translate_block(factor, i, j, q))
-    return PointSet.from_points(matrix.n, pts)
+            a, b = factor.points.xy()
+            xs.append((i - 1) * q + a)
+            ys.append((j - 1) * q + b)
+    return PointSet.from_xy(matrix.n, np.concatenate(xs), np.concatenate(ys))
 
 
 def biuniform_construct(
@@ -180,9 +172,10 @@ def biuniform_construct(
 
 
 def _factorization_of(points: PointSet, k: int):
-    if not points.is_regular(k):
-        raise ConstructionError(f"point set is not a {k}-factor per row/column")
-    factor = BipartiteFactor(points.n, k, frozenset(points.points))
+    try:
+        factor = BipartiteFactor(k, points)
+    except ValueError as exc:
+        raise ConstructionError(f"point set is not a {k}-factor per row/column: {exc}") from None
     return iter_matchings(factor)
 
 
@@ -209,11 +202,8 @@ def adjust_k(
         )
     if drop == 0:
         return points, verify(points, k, reserve)
-    removed: set[tuple[int, int]] = set()
-    for matching in islice(_factorization_of(points, k), drop):
-        removed.update(enumerate(matching, start=1))
-    remaining = points.points - removed
-    out = PointSet(points.grid, remaining)
+    removed = OneFactorization(points.n, tuple(islice(_factorization_of(points, k), drop)))
+    out = PointSet(points.n, np.setdiff1d(points.keys, removed.all_cells().keys, assume_unique=True))
     report = verify(out, k_new, reserve - drop)
     return out, report
 
@@ -245,16 +235,17 @@ def adjust_n(
     if k > n:
         raise ConstructionError("k may not exceed n")
     grow = slack // 2
-    new_pts = set(points.points)
+    donors = np.arange(1, k + 1)
+    gone_ys, new_xs, new_ys = [], [], []
     matchings = islice(_factorization_of(points, k), grow)
     for i, matching in enumerate(matchings, start=1):
-        donated = [(x, matching[x - 1]) for x in range(1, k + 1)]
-        for x, y in donated:
-            new_pts.remove((x, y))
-            new_pts.add((n + i, y))
-            new_pts.add((x, n + i))
-    n_new = n + grow
-    out = PointSet.from_points(n_new, new_pts)
+        ys = np.asarray(matching[:k])
+        gone_ys.append(ys)
+        new_xs += [np.full(k, n + i), donors]
+        new_ys += [ys, np.full(k, n + i)]
+    donated = PointSet.from_xy(n, np.tile(donors, grow), np.concatenate(gone_ys))
+    xs, ys = PointSet(n, np.setdiff1d(points.keys, donated.keys, assume_unique=True)).xy()
+    out = PointSet.from_xy(n + grow, np.concatenate([xs, *new_xs]), np.concatenate([ys, *new_ys]))
     report = verify(out, k, 0)
     return out, report
 

@@ -1,6 +1,10 @@
 """Core grid domain: point sets, primitive directions swept by modulus
 class, and block-density matrices with an exact expected-load evaluator.
 
+A point set on [1,n]^2 is one sorted int64 array of keys
+(x-1)*n + (y-1); the same form holds a bipartite factor on rows x
+columns, from the sampler to the point file.
+
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  Load computations use
 exact rational arithmetic throughout.
@@ -12,6 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
+
+# largest grid side whose keys (x-1)*n + (y-1) fit in int64
+MAX_SIDE = 3_037_000_499
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -29,20 +38,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """The square grid [1, n] x [1, n]."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"grid side must be >= 1, got {self.n}")
-
-    def contains(self, x: int, y: int) -> bool:
-        return 1 <= x <= self.n and 1 <= y <= self.n
 
 
 @dataclass(frozen=True)
@@ -93,72 +88,91 @@ def line_points(n: int, direction: Direction, c: int) -> list[tuple[int, int]]:
 
 
 class PointSet:
-    """An immutable subset of [1,n]^2 with O(1) membership."""
+    """An immutable subset of [1,n]^2, stored as the read-only array of
+    its unique keys (x-1)*n + (y-1) in ascending order, which is (x, y)
+    order.  Memory grows with the number of points, not with n^2.
+    """
 
-    __slots__ = ("grid", "_points")
+    __slots__ = ("_n", "_keys")
 
-    def __init__(self, grid: GridSpec, points: Iterable[tuple[int, int]]):
-        pts = frozenset((int(x), int(y)) for x, y in points)
-        n = grid.n
-        for x, y in pts:
-            if not (1 <= x <= n and 1 <= y <= n):
-                raise ValueError(f"point ({x}, {y}) outside [1,{n}]^2")
-        self.grid = grid
-        self._points = pts
+    def __init__(self, n: int, keys):
+        if not 1 <= n <= MAX_SIDE:
+            raise ValueError(f"grid side must be in [1, {MAX_SIDE}], got {n}")
+        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
+            raise ValueError(f"key outside [0, {n * n}) on a side-{n} grid")
+        keys.flags.writeable = False
+        self._n = n
+        self._keys = keys
+
+    @classmethod
+    def from_xy(cls, n: int, xs, ys) -> "PointSet":
+        """The points (xs[i], ys[i]); repeated points collapse."""
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        bad = np.flatnonzero((xs < 1) | (xs > n) | (ys < 1) | (ys > n))
+        if bad.size:
+            raise ValueError(f"point ({xs[bad[0]]}, {ys[bad[0]]}) outside [1,{n}]^2")
+        return cls(n, (xs - 1) * n + (ys - 1))
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[tuple[int, int]]) -> "PointSet":
-        return cls(GridSpec(n), points)
-
-    @property
-    def points(self) -> frozenset[tuple[int, int]]:
-        return self._points
+        xy = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+        return cls.from_xy(n, xy[:, 0], xy[:, 1])
 
     @property
     def n(self) -> int:
-        return self.grid.n
+        return self._n
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self._keys
+
+    def xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate arrays (xs, ys), sorted by (x, y)."""
+        xs, ys = np.divmod(self._keys, self._n)
+        return xs + 1, ys + 1
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._keys.size
 
     def __contains__(self, point: tuple[int, int]) -> bool:
-        return point in self._points
+        x, y = point
+        if not (1 <= x <= self._n and 1 <= y <= self._n):
+            return False
+        key = (x - 1) * self._n + (y - 1)
+        i = np.searchsorted(self._keys, key)
+        return bool(i < self._keys.size and self._keys[i] == key)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PointSet)
-            and self.grid == other.grid
-            and self._points == other._points
+            and self._n == other._n
+            and np.array_equal(self._keys, other._keys)
         )
 
     def __hash__(self) -> int:
-        return hash((self.grid, self._points))
+        return hash((self._n, self._keys.tobytes()))
 
     def __repr__(self) -> str:
-        return f"PointSet(n={self.grid.n}, size={len(self._points)})"
+        return f"PointSet(n={self._n}, size={len(self)})"
 
     def sorted_xy(self) -> list[tuple[int, int]]:
-        """Points sorted ascending by (x, y); the file-format order."""
-        return sorted(self._points)
+        """Points as (x, y) tuples sorted ascending; for small callers."""
+        xs, ys = self.xy()
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def row_counts(self) -> list[int]:
         """counts[y-1] = number of points in row y."""
-        counts = [0] * self.grid.n
-        for _, y in self._points:
-            counts[y - 1] += 1
-        return counts
+        return np.bincount(self._keys % self._n, minlength=self._n).tolist()
 
     def col_counts(self) -> list[int]:
-        counts = [0] * self.grid.n
-        for x, _ in self._points:
-            counts[x - 1] += 1
-        return counts
+        return np.bincount(self._keys // self._n, minlength=self._n).tolist()
 
     def is_regular(self, r: int) -> bool:
         """Exactly r points in every row and every column."""
-        return all(c == r for c in self.row_counts()) and all(
-            c == r for c in self.col_counts()
-        )
+        full = [r] * self._n
+        return len(self) == r * self._n and self.row_counts() == full and self.col_counts() == full
 
 
 class FeasibilityMatrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .grid import PointSet
+from .grid import MAX_SIDE, PointSet
 
 MAGIC = "nkline v1"
 
@@ -40,7 +40,8 @@ def serialize(
     reserve_s = "unknown" if reserve is None else str(reserve)
     seed_s = "none" if seed is None else str(seed)
     lines = [MAGIC, f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
-    lines.extend(f"{x} {y}" for x, y in points.sorted_xy())
+    xs, ys = points.xy()
+    lines.extend(map("{} {}".format, xs.tolist(), ys.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -66,9 +67,11 @@ def parse(text: str) -> ParsedPointSet:
         k = int(fields["k"])
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
+    if not 1 <= n <= MAX_SIDE:
+        raise ParseError(f"grid side n={n} outside [1, {MAX_SIDE}]", 2)
     reserve = None if fields["reserve"] == "unknown" else _int_field(fields["reserve"], "reserve")
     seed = None if fields["seed"] == "none" else _int_field(fields["seed"], "seed")
-    pts = []
+    xs, ys = [], []
     for line_no, line in enumerate(lines[2:], start=3):
         parts = line.split()
         if len(parts) != 2:
@@ -79,9 +82,10 @@ def parse(text: str) -> ParsedPointSet:
             raise ParseError(f"non-integer coordinates in {line!r}", line_no) from None
         if not (1 <= x <= n and 1 <= y <= n):
             raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no)
-        pts.append((x, y))
-    point_set = PointSet.from_points(n, pts)
-    if len(point_set) != len(pts):
+        xs.append(x)
+        ys.append(y)
+    point_set = PointSet.from_xy(n, xs, ys)
+    if len(point_set) != len(xs):
         raise ParseError("duplicate points in body", len(lines))
     return ParsedPointSet(points=point_set, k=k, reserve=reserve, seed=seed)
 

@@ -65,10 +65,8 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
     n = points.n
-    xy = points.sorted_xy()
-    xs = np.fromiter((p[0] for p in xy), dtype=np.int64, count=len(xy))
-    ys = np.fromiter((p[1] for p in xy), dtype=np.int64, count=len(xy))
-    axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if xy else 0
+    xs, ys = points.xy()
+    axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if len(points) else 0
 
     def line_max(d: Direction) -> tuple[int, int]:
         c = d.vy * xs - d.vx * ys
@@ -80,7 +78,7 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     # a modulus-M line holds at most (n-1)//M + 1 grid points, and no
     # line holds more points than the set
     generic_max, worst, swept = _sweep_by_modulus(
-        n, lambda M: min(len(xy), (n - 1) // M + 1), line_max
+        n, lambda M: min(len(points), (n - 1) // M + 1), line_max
     )
     return VerificationReport(
         k=k,

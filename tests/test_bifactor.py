@@ -5,22 +5,33 @@ import random
 from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkline.bifactor import (
     BipartiteFactor,
-    circulant_cells,
     circulant_factor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
     one_factorize,
-    perfect_matching,
     sample_r_factor,
 )
+from nkline.grid import PointSet
 from oracles import all_r_factors
+
+
+def _cells(points):
+    """The cells of a PointSet as a set of (row, column) tuples."""
+    return set(points.sorted_xy())
+
+
+def _circulant(m, r):
+    """The circulant r-factor on [1,m]^2: (a, b) present iff (b - a) mod m < r."""
+    idx = list(range(1, m + 1))
+    return PointSet.from_xy(m, *circulant_factor(idx, idx, r))
 
 
 def test_derive_seed_stable_and_sensitive():
@@ -29,38 +40,49 @@ def test_derive_seed_stable_and_sensitive():
     assert derive_seed(7) != derive_seed(8)
 
 
+def test_derive_seed_rejects_values_outside_int64():
+    assert derive_seed(2**63 - 1, -(2**63)) == derive_seed(2**63 - 1, -(2**63))
+    for bad in (2**63, -(2**63) - 1, 99999999999999999999):
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            derive_seed(bad)
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            derive_seed(1, 0, bad)
+
+
 def test_factor_validation_catches_bad_degrees():
     with pytest.raises(ValueError):
-        BipartiteFactor(2, 1, frozenset({(1, 1), (2, 1)}))
+        BipartiteFactor(1, PointSet.from_points(2, {(1, 1), (2, 1)}))
     with pytest.raises(ValueError):
-        BipartiteFactor(2, 1, frozenset({(1, 1)}))
-    BipartiteFactor(2, 1, frozenset({(1, 1), (2, 2)}))
+        BipartiteFactor(1, PointSet.from_points(2, {(1, 1)}))
+    with pytest.raises(ValueError):
+        BipartiteFactor(3, PointSet.from_points(2, {(1, 1), (2, 2)}))
+    f = BipartiteFactor(1, PointSet.from_points(2, {(1, 1), (2, 2)}))
+    assert (f.m, f.r, len(f.points)) == (2, 1, 2)
 
 
 def test_circulant_cells_regular():
-    cells = circulant_cells(5, 2)
-    f = BipartiteFactor(5, 2, frozenset(cells))
-    assert len(f.cells) == 10
+    f = BipartiteFactor(2, _circulant(5, 2))  # constructor audits degrees
+    assert len(f.points) == 10
+    assert _cells(f.points) == {(a, b) for a in range(1, 6) for b in range(1, 6) if (b - a) % 5 < 2}
 
 
 def test_circulant_factor_single_shift_is_diagonal():
-    cells = circulant_factor([4, 7, 9], [2, 5, 8], 1)
-    assert cells == {(2, 4), (5, 7), (8, 9)}
+    xs, ys = circulant_factor([4, 7, 9], [2, 5, 8], 1)
+    assert set(zip(xs.tolist(), ys.tolist())) == {(2, 4), (5, 7), (8, 9)}
 
 
 def test_circulant_factor_full():
-    cells = circulant_factor([1, 2, 3], [4, 5, 6], 3)
-    assert len(cells) == 9
+    xs, ys = circulant_factor([1, 2, 3], [4, 5, 6], 3)
+    assert len(set(zip(xs.tolist(), ys.tolist()))) == 9
 
 
 def test_circulant_factor_degree_audit():
     rows = [3, 6, 9, 12, 15]
     cols = [1, 4, 7, 10, 13]
-    cells = circulant_factor(rows, cols, 2)
-    from collections import Counter
-
-    xs = Counter(x for x, _ in cells)
-    ys = Counter(y for _, y in cells)
+    xs, ys = circulant_factor(rows, cols, 2)
+    assert len(set(zip(xs.tolist(), ys.tolist()))) == 10
+    xs = Counter(xs.tolist())
+    ys = Counter(ys.tolist())
     assert all(xs[c] == 2 for c in cols)
     assert all(ys[r] == 2 for r in rows)
 
@@ -71,8 +93,8 @@ def test_circulant_factor_rejects_r_too_large():
 
 
 def test_sample_r0_and_rm():
-    assert sample_r_factor(5, 0, 1).cells == frozenset()
-    assert len(sample_r_factor(5, 5, 1).cells) == 25
+    assert len(sample_r_factor(5, 0, 1).points) == 0
+    assert len(sample_r_factor(5, 5, 1).points) == 25
 
 
 def test_sample_rejects_bad_r():
@@ -86,14 +108,14 @@ def test_sample_is_deterministic():
     a = sample_r_factor(12, 5, seed=42)
     b = sample_r_factor(12, 5, seed=42)
     c = sample_r_factor(12, 5, seed=43)
-    assert a.cells == b.cells
-    assert a.cells != c.cells
+    assert a.points == b.points
+    assert a.points != c.points
 
 
 def test_sample_stays_regular_across_seeds():
     for seed in range(10):
         f = sample_r_factor(9, 4, seed=seed)  # constructor audits degrees
-        assert len(f.cells) == 36
+        assert len(f.points) == 36
 
 
 def test_sample_rejects_bad_rounds():
@@ -101,13 +123,14 @@ def test_sample_rejects_bad_rounds():
         sample_r_factor(6, 2, 1, rounds=0)
 
 
-# sha256 of str(sorted(sample_r_factor(12, 5, 42).cells)); a change that
-# moves sampler bytes moves every randomized construction
+# sha256 of str(sorted cells of sample_r_factor(12, 5, 42)), cells as
+# (row, column) tuples; a change that moves sampler bytes moves every
+# randomized construction
 GOLDEN_SAMPLE_SHA256 = "944ced9c8d2293e65f034ca330b4e0392f407da96cf2384c3ca016afd47fd3b9"
 
 
 def test_sample_golden_bytes():
-    cells = sorted(sample_r_factor(12, 5, 42).cells)
+    cells = sorted(sample_r_factor(12, 5, 42).points.sorted_xy())
     assert hashlib.sha256(str(cells).encode()).hexdigest() == GOLDEN_SAMPLE_SHA256
 
 
@@ -118,8 +141,8 @@ def test_sample_is_regular_and_deterministic(m, data):
     seed = data.draw(st.integers(0, 2**63 - 1))
     rounds = data.draw(st.one_of(st.none(), st.integers(1, 8)))
     f = sample_r_factor(m, r, seed, rounds)  # constructor audits degrees
-    assert (f.m, f.r, len(f.cells)) == (m, r, m * r)
-    assert sample_r_factor(m, r, seed, rounds).cells == f.cells
+    assert (f.m, f.r, len(f.points)) == (m, r, m * r)
+    assert sample_r_factor(m, r, seed, rounds).points == f.points
 
 
 @pytest.mark.parametrize("m, r", [(4, 2), (5, 1)])
@@ -130,7 +153,10 @@ def test_sampler_matches_uniform_on_enumerated_factors(m, r):
     states = all_r_factors(m, r)
     per_state = 30
     samples = per_state * len(states)
-    counts = Counter(sample_r_factor(m, r, derive_seed(606, m, r, i)).cells for i in range(samples))
+    counts = Counter(
+        frozenset(sample_r_factor(m, r, derive_seed(606, m, r, i)).points.sorted_xy())
+        for i in range(samples)
+    )
     assert set(counts) <= set(states)
     chi2 = sum((counts[s] - per_state) ** 2 / per_state for s in states)
     dof = len(states) - 1
@@ -139,61 +165,34 @@ def test_sampler_matches_uniform_on_enumerated_factors(m, r):
 
 
 def test_sample_moves_off_the_circulant_start():
-    start = circulant_cells(20, 6)
     f = sample_r_factor(20, 6, seed=3)
-    assert f.cells != frozenset(start)
-
-
-def test_perfect_matching_complete_graph():
-    cells = [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    res = perfect_matching(3, cells)
-    assert res.found
-    assert sorted(res.matching) == [1, 2, 3]
-
-
-def test_perfect_matching_hall_witness():
-    res = perfect_matching(2, [(1, 1), (2, 1)])
-    assert not res.found
-    assert res.violator_rows == {1, 2}
-    assert res.neighborhood == {1}
-    assert len(res.neighborhood) < len(res.violator_rows)
-
-
-def test_perfect_matching_always_found_in_regular_graphs():
-    rng = random.Random(11)
-    for trial in range(12):
-        m = rng.randint(1, 64)
-        r = rng.randint(1, m)
-        f = sample_r_factor(m, r, seed=trial)
-        res = perfect_matching(m, f.cells)
-        assert res.found, (m, r, trial)
-        assert sorted(res.matching) == list(range(1, m + 1))
-        assert all((a, res.matching[a - 1]) in f.cells for a in range(1, m + 1))
+    assert f.points != _circulant(20, 6)
 
 
 def test_one_factorize_circulant_two_factor():
-    f = BipartiteFactor(4, 2, frozenset(circulant_cells(4, 2)))
+    f = BipartiteFactor(2, _circulant(4, 2))
     fac = one_factorize(f)
     assert len(fac.factors) == 2
-    c0, c1 = fac.cells_of(0), fac.cells_of(1)
+    c0, c1 = _cells(fac.cells_of(0)), _cells(fac.cells_of(1))
     assert c0.isdisjoint(c1)
-    assert c0 | c1 == set(f.cells)
+    assert c0 | c1 == _cells(f.points)
 
 
 def test_one_factorize_single_factor_is_identity_of_input():
     cells = {(1, 2), (2, 1), (3, 3)}
-    f = BipartiteFactor(3, 1, frozenset(cells))
+    f = BipartiteFactor(1, PointSet.from_points(3, cells))
     fac = one_factorize(f)
     assert len(fac.factors) == 1
-    assert fac.cells_of(0) == cells
+    assert fac.cells_of(0) == f.points
+    assert _cells(fac.cells_of(0)) == cells
 
 
 def test_one_factorize_complete_graph_latin_square():
     m = 6
-    f = BipartiteFactor(m, m, frozenset((a, b) for a in range(1, 7) for b in range(1, 7)))
+    f = BipartiteFactor(m, PointSet.from_points(m, [(a, b) for a in range(1, 7) for b in range(1, 7)]))
     fac = one_factorize(f)
     assert len(fac.factors) == m
-    assert fac.all_cells() == set(f.cells)
+    assert fac.all_cells() == f.points
     for t in range(m):
         assert sorted(fac.factors[t]) == list(range(1, m + 1))
 
@@ -208,10 +207,10 @@ def test_one_factorize_random_factors_roundtrip():
         assert len(fac.factors) == r
         seen = set()
         for t in range(r):
-            cells = fac.cells_of(t)
+            cells = _cells(fac.cells_of(t))
             assert not (cells & seen)
             seen |= cells
-        assert seen == set(f.cells)
+        assert seen == _cells(f.points)
 
 
 def test_one_factorize_is_deterministic():
@@ -219,16 +218,21 @@ def test_one_factorize_is_deterministic():
     assert one_factorize(f).factors == one_factorize(f).factors
 
 
-def _permuted_circulant(m, r, seed):
-    """Circulant r-factor under row and column permutations drawn from
-    random.Random(seed); independent of the Curveball sampler."""
+def _permuted_circulant_xy(m, r, seed):
+    """Cells (xs, ys) of the circulant r-factor under row and column
+    permutations drawn from random.Random(seed); independent of the
+    Curveball sampler."""
     rng = random.Random(seed)
     rows = list(range(1, m + 1))
     cols = list(range(1, m + 1))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    cells = frozenset((rows[a - 1], cols[b - 1]) for a, b in circulant_cells(m, r))
-    return BipartiteFactor(m, r, cells)
+    xs, ys = _circulant(m, r).xy()
+    return np.array(rows)[xs - 1], np.array(cols)[ys - 1]
+
+
+def _permuted_circulant(m, r, seed):
+    return BipartiteFactor(r, PointSet.from_xy(m, *_permuted_circulant_xy(m, r, seed)))
 
 
 # first matchings extracted by the eager one_factorize before extraction
@@ -262,6 +266,20 @@ def test_iter_matchings_golden_prefix(key):
     assert one_factorize(f).factors[: len(want)] == want
 
 
+@pytest.mark.parametrize("key", sorted(GOLDEN_MATCHINGS))
+def test_iter_matchings_golden_prefix_from_raw_keys(key):
+    # the same factors handed over as shuffled keys with repeats: the
+    # adjacency sliced out of the stored sorted keys must not depend on
+    # the order the keys came in
+    m, r, seed = key
+    xs, ys = _permuted_circulant_xy(m, r, seed)
+    keys = (xs - 1) * m + (ys - 1)
+    keys = np.random.default_rng(seed).permutation(np.concatenate([keys, keys[::2]]))
+    f = BipartiteFactor(r, PointSet(m, keys))
+    want = GOLDEN_MATCHINGS[key]
+    assert tuple(islice(iter_matchings(f), len(want))) == want
+
+
 @given(m=st.integers(1, 24), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_iter_matchings_prefix_is_disjoint_perfect_matchings(m, data):
@@ -274,7 +292,7 @@ def test_iter_matchings_prefix_is_disjoint_perfect_matchings(m, data):
     for matching in prefix:
         assert sorted(matching) == list(range(1, m + 1))
         cells = set(enumerate(matching, start=1))
-        assert cells <= f.cells
+        assert all(cell in f.points for cell in cells)
         assert seen.isdisjoint(cells)
         seen |= cells
 
@@ -311,7 +329,7 @@ def test_row_exchangeability_under_relabeling():
         f = sample_r_factor(m, r, seed=derive_seed(55, i))
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
-        relabeled = {(perm[a - 1], b) for a, b in f.cells}
+        relabeled = {(perm[a - 1], b) for a, b in f.points.sorted_xy()}
         t1 += sum(1 for a, b in relabeled if a == 1 and b in half)
         t2 += sum(1 for a, b in relabeled if a == 2 and b in half)
     mean1 = t1 / samples

@@ -1,9 +1,14 @@
 """Exit-code and file-level tests for the command-line surface."""
 
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import nkline
 from nkline.cli import main
 from nkline.pointfile import MAGIC, parse
 
@@ -33,6 +38,27 @@ def test_construct_biuniform_deterministic_bytes(tmp_path):
     code_b = main(args + ["--out", str(b)])
     assert code_a == code_b
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the file `nkline construct --n 403 --k 233 --seed 11` writes;
+# it moves only when the sampler, the 1-factor extraction or the
+# adjustment chain changes its bytes
+CONSTRUCT_403_233_SEED_11_SHA256 = "cedc8f3b4107a588e2b5fa04eb3d9a990af7605e17ade25010157e4a1033f8c7"
+
+
+def test_construct_auto_golden_bytes(tmp_path):
+    out = tmp_path / "c.txt"
+    assert main(["construct", "--n", "403", "--k", "233", "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_403_233_SEED_11_SHA256
+
+
+def test_construct_seed_outside_int64_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    code = main(["construct", "--n", "100", "--k", "40", "--seed", "99999999999999999999", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "64-bit" in err
+    assert not out.exists()
 
 
 def test_construct_biuniform_divisibility_usage_error(tmp_path):
@@ -69,6 +95,33 @@ def test_verify_truncated_file_exit_one(tmp_path, capsys):
     f.write_text(f"{MAGIC}\nn=3 k=2 reserve=unknown seed=none\n1\n")
     assert main(["verify", "--in", str(f), "--k", "2"]) == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM of a Linux process")
+def test_verify_sparse_file_on_a_huge_grid_stays_small(tmp_path):
+    # memory must follow the number of points, not n^2 (10^10 cells here);
+    # VmHWM is the child's own peak RSS (ru_maxrss may carry the parent's
+    # peak over fork and exec)
+    f = tmp_path / "sparse.txt"
+    f.write_text(f"{MAGIC}\nn=100000 k=3 reserve=unknown seed=none\n1 1\n2 2\n100000 100000\n")
+    script = (
+        "import sys\n"
+        "from nkline.cli import main\n"
+        "code = main(['verify', '--in', sys.argv[1]])\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(code, status.split()[0])\n"
+    )
+    src = str(Path(nkline.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(f)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "generic_max=3" in lines[0] and "points: 3" in lines[1]
+    code, peak_kb = map(int, lines[-1].split())
+    assert code == 0
+    assert peak_kb < 100 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_verify_missing_file(tmp_path):

@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from nkline import bifactor
-from nkline.bifactor import BipartiteFactor, sample_r_factor
+from nkline.bifactor import sample_r_factor
 from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
@@ -27,7 +28,7 @@ def test_explicit_16_11_matches_reference_scenario():
     assert s.is_regular(11)
     rep = verify(s, 11, 0)
     assert rep.passed
-    brute, _ = brute_generic_max(s.points)
+    brute, _ = brute_generic_max(s.sorted_xy())
     assert brute <= 11
 
 
@@ -109,6 +110,19 @@ def test_adjust_k_full_grid_degree_audit():
     assert out.is_regular(n - 1)
 
 
+def test_adjustments_leave_their_input_unchanged(desk_scale_run):
+    cert, _ = desk_scale_run
+    s = cert.output
+    before = s.keys.copy()
+    shrunk, _ = adjust_k(s, 240, 233, reserve=15)
+    assert np.array_equal(s.keys, before)
+    assert len(s) == 240 * 400 and s.is_regular(240)
+    before = shrunk.keys.copy()
+    adjust_n(shrunk, 233, 6)
+    assert np.array_equal(shrunk.keys, before)
+    assert shrunk.n == 400 and shrunk.is_regular(233)
+
+
 def test_adjust_k_rejects_bad_targets():
     s = explicit_construct(12, 8)
     with pytest.raises(ConstructionError):
@@ -142,12 +156,12 @@ def test_adjust_k_never_increases_any_line_count(extractions):
         m = rng.choice([8, 10, 12])
         r = rng.randint(3, m - 1)
         f = sample_r_factor(m, r, seed=40 + trial)
-        s = PointSet.from_points(m, f.cells)
-        before = generic_line_sizes(s.points)
+        s = f.points
+        before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
         out, _ = adjust_k(s, r, r - 2, reserve=2)
         assert len(extractions) == 2
-        after = generic_line_sizes(out.points)
+        after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
             assert cnt <= before.get(key, cnt)
 

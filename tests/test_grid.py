@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkline.grid import (
+    MAX_SIDE,
     Direction,
     FeasibilityMatrix,
-    GridSpec,
     PointSet,
     expected_load,
     feasibility_matrix_3x3,
@@ -23,8 +23,14 @@ from oracles import brute_max_expected_load, expected_load_by_scan
 
 
 def test_gridspec_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        GridSpec(0)
+    # the grid side lives on PointSet; it must be >= 1 and small enough
+    # for its keys (x-1)*n + (y-1) to fit in int64
+    for n in (0, -3, MAX_SIDE + 1):
+        with pytest.raises(ValueError):
+            PointSet(n, [])
+        with pytest.raises(ValueError):
+            PointSet.from_points(n, [])
+    assert len(PointSet(MAX_SIDE, [MAX_SIDE**2 - 1])) == 1
 
 
 def test_direction_validation():
@@ -51,6 +57,23 @@ def test_pointset_bounds_and_membership():
 def test_pointset_sorted_xy_order():
     s = PointSet.from_points(3, [(3, 1), (1, 2), (2, 1)])
     assert s.sorted_xy() == [(1, 2), (2, 1), (3, 1)]
+
+
+def test_pointset_keys_are_sorted_unique_and_read_only():
+    s = PointSet(4, [15, 0, 6, 0, 4])
+    assert s.keys.tolist() == [0, 4, 6, 15]
+    assert s.sorted_xy() == [(1, 1), (2, 1), (2, 3), (4, 4)]
+    xs, ys = s.xy()
+    assert xs.tolist() == [1, 2, 2, 4] and ys.tolist() == [1, 1, 3, 4]
+    assert s == PointSet.from_xy(4, xs, ys)
+    with pytest.raises(ValueError):
+        s.keys[0] = 5
+    with pytest.raises(AttributeError):
+        s.keys = s.keys.copy()
+    assert s.keys.tolist() == [0, 4, 6, 15]
+    for bad in ([-1], [16]):
+        with pytest.raises(ValueError):
+            PointSet(4, bad)
 
 
 def test_line_points_slope_one():
