@@ -9,6 +9,7 @@ from .bifactor import (
     iter_matchings,
     matching_containment_probability,
     one_factorize,
+    sample_blocks,
     sample_r_factor,
 )
 from .bounds import (
@@ -88,6 +89,7 @@ __all__ = [
     "parse",
     "pipeline",
     "richness_bound",
+    "sample_blocks",
     "sample_r_factor",
     "serialize",
     "smallest_feasible_n",

@@ -4,10 +4,12 @@ their 1-factorization.
 A factor on m rows and m columns is a `PointSet` on [1,m]^2 whose point
 (a, b) is the cell of row a and column b: one sorted array of keys
 (a-1)*m + (b-1).  It is r-regular when every row index and every column
-index occurs in exactly r cells.  The sampler runs on an m x m numpy
-bool matrix, trades rows in pairs and returns the matrix's flat nonzero
-indices, which are those keys; its output, like every factor, passes
-the `BipartiteFactor` degree audit when it is built.
+index occurs in exactly r cells.  The sampler `sample_blocks` steps
+the Curveball chains of many equal-sided blocks together in one
+(blocks, m, m) numpy bool array, each block with its own generator; a
+block's flat nonzero indices are its keys.  `sample_r_factor` is its
+one-block call, and its output, like every factor, passes the
+`BipartiteFactor` degree audit when it is built.
 """
 
 from __future__ import annotations
@@ -75,21 +77,98 @@ def default_chain_rounds(m: int) -> int:
     return ceil(10 * log(m + 1))
 
 
+def _split(keys: np.ndarray, keep_a: np.ndarray) -> np.ndarray:
+    """Mark in each row of `keys` (shape (P, q)) its keep_a smallest
+    entries, keep_a of shape (P,) with entries below q.  A row whose
+    threshold key is tied with the next one (odds about q^2 / 2^54 for
+    random doubles) is redone by stable rank, so exactly keep_a entries
+    are always marked."""
+    ranked = np.sort(keys, axis=1)
+    at = np.arange(len(keys))
+    kth, after = ranked[at, keep_a - 1], ranked[at, keep_a]
+    some = keep_a > 0
+    to_a = keys <= np.where(some, kth, -np.inf)[:, None]
+    for p in np.flatnonzero(some & (kth == after)):
+        to_a[p] = False
+        to_a[p, np.argsort(keys[p], kind="stable")[: keep_a[p]]] = True
+    return to_a
+
+
+def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray:
+    """Sample one rs[b]-factor of the q x q cell grid per block b, with
+    the Curveball chains of all blocks stepped in lockstep.
+
+    Returns a (B, q, q) bool array: [b, a-1, c-1] is cell (a, c) of
+    block b.  Block b draws only from its own `default_rng(seeds[b])`,
+    the same draws in the same order as a lone call, so it does not
+    depend on which blocks it is sampled with.  Each block starts from
+    the circulant factor and runs the chain described in
+    `sample_r_factor`; an empty or full block is the unique factor and
+    draws nothing.
+    """
+    rs = np.asarray(rs, dtype=np.int64).reshape(-1)
+    if len(seeds) != rs.size:
+        raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
+    bad = (rs < 0) | (rs > q)
+    if bad.any():
+        raise ValueError(f"regularity {rs[bad][0]} outside [0, {q}]")
+    if rounds is not None and rounds < 1:
+        raise ValueError("rounds must be positive when given")
+    if rounds is None:
+        rounds = default_chain_rounds(q)
+
+    idx = np.arange(q)
+    # circulant start: cell (a, c) is present iff (c - a) mod q < r
+    present = (idx[None, :] - idx[:, None]) % q < rs[:, None, None]
+    live = np.flatnonzero((rs > 0) & (rs < q))
+    if live.size == 0:
+        return present
+    chain = present[live]
+    rows = chain.reshape(-1, q)  # row a of live block g is rows[g*q + a]
+    rngs = [np.random.default_rng(seeds[b]) for b in live]
+    pairs = q // 2
+    perm = np.empty((live.size, q), dtype=np.int64)
+    keys = np.empty((live.size, pairs, q))
+    flat_keys = keys.reshape(-1, q)  # the pairs of all live blocks, one per row
+    row_base = (np.arange(live.size) * q)[:, None]
+    for _ in range(rounds):
+        for g, rng in enumerate(rngs):
+            perm[g] = rng.permutation(q)
+            rng.random(out=keys[g])
+        order = perm + row_base
+        top = order[:, 0 : 2 * pairs : 2].reshape(-1)
+        bottom = order[:, 1 : 2 * pairs : 2].reshape(-1)
+        a, b = rows[top], rows[bottom]
+        diff = a ^ b
+        # columns outside the difference get keys in [1, 2), above every
+        # difference key, so the keep_a smallest all lie in the difference
+        flat_keys += ~diff
+        to_a = _split(flat_keys, np.count_nonzero(a & ~b, axis=1))
+        common = a & b
+        rows[top] = common | to_a
+        rows[bottom] = common | (diff ^ to_a)
+    present[live] = chain
+    return present
+
+
 def sample_r_factor(
     m: int,
     r: int,
     seed: int,
     rounds: Optional[int] = None,
 ) -> BipartiteFactor:
-    """Sample an r-factor of the complete bipartite m x m cell grid.
+    """Sample an r-factor of the complete bipartite m x m cell grid:
+    the one-block call of `sample_blocks`, audited as a
+    `BipartiteFactor`.
 
     Starts from the circulant factor, held as an m x m bool matrix, and
     runs the global Curveball chain (Strona et al. 2014; uniform
     stationary law for fixed row and column sums, Carstens 2015).  Each
     round draws a random permutation of the rows and pairs them up (an
-    odd row sits the round out).  A pair (A, B) trades: the columns in
-    exactly one of the two rows are shuffled and split back so that A
-    again gets |A - B| of them and B the rest.  Row sums are kept by the
+    odd row sits the round out), then one uniform key per column of
+    every pair.  A pair (A, B) trades: the columns in exactly one of the
+    two rows are split back by their keys, the |A - B| smallest to A and
+    the rest to B, a uniformly random split.  Row sums are kept by the
     split and column sums never change, so every state is r-regular.
     All trades of a round are a few whole-array numpy operations.
 
@@ -105,38 +184,13 @@ def sample_r_factor(
     given (m, r, seed, rounds); downstream users certify every output
     anyway.
     """
-    if not 0 <= r <= m:
-        raise ValueError(f"regularity {r} outside [0, {m}]")
-    if rounds is not None and rounds < 1:
-        raise ValueError("rounds must be positive when given")
-    if rounds is None:
-        rounds = default_chain_rounds(m)
-    if r in (0, m):
-        rounds = 0  # the factor is unique; no trade can move it
-
-    idx = np.arange(m)
-    # circulant start: cell (a, b) is present iff (b - a) mod m < r
-    present = (idx[None, :] - idx[:, None]) % m < r
-    pairs = m // 2
-    row_start = (np.arange(pairs) * m)[:, None]
-    rng = np.random.default_rng(seed)
-    for _ in range(rounds):
-        perm = rng.permutation(m)
-        top, bottom = perm[0 : 2 * pairs : 2], perm[1 : 2 * pairs : 2]
-        a, b = present[top], present[bottom]
-        diff = a ^ b
-        keep_a = np.count_nonzero(a & ~b, axis=1)
-        # each row's diff columns come first, in uniformly random order;
-        # the first keep_a of them go back to row a, the rest to row b
-        order = np.argsort(np.where(diff, rng.random((pairs, m)), 2.0), axis=1)
-        to_a = np.empty_like(diff)
-        to_a.reshape(-1)[order + row_start] = idx < keep_a[:, None]
-        common = a & b
-        present[top] = common | to_a
-        present[bottom] = common | (diff ^ to_a)
-
+    present = sample_blocks(m, [r], [seed], rounds)[0]
     # row-major flat indices are the keys (a-1)*m + (b-1), ascending
     return BipartiteFactor(r, PointSet(m, np.flatnonzero(present)))
+
+
+# cells sampled in one lockstep call of `matching_containment_probability`
+_GROUP_CELLS = 1 << 20
 
 
 def matching_containment_probability(
@@ -149,16 +203,20 @@ def matching_containment_probability(
 ) -> float:
     """Empirical probability that a sampled r-factor contains the fixed
     matching {(1,1), ..., (s,s)}; meant for comparison against
-    K * (r/m)^s."""
+    K * (r/m)^s.  Trial t samples with seed derive_seed(seed, t); the
+    trials run in lockstep groups of at most 2^20 cells, so memory does
+    not grow with `trials`."""
     if not 1 <= s <= m:
         raise ValueError(f"matching size {s} outside [1, {m}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    group = max(1, _GROUP_CELLS // (m * m))
+    diagonal = np.arange(s)
     hits = 0
-    for t in range(trials):
-        factor = sample_r_factor(m, r, derive_seed(seed, t), rounds)
-        if all((a, a) in factor.points for a in range(1, s + 1)):
-            hits += 1
+    for start in range(0, trials, group):
+        seeds = [derive_seed(seed, t) for t in range(start, min(start + group, trials))]
+        blocks = sample_blocks(m, [r] * len(seeds), seeds, rounds)
+        hits += int(np.count_nonzero(blocks[:, diagonal, diagonal].all(axis=1)))
     return hits / trials
 
 

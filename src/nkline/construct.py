@@ -21,7 +21,7 @@ from .bifactor import (
     circulant_factor,
     derive_seed,
     iter_matchings,
-    sample_r_factor,
+    sample_blocks,
 )
 from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
@@ -95,16 +95,26 @@ def explicit_construct(n: int, k: int) -> PointSet:
 
 def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     """Union of the per-block factors of retry t; block (i, j) gets an
-    r_{i,j}-factor sampled with seed derived from (seed, t, i, j)."""
-    m, q = matrix.m, matrix.block_side
-    xs, ys = [], []
+    r_{i,j}-factor sampled with seed derived from (seed, t, i, j).
+
+    The m blocks of a block-row are sampled in lockstep and audited
+    together.  Laid side by side they form a q x n slab of grid rows, so
+    the slab's flat nonzero indices, offset by the rows above it, are
+    the row's keys already in file order.
+    """
+    m, q, n = matrix.m, matrix.block_side, matrix.n
+    keys = []
     for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            factor = sample_r_factor(q, matrix.entry(i, j), derive_seed(seed, t, i, j))
-            a, b = factor.points.xy()
-            xs.append((i - 1) * q + a)
-            ys.append((j - 1) * q + b)
-    return PointSet.from_xy(matrix.n, np.concatenate(xs), np.concatenate(ys))
+        rs = np.array(matrix.entries[i - 1])[:, None]
+        blocks = sample_blocks(q, rs, [derive_seed(seed, t, i, j) for j in range(1, m + 1)])
+        if not (
+            (np.count_nonzero(blocks, axis=2) == rs).all()
+            and (np.count_nonzero(blocks, axis=1) == rs).all()
+        ):
+            raise RuntimeError(f"degree audit failed in block-row {i} of retry {t}")
+        slab = blocks.transpose(1, 0, 2).reshape(q, n)
+        keys.append(np.flatnonzero(slab) + (i - 1) * q * n)
+    return PointSet(n, np.concatenate(keys))
 
 
 def biuniform_construct(

@@ -17,8 +17,10 @@ from nkline.bifactor import (
     iter_matchings,
     matching_containment_probability,
     one_factorize,
+    sample_blocks,
     sample_r_factor,
 )
+from nkline.bifactor import _split
 from nkline.grid import PointSet
 from oracles import all_r_factors
 
@@ -143,6 +145,47 @@ def test_sample_is_regular_and_deterministic(m, data):
     f = sample_r_factor(m, r, seed, rounds)  # constructor audits degrees
     assert (f.m, f.r, len(f.points)) == (m, r, m * r)
     assert sample_r_factor(m, r, seed, rounds).points == f.points
+
+
+@given(q=st.integers(1, 30), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_blocks_equal_lone_samples(q, data):
+    rs = data.draw(st.lists(st.integers(0, q), min_size=1, max_size=5))
+    rs = data.draw(st.permutations(rs + [0, q]))
+    seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(rs), max_size=len(rs)))
+    rounds = data.draw(st.one_of(st.none(), st.integers(1, 8)))
+    blocks = sample_blocks(q, rs, seeds, rounds)
+    assert blocks.shape == (len(rs), q, q) and blocks.dtype == bool
+    for block, r, seed in zip(blocks, rs, seeds):
+        lone = sample_r_factor(q, r, seed, rounds).points
+        assert PointSet(q, np.flatnonzero(block)) == lone
+
+
+def test_sample_blocks_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        sample_blocks(5, [2, 6], [1, 2])
+    with pytest.raises(ValueError):
+        sample_blocks(5, [2, -1], [1, 2])
+    with pytest.raises(ValueError):
+        sample_blocks(5, [2, 2], [1])
+    with pytest.raises(ValueError):
+        sample_blocks(5, [2], [1], rounds=0)
+
+
+def test_split_marks_exactly_the_smallest_keys_under_ties():
+    rng = np.random.default_rng(5)
+    # keys from a handful of values, so thresholds are often tied
+    keys = rng.integers(0, 4, (200, 9)) / 4
+    keys[:3] = [[0.5, 0.25, 0.25, 0.75, 1.5, 0.0, 1.0, 0.5, 0.25]] * 3
+    keep_a = rng.integers(0, 9, 200)
+    keep_a[:3] = [1, 2, 0]
+    to_a = _split(keys, keep_a)
+    assert (np.count_nonzero(to_a, axis=1) == keep_a).all()
+    for row, chosen, want in zip(keys, to_a, keep_a):
+        if 0 < want < row.size:
+            assert row[chosen].max() <= row[~chosen].min()
+    assert to_a[0].tolist() == [False] * 5 + [True] + [False] * 3
+    assert sorted(keys[1][to_a[1]]) == [0.0, 0.25]
 
 
 @pytest.mark.parametrize("m, r", [(4, 2), (5, 1)])

@@ -1,15 +1,17 @@
 """Tests for the constructions, adjustments and the pipeline."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from nkline import bifactor
+from nkline import bifactor, construct
 from nkline.bifactor import sample_r_factor
 from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
+    _sample_retry,
     adjust_k,
     adjust_n,
     biuniform_construct,
@@ -17,6 +19,7 @@ from nkline.construct import (
     pipeline,
 )
 from nkline.grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
+from nkline.pointfile import serialize
 from nkline.secants import verify
 
 from oracles import brute_generic_max, generic_line_sizes
@@ -93,6 +96,45 @@ def test_biuniform_deterministic_for_fixed_seed():
     assert a.per_retry_reserves == b.per_retry_reserves
     c = biuniform_construct(40, 30, mat, seed=6, max_retries=3, target_reserve=0)
     assert c.output != a.output
+
+
+# sha256 of the search benchmark's output: biuniform_construct(400, 120)
+# at seed 7, target reserve 15, cut to 4 retries; a change that moves it
+# moves the bytes of every bi-uniform construction
+SEARCH_400_120_SHA256 = "5138b2e3e5b9f33a16e05b9bdac1501f6540008d1a9128e44a2cc7b8aee29b11"
+
+
+def test_biuniform_search_400_120_golden_bytes():
+    cert = biuniform_construct(
+        400, 120, feasibility_matrix_4x4(400, 120), seed=7, max_retries=4, target_reserve=15
+    )
+    text = serialize(cert.output, 120, seed=7)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_400_120_SHA256
+    assert cert.per_retry_reserves == (0, -2, -1, -5)
+
+
+def _flip_cell(blocks):
+    blocks[1, 0, 0] = ~blocks[1, 0, 0]
+
+
+def _move_cell_within_its_row(blocks):
+    row = blocks[1, 0]
+    row[np.argmax(row)], row[np.argmin(row)] = False, True
+
+
+@pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
+def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
+    matrix = feasibility_matrix_4x4(40, 30)
+    assert _sample_retry(matrix, 3, 0).is_regular(30)
+
+    def corrupted(q, rs, seeds, rounds=None):
+        blocks = bifactor.sample_blocks(q, rs, seeds, rounds)
+        corrupt(blocks)
+        return blocks
+
+    monkeypatch.setattr(construct, "sample_blocks", corrupted)
+    with pytest.raises(RuntimeError, match="degree audit"):
+        _sample_retry(matrix, 3, 0)
 
 
 def test_adjust_k_noop():

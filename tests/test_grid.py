@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,26 @@ def test_pointset_keys_are_sorted_unique_and_read_only():
     for bad in ([-1], [16]):
         with pytest.raises(ValueError):
             PointSet(4, bad)
+
+
+def test_pointset_sorted_input_takes_a_private_copy():
+    keys = np.array([0, 4, 6, 15], dtype=np.int64)
+    s = PointSet(4, keys)
+    assert keys.flags.writeable
+    keys[0] = 1
+    assert s.keys.tolist() == [0, 4, 6, 15]
+    assert not s.keys.flags.writeable
+
+
+def test_pointset_sorted_input_is_still_bounds_checked():
+    for bad in ([-1, 0, 3], [0, 3, 16], [16]):
+        with pytest.raises(ValueError):
+            PointSet(4, np.array(bad, dtype=np.int64))
+
+
+@pytest.mark.parametrize("keys", [[6, 0, 4], [0, 4, 4, 6], [6, 6, 4, 0, 0], [3, 3]])
+def test_pointset_unsorted_or_repeated_keys_come_out_sorted_unique(keys):
+    assert PointSet(4, np.array(keys)).keys.tolist() == sorted(set(keys))
 
 
 def test_line_points_slope_one():
