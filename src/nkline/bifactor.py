@@ -10,6 +10,11 @@ the Curveball chains of many equal-sided blocks together in one
 block's flat nonzero indices are its keys.  `sample_r_factor` is its
 one-block call, and its output, like every factor, passes the
 `BipartiteFactor` degree audit when it is built.
+
+A factor splits into r disjoint perfect matchings (König), each found
+by Hopcroft–Karp.  The matcher holds row a's remaining cells as one
+Python int with bit b-1 set for column b, m^2/8 bytes for all rows, so
+each BFS and DFS step is a big-int operation on whole rows.
 """
 
 from __future__ import annotations
@@ -220,73 +225,84 @@ def matching_containment_probability(
     return hits / trials
 
 
-def _hopcroft_karp(m: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Maximum matching on rows/cols 0..m-1 with deterministic order
-    (roots and neighbors in index order).  Returns (match_row,
-    match_col), -1 for unmatched."""
-    INF = m + 1
+def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
+    """Maximum matching on rows/cols 0..m-1, where bit b of rowbits[a]
+    is set when row a may take column b.  Deterministic order: roots in
+    index order, and each row tries its columns from the lowest bit up.
+    Returns (match_row, match_col), -1 for unmatched.
+
+    Each phase is O(m) big-int operations.  The BFS ORs the row masks
+    of a layer together; bydist[d] holds the columns whose matched row
+    lies at distance d, and found_free is the length of the shortest
+    augmenting paths.  In the DFS a row at distance d takes the lowest
+    of its untried columns that lies in bydist[d+1] (or is free, when
+    d+1 == found_free): exactly the next column a sorted adjacency list
+    would accept.  A dead-end row leaves its layer, so it is never
+    entered again in the phase.
+    """
     match_row = [-1] * m
     match_col = [-1] * m
-    dist = [0] * m
+    freecols = (1 << m) - 1
 
     while True:
-        queue = []
-        for a in range(m):
-            if match_row[a] == -1:
-                dist[a] = 0
-                queue.append(a)
-            else:
-                dist[a] = INF
-        found_free = INF
-        head = 0
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            if dist[a] >= found_free:
-                continue
-            for b in adj[a]:
-                a2 = match_col[b]
-                if a2 == -1:
-                    if found_free == INF:
-                        found_free = dist[a] + 1
-                elif dist[a2] == INF:
-                    dist[a2] = dist[a] + 1
-                    queue.append(a2)
-        if found_free == INF:
-            return match_row, match_col
+        layer = [a for a in range(m) if match_row[a] == -1]
+        bydist = [0]
+        seen = freecols  # free columns and the columns of layered rows
+        while True:
+            reach = 0
+            for a in layer:
+                reach |= rowbits[a]
+            new = reach & ~seen
+            # the layer that reaches a free column is still assigned
+            bydist.append(new)
+            if reach & freecols:
+                break
+            if not new:
+                return match_row, match_col
+            seen |= new
+            layer = []
+            while new:
+                low = new & -new
+                layer.append(match_col[low.bit_length() - 1])
+                new ^= low
+        found_free = len(bydist) - 1
 
         for root in range(m):
             if match_row[root] != -1:
                 continue
-            # iterative shortest-path DFS; augment on reaching a free column
-            stack = [(root, iter(adj[root]))]
-            chosen: list[tuple[int, int]] = []
+            # iterative shortest-path DFS; stack[d] = [row at distance d,
+            # the columns it has not tried yet, the column it took last];
+            # augment on a free column
+            stack = [[root, rowbits[root], -1]]
             while stack:
-                a, it = stack[-1]
-                advanced = False
-                for b in it:
-                    a2 = match_col[b]
-                    if a2 == -1:
-                        if dist[a] + 1 == found_free:
-                            match_row[a] = b
-                            match_col[b] = a
-                            for pa, pb in chosen:
-                                match_row[pa] = pb
-                                match_col[pb] = pa
-                            stack = []
-                            chosen = []
-                            advanced = True
-                            break
-                    elif dist[a2] == dist[a] + 1:
-                        chosen.append((a, b))
-                        stack.append((a2, iter(adj[a2])))
-                        advanced = True
-                        break
-                if not advanced:
-                    dist[a] = INF
+                nxt = len(stack)
+                frame = stack[-1]
+                mask = bydist[nxt] if nxt <= found_free else 0
+                if nxt == found_free:
+                    mask |= freecols
+                cand = frame[1] & mask
+                if not cand:
                     stack.pop()
-                    if chosen:
-                        chosen.pop()
+                    if nxt > 1:
+                        bydist[nxt - 1] &= ~(1 << match_row[frame[0]])
+                    continue
+                low = cand & -cand
+                b = low.bit_length() - 1
+                frame[1] &= -(low << 1)
+                frame[2] = b
+                if low & freecols:
+                    # path column d moves from its old row's layer d+1
+                    # to its new row's layer d
+                    freecols ^= low
+                    for d, (a, _, b) in enumerate(stack):
+                        bit = 1 << b
+                        bydist[d + 1] &= ~bit
+                        bydist[d] |= bit
+                        match_row[a] = b
+                        match_col[b] = a
+                    break
+                a2 = match_col[b]
+                stack.append([a2, rowbits[a2], -1])
 
 
 @dataclass(frozen=True)
@@ -310,25 +326,38 @@ def _matching_cells(m: int, matchings) -> PointSet:
     return PointSet.from_xy(m, np.tile(np.arange(1, m + 1), len(cols)), cols.ravel())
 
 
+def _row_bitsets(points: PointSet) -> list[int]:
+    """rowbits[a-1] has bit b-1 set for each cell (a, b) of the points;
+    built through one m * ceil(m/8)-byte buffer."""
+    m = points.n
+    width = (m + 7) // 8
+    rows, cols = np.divmod(points.keys, m)
+    buf = np.zeros(m * width, dtype=np.uint8)
+    np.bitwise_or.at(buf, rows * width + (cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
+    data = buf.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
+
+
 def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
     """Yield the r disjoint perfect matchings of an r-regular factor one
-    at a time, by successive extraction from sorted adjacency lists;
-    deterministic for a given input.  Each matching is extracted only
-    when it is asked for, so a caller that needs the first t pays for t
-    extractions; the first t matchings never depend on how many follow.
+    at a time, by successive extraction; deterministic for a given
+    input.  Row a's remaining cells are one Python int with bit b-1 set
+    for column b, so the rows take m^2/8 bytes in all (20 KB at
+    m = 400), and each extracted matching is cleared from them bit by
+    bit.  Each matching is extracted only when it is asked for, so a
+    caller that needs the first t pays for t extractions; the first t
+    matchings never depend on how many follow.
     """
     m, r = factor.m, factor.r
-    # points come in (row, column) order, r per row: row a's sorted columns
-    _, cols = factor.points.xy()
-    adj = (cols - 1).reshape(m, r).tolist()
+    rowbits = _row_bitsets(factor.points)
     for _ in range(r):
-        match_row, _ = _hopcroft_karp(m, adj)
-        if any(b == -1 for b in match_row):
+        match_row, _ = _hopcroft_karp(m, rowbits)
+        if -1 in match_row:
             raise RuntimeError("regular factor lost a perfect matching; degree audit bug")
         yield tuple(b + 1 for b in match_row)
         for a, b in enumerate(match_row):
-            adj[a].remove(b)
-    if any(adj[a] for a in range(m)):
+            rowbits[a] &= ~(1 << b)
+    if any(rowbits):
         raise RuntimeError("edges left over after extracting all factors")
 
 

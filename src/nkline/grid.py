@@ -99,8 +99,13 @@ class PointSet:
         if not 1 <= n <= MAX_SIDE:
             raise ValueError(f"grid side must be in [1, {MAX_SIDE}], got {n}")
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-        # keys that arrive strictly increasing skip the sort, but are still copied
-        keys = np.unique(keys) if (keys[1:] <= keys[:-1]).any() else keys.copy()
+        # keys that arrive strictly increasing skip the sort, but are still
+        # copied; a sort and a drop of adjacent repeats is the cheap unique
+        if (keys[1:] <= keys[:-1]).any():
+            keys = np.sort(keys)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        else:
+            keys = keys.copy()
         if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
             raise ValueError(f"key outside [0, {n * n}) on a side-{n} grid")
         keys.flags.writeable = False

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .grid import MAX_SIDE, PointSet
 
 MAGIC = "nkline v1"
@@ -41,8 +43,15 @@ def serialize(
     seed_s = "none" if seed is None else str(seed)
     lines = [MAGIC, f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
     xs, ys = points.xy()
-    lines.extend(map("{} {}".format, xs.tolist(), ys.tolist()))
-    return "\n".join(lines) + "\n"
+    # one str per coordinate value, and one join per run of equal x
+    names = [str(v) for v in range(points.n + 1)]
+    ys = ys.tolist()
+    starts = np.flatnonzero(np.diff(xs, prepend=0)).tolist()
+    for start, end in zip(starts, starts[1:] + [len(ys)]):
+        x = names[xs[start]] + " "
+        lines.append(x + ("\n" + x).join(map(names.__getitem__, ys[start:end])))
+    lines.append("")  # the trailing newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def parse(text: str) -> ParsedPointSet:

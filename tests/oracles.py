@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's sweep/branch-and-bound code paths:
 lines are found by enumerating point pairs, loads by stepping along a
-direction, counts by inverting triangular pair counts.
+direction, counts by inverting triangular pair counts.  The reference
+matcher is the list-based Hopcroft-Karp the bitset one replaced, and
+point files are rendered one formatted line per point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -146,3 +149,117 @@ def all_r_factors(m, r):
 
     extend(1, [], {b: r for b in range(1, m + 1)})
     return out
+
+
+def hopcroft_karp_lists(m: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Maximum matching on rows/cols 0..m-1 with deterministic order
+    (roots and neighbors in index order).  Returns (match_row,
+    match_col), -1 for unmatched."""
+    INF = m + 1
+    match_row = [-1] * m
+    match_col = [-1] * m
+    dist = [0] * m
+
+    while True:
+        queue = []
+        for a in range(m):
+            if match_row[a] == -1:
+                dist[a] = 0
+                queue.append(a)
+            else:
+                dist[a] = INF
+        found_free = INF
+        head = 0
+        while head < len(queue):
+            a = queue[head]
+            head += 1
+            if dist[a] >= found_free:
+                continue
+            for b in adj[a]:
+                a2 = match_col[b]
+                if a2 == -1:
+                    if found_free == INF:
+                        found_free = dist[a] + 1
+                elif dist[a2] == INF:
+                    dist[a2] = dist[a] + 1
+                    queue.append(a2)
+        if found_free == INF:
+            return match_row, match_col
+
+        for root in range(m):
+            if match_row[root] != -1:
+                continue
+            # iterative shortest-path DFS; augment on reaching a free column
+            stack = [(root, iter(adj[root]))]
+            chosen: list[tuple[int, int]] = []
+            while stack:
+                a, it = stack[-1]
+                advanced = False
+                for b in it:
+                    a2 = match_col[b]
+                    if a2 == -1:
+                        if dist[a] + 1 == found_free:
+                            match_row[a] = b
+                            match_col[b] = a
+                            for pa, pb in chosen:
+                                match_row[pa] = pb
+                                match_col[pb] = pa
+                            stack = []
+                            chosen = []
+                            advanced = True
+                            break
+                    elif dist[a2] == dist[a] + 1:
+                        chosen.append((a, b))
+                        stack.append((a2, iter(adj[a2])))
+                        advanced = True
+                        break
+                if not advanced:
+                    dist[a] = INF
+                    stack.pop()
+                    if chosen:
+                        chosen.pop()
+
+
+class ReadCounter(list):
+    """A list that counts, per index, how often an item is read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def matchings_by_lists(m, cells):
+    """Successive perfect-matching extraction from sorted adjacency
+    lists with `hopcroft_karp_lists`, the list-based matcher that the
+    bitset one in `bifactor` replaced.  `cells` are (row, column) pairs
+    on [1,m]^2.  Returns (matchings, reads): the matchings as tuples of
+    1-based columns, and for each extraction a Counter of how often it
+    read each row's adjacency list (once per BFS expansion, once per
+    DFS entry)."""
+    adj = [[] for _ in range(m)]
+    for a, b in sorted(cells):
+        adj[a - 1].append(b - 1)
+    matchings, reads = [], []
+    while any(adj):
+        rows = ReadCounter(adj)
+        match_row, _ = hopcroft_karp_lists(m, rows)
+        assert -1 not in match_row, "regular factor without a perfect matching"
+        matchings.append(tuple(b + 1 for b in match_row))
+        reads.append(rows.reads)
+        for a, b in enumerate(match_row):
+            adj[a].remove(b)
+    return matchings, reads
+
+
+def serialize_by_points(points, k, reserve=None, seed=None):
+    """The nkline v1 text of a PointSet, one formatted line per point."""
+    reserve_s = "unknown" if reserve is None else reserve
+    seed_s = "none" if seed is None else seed
+    lines = ["nkline v1", f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
+    for x, y in points.sorted_xy():
+        lines.append(f"{x} {y}")
+    return "\n".join(lines) + "\n"

@@ -4,12 +4,14 @@ import hashlib
 import random
 from collections import Counter
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nkline import bifactor
 from nkline.bifactor import (
     BipartiteFactor,
     circulant_factor,
@@ -22,7 +24,7 @@ from nkline.bifactor import (
 )
 from nkline.bifactor import _split
 from nkline.grid import PointSet
-from oracles import all_r_factors
+from oracles import ReadCounter, all_r_factors, matchings_by_lists
 
 
 def _cells(points):
@@ -338,6 +340,36 @@ def test_iter_matchings_prefix_is_disjoint_perfect_matchings(m, data):
         assert all(cell in f.points for cell in cells)
         assert seen.isdisjoint(cells)
         seen |= cells
+
+
+@st.composite
+def _side_and_degree(draw):
+    m = draw(st.integers(1, 40))
+    return m, draw(st.integers(0, m))
+
+
+@given(mr=_side_and_degree(), circulant=st.booleans(), seed=st.integers(0, 2**32))
+@example(mr=(9, 7), circulant=False, seed=4)
+@example(mr=(13, 0), circulant=True, seed=1)
+@example(mr=(40, 40), circulant=True, seed=2)
+@settings(max_examples=120, deadline=None)
+def test_iter_matchings_follows_list_based_extraction(mr, circulant, seed):
+    # same matchings, and the same rows expanded and entered in each
+    # extraction: a row the DFS enters twice, or one it misses, moves
+    # the read counts even where the matching comes out the same
+    m, r = mr
+    f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed)
+    matcher = bifactor._hopcroft_karp
+    reads = []
+
+    def counting(m, rowbits):
+        rows = ReadCounter(rowbits)
+        reads.append(rows.reads)
+        return matcher(m, rows)
+
+    with mock.patch.object(bifactor, "_hopcroft_karp", counting):
+        got = list(iter_matchings(f))
+    assert (got, reads) == matchings_by_lists(m, f.points.sorted_xy())
 
 
 def test_containment_probability_trivial_cases():

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nkline.grid import PointSet
 from nkline.pointfile import MAGIC, ParseError, parse, serialize
+from oracles import serialize_by_points
 
 
 def test_serialize_layout():
@@ -23,6 +26,34 @@ def test_serialize_unknown_reserve_and_no_seed():
     text = serialize(s, k=0)
     assert "reserve=unknown" in text
     assert "seed=none" in text
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 30))
+    coord = st.integers(1, n)
+    if draw(st.booleans()):
+        # a single run of equal x, with y = n among its points
+        x = draw(coord)
+        pts = {(x, y) for y in draw(st.sets(coord))} | {(x, n)}
+    else:
+        pts = draw(st.sets(st.tuples(coord, coord), max_size=3 * n))
+    return PointSet.from_points(n, pts)
+
+
+@given(
+    points=_point_sets(),
+    k=st.integers(0, 50),
+    reserve=st.none() | st.integers(-5, 50),
+    seed=st.none() | st.integers(-(2**63), 2**63 - 1),
+)
+@example(points=PointSet.from_points(4, []), k=0, reserve=None, seed=None)
+@example(points=PointSet.from_points(1, [(1, 1)]), k=1, reserve=0, seed=0)
+@example(points=PointSet.from_points(1, []), k=0, reserve=None, seed=3)
+@example(points=PointSet.from_points(5, [(5, 5), (5, 1), (1, 5)]), k=2, reserve=1, seed=None)
+@settings(max_examples=150, deadline=None)
+def test_serialize_matches_one_line_per_point_rendering(points, k, reserve, seed):
+    assert serialize(points, k, reserve, seed) == serialize_by_points(points, k, reserve, seed)
 
 
 def test_roundtrip_random_sets():
