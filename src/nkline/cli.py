@@ -19,7 +19,7 @@ from .construct import (
     ConstructionError,
     RetriesExhausted,
     biuniform_construct,
-    explicit_construct,
+    explicit_certificate,
     pipeline,
 )
 from .grid import feasibility_matrix_3x3, feasibility_matrix_4x4
@@ -46,13 +46,7 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     try:
         if args.mode == "explicit":
-            points = explicit_construct(args.n, args.k)
-            report = verify(points, args.k, 0)
-            lineage = [("explicit", {"n": args.n, "k": args.k})]
-            certified = report.passed
-            retries_used = 0
-            reserves = ()
-            seed = None
+            cert = explicit_certificate(args.n, args.k, "explicit", seed=None)
         elif args.mode == "biuniform":
             builder = feasibility_matrix_4x4 if args.matrix == "4x4" else feasibility_matrix_3x3
             matrix = builder(args.n, args.k)
@@ -66,12 +60,6 @@ def cmd_construct(args) -> int:
             )
             if not cert.certified:
                 raise RetriesExhausted(cert)
-            points, report = cert.output, cert.report
-            lineage = list(cert.lineage)
-            certified = cert.certified
-            retries_used = cert.retries_used
-            reserves = cert.per_retry_reserves
-            seed = args.seed
         else:
             cert = pipeline(
                 args.n,
@@ -80,12 +68,6 @@ def cmd_construct(args) -> int:
                 mode="strict" if args.strict else "best-effort",
                 max_retries=args.retries,
             )
-            points, report = cert.output, cert.report
-            lineage = list(cert.lineage)
-            certified = cert.certified
-            retries_used = cert.retries_used
-            reserves = cert.per_retry_reserves
-            seed = args.seed
     except RetriesExhausted as exc:
         cert = exc.certificate
         elapsed = time.perf_counter() - t0
@@ -104,27 +86,28 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
 
     elapsed = time.perf_counter() - t0
+    report = cert.report
     lines = [
-        f"status: {'certified' if certified else 'not certified'}",
-        f"lineage: {lineage}",
+        f"status: {'certified' if cert.certified else 'not certified'}",
+        f"lineage: {list(cert.lineage)}",
         f"axis max: {report.axis_max}",
         f"generic max: {report.generic_max}",
         f"achieved reserve: {report.achieved_reserve}",
         f"directions swept: {report.directions_swept}",
-        f"retries used: {retries_used}",
-        f"per-retry reserves: {list(reserves)}",
+        f"retries used: {cert.retries_used}",
+        f"per-retry reserves: {list(cert.per_retry_reserves)}",
         f"wall time: {elapsed:.2f}s",
     ]
     _write_outputs(
         args.out,
-        points,
+        cert.output,
         args.k,
-        report.required_reserve if certified else None,
-        seed,
+        report.required_reserve if cert.certified else None,
+        cert.seed,
         lines,
     )
-    print(f"wrote {len(points)} points to {args.out} ({lines[0]})")
-    return EXIT_OK if certified else EXIT_VERIFY
+    print(f"wrote {len(cert.output)} points to {args.out} ({lines[0]})")
+    return EXIT_OK if cert.certified else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:

@@ -8,7 +8,7 @@ than trusted; randomized steps are reproducible from a master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from math import ceil, log, sqrt
 from typing import Optional
@@ -17,7 +17,7 @@ import numpy as np
 
 from .bifactor import (
     BipartiteFactor,
-    OneFactorization,
+    _matching_cells,
     circulant_factor,
     derive_seed,
     iter_matchings,
@@ -93,6 +93,23 @@ def explicit_construct(n: int, k: int) -> PointSet:
     return out
 
 
+def explicit_certificate(n: int, k: int, mode: str, seed: Optional[int]) -> ConstructionCertificate:
+    """`explicit_construct(n, k)` with its verification report at reserve 0."""
+    points = explicit_construct(n, k)
+    report = verify(points, k, 0)
+    return ConstructionCertificate(
+        n=n,
+        k=k,
+        mode=mode,
+        seed=seed,
+        retries_used=0,
+        certified=report.passed,
+        output=points,
+        report=report,
+        lineage=(("explicit", {"n": n, "k": k}),),
+    )
+
+
 def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     """Union of the per-block factors of retry t; block (i, j) gets an
     r_{i,j}-factor sampled with seed derived from (seed, t, i, j).
@@ -142,41 +159,30 @@ def biuniform_construct(
         raise ConstructionError(f"matrix row/column sums must all equal k={k}")
     if max_retries < 1:
         raise ConstructionError("max_retries must be >= 1")
-    m = matrix.m
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
         sample = _sample_retry(matrix, seed, t)
         report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
-        if best is None or report.achieved_reserve > best[1].achieved_reserve:
+        if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
             best = (sample, report)
         if report.passed:
-            return ConstructionCertificate(
-                n=n,
-                k=k,
-                mode="biuniform",
-                seed=seed,
-                retries_used=t + 1,
-                certified=True,
-                output=sample,
-                report=report,
-                lineage=(("biuniform", {"n": n, "k": k, "m": m, "seed": seed, "retry": t}),),
-                per_retry_reserves=tuple(reserves),
-            )
+            break
         # a retry that is not the best must not stay alive while the next is built
         del sample, report
     sample, report = best
+    retry = t if report.passed else None
     return ConstructionCertificate(
         n=n,
         k=k,
         mode="biuniform",
         seed=seed,
-        retries_used=max_retries,
-        certified=False,
+        retries_used=len(reserves),
+        certified=report.passed,
         output=sample,
         report=report,
-        lineage=(("biuniform", {"n": n, "k": k, "m": m, "seed": seed, "retry": None}),),
+        lineage=(("biuniform", {"n": n, "k": k, "m": matrix.m, "seed": seed, "retry": retry}),),
         per_retry_reserves=tuple(reserves),
     )
 
@@ -212,8 +218,8 @@ def adjust_k(
         )
     if drop == 0:
         return points, verify(points, k, reserve)
-    removed = OneFactorization(points.n, tuple(islice(_factorization_of(points, k), drop)))
-    out = PointSet(points.n, np.setdiff1d(points.keys, removed.all_cells().keys, assume_unique=True))
+    removed = _matching_cells(points.n, tuple(islice(_factorization_of(points, k), drop)))
+    out = PointSet(points.n, np.setdiff1d(points.keys, removed.keys, assume_unique=True))
     report = verify(out, k_new, reserve - drop)
     return out, report
 
@@ -292,20 +298,9 @@ def pipeline(
             )
 
     if 3 * k >= 2 * n:
-        points = explicit_construct(n, k)
-        report = verify(points, k, 0)
-        assert report.passed, report.summary()
-        return ConstructionCertificate(
-            n=n,
-            k=k,
-            mode=mode,
-            seed=seed,
-            retries_used=0,
-            certified=True,
-            output=points,
-            report=report,
-            lineage=(("explicit", {"n": n, "k": k}),),
-        )
+        cert = explicit_certificate(n, k, mode, seed)
+        assert cert.certified, cert.report.summary()
+        return cert
 
     n_round = 4 * (n // 4)
     k_round = 10 * ceil(k / 10)
@@ -324,22 +319,9 @@ def pipeline(
     cert = biuniform_construct(
         n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=target_h
     )
-    lineage = list(cert.lineage)
     if not cert.certified:
-        raise RetriesExhausted(
-            ConstructionCertificate(
-                n=n,
-                k=k,
-                mode=mode,
-                seed=seed,
-                retries_used=cert.retries_used,
-                certified=False,
-                output=cert.output,
-                report=cert.report,
-                lineage=cert.lineage,
-                per_retry_reserves=cert.per_retry_reserves,
-            )
-        )
+        raise RetriesExhausted(replace(cert, n=n, k=k, mode=mode))
+    lineage = list(cert.lineage)
 
     h_left = target_h - (k_round - k)
     points, report = adjust_k(cert.output, k_round, k, target_h)
@@ -355,15 +337,4 @@ def pipeline(
     if not report.passed:
         raise ConstructionError(f"reserve chain broken after adjust-n: {report.summary()}")
     assert points.n == n and len(points) == k * n
-    return ConstructionCertificate(
-        n=n,
-        k=k,
-        mode=mode,
-        seed=seed,
-        retries_used=cert.retries_used,
-        certified=True,
-        output=points,
-        report=report,
-        lineage=tuple(lineage),
-        per_retry_reserves=cert.per_retry_reserves,
-    )
+    return replace(cert, n=n, k=k, mode=mode, output=points, report=report, lineage=tuple(lineage))

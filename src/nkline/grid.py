@@ -6,8 +6,10 @@ A point set on [1,n]^2 is one sorted int64 array of keys
 columns, from the sampler to the point file.
 
 All line identities are integer-only: a line with primitive direction
-(vx, vy) is the level set of c = vy*x - vx*y.  Load computations use
-exact rational arithmetic throughout.
+(vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep
+serves the verifier (unit weights on a set's points) and the expected
+load (block entries on the full grid); weights are integers, summed
+exactly, and a load is the exact fraction weight / block_side.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -314,79 +316,74 @@ def _directions_of_modulus(M: int) -> list[Direction]:
     return dirs
 
 
-def _sweep_by_modulus(
+def _heaviest_line(
     n: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
     cap: Callable[[int], int],
-    line_max: Callable[[Direction], tuple[int, Optional[int]]],
+    weights: Optional[np.ndarray] = None,
 ) -> tuple[int, Optional[tuple[Direction, int]], int]:
-    """Largest `line_max(d)` = (value, intercept) over the primitive
-    directions of [1,n]^2, walked in (modulus, vx, vy) order.
+    """Heaviest generic line through the points (xs, ys) of [1,n]^2,
+    over the primitive directions walked in (modulus, vx, vy) order.
 
-    `cap(M)` bounds the value of every line of modulus M or more; the
-    walk stops at the first class whose cap cannot beat the best value
-    so far, so the result equals that of the full walk.  The first line
-    to reach the maximum is the witness.  Returns (best value, witness
-    (direction, intercept) or None, number of directions swept).
+    xs and ys broadcast against each other.  A line weighs as many
+    points as it holds, or with `weights` (raveled in the broadcast
+    shape) the sum of its points' weights; a weighted line must hold at
+    least 2 of the points.  Per direction the points are bucketed by
+    intercept c = vy*x - vx*y in one histogram.  `cap(M)` bounds the
+    weight of every line of modulus M or more; the walk stops at the
+    first class whose cap cannot beat the best weight so far, so the
+    result equals that of the full walk.  The witness is the first
+    direction to reach the maximum and, within it, the smallest
+    intercept.  Returns (best weight, witness (direction, intercept) or
+    None, number of directions swept).
     """
     best, witness, swept = 0, None, 0
     for M in range(1, n):
         if cap(M) <= best:
             break
         for d in _directions_of_modulus(M):
-            value, c = line_max(d)
+            c = d.vy * xs - d.vx * ys
+            cmin = int(c.min())
+            c -= cmin
+            c = c.ravel()
+            counts = np.bincount(c, weights)
+            if weights is not None:
+                counts[np.bincount(c) < 2] = 0
+            # free this direction's intercepts before the next are built
+            del c
+            top = int(np.argmax(counts))
             swept += 1
-            if value > best:
-                best, witness = value, (d, c)
+            if counts[top] > best:
+                best, witness = int(counts[top]), (d, cmin + top)
     return best, witness, swept
-
-
-def _line_starts(n: int, d: Direction) -> Iterator[tuple[int, int]]:
-    """One start point per line of direction d: the point whose
-    predecessor falls outside the grid."""
-    vx, vy = d.vx, d.vy
-    for x in range(1, min(vx, n) + 1):
-        for y in range(1, n + 1):
-            yield x, y
-    if vy > 0:
-        ys = range(1, min(vy, n) + 1)
-    else:
-        ys = range(max(1, n + vy + 1), n + 1)
-    for x in range(vx + 1, n + 1):
-        for y in ys:
-            yield x, y
 
 
 def max_expected_load(matrix: FeasibilityMatrix, with_witness: bool = False):
     """Exact maximum of the expected load over all generic secants.
 
-    Branch and bound over modulus classes: a modulus-M line holds at
-    most (n-1)//M + 1 grid points, so its load is at most
-    alpha_max * ((n-1)//M + 1), and the sweep stops once that cap
-    cannot beat the best line found.  Loads are compared as integer
-    numerators over the common denominator block_side.
+    The heaviest-line sweep of the verifier, run over the full grid
+    with each point weighted by the entry of its block: a line's load
+    is its weight over the common denominator block_side.  A weight is
+    a sum of integers <= block_side over <= n points, so it is at most
+    n^2, far below 2^53, and the float64 histogram is exact.  A
+    modulus-M line holds at most (n-1)//M + 1 grid points, so its
+    weight is at most max_entry * ((n-1)//M + 1), and the sweep stops
+    once that cap cannot beat the heaviest line found.  The witness is
+    the first heaviest direction in (modulus, vx, vy) order and its
+    smallest heaviest intercept.
+
+    Takes O(n^2) transient memory: the n x n float64 weight grid and
+    one direction's n x n int64 intercepts, 16 * n^2 bytes.
     """
     n = matrix.n
     q = matrix.block_side
-    entries = matrix.entries
     rmax = matrix.max_entry
-
-    def line_max(d: Direction) -> tuple[int, Optional[int]]:
-        vx, vy = d.vx, d.vy
-        best_w, best_c = 0, None
-        for x, y in _line_starts(n, d):
-            w = 0
-            pts = 0
-            cx, cy = x, y
-            while 1 <= cx <= n and 1 <= cy <= n:
-                w += entries[(cx - 1) // q][(cy - 1) // q]
-                pts += 1
-                cx += vx
-                cy += vy
-            if pts >= 2 and w > best_w:
-                best_w, best_c = w, vy * x - vx * y
-        return best_w, best_c
-
-    best_w, best_line, _ = _sweep_by_modulus(n, lambda M: rmax * ((n - 1) // M + 1), line_max)
+    side = np.arange(1, n + 1, dtype=np.int64)
+    weights = np.asarray(matrix.entries, dtype=np.float64).repeat(q, axis=0).repeat(q, axis=1)
+    best_w, best_line, _ = _heaviest_line(
+        n, side[:, None], side[None, :], lambda M: rmax * ((n - 1) // M + 1), weights.ravel()
+    )
     load = Fraction(best_w, q)
     if with_witness:
         return load, best_line

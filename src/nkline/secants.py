@@ -6,10 +6,12 @@ direction is the largest number of set points on one line of that
 direction.  Directions are swept by increasing modulus M, and the sweep
 stops once no line of modulus M or more can hold more points than the
 fullest line found, so the reported maximum and its witness are exact.
-Axis-parallel lines are handled separately by row/column histograms.
-Sweeps are numpy-vectorised per direction; intercept histograms are
-dense arrays, not hash maps, since the sweep is the hot loop for grids
-in the hundreds.
+The sweep is `grid._heaviest_line`, shared with `max_expected_load`,
+which runs it over the full grid with block weights.  Axis-parallel
+lines are handled separately by row/column histograms.  Sweeps are
+numpy-vectorised per direction; intercept histograms are dense arrays,
+not hash maps, since the sweep is the hot loop for grids in the
+hundreds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Direction, PointSet, _sweep_by_modulus, line_points
+from .grid import Direction, PointSet, _heaviest_line, line_points
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,10 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     xs, ys = points.xy()
     axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if len(points) else 0
 
-    def line_max(d: Direction) -> tuple[int, int]:
-        c = d.vy * xs - d.vx * ys
-        cmin = int(c.min())
-        counts = np.bincount(c - cmin)
-        top = int(np.argmax(counts))
-        return int(counts[top]), cmin + top
-
     # a modulus-M line holds at most (n-1)//M + 1 grid points, and no
     # line holds more points than the set
-    generic_max, worst, swept = _sweep_by_modulus(
-        n, lambda M: min(len(points), (n - 1) // M + 1), line_max
+    generic_max, worst, swept = _heaviest_line(
+        n, xs, ys, lambda M: min(len(points), (n - 1) // M + 1)
     )
     return VerificationReport(
         k=k,

@@ -115,6 +115,26 @@ def expected_load_by_scan(matrix, vx, vy, c):
     return total
 
 
+def heaviest_line_by_scan(matrix, vx, vy):
+    """(load, c) of the heaviest line of direction (vx, vy) through at
+    least two grid points, the smallest such c on ties, or (0, None) if
+    no line of that direction holds two grid points; found by scanning
+    all n^2 grid points for their intercepts."""
+    n = matrix.n
+    q = matrix.block_side
+    weight, hits = Counter(), Counter()
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            c = vy * x - vx * y
+            weight[c] += matrix.entries[(x - 1) // q][(y - 1) // q]
+            hits[c] += 1
+    lines = [(weight[c], -c) for c in hits if hits[c] >= 2]
+    if not lines:
+        return Fraction(0), None
+    w, neg_c = max(lines)
+    return Fraction(w, q), -neg_c
+
+
 def grid_line_sizes(n):
     """Sizes of all generic secants of the full grid [1,n]^2, via pair
     enumeration over grid points."""

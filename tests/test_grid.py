@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkline.grid import (
@@ -12,6 +12,7 @@ from nkline.grid import (
     Direction,
     FeasibilityMatrix,
     PointSet,
+    _directions_of_modulus,
     expected_load,
     feasibility_matrix_3x3,
     feasibility_matrix_4x4,
@@ -20,7 +21,7 @@ from nkline.grid import (
     max_expected_load,
 )
 
-from oracles import brute_max_expected_load, expected_load_by_scan
+from oracles import brute_max_expected_load, expected_load_by_scan, heaviest_line_by_scan
 
 
 def test_gridspec_rejects_nonpositive():
@@ -263,6 +264,52 @@ def test_max_expected_load_matches_bruteforce_random(m, n):
 def test_max_expected_load_matches_bruteforce_builtins():
     for mat in (feasibility_matrix_4x4(16, 10), feasibility_matrix_3x3(12, 10)):
         assert max_expected_load(mat) == brute_max_expected_load(mat)
+
+
+@st.composite
+def block_matrices(draw):
+    m = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 6))
+    entry = st.integers(0, q)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    return FeasibilityMatrix(m, q, rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(block_matrices())
+# only the single-point corner line (1,-1), c = -6 ties the maximum weight
+@example(FeasibilityMatrix(3, 1, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+# asymmetric: the heaviest line of the transposed matrix is lighter here
+@example(FeasibilityMatrix(3, 1, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]))
+def test_max_expected_load_witness_is_first_heaviest_line(mat):
+    load, line = max_expected_load(mat, with_witness=True)
+    assert load == brute_max_expected_load(mat)
+    if load == 0:
+        assert line is None
+        return
+    d, c = line
+    assert expected_load(mat, d, c) == load
+    assert expected_load_by_scan(mat, d.vx, d.vy, c) == load
+    # the smallest heaviest intercept of the witness direction ...
+    assert heaviest_line_by_scan(mat, d.vx, d.vy) == (load, c)
+    # ... which is the first direction in (modulus, vx, vy) order to reach the maximum
+    earlier = [e for M in range(1, d.modulus + 1) for e in _directions_of_modulus(M)]
+    for e in earlier[: earlier.index(d)]:
+        assert heaviest_line_by_scan(mat, e.vx, e.vy)[0] < load
+
+
+def test_max_expected_load_transient_memory_is_two_grids():
+    import tracemalloc
+
+    mat = feasibility_matrix_4x4(400, 120)
+    n = mat.n
+    tracemalloc.start()
+    try:
+        max_expected_load(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n + 256 * 1024
 
 
 def test_slope_one_load_piecewise_linear():
