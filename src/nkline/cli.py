@@ -112,12 +112,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        parsed = parse(Path(args.infile).read_text())
-    except FileNotFoundError:
-        print(f"error: no such file: {args.infile}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        parsed = parse(Path(args.infile).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     k = args.k if args.k is not None else parsed.k
     report = verify(parsed.points, k, args.reserve)

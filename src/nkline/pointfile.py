@@ -4,6 +4,21 @@ Line 1:  nkline v1
 Line 2:  n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>
 Body:    one "x y" pair per line, 1-indexed, sorted ascending by (x, y).
 
+The body's exact grammar, over the bytes of its UTF-8 encoding (ABNF,
+LF = %x0A, SP = %x20, DIGIT = %x30-39):
+
+    body   = *(point LF) [point]
+    point  = coord SP coord
+    coord  = %x31-39 *DIGIT
+
+So one space between the two coordinates, no other whitespace (no CR,
+no tab), no sign, no digit separator, no leading zero, ASCII digits
+only; the final LF may be missing.  Every coordinate lies in [1, n] and
+no point repeats.  `serialize` writes the points in ascending order;
+`parse` accepts any order.  A ParseError names the first body line that
+breaks the grammar or the range; failing those, the line where a point
+first repeats.
+
 Plain 7-bit text with \n newlines; serialize/parse round-trips exactly.
 """
 
@@ -17,6 +32,8 @@ import numpy as np
 from .grid import MAX_SIDE, PointSet
 
 MAGIC = "nkline v1"
+
+_LF, _SP, _ZERO = 0x0A, 0x20, 0x30
 
 
 class ParseError(ValueError):
@@ -33,6 +50,14 @@ class ParsedPointSet:
     seed: Optional[int]
 
 
+class _Names(dict):
+    """str(v) for each coordinate value v, made once on first use."""
+
+    def __missing__(self, v: int) -> str:
+        name = self[v] = str(v)
+        return name
+
+
 def serialize(
     points: PointSet,
     k: int,
@@ -43,27 +68,25 @@ def serialize(
     seed_s = "none" if seed is None else str(seed)
     lines = [MAGIC, f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
     xs, ys = points.xy()
-    # one str per coordinate value, and one join per run of equal x
-    names = [str(v) for v in range(points.n + 1)]
+    # one str per coordinate value used, and one join per run of equal x
+    names = _Names()
     ys = ys.tolist()
     starts = np.flatnonzero(np.diff(xs, prepend=0)).tolist()
     for start, end in zip(starts, starts[1:] + [len(ys)]):
-        x = names[xs[start]] + " "
+        x = names[int(xs[start])] + " "
         lines.append(x + ("\n" + x).join(map(names.__getitem__, ys[start:end])))
     lines.append("")  # the trailing newline, without a copy of the text
     return "\n".join(lines)
 
 
 def parse(text: str) -> ParsedPointSet:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != MAGIC:
+    head = text.split("\n", 2)
+    if head[0] != MAGIC:
         raise ParseError(f"expected header {MAGIC!r}", 1)
-    if len(lines) < 2:
+    if len(head) < 2:
         raise ParseError("missing parameter line", 2)
     fields = {}
-    for token in lines[1].split():
+    for token in head[1].split():
         if "=" not in token:
             raise ParseError(f"malformed token {token!r}", 2)
         key, value = token.split("=", 1)
@@ -80,23 +103,11 @@ def parse(text: str) -> ParsedPointSet:
         raise ParseError(f"grid side n={n} outside [1, {MAX_SIDE}]", 2)
     reserve = None if fields["reserve"] == "unknown" else _int_field(fields["reserve"], "reserve")
     seed = None if fields["seed"] == "none" else _int_field(fields["seed"], "seed")
-    xs, ys = [], []
-    for line_no, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'x y', got {line!r}", line_no)
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer coordinates in {line!r}", line_no) from None
-        if not (1 <= x <= n and 1 <= y <= n):
-            raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no)
-        xs.append(x)
-        ys.append(y)
-    point_set = PointSet.from_xy(n, xs, ys)
-    if len(point_set) != len(xs):
-        raise ParseError("duplicate points in body", len(lines))
-    return ParsedPointSet(points=point_set, k=k, reserve=reserve, seed=seed)
+    # surrogatepass: any str encodes; a non-ASCII character is bytes >= 0x80
+    data = text.encode("utf-8", "surrogatepass")
+    start = len(f"{head[0]}\n{head[1]}\n".encode("utf-8", "surrogatepass"))
+    del head  # its last item is a copy of the body
+    return ParsedPointSet(points=_parse_body(data, start, n), k=k, reserve=reserve, seed=seed)
 
 
 def _int_field(value: str, name: str) -> int:
@@ -104,3 +115,76 @@ def _int_field(value: str, name: str) -> int:
         return int(value)
     except ValueError:
         raise ParseError(f"field {name!r} is not an integer: {value!r}", 2) from None
+
+
+def _parse_body(data: bytes, start: int, n: int) -> PointSet:
+    """The points of the body data[start:], checked against the grammar
+    on whole arrays.
+
+    Each check looks only at the lines above the first bad line found so
+    far, so the line reported is the first that fails any check.
+    """
+    if len(data) > start and not data.endswith(b"\n"):
+        data += b"\n"  # the final LF may be missing
+    width = len(str(n))
+    # the header, longer than any width, gives every token `width` byte
+    # columns to read
+    padded = np.frombuffer(data, np.uint8)[start - width :]
+    b = padded[width:]
+    # token t ends at seps[t]: a space after an x, an LF after a y
+    seps = np.flatnonzero((b == _SP) | (b == _LF))
+    kinds = b[seps]
+    lines = bad = np.count_nonzero(kinds == _LF)
+    if seps.size + np.count_nonzero(b - _ZERO < 10) < b.size:
+        stray = np.flatnonzero((b - _ZERO > 9) & (b != _SP) & (b != _LF))[0]
+        bad = np.count_nonzero(b[:stray] == _LF)
+    # lines above `bad` end in an LF, so their separators alternate SP, LF
+    wrong = kinds[: 2 * bad] != _SP
+    wrong[1::2] = kinds[1 : 2 * bad : 2] != _LF
+    bad = _first_line(wrong, bad)
+    seps = seps[: 2 * bad]
+    lengths = seps.copy()  # seps[t] - seps[t - 1] - 1, with seps[-1] = -1
+    lengths[1:] -= seps[:-1]
+    lengths[1:] -= 1
+    bad = _first_line((lengths == 0) | (b[seps - lengths] == _ZERO), bad)
+    seps, lengths = seps[: 2 * bad], lengths[: 2 * bad]
+    # Horner over the `width` byte columns before each separator, where a
+    # column left of its token reads as "0"
+    values = np.zeros(seps.size, np.int64)
+    for column in range(width):
+        digits = padded[column:].take(seps)
+        np.copyto(digits, _ZERO, where=lengths < width - column)
+        values *= 10
+        values += digits
+    values -= _ZERO * ((10**width - 1) // 9)
+    # a canonical decimal longer than n's is larger than n
+    out_of_range = _first_line((lengths > width) | (values > n), bad)
+    if min(bad, out_of_range) < lines:
+        i = min(bad, out_of_range)
+        line_ends = np.flatnonzero(b == _LF)
+        first = int(line_ends[i - 1]) + 1 if i else 0
+        line = bytes(b[first : line_ends[i]]).decode("utf-8", "surrogatepass")
+        if bad <= out_of_range:
+            raise ParseError(f"expected 'x y' as canonical decimals, got {line!r}", 3 + i)
+        x, y = map(int, line.split(" "))
+        raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", 3 + i)
+    del seps, lengths
+    keys = values[0::2]  # (x - 1) * n + (y - 1), in place
+    keys -= 1
+    keys *= n
+    keys += values[1::2]
+    keys -= 1
+    if (keys[1:] <= keys[:-1]).any():
+        # a stable sort puts each repeat after its first occurrence
+        order = np.argsort(keys, kind="stable")
+        again = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if again.size:
+            i = int(again.min())
+            x, y = divmod(int(keys[i]), n)
+            raise ParseError(f"duplicate point ({x + 1}, {y + 1})", 3 + i)
+    return PointSet(n, keys)
+
+
+def _first_line(token_mask: np.ndarray, bad: int) -> int:
+    """The line of the first token flagged in `token_mask`, else `bad`."""
+    return int(np.argmax(token_mask)) // 2 if token_mask.any() else bad

@@ -4,15 +4,20 @@ These deliberately avoid the library's sweep/branch-and-bound code paths:
 lines are found by enumerating point pairs, loads by stepping along a
 direction, counts by inverting triangular pair counts.  The reference
 matcher is the list-based Hopcroft-Karp the bitset one replaced, and
-point files are rendered one formatted line per point.
+point files are rendered one formatted line per point and read one
+line at a time.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+
+from nkline.grid import PointSet
+from nkline.pointfile import ParsedPointSet, ParseError, parse
 
 
 def pair_line_key(p, q):
@@ -283,3 +288,31 @@ def serialize_by_points(points, k, reserve=None, seed=None):
     for x, y in points.sorted_xy():
         lines.append(f"{x} {y}")
     return "\n".join(lines) + "\n"
+
+
+_POINT_LINE = re.compile(r"[1-9][0-9]* [1-9][0-9]*")
+
+
+def parse_by_lines(text):
+    """The nkline v1 body read one line at a time: a regular expression,
+    two `int` calls and a range check per line, then the first line whose
+    point repeats an earlier one.  The header is read by `parse` itself."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    head = parse("\n".join(lines[:2]))
+    n = head.points.n
+    points = []
+    for line_no, line in enumerate(lines[2:], start=3):
+        if not _POINT_LINE.fullmatch(line):
+            raise ParseError(f"expected 'x y', got {line!r}", line_no)
+        x, y = map(int, line.split(" "))
+        if x > n or y > n:
+            raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no)
+        points.append((x, y))
+    seen = set()
+    for line_no, point in enumerate(points, start=3):
+        if point in seen:
+            raise ParseError(f"duplicate point {point}", line_no)
+        seen.add(point)
+    return ParsedPointSet(PointSet.from_points(n, points), head.k, head.reserve, head.seed)

@@ -128,6 +128,25 @@ def test_verify_missing_file(tmp_path):
     assert main(["verify", "--in", str(tmp_path / "none.txt"), "--k", "2"]) == 1
 
 
+def test_verify_file_that_is_not_utf8_exit_one(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(f"{MAGIC}\nn=3 k=2 reserve=unknown seed=none\n1 1\n".encode() + b"\xff 2\n")
+    assert main(["verify", "--in", str(f), "--k", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_directory_exit_one(tmp_path, capsys):
+    assert main(["verify", "--in", str(tmp_path), "--k", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_non_ascii_digit_names_its_line(tmp_path, capsys):
+    f = tmp_path / "arabic.txt"
+    f.write_text(f"{MAGIC}\nn=3 k=2 reserve=unknown seed=none\n1 1\n2 \u0663\n", encoding="utf-8")
+    assert main(["verify", "--in", str(f), "--k", "2"]) == 1
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_stats_small_census(capsys):
     assert main(["stats", "--n", "3", "--j", "3"]) == 0
     assert "count=2" in capsys.readouterr().out

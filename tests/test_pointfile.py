@@ -1,14 +1,16 @@
 """Round-trip and error-reporting tests for the point-set file format."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nkline.grid import PointSet
+from nkline.grid import MAX_SIDE, PointSet
 from nkline.pointfile import MAGIC, ParseError, parse, serialize
-from oracles import serialize_by_points
+from oracles import parse_by_lines, serialize_by_points
 
 
 def test_serialize_layout():
@@ -105,3 +107,92 @@ def test_parse_rejects_duplicates():
     text = f"{MAGIC}\nn=4 k=2 reserve=0 seed=none\n1 1\n1 1\n"
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_parse_names_the_line_where_a_point_repeats():
+    body = "2 2\n1 1\n3 3\n2 2\n1 1\n4 4\n"
+    with pytest.raises(ParseError) as exc:
+        parse(f"{MAGIC}\nn=4 k=2 reserve=0 seed=none\n{body}")
+    assert exc.value.line_no == 6
+    assert "(2, 2)" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["2 2\r", "2\t2", "2  2", " 2 2", "2 2 ", "+2 2", "2 +2", "1_0 2", "2 \u0663", "02 2", "2 02"],
+)
+def test_parse_rejects_non_canonical_lines(line):
+    # each of these read as a point before the grammar was exact
+    text = f"{MAGIC}\nn=10 k=2 reserve=0 seed=none\n1 1\n{line}\n3 3\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_no == 4
+
+
+_SIDES = [1, 9, 10, 11, 99, 100, 101, 1000, MAX_SIDE]
+_EDIT_CHARS = "0123456789 \n\r\t+_\u00e9\u0663"
+
+
+@st.composite
+def _sided_point_sets(draw):
+    n = draw(st.sampled_from(_SIDES))
+    coord = st.integers(1, n)
+    return PointSet.from_points(n, draw(st.sets(st.tuples(coord, coord), max_size=12)))
+
+
+@given(points=_sided_point_sets(), final_newline=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_parse_reads_back_every_serialized_set(points, final_newline):
+    text = serialize(points, k=3, reserve=None, seed=5)
+    parsed = parse(text if final_newline else text[:-1])
+    assert parsed.points == points
+    assert (parsed.k, parsed.reserve, parsed.seed) == (3, None, 5)
+
+
+@st.composite
+def _point_files(draw):
+    """A file that `serialize` writes, maybe without its final newline,
+    maybe with one character inserted, deleted or replaced in the body."""
+    points = draw(_sided_point_sets())
+    text = serialize(points, draw(st.integers(0, 9)), draw(st.none() | st.integers(0, 9)), 5)
+    if draw(st.booleans()):
+        text = text[:-1]
+    # the body starts after the second newline (or nowhere, if it is gone)
+    start = text.find("\n", len(MAGIC) + 1) + 1 or len(text)
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if edit == "insert":
+        at = draw(st.integers(start, len(text)))
+        text = text[:at] + draw(st.sampled_from(_EDIT_CHARS)) + text[at:]
+    elif edit != "none" and start < len(text):
+        at = draw(st.integers(start, len(text) - 1))
+        new = draw(st.sampled_from(_EDIT_CHARS)) if edit == "replace" else ""
+        text = text[:at] + new + text[at + 1 :]
+    return text
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return exc.line_no
+
+
+@given(text=_point_files())
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_line_by_line_oracle(text):
+    assert _outcome(parse, text) == _outcome(parse_by_lines, text)
+
+
+def test_parse_peak_memory_is_at_most_16_bytes_per_byte_of_text():
+    n, k = 400, 240
+    xs = np.repeat(np.arange(1, n + 1), k)
+    ys = (xs + np.tile(np.arange(k), n)) % n + 1
+    text = serialize(PointSet.from_xy(n, xs, ys), k)
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.points) == k * n
+    assert peak <= 16 * len(text)
