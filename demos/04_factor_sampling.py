@@ -7,7 +7,7 @@ two rows and splits them back with each row's size unchanged, so every
 state keeps all row and column degrees at r.
 """
 
-from nkline import derive_seed, matching_containment_probability, one_factorize, sample_r_factor
+from nkline import PointSet, derive_seed, iter_matchings, matching_containment_probability, sample_r_factor
 
 m, r = 40, 12
 
@@ -22,8 +22,9 @@ print(f"2-matching containment at m=20 r=6: {p:.4f} ((r/m)^2 = {(6 / 20) ** 2})"
 
 # decompose one sample into r disjoint permutations
 f = sample_r_factor(10, 4, seed=5)
-fac = one_factorize(f)
-print(f"one 4-factor on 10+10 vertices splits into {len(fac.factors)} matchings:")
-for t, perm in enumerate(fac.factors):
+matchings = list(iter_matchings(f))
+print(f"one 4-factor on 10+10 vertices splits into {len(matchings)} matchings:")
+for t, perm in enumerate(matchings):
     print(f"  matching {t}: {perm}")
-assert fac.all_cells() == f.points
+cells = PointSet.from_points(10, [(a, b) for perm in matchings for a, b in enumerate(perm, start=1)])
+assert cells == f.points

@@ -3,12 +3,9 @@ with no k+1 collinear points in square integer grids."""
 
 from .bifactor import (
     BipartiteFactor,
-    OneFactorization,
-    circulant_factor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
-    one_factorize,
     sample_blocks,
     sample_r_factor,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "ConstructionError",
     "Direction",
     "FeasibilityMatrix",
-    "OneFactorization",
     "ParseError",
     "ParsedPointSet",
     "PointSet",
@@ -70,7 +66,6 @@ __all__ = [
     "adjust_n",
     "biuniform_construct",
     "census",
-    "circulant_factor",
     "compute_profile",
     "derive_seed",
     "estimate_growth_coefficient",
@@ -85,7 +80,6 @@ __all__ = [
     "line_points",
     "matching_containment_probability",
     "max_expected_load",
-    "one_factorize",
     "parse",
     "pipeline",
     "richness_bound",

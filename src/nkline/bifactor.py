@@ -59,22 +59,16 @@ class BipartiteFactor:
         return self.points.n
 
 
-def circulant_factor(rows: list[int], cols: list[int], r: int) -> tuple[np.ndarray, np.ndarray]:
-    """r-regular cell set on arbitrary index lists: for each offset
-    d < r, the shifted diagonal (cols[a], rows[(a + d) mod q]).
-
-    Returns the cells as coordinate arrays (xs, ys) = (cols[a],
-    rows[b]); every given row and column index ends up in exactly r
-    cells.
-    """
-    q = len(rows)
-    if len(cols) != q:
-        raise ValueError("rows and cols must have equal length")
-    if not 0 <= r <= q:
-        raise ValueError(f"regularity {r} outside [0, {q}]")
-    a = np.repeat(np.arange(q), r)
-    b = (a + np.tile(np.arange(r), q)) % q
-    return np.asarray(cols, dtype=np.int64)[a], np.asarray(rows, dtype=np.int64)[b]
+def _circulant(q: int, r) -> np.ndarray:
+    """The circulant r-factor of the q x q cell grid as a bool mask:
+    [a-1, c-1] is set iff (c - a) mod q < r.  An array of degrees r
+    gives one mask per entry, shape r.shape + (q, q)."""
+    r = np.asarray(r)
+    bad = r[(r < 0) | (r > q)]
+    if bad.size:
+        raise ValueError(f"regularity {bad[0]} outside [0, {q}]")
+    idx = np.arange(q)
+    return (idx[None, :] - idx[:, None]) % q < r[..., None, None]
 
 
 def default_chain_rounds(m: int) -> int:
@@ -114,17 +108,12 @@ def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray
     rs = np.asarray(rs, dtype=np.int64).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    bad = (rs < 0) | (rs > q)
-    if bad.any():
-        raise ValueError(f"regularity {rs[bad][0]} outside [0, {q}]")
     if rounds is not None and rounds < 1:
         raise ValueError("rounds must be positive when given")
     if rounds is None:
         rounds = default_chain_rounds(q)
 
-    idx = np.arange(q)
-    # circulant start: cell (a, c) is present iff (c - a) mod q < r
-    present = (idx[None, :] - idx[:, None]) % q < rs[:, None, None]
+    present = _circulant(q, rs)
     live = np.flatnonzero((rs > 0) & (rs < q))
     if live.size == 0:
         return present
@@ -305,21 +294,6 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
                 stack.append([a2, rowbits[a2], -1])
 
 
-@dataclass(frozen=True)
-class OneFactorization:
-    """Ordered decomposition of a k-regular factor into k disjoint
-    perfect matchings; factors[t][a-1] is the column matched to row a."""
-
-    m: int
-    factors: tuple[tuple[int, ...], ...]
-
-    def cells_of(self, t: int) -> PointSet:
-        return _matching_cells(self.m, [self.factors[t]])
-
-    def all_cells(self) -> PointSet:
-        return _matching_cells(self.m, self.factors)
-
-
 def _matching_cells(m: int, matchings) -> PointSet:
     """Union of the cells (a, matching[a-1]) of the given matchings."""
     cols = np.asarray(matchings, dtype=np.int64).reshape(-1, m)
@@ -327,14 +301,17 @@ def _matching_cells(m: int, matchings) -> PointSet:
 
 
 def _row_bitsets(points: PointSet) -> list[int]:
-    """rowbits[a-1] has bit b-1 set for each cell (a, b) of the points;
-    built through one m * ceil(m/8)-byte buffer."""
+    """rowbits[a-1] has bit b-1 set for each cell (a, b) of the points.
+
+    The cells are marked in one dense m x m bool array (m^2 transient
+    bytes, 160 KB at m = 400) and each row is packed to ceil(m/8) bytes,
+    lowest column in the lowest bit.
+    """
     m = points.n
+    cells = np.zeros(m * m, dtype=bool)
+    cells[points.keys] = True
+    data = np.packbits(cells.reshape(m, m), axis=1, bitorder="little").tobytes()
     width = (m + 7) // 8
-    rows, cols = np.divmod(points.keys, m)
-    buf = np.zeros(m * width, dtype=np.uint8)
-    np.bitwise_or.at(buf, rows * width + (cols >> 3), np.left_shift(1, cols & 7).astype(np.uint8))
-    data = buf.tobytes()
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
 
 
@@ -344,9 +321,10 @@ def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
     input.  Row a's remaining cells are one Python int with bit b-1 set
     for column b, so the rows take m^2/8 bytes in all (20 KB at
     m = 400), and each extracted matching is cleared from them bit by
-    bit.  Each matching is extracted only when it is asked for, so a
-    caller that needs the first t pays for t extractions; the first t
-    matchings never depend on how many follow.
+    bit; building them takes m^2 transient bytes (`_row_bitsets`), freed
+    before the first matching.  Each matching is extracted only when it
+    is asked for, so a caller that needs the first t pays for t
+    extractions; the first t matchings never depend on how many follow.
     """
     m, r = factor.m, factor.r
     rowbits = _row_bitsets(factor.points)
@@ -360,8 +338,3 @@ def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
     if any(rowbits):
         raise RuntimeError("edges left over after extracting all factors")
 
-
-def one_factorize(factor: BipartiteFactor) -> OneFactorization:
-    """Split an r-regular factor into r disjoint perfect matchings by
-    successive extraction; deterministic for a given input."""
-    return OneFactorization(factor.m, tuple(iter_matchings(factor)))

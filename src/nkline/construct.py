@@ -17,8 +17,8 @@ import numpy as np
 
 from .bifactor import (
     BipartiteFactor,
+    _circulant,
     _matching_cells,
-    circulant_factor,
     derive_seed,
     iter_matchings,
     sample_blocks,
@@ -81,12 +81,13 @@ def explicit_construct(n: int, k: int) -> PointSet:
     # low square on the main diagonal, offset square on the antidiagonal
     complement[:s, :s] = True
     complement[s : 2 * s, 2 * k - n : k] = True
-    covered_cols = 2 * s
-    zero_cols = list(range(covered_cols + 1, n + 1))
-    zero_rows = [y for y in range(1, n + 1) if not (y <= s or 2 * k - n + 1 <= y <= k)]
-    assert len(zero_rows) == len(zero_cols) == 2 * k - n
-    xs, ys = circulant_factor(zero_rows, zero_cols, s)
-    complement[xs - 1, ys - 1] = True
+    # the circulant s-factor on the columns and rows the squares miss:
+    # its cell (a, c) is (cols[a-1], rows[c-1])
+    cols = np.arange(2 * s + 1, n + 1)
+    rows = np.arange(s + 1, n + 1)
+    rows = rows[(rows <= 2 * k - n) | (rows > k)]
+    assert len(rows) == len(cols) == 2 * k - n
+    complement[np.ix_(cols - 1, rows - 1)] |= _circulant(2 * k - n, s)
     xs, ys = np.nonzero(~complement)
     out = PointSet.from_xy(n, xs + 1, ys + 1)
     assert len(out) == k * n
@@ -226,27 +227,34 @@ def adjust_k(
 
 def adjust_n(
     points: PointSet,
-    k: int,
+    report: VerificationReport,
     slack: int,
 ) -> tuple[PointSet, VerificationReport]:
     """Grow the grid by slack/2 rows and columns, spending an even
     generic-line slack (verified reserve) of the input k-factor.
 
+    `report` is the passing verification report of `points`, and its k
+    is the degree of the factor.  The report is trusted, not recomputed:
+    its `axis_max` must be at most k and its `achieved_reserve` at least
+    `slack`.  The degrees are still audited (`BipartiteFactor`), and the
+    output is verified at reserve 0; that report is the certificate, so
+    a wrong input report can make the output fail, never pass unchecked.
+
     For each new index i, the i-th extracted 1-factor donates its k
     cells of smallest x: those cells are erased and re-emitted as a full
     new column (n+i, y) and a full new row (x, n+i).  Only these slack/2
     1-factors are extracted, not all k.  The result is a k-factor of
-    [1, n + slack/2]^2, re-verified at reserve 0.
+    [1, n + slack/2]^2.
     """
+    k = report.k
     if slack < 0 or slack % 2 != 0:
         raise ConstructionError(f"slack must be even and >= 0, got {slack}")
     n = points.n
     if slack == 0:
         return points, verify(points, k, 0)
-    audit = verify(points, k, slack)
-    if not audit.passed:
+    if report.axis_max > k or report.achieved_reserve < slack:
         raise ConstructionError(
-            f"input does not have reserve {slack}: {audit.summary()}"
+            f"input does not have reserve {slack}: {report.summary()}"
         )
     if k > n:
         raise ConstructionError("k may not exceed n")
@@ -332,7 +340,7 @@ def pipeline(
     slack = 2 * (n - n_round)
     if slack > h_left:
         raise ConstructionError(f"slack {slack} exceeds remaining reserve {h_left}")
-    points, report = adjust_n(points, k, slack)
+    points, report = adjust_n(points, report, slack)
     lineage.append(("adjust-n", {"from": n_round, "to": n, "slack": slack}))
     if not report.passed:
         raise ConstructionError(f"reserve chain broken after adjust-n: {report.summary()}")

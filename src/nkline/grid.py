@@ -212,13 +212,6 @@ class FeasibilityMatrix:
     def n(self) -> int:
         return self.m * self.block_side
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
-
-    def alpha(self, i: int, j: int) -> Fraction:
-        """Density of block (i, j): entry / block side."""
-        return Fraction(self.entries[i - 1][j - 1], self.block_side)
-
     def row_sums(self) -> list[int]:
         return [sum(row) for row in self.entries]
 
@@ -287,7 +280,7 @@ def expected_load(
     c: int,
 ) -> Fraction:
     """Exact expected number of selected points on one generic secant:
-    sum over blocks of alpha_{i,j} * |block ∩ line|.
+    sum over blocks (i, j) of entries[i][j] / block_side * |block ∩ line|.
     """
     pts = line_points(matrix.n, direction, c)
     if len(pts) < 2:

@@ -4,26 +4,34 @@ Line 1:  nkline v1
 Line 2:  n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>
 Body:    one "x y" pair per line, 1-indexed, sorted ascending by (x, y).
 
-The body's exact grammar, over the bytes of its UTF-8 encoding (ABNF,
-LF = %x0A, SP = %x20, DIGIT = %x30-39):
+The exact grammar, over the bytes of the file's UTF-8 encoding (ABNF,
+string literals case-sensitive, LF = %x0A, SP = %x20, DIGIT =
+%x30-39):
 
-    body   = *(point LF) [point]
-    point  = coord SP coord
-    coord  = %x31-39 *DIGIT
+    file    = "nkline v1" LF header [LF body]
+    header  = "n=" natural SP "k=" integer SP
+              "reserve=" (integer / "unknown") SP "seed=" (integer / "none")
+    natural = "0" / %x31-39 *DIGIT
+    integer = natural / "-" %x31-39 *DIGIT
+    body    = *(point LF) [point]
+    point   = coord SP coord
+    coord   = %x31-39 *DIGIT
 
-So one space between the two coordinates, no other whitespace (no CR,
-no tab), no sign, no digit separator, no leading zero, ASCII digits
-only; the final LF may be missing.  Every coordinate lies in [1, n] and
-no point repeats.  `serialize` writes the points in ascending order;
-`parse` accepts any order.  A ParseError names the first body line that
-breaks the grammar or the range; failing those, the line where a point
-first repeats.
+So the header holds its four fields once each, in this order, split by
+single spaces, and every number in the file is a canonical ASCII
+decimal: no other whitespace (no CR, no tab), no "+", no digit
+separator, no leading zero, no "-0".  The side n lies in [1, MAX_SIDE],
+every coordinate in [1, n], and no point repeats.  `serialize` writes
+the points in ascending order; `parse` accepts any order.  A ParseError
+names the first line that breaks the grammar or a range; failing those,
+the line where a point first repeats.
 
 Plain 7-bit text with \n newlines; serialize/parse round-trips exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +42,11 @@ from .grid import MAX_SIDE, PointSet
 MAGIC = "nkline v1"
 
 _LF, _SP, _ZERO = 0x0A, 0x20, 0x30
+
+_INTEGER = "0|-?[1-9][0-9]*"
+_HEADER = re.compile(
+    f"n=(0|[1-9][0-9]*) k=({_INTEGER}) reserve=({_INTEGER}|unknown) seed=({_INTEGER}|none)"
+)
 
 
 class ParseError(ValueError):
@@ -85,36 +98,26 @@ def parse(text: str) -> ParsedPointSet:
         raise ParseError(f"expected header {MAGIC!r}", 1)
     if len(head) < 2:
         raise ParseError("missing parameter line", 2)
-    fields = {}
-    for token in head[1].split():
-        if "=" not in token:
-            raise ParseError(f"malformed token {token!r}", 2)
-        key, value = token.split("=", 1)
-        fields[key] = value
-    for required in ("n", "k", "reserve", "seed"):
-        if required not in fields:
-            raise ParseError(f"missing field {required!r}", 2)
+    fields = _HEADER.fullmatch(head[1])
+    if fields is None:
+        raise ParseError(
+            f"expected 'n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>' "
+            f"as canonical decimals, got {head[1]!r}",
+            2,
+        )
     try:
-        n = int(fields["n"])
-        k = int(fields["k"])
-    except ValueError as exc:
+        n, k, reserve, seed = (
+            None if value in ("unknown", "none") else int(value) for value in fields.groups()
+        )
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(str(exc), 2) from None
     if not 1 <= n <= MAX_SIDE:
         raise ParseError(f"grid side n={n} outside [1, {MAX_SIDE}]", 2)
-    reserve = None if fields["reserve"] == "unknown" else _int_field(fields["reserve"], "reserve")
-    seed = None if fields["seed"] == "none" else _int_field(fields["seed"], "seed")
     # surrogatepass: any str encodes; a non-ASCII character is bytes >= 0x80
     data = text.encode("utf-8", "surrogatepass")
-    start = len(f"{head[0]}\n{head[1]}\n".encode("utf-8", "surrogatepass"))
+    start = len(head[0]) + len(head[1]) + 2  # both lines are ASCII
     del head  # its last item is a copy of the body
     return ParsedPointSet(points=_parse_body(data, start, n), k=k, reserve=reserve, seed=seed)
-
-
-def _int_field(value: str, name: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"field {name!r} is not an integer: {value!r}", 2) from None
 
 
 def _parse_body(data: bytes, start: int, n: int) -> PointSet:

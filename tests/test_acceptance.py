@@ -22,9 +22,10 @@ from fractions import Fraction
 from math import pi, sqrt
 
 from nkline.bifactor import (
+    _matching_cells,
     derive_seed,
+    iter_matchings,
     matching_containment_probability,
-    one_factorize,
     sample_r_factor,
 )
 from nkline.bounds import estimate_growth_coefficient
@@ -153,11 +154,11 @@ def test_criterion_07_factorization_roundtrip():
         m = rng.randint(1, 200)
         r = rng.randint(0, m)
         f = sample_r_factor(m, r, derive_seed(404, trial))
-        fac = one_factorize(f)
-        assert len(fac.factors) == r, (m, r)
+        matchings = list(iter_matchings(f))
+        assert len(matchings) == r, (m, r)
         seen = set()
         for t in range(r):
-            cells = set(fac.cells_of(t).sorted_xy())
+            cells = set(_matching_cells(m, matchings[t : t + 1]).sorted_xy())
             assert len(cells) == m
             assert not (cells & seen), (m, r, t)
             seen |= cells
@@ -170,7 +171,7 @@ def test_criterion_07_factorization_roundtrip():
 def _adjust_chain(cert):
     reserve = cert.report.required_reserve
     shrunk, rep1 = adjust_k(cert.output, DESK_K, CHAIN_K, reserve=reserve)
-    grown, rep2 = adjust_n(shrunk, CHAIN_K, CHAIN_SLACK)
+    grown, rep2 = adjust_n(shrunk, rep1, CHAIN_SLACK)
     return shrunk, rep1, grown, rep2
 
 

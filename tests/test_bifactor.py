@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -14,17 +15,15 @@ from hypothesis import strategies as st
 from nkline import bifactor
 from nkline.bifactor import (
     BipartiteFactor,
-    circulant_factor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
-    one_factorize,
     sample_blocks,
     sample_r_factor,
 )
-from nkline.bifactor import _split
+from nkline.bifactor import _matching_cells, _row_bitsets, _split
 from nkline.grid import PointSet
-from oracles import ReadCounter, all_r_factors, matchings_by_lists
+from oracles import ReadCounter, all_r_factors, matchings_by_lists, row_bitsets_by_or_at
 
 
 def _cells(points):
@@ -34,8 +33,17 @@ def _cells(points):
 
 def _circulant(m, r):
     """The circulant r-factor on [1,m]^2: (a, b) present iff (b - a) mod m < r."""
-    idx = list(range(1, m + 1))
-    return PointSet.from_xy(m, *circulant_factor(idx, idx, r))
+    return PointSet(m, np.flatnonzero(bifactor._circulant(m, r)))
+
+
+def _circulant_cells(rows, cols, r):
+    """Cells (xs, ys) of the circulant r-factor on the given index lists,
+    placed as `explicit_construct` places it: cell (a, c) of the mask
+    goes to (cols[a-1], rows[c-1])."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    grid = np.zeros((cols.max() + 1, rows.max() + 1), dtype=bool)
+    grid[np.ix_(cols, rows)] = bifactor._circulant(len(rows), r)
+    return np.nonzero(grid)
 
 
 def test_derive_seed_stable_and_sensitive():
@@ -71,19 +79,19 @@ def test_circulant_cells_regular():
 
 
 def test_circulant_factor_single_shift_is_diagonal():
-    xs, ys = circulant_factor([4, 7, 9], [2, 5, 8], 1)
+    xs, ys = _circulant_cells([4, 7, 9], [2, 5, 8], 1)
     assert set(zip(xs.tolist(), ys.tolist())) == {(2, 4), (5, 7), (8, 9)}
 
 
 def test_circulant_factor_full():
-    xs, ys = circulant_factor([1, 2, 3], [4, 5, 6], 3)
+    xs, ys = _circulant_cells([1, 2, 3], [4, 5, 6], 3)
     assert len(set(zip(xs.tolist(), ys.tolist()))) == 9
 
 
 def test_circulant_factor_degree_audit():
     rows = [3, 6, 9, 12, 15]
     cols = [1, 4, 7, 10, 13]
-    xs, ys = circulant_factor(rows, cols, 2)
+    xs, ys = _circulant_cells(rows, cols, 2)
     assert len(set(zip(xs.tolist(), ys.tolist()))) == 10
     xs = Counter(xs.tolist())
     ys = Counter(ys.tolist())
@@ -93,7 +101,7 @@ def test_circulant_factor_degree_audit():
 
 def test_circulant_factor_rejects_r_too_large():
     with pytest.raises(ValueError):
-        circulant_factor([1, 2], [3, 4], 3)
+        _circulant_cells([1, 2], [3, 4], 3)
 
 
 def test_sample_r0_and_rm():
@@ -216,9 +224,9 @@ def test_sample_moves_off_the_circulant_start():
 
 def test_one_factorize_circulant_two_factor():
     f = BipartiteFactor(2, _circulant(4, 2))
-    fac = one_factorize(f)
-    assert len(fac.factors) == 2
-    c0, c1 = _cells(fac.cells_of(0)), _cells(fac.cells_of(1))
+    matchings = list(iter_matchings(f))
+    assert len(matchings) == 2
+    c0, c1 = _cells(_matching_cells(4, matchings[:1])), _cells(_matching_cells(4, matchings[1:]))
     assert c0.isdisjoint(c1)
     assert c0 | c1 == _cells(f.points)
 
@@ -226,20 +234,20 @@ def test_one_factorize_circulant_two_factor():
 def test_one_factorize_single_factor_is_identity_of_input():
     cells = {(1, 2), (2, 1), (3, 3)}
     f = BipartiteFactor(1, PointSet.from_points(3, cells))
-    fac = one_factorize(f)
-    assert len(fac.factors) == 1
-    assert fac.cells_of(0) == f.points
-    assert _cells(fac.cells_of(0)) == cells
+    matchings = list(iter_matchings(f))
+    assert len(matchings) == 1
+    assert _matching_cells(3, matchings[:1]) == f.points
+    assert _cells(_matching_cells(3, matchings[:1])) == cells
 
 
 def test_one_factorize_complete_graph_latin_square():
     m = 6
     f = BipartiteFactor(m, PointSet.from_points(m, [(a, b) for a in range(1, 7) for b in range(1, 7)]))
-    fac = one_factorize(f)
-    assert len(fac.factors) == m
-    assert fac.all_cells() == f.points
+    matchings = list(iter_matchings(f))
+    assert len(matchings) == m
+    assert _matching_cells(m, matchings) == f.points
     for t in range(m):
-        assert sorted(fac.factors[t]) == list(range(1, m + 1))
+        assert sorted(matchings[t]) == list(range(1, m + 1))
 
 
 def test_one_factorize_random_factors_roundtrip():
@@ -248,11 +256,11 @@ def test_one_factorize_random_factors_roundtrip():
         m = rng.randint(2, 60)
         r = rng.randint(0, m)
         f = sample_r_factor(m, r, seed=100 + trial)
-        fac = one_factorize(f)
-        assert len(fac.factors) == r
+        matchings = list(iter_matchings(f))
+        assert len(matchings) == r
         seen = set()
         for t in range(r):
-            cells = _cells(fac.cells_of(t))
+            cells = _cells(_matching_cells(m, matchings[t : t + 1]))
             assert not (cells & seen)
             seen |= cells
         assert seen == _cells(f.points)
@@ -260,7 +268,7 @@ def test_one_factorize_random_factors_roundtrip():
 
 def test_one_factorize_is_deterministic():
     f = sample_r_factor(15, 6, seed=5)
-    assert one_factorize(f).factors == one_factorize(f).factors
+    assert list(iter_matchings(f)) == list(iter_matchings(f))
 
 
 def _permuted_circulant_xy(m, r, seed):
@@ -280,7 +288,7 @@ def _permuted_circulant(m, r, seed):
     return BipartiteFactor(r, PointSet.from_xy(m, *_permuted_circulant_xy(m, r, seed)))
 
 
-# first matchings extracted by the eager one_factorize before extraction
+# first matchings extracted by the eager 1-factorization before extraction
 # became lazy; any change to the extraction order moves adjust_k/adjust_n
 # output bytes
 GOLDEN_MATCHINGS = {
@@ -308,7 +316,40 @@ def test_iter_matchings_golden_prefix(key):
     f = _permuted_circulant(m, r, seed)
     want = GOLDEN_MATCHINGS[key]
     assert tuple(islice(iter_matchings(f), len(want))) == want
-    assert one_factorize(f).factors[: len(want)] == want
+    assert tuple(iter_matchings(f))[: len(want)] == want
+
+
+@given(
+    m=st.integers(1, 70),
+    r=st.integers(0, 70),
+    seed=st.integers(0, 2**32),
+    keys=st.lists(st.integers(0, 70 * 70 - 1), max_size=200),
+)
+@example(m=13, r=0, seed=1, keys=[])
+@example(m=13, r=13, seed=1, keys=[168, 0, 168])
+@example(m=70, r=70, seed=2, keys=[4899, 0])
+@example(m=1, r=1, seed=3, keys=[0])
+@settings(max_examples=100, deadline=None)
+def test_row_bitsets_match_bitwise_or_oracle(m, r, seed, keys):
+    # an r-factor (r = 0 and r = m among the examples) and an arbitrary
+    # cell set, its keys unsorted and repeated
+    factor = sample_r_factor(m, min(r, m), seed, rounds=2)
+    cells = PointSet(m, np.array(keys, dtype=np.int64) % (m * m))
+    for points in (factor.points, cells):
+        assert _row_bitsets(points) == row_bitsets_by_or_at(points)
+
+
+def test_row_bitsets_peak_memory_is_at_most_2_m_squared_bytes():
+    m, r = 400, 240
+    points = _circulant(m, r)
+    tracemalloc.start()
+    try:
+        rowbits = _row_bitsets(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rowbits == row_bitsets_by_or_at(points)
+    assert peak <= 2 * m * m
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_MATCHINGS))

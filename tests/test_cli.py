@@ -24,6 +24,18 @@ def test_construct_explicit_writes_file_and_report(tmp_path, capsys):
     assert "status: certified" in sidecar.read_text()
 
 
+# sha256 of the file `nkline construct --n 16 --k 11 --mode explicit`
+# writes, measured before the filler's circulant became the sampler's
+# bool mask
+CONSTRUCT_EXPLICIT_16_11_SHA256 = "cc45c0f85e45d9d0f84aae855a1806259282d7e20f29b6fd858c336553514af1"
+
+
+def test_construct_explicit_golden_bytes(tmp_path):
+    out = tmp_path / "e.txt"
+    assert main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_EXPLICIT_16_11_SHA256
+
+
 def test_construct_usage_error_for_k_above_n(tmp_path):
     code = main(["construct", "--n", "10", "--k", "11", "--out", str(tmp_path / "x.txt")])
     assert code == 1

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_explicit_16_11_matches_reference_scenario():
     assert rep.passed
     brute, _ = brute_generic_max(s.sorted_xy())
     assert brute <= 11
+
+
+# sha256 of serialize(explicit_construct(300, 240), 240), measured before
+# the filler's circulant became the sampler's bool mask
+EXPLICIT_300_240_SHA256 = "123663836c18f6e6143705ac8ba9549015ce408e8078ce0761af3e3bb2a83b76"
+
+
+def test_explicit_golden_bytes():
+    text = serialize(explicit_construct(300, 240), 240)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLICIT_300_240_SHA256
 
 
 def test_explicit_k_equals_n_gives_full_grid():
@@ -156,11 +167,11 @@ def test_adjustments_leave_their_input_unchanged(desk_scale_run):
     cert, _ = desk_scale_run
     s = cert.output
     before = s.keys.copy()
-    shrunk, _ = adjust_k(s, 240, 233, reserve=15)
+    shrunk, report = adjust_k(s, 240, 233, reserve=15)
     assert np.array_equal(s.keys, before)
     assert len(s) == 240 * 400 and s.is_regular(240)
     before = shrunk.keys.copy()
-    adjust_n(shrunk, 233, 6)
+    adjust_n(shrunk, report, 6)
     assert np.array_equal(shrunk.keys, before)
     assert shrunk.n == 400 and shrunk.is_regular(233)
 
@@ -210,17 +221,29 @@ def test_adjust_k_never_increases_any_line_count(extractions):
 
 def test_adjust_n_noop_for_zero_slack():
     s = explicit_construct(12, 8)
-    out, rep = adjust_n(s, 8, 0)
+    out, rep = adjust_n(s, verify(s, 8, 0), 0)
     assert out == s
 
 
 def test_adjust_n_rejects_odd_or_unearned_slack():
     s = explicit_construct(12, 8)
+    report = verify(s, 8, 0)
     with pytest.raises(ConstructionError):
-        adjust_n(s, 8, 3)
+        adjust_n(s, report, 3)
     # explicit sets have reserve 0: slack 2 is not covered
     with pytest.raises(ConstructionError):
-        adjust_n(s, 8, 2)
+        adjust_n(s, report, 2)
+
+
+def test_adjust_n_rejects_a_report_without_the_slack(desk_scale_run):
+    cert, _ = desk_scale_run
+    assert cert.report.passed and cert.report.achieved_reserve >= 4
+    short = replace(cert.report, achieved_reserve=3)
+    with pytest.raises(ConstructionError, match="reserve 4"):
+        adjust_n(cert.output, short, 4)
+    over = replace(cert.report, axis_max=241)
+    with pytest.raises(ConstructionError, match="reserve 4"):
+        adjust_n(cert.output, over, 4)
 
 
 def test_adjustment_chain_at_scale(desk_scale_run, extractions):
@@ -232,7 +255,7 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
     assert rep1.achieved_reserve >= 8
     assert shrunk.is_regular(233)
     extractions.clear()
-    grown, rep2 = adjust_n(shrunk, 233, 6)
+    grown, rep2 = adjust_n(shrunk, rep1, 6)
     assert len(extractions) == 3
     assert rep2.passed
     assert grown.n == 403
@@ -243,7 +266,7 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
 def test_adjust_n_row_col_exactness_small(desk_scale_run):
     # earn a small verified slack by shrinking k below the certified bound
     cert, _ = desk_scale_run
-    out, rep = adjust_n(cert.output, 240, 4)
+    out, rep = adjust_n(cert.output, cert.report, 4)
     assert rep.passed
     assert out.n == 402
     assert out.is_regular(240)
@@ -279,6 +302,21 @@ def test_pipeline_randomized_route_end_to_end():
     assert cert.output.n == 403
     assert len(cert.output) == 233 * 403
     assert cert.output.is_regular(233)
+
+
+def test_pipeline_verifies_three_times(monkeypatch):
+    # one retry, then the outputs of adjust_k and adjust_n; adjust_n
+    # takes the report of adjust_k instead of sweeping its input again
+    calls = []
+
+    def counting(points, k, reserve=0):
+        calls.append((points.n, k, reserve))
+        return verify(points, k, reserve)
+
+    monkeypatch.setattr(construct, "verify", counting)
+    cert = pipeline(403, 233, seed=11)
+    assert cert.certified
+    assert calls == [(400, 240, 15), (400, 233, 8), (403, 233, 0)]
 
 
 def test_pipeline_retries_exhausted_carries_best_effort():

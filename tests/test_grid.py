@@ -142,15 +142,15 @@ def test_matrix_4x4_values_and_sums():
     for i in range(1, 5):
         for j in range(1, 5):
             expect = 6 if (i == j or i + j == 5) else 9
-            assert mat.entry(i, j) == expect
+            assert mat.entries[i - 1][j - 1] == expect
     assert mat.row_sums() == [30] * 4
     assert mat.col_sums() == [30] * 4
-    assert mat.alpha(1, 1) == Fraction(6, 10)
+    assert Fraction(mat.entries[0][0], mat.block_side) == Fraction(6, 10)
 
 
 def test_matrix_4x4_small_case():
     mat = feasibility_matrix_4x4(12, 10)
-    assert mat.entry(1, 1) == 2 and mat.entry(1, 2) == 3
+    assert mat.entries[0][0] == 2 and mat.entries[0][1] == 3
     assert mat.row_sums() == [10] * 4
 
 
@@ -218,7 +218,7 @@ def test_expected_load_block_additivity():
     )
     assert expected_load(mat, d, 5) == total
     for (i, j), g in per_block.items():
-        assert Fraction(mat.entries[i][j], 4) * g <= mat.alpha(i + 1, j + 1) * 4
+        assert Fraction(mat.entries[i][j], 4) * g <= Fraction(mat.entries[i][j], mat.block_side) * 4
 
 
 def test_max_expected_load_4x4_exact():

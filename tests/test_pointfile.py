@@ -83,6 +83,59 @@ def test_parse_rejects_missing_fields():
     assert exc.value.line_no == 2
 
 
+_BAD_HEADERS = [
+    "n=1_0 k=+2 reserve=\u0663 seed=07 n=4",
+    "n=10 k=2 reserve=0 seed=none n=4",
+    "n=10 k=2 k=3 reserve=0 seed=none",
+    "k=2 n=10 reserve=0 seed=none",
+    "n=10 k=2 seed=none reserve=0",
+    "n=10  k=2 reserve=0 seed=none",
+    " n=10 k=2 reserve=0 seed=none",
+    "n=10 k=2 reserve=0 seed=none ",
+    "n=10\tk=2 reserve=0 seed=none",
+    "n=10 k=2 reserve=0 seed=none\r",
+    "n=+10 k=2 reserve=0 seed=none",
+    "n=-10 k=2 reserve=0 seed=none",
+    "n=010 k=2 reserve=0 seed=none",
+    "n=1\u0660 k=2 reserve=0 seed=none",
+    "n=10 k=-0 reserve=0 seed=none",
+    "n=10 k=02 reserve=0 seed=none",
+    "n=10 k=2 reserve=+1 seed=none",
+    "n=10 k=2 reserve=1_0 seed=none",
+    "n=10 k=2 reserve=\u0663 seed=none",
+    "n=10 k=2 reserve= seed=none",
+    "n=10 k=2 reserve=Unknown seed=none",
+    "n=10 k=2 reserve=0 seed=07",
+    "n=10 k=2 reserve=0 seed=-0",
+    "n=10 k=2 reserve=0 seed=None",
+    "n=10 k=2 reserve=0 seed=0x1f",
+    "n=10 k=2 reserve=0 seed=none extra=1",
+    "n=10 k=" + "9" * 5000 + " reserve=0 seed=none",
+]
+
+
+@pytest.mark.parametrize("header", _BAD_HEADERS)
+def test_parse_rejects_non_canonical_headers(header):
+    with pytest.raises(ParseError) as exc:
+        parse(f"{MAGIC}\n{header}\n1 1\n")
+    assert exc.value.line_no == 2
+
+
+@given(
+    k=st.integers(),
+    reserve=st.none() | st.integers(-5, 50),
+    seed=st.none() | st.integers(-(2**63), 2**63 - 1),
+    n=st.sampled_from([1, 2, 10, MAX_SIDE]),
+)
+@example(k=0, reserve=0, seed=0, n=1)
+@example(k=-1, reserve=-5, seed=-(2**63), n=MAX_SIDE)
+@settings(max_examples=150, deadline=None)
+def test_parse_reads_back_every_header(k, reserve, seed, n):
+    parsed = parse(serialize(PointSet.from_points(n, [(1, n)]), k, reserve, seed))
+    assert (parsed.points.n, parsed.k, parsed.reserve, parsed.seed) == (n, k, reserve, seed)
+    assert parsed.points.sorted_xy() == [(1, n)]
+
+
 def test_parse_reports_body_line_numbers():
     text = f"{MAGIC}\nn=4 k=2 reserve=0 seed=none\n1 1\n2 two\n"
     with pytest.raises(ParseError) as exc:
