@@ -227,7 +227,10 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
     of its untried columns that lies in bydist[d+1] (or is free, when
     d+1 == found_free): exactly the next column a sorted adjacency list
     would accept.  A dead-end row leaves its layer, so it is never
-    entered again in the phase.
+    entered again in the phase.  When the free rows reach only free
+    columns, as in the first phase from the empty matching, every
+    augmenting path is one edge, and each root takes its lowest free
+    column without a DFS.
     """
     match_row = [-1] * m
     match_col = [-1] * m
@@ -255,6 +258,21 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
                 layer.append(match_col[low.bit_length() - 1])
                 new ^= low
         found_free = len(bydist) - 1
+
+        if found_free == 1 and not bydist[1]:
+            # the free rows reach only free columns (the first phase from
+            # the empty matching): every augmenting path is one edge, and
+            # each root takes its lowest column still free
+            for root in range(m):
+                if match_row[root] == -1:
+                    cand = rowbits[root] & freecols
+                    if cand:
+                        low = cand & -cand
+                        freecols ^= low
+                        b = low.bit_length() - 1
+                        match_row[root] = b
+                        match_col[b] = root
+            continue
 
         for root in range(m):
             if match_row[root] != -1:
@@ -292,12 +310,6 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
                     break
                 a2 = match_col[b]
                 stack.append([a2, rowbits[a2], -1])
-
-
-def _matching_cells(m: int, matchings) -> PointSet:
-    """Union of the cells (a, matching[a-1]) of the given matchings."""
-    cols = np.asarray(matchings, dtype=np.int64).reshape(-1, m)
-    return PointSet.from_xy(m, np.tile(np.arange(1, m + 1), len(cols)), cols.ravel())
 
 
 def _row_bitsets(points: PointSet) -> list[int]:

@@ -18,7 +18,6 @@ import numpy as np
 from .bifactor import (
     BipartiteFactor,
     _circulant,
-    _matching_cells,
     derive_seed,
     iter_matchings,
     sample_blocks,
@@ -219,8 +218,13 @@ def adjust_k(
         )
     if drop == 0:
         return points, verify(points, k, reserve)
-    removed = _matching_cells(points.n, tuple(islice(_factorization_of(points, k), drop)))
-    out = PointSet(points.n, np.setdiff1d(points.keys, removed.keys, assume_unique=True))
+    n = points.n
+    matchings = np.array(tuple(islice(_factorization_of(points, k), drop)), dtype=np.int64)
+    # cell (a, b) of a matching has key (a-1)*n + (b-1); drop the cells
+    # by their positions in the sorted keys, so the survivors stay sorted
+    keep = np.ones(len(points), dtype=bool)
+    keep[np.searchsorted(points.keys, (np.arange(n) * n + matchings - 1).ravel())] = False
+    out = PointSet(n, points.keys[keep])
     report = verify(out, k_new, reserve - drop)
     return out, report
 
@@ -259,17 +263,20 @@ def adjust_n(
     if k > n:
         raise ConstructionError("k may not exceed n")
     grow = slack // 2
-    donors = np.arange(1, k + 1)
-    gone_ys, new_xs, new_ys = [], [], []
     matchings = islice(_factorization_of(points, k), grow)
+    side = n + grow
+    # the output marked on one side x side grid, whose flat nonzero
+    # indices are its keys in sorted order; old key (x-1)*n + (y-1)
+    # moves to (x-1)*side + (y-1)
+    cells = np.zeros(side * side, dtype=bool)
+    cells[points.keys + points.keys // n * grow] = True
+    donors = np.arange(k) * side
     for i, matching in enumerate(matchings, start=1):
-        ys = np.asarray(matching[:k])
-        gone_ys.append(ys)
-        new_xs += [np.full(k, n + i), donors]
-        new_ys += [ys, np.full(k, n + i)]
-    donated = PointSet.from_xy(n, np.tile(donors, grow), np.concatenate(gone_ys))
-    xs, ys = PointSet(n, np.setdiff1d(points.keys, donated.keys, assume_unique=True)).xy()
-    out = PointSet.from_xy(n + grow, np.concatenate([xs, *new_xs]), np.concatenate([ys, *new_ys]))
+        ys = np.asarray(matching[:k], dtype=np.int64) - 1
+        cells[donors + ys] = False
+        cells[(n + i - 1) * side + ys] = True
+        cells[donors + n + i - 1] = True
+    out = PointSet(side, np.flatnonzero(cells))
     report = verify(out, k, 0)
     return out, report
 
@@ -331,8 +338,11 @@ def pipeline(
         raise RetriesExhausted(replace(cert, n=n, k=k, mode=mode))
     lineage = list(cert.lineage)
 
+    # a step that spends no reserve keeps the set, so it is not swept again
     h_left = target_h - (k_round - k)
-    points, report = adjust_k(cert.output, k_round, k, target_h)
+    points, report = cert.output, cert.report
+    if k_round != k:
+        points, report = adjust_k(points, k_round, k, target_h)
     lineage.append(("adjust-k", {"from": k_round, "to": k, "reserve_left": h_left}))
     if not report.passed:
         raise ConstructionError(f"reserve chain broken after adjust-k: {report.summary()}")
@@ -340,7 +350,14 @@ def pipeline(
     slack = 2 * (n - n_round)
     if slack > h_left:
         raise ConstructionError(f"slack {slack} exceeds remaining reserve {h_left}")
-    points, report = adjust_n(points, report, slack)
+    if slack:
+        points, report = adjust_n(points, report, slack)
+    else:
+        report = replace(
+            report,
+            required_reserve=0,
+            passed=report.axis_max <= k and report.generic_max <= k,
+        )
     lineage.append(("adjust-n", {"from": n_round, "to": n, "slack": slack}))
     if not report.passed:
         raise ConstructionError(f"reserve chain broken after adjust-n: {report.summary()}")

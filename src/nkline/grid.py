@@ -7,9 +7,10 @@ columns, from the sampler to the point file.
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep
-serves the verifier (unit weights on a set's points) and the expected
-load (block entries on the full grid); weights are integers, summed
-exactly, and a load is the exact fraction weight / block_side.
+serves the verifier (a histogram of a set's points per direction) and
+the expected load (per direction, one block histogram shifted to each
+block offset and scaled by the block entries); weights are integers,
+summed exactly, and a load is the exact fraction weight / block_side.
 """
 
 from __future__ import annotations
@@ -311,73 +312,98 @@ def _directions_of_modulus(M: int) -> list[Direction]:
 
 def _heaviest_line(
     n: int,
-    xs: np.ndarray,
-    ys: np.ndarray,
     cap: Callable[[int], int],
-    weights: Optional[np.ndarray] = None,
+    histogram: Callable[[Direction], tuple[np.ndarray, int]],
 ) -> tuple[int, Optional[tuple[Direction, int]], int]:
-    """Heaviest generic line through the points (xs, ys) of [1,n]^2,
-    over the primitive directions walked in (modulus, vx, vy) order.
+    """Heaviest generic line of [1,n]^2 under a line weight, over the
+    primitive directions walked in (modulus, vx, vy) order.
 
-    xs and ys broadcast against each other.  A line weighs as many
-    points as it holds, or with `weights` (raveled in the broadcast
-    shape) the sum of its points' weights; a weighted line must hold at
-    least 2 of the points.  Per direction the points are bucketed by
-    intercept c = vy*x - vx*y in one histogram.  `cap(M)` bounds the
-    weight of every line of modulus M or more; the walk stops at the
-    first class whose cap cannot beat the best weight so far, so the
-    result equals that of the full walk.  The witness is the first
-    direction to reach the maximum and, within it, the smallest
-    intercept.  Returns (best weight, witness (direction, intercept) or
-    None, number of directions swept).
+    `histogram(d)` returns (weights, c0): weights[i] is the weight of
+    the line of direction d with intercept c = vy*x - vx*y = c0 + i.
+    `cap(M)` bounds the weight of every line of modulus M or more; the
+    walk stops at the first class whose cap cannot beat the best weight
+    so far, so the result equals that of the full walk.  The witness is
+    the first direction to reach the maximum and, within it, the
+    smallest intercept.  Returns (best weight, witness (direction,
+    intercept) or None, number of directions swept).
     """
     best, witness, swept = 0, None, 0
     for M in range(1, n):
         if cap(M) <= best:
             break
         for d in _directions_of_modulus(M):
-            c = d.vy * xs - d.vx * ys
-            cmin = int(c.min())
-            c -= cmin
-            c = c.ravel()
-            counts = np.bincount(c, weights)
-            if weights is not None:
-                counts[np.bincount(c) < 2] = 0
-            # free this direction's intercepts before the next are built
-            del c
-            top = int(np.argmax(counts))
+            weights, c0 = histogram(d)
+            top = int(np.argmax(weights))
             swept += 1
-            if counts[top] > best:
-                best, witness = int(counts[top]), (d, cmin + top)
+            if weights[top] > best:
+                best, witness = int(weights[top]), (d, c0 + top)
     return best, witness, swept
+
+
+def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[np.ndarray, int]]:
+    """Per direction, the weight of every line of the full grid: each
+    grid point weighs the entry of its block, and a line with fewer
+    than 2 grid points weighs 0.
+
+    With x = i*q + u and y = j*q + w, u and w in [1, q], the intercept
+    is c = (vy*i - vx*j)*q + (vy*u - vx*w).  So the lines of a direction
+    are one q x q block histogram of vy*u - vx*w, shifted by q times
+    each distinct block offset s = vy*i - vx*j and scaled by the summed
+    entries of the blocks at s; the same shifts scaled by the number of
+    blocks at s count the grid points per line.  Sums are exact int64.
+    A modulus-M direction takes O(q^2 + M*n) transient memory, not
+    O(n^2).
+    """
+    m, q = matrix.m, matrix.block_side
+    entries = np.asarray(matrix.entries, dtype=np.int64).ravel()
+    i, j = np.divmod(np.arange(m * m), m)
+    u = np.arange(1, q + 1, dtype=np.int64)
+
+    def histogram(d: Direction) -> tuple[np.ndarray, int]:
+        t0 = (d.vy if d.vy > 0 else d.vy * q) - d.vx * q
+        block = np.bincount(((d.vy * u - t0)[:, None] - d.vx * u).ravel())
+        s = d.vy * i - d.vx * j
+        s0 = int(s.min())
+        s -= s0
+        blocks_at = np.bincount(s)
+        entries_at = np.zeros_like(blocks_at)
+        np.add.at(entries_at, s, entries)
+        size = (blocks_at.size - 1) * q + block.size
+        weights = np.zeros(size, dtype=np.int64)
+        counts = np.zeros(size, dtype=np.int64)
+        for shift in np.flatnonzero(blocks_at).tolist():
+            at = slice(shift * q, shift * q + block.size)
+            weights[at] += entries_at[shift] * block
+            counts[at] += blocks_at[shift] * block
+        weights[counts < 2] = 0
+        return weights, s0 * q + t0
+
+    return histogram
 
 
 def max_expected_load(matrix: FeasibilityMatrix, with_witness: bool = False):
     """Exact maximum of the expected load over all generic secants.
 
     The heaviest-line sweep of the verifier, run over the full grid
-    with each point weighted by the entry of its block: a line's load
-    is its weight over the common denominator block_side.  A weight is
-    a sum of integers <= block_side over <= n points, so it is at most
-    n^2, far below 2^53, and the float64 histogram is exact.  A
-    modulus-M line holds at most (n-1)//M + 1 grid points, so its
-    weight is at most max_entry * ((n-1)//M + 1), and the sweep stops
-    once that cap cannot beat the heaviest line found.  The witness is
-    the first heaviest direction in (modulus, vx, vy) order and its
-    smallest heaviest intercept.
+    with each point weighted by the entry of its block
+    (`_block_histogram`): a line's load is its weight over the common
+    denominator block_side.  A modulus-M line holds at most
+    (n-1)//M + 1 grid points, so its weight is at most
+    max_entry * ((n-1)//M + 1), and the sweep stops once that cap
+    cannot beat the heaviest line found.  The witness is the first
+    heaviest direction in (modulus, vx, vy) order and its smallest
+    heaviest intercept.
 
-    Takes O(n^2) transient memory: the n x n float64 weight grid and
-    one direction's n x n int64 intercepts, 16 * n^2 bytes.
+    Each direction takes O(q^2 + M*n) transient memory (M its
+    modulus) for the block histogram and the direction's line weights;
+    no n x n grid is built.
     """
     n = matrix.n
-    q = matrix.block_side
     rmax = matrix.max_entry
-    side = np.arange(1, n + 1, dtype=np.int64)
-    weights = np.asarray(matrix.entries, dtype=np.float64).repeat(q, axis=0).repeat(q, axis=1)
     best_w, best_line, _ = _heaviest_line(
-        n, side[:, None], side[None, :], lambda M: rmax * ((n - 1) // M + 1), weights.ravel()
+        n, lambda M: rmax * ((n - 1) // M + 1), _block_histogram(matrix)
     )
-    load = Fraction(best_w, q)
+    load = Fraction(best_w, matrix.block_side)
     if with_witness:
         return load, best_line
     return load

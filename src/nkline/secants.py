@@ -6,12 +6,12 @@ direction is the largest number of set points on one line of that
 direction.  Directions are swept by increasing modulus M, and the sweep
 stops once no line of modulus M or more can hold more points than the
 fullest line found, so the reported maximum and its witness are exact.
-The sweep is `grid._heaviest_line`, shared with `max_expected_load`,
-which runs it over the full grid with block weights.  Axis-parallel
-lines are handled separately by row/column histograms.  Sweeps are
-numpy-vectorised per direction; intercept histograms are dense arrays,
-not hash maps, since the sweep is the hot loop for grids in the
-hundreds.
+The sweep is `grid._heaviest_line`, shared with `max_expected_load`;
+the verifier hands it one histogram of the set's points per direction,
+offset by the set's bounding box.  Axis-parallel lines are handled
+separately by row/column histograms.  Sweeps are numpy-vectorised per
+direction; intercept histograms are dense arrays, not hash maps, since
+the sweep is the hot loop for grids in the hundreds.
 """
 
 from __future__ import annotations
@@ -70,10 +70,22 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     xs, ys = points.xy()
     axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if len(points) else 0
 
+    # intercepts are offset by the lowest one over the set's bounding
+    # box, so no direction needs a pass for its minimum (an empty set
+    # sweeps no direction)
+    x0, x1, y1 = (int(xs[0]), int(xs[-1]), int(ys.max())) if len(points) else (0, 0, 0)
+
+    def histogram(d: Direction) -> tuple[np.ndarray, int]:
+        c0 = (d.vy * x0 if d.vy > 0 else d.vy * x1) - d.vx * y1
+        c = d.vy * xs
+        c -= d.vx * ys
+        c -= c0
+        return np.bincount(c), c0
+
     # a modulus-M line holds at most (n-1)//M + 1 grid points, and no
     # line holds more points than the set
     generic_max, worst, swept = _heaviest_line(
-        n, xs, ys, lambda M: min(len(points), (n - 1) // M + 1)
+        n, lambda M: min(len(points), (n - 1) // M + 1), histogram
     )
     return VerificationReport(
         k=k,

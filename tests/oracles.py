@@ -282,6 +282,13 @@ def matchings_by_lists(m, cells):
     return matchings, reads
 
 
+def matching_cells(m, matchings):
+    """Union of the cells (a, matching[a-1]) of the given matchings, as
+    a PointSet on [1,m]^2."""
+    cols = np.asarray(matchings, dtype=np.int64).reshape(-1, m)
+    return PointSet.from_xy(m, np.tile(np.arange(1, m + 1), len(cols)), cols.ravel())
+
+
 def row_bitsets_by_or_at(points):
     """rowbits[a-1] with bit b-1 set for each cell (a, b), ORed into an
     m * ceil(m/8)-byte buffer one cell at a time by `np.bitwise_or.at`:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import pi, sqrt
 
 from nkline.bifactor import (
-    _matching_cells,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
@@ -35,7 +34,7 @@ from nkline.pointfile import serialize
 from nkline.secants import census, verify
 
 from conftest import ACCEPTANCE_SEED, DESK_K, DESK_N, DESK_RESERVE, desk_scale_construct
-from oracles import brute_max_expected_load, grid_line_sizes
+from oracles import brute_max_expected_load, grid_line_sizes, matching_cells
 
 CHAIN_N, CHAIN_K = 403, 233
 CHAIN_SLACK = 2 * (CHAIN_N - DESK_N)
@@ -158,7 +157,7 @@ def test_criterion_07_factorization_roundtrip():
         assert len(matchings) == r, (m, r)
         seen = set()
         for t in range(r):
-            cells = set(_matching_cells(m, matchings[t : t + 1]).sorted_xy())
+            cells = set(matching_cells(m, matchings[t : t + 1]).sorted_xy())
             assert len(cells) == m
             assert not (cells & seen), (m, r, t)
             seen |= cells

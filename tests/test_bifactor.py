@@ -21,9 +21,9 @@ from nkline.bifactor import (
     sample_blocks,
     sample_r_factor,
 )
-from nkline.bifactor import _matching_cells, _row_bitsets, _split
+from nkline.bifactor import _row_bitsets, _split
 from nkline.grid import PointSet
-from oracles import ReadCounter, all_r_factors, matchings_by_lists, row_bitsets_by_or_at
+from oracles import ReadCounter, all_r_factors, matching_cells, matchings_by_lists, row_bitsets_by_or_at
 
 
 def _cells(points):
@@ -226,7 +226,7 @@ def test_one_factorize_circulant_two_factor():
     f = BipartiteFactor(2, _circulant(4, 2))
     matchings = list(iter_matchings(f))
     assert len(matchings) == 2
-    c0, c1 = _cells(_matching_cells(4, matchings[:1])), _cells(_matching_cells(4, matchings[1:]))
+    c0, c1 = _cells(matching_cells(4, matchings[:1])), _cells(matching_cells(4, matchings[1:]))
     assert c0.isdisjoint(c1)
     assert c0 | c1 == _cells(f.points)
 
@@ -236,8 +236,8 @@ def test_one_factorize_single_factor_is_identity_of_input():
     f = BipartiteFactor(1, PointSet.from_points(3, cells))
     matchings = list(iter_matchings(f))
     assert len(matchings) == 1
-    assert _matching_cells(3, matchings[:1]) == f.points
-    assert _cells(_matching_cells(3, matchings[:1])) == cells
+    assert matching_cells(3, matchings[:1]) == f.points
+    assert _cells(matching_cells(3, matchings[:1])) == cells
 
 
 def test_one_factorize_complete_graph_latin_square():
@@ -245,7 +245,7 @@ def test_one_factorize_complete_graph_latin_square():
     f = BipartiteFactor(m, PointSet.from_points(m, [(a, b) for a in range(1, 7) for b in range(1, 7)]))
     matchings = list(iter_matchings(f))
     assert len(matchings) == m
-    assert _matching_cells(m, matchings) == f.points
+    assert matching_cells(m, matchings) == f.points
     for t in range(m):
         assert sorted(matchings[t]) == list(range(1, m + 1))
 
@@ -260,7 +260,7 @@ def test_one_factorize_random_factors_roundtrip():
         assert len(matchings) == r
         seen = set()
         for t in range(r):
-            cells = _cells(_matching_cells(m, matchings[t : t + 1]))
+            cells = _cells(matching_cells(m, matchings[t : t + 1]))
             assert not (cells & seen)
             seen |= cells
         assert seen == _cells(f.points)

@@ -64,6 +64,22 @@ def test_construct_auto_golden_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_403_233_SEED_11_SHA256
 
 
+# sha256 of the files `nkline construct --n 400 --k K --seed 11` writes
+# for K = 230 (no reserve spent) and K = 233 (adjust-k only), measured
+# while the pipeline still re-verified the sets it did not change
+CONSTRUCT_400_SEED_11_SHA256 = {
+    230: "4adaf21f521463df00c597713e00301a731c954c39f23d2c68b5bdcbf7ce1a3f",
+    233: "cb13c89ac885ad7f23f8330f4d5820f96f86c37a50b7e0d7671cfb6c10731a0b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CONSTRUCT_400_SEED_11_SHA256))
+def test_construct_auto_golden_bytes_on_a_round_grid(tmp_path, k):
+    out = tmp_path / "c.txt"
+    assert main(["construct", "--n", "400", "--k", str(k), "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_400_SEED_11_SHA256[k]
+
+
 def test_construct_seed_outside_int64_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.txt"
     code = main(["construct", "--n", "100", "--k", "40", "--seed", "99999999999999999999", "--out", str(out)])

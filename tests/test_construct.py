@@ -319,6 +319,36 @@ def test_pipeline_verifies_three_times(monkeypatch):
     assert calls == [(400, 240, 15), (400, 233, 8), (403, 233, 0)]
 
 
+def _count_verify_calls(monkeypatch, n, k):
+    calls = []
+
+    def counting(points, k, reserve=0):
+        calls.append((points.n, k, reserve))
+        return verify(points, k, reserve)
+
+    monkeypatch.setattr(construct, "verify", counting)
+    cert = pipeline(n, k, seed=11)
+    assert cert.certified
+    assert cert.output.n == n and cert.output.is_regular(k)
+    return cert, calls
+
+
+def test_pipeline_verifies_once_when_n_and_k_are_round(monkeypatch):
+    # no reserve is spent, so the retry's sweep is the only one; the
+    # reserve-0 report is read off it
+    cert, calls = _count_verify_calls(monkeypatch, 400, 230)
+    assert calls == [(400, 230, 15)]
+    assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
+    assert cert.report == verify(cert.output, 230, 0)
+
+
+def test_pipeline_verifies_twice_when_only_n_is_round(monkeypatch):
+    cert, calls = _count_verify_calls(monkeypatch, 400, 233)
+    assert calls == [(400, 240, 15), (400, 233, 8)]
+    assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
+    assert cert.report == verify(cert.output, 233, 0)
+
+
 def test_pipeline_retries_exhausted_carries_best_effort():
     # reserve 15 is out of reach at k=120 on a 400-grid; the failure
     # must surface the best sample, which is still an exact 120-factor

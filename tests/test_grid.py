@@ -298,7 +298,9 @@ def test_max_expected_load_witness_is_first_heaviest_line(mat):
         assert heaviest_line_by_scan(mat, e.vx, e.vy)[0] < load
 
 
-def test_max_expected_load_transient_memory_is_two_grids():
+def test_max_expected_load_transient_memory_is_under_n_squared_bytes():
+    # one q x q block histogram and one direction's line weights, never
+    # an n x n grid
     import tracemalloc
 
     mat = feasibility_matrix_4x4(400, 120)
@@ -309,7 +311,26 @@ def test_max_expected_load_transient_memory_is_two_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * n * n + 256 * 1024
+    assert peak <= n * n + 256 * 1024
+
+
+@st.composite
+def wide_block_matrices(draw):
+    # the pair-enumeration oracle is O(n^4), so n = m*q stays <= 24
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, min(12, 24 // m)))
+    entry = st.integers(0, q)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    return FeasibilityMatrix(m, q, rows)
+
+
+@settings(max_examples=12, deadline=None)
+@given(wide_block_matrices())
+@example(FeasibilityMatrix(1, 12, [[7]]))
+@example(FeasibilityMatrix(6, 1, [[(i * j) % 2 for j in range(6)] for i in range(6)]))
+@example(FeasibilityMatrix(6, 4, [[(i + 2 * j) % 5 for j in range(6)] for i in range(6)]))
+def test_max_expected_load_matches_bruteforce_on_block_matrices(mat):
+    assert max_expected_load(mat) == brute_max_expected_load(mat)
 
 
 def test_slope_one_load_piecewise_linear():

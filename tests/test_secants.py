@@ -166,6 +166,26 @@ def test_verify_stops_at_the_line_length_cap():
     assert rep.directions_swept < sum(len(_directions_of_modulus(M)) for M in range(1, n))
 
 
+def test_verify_sparse_corner_of_a_huge_grid_stays_small():
+    # intercepts are offset by the set's bounding box, so six points in
+    # the corner of a 10^6 grid get histograms of their own size
+    import tracemalloc
+
+    n = 10**6
+    pts = [(i, i) for i in range(1, 7)]
+    s = PointSet.from_points(n, pts)
+    tracemalloc.start()
+    try:
+        rep = verify(s, 6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.generic_max == brute_generic_max(pts)[0] == 6
+    assert rep.directions_swept == 2
+    assert rep.worst_line == (Direction(1, 1), 0)
+    assert peak < 1 << 20
+
+
 @given(
     n=st.integers(2, 15),
     vx=st.integers(1, 5),
