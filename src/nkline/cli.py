@@ -32,13 +32,6 @@ EXIT_RETRIES = 2
 EXIT_VERIFY = 3
 
 
-def _write_outputs(out_path, points, k, reserve, seed, report_lines):
-    out = Path(out_path)
-    out.write_text(serialize(points, k, reserve=reserve, seed=seed))
-    sidecar = out.with_name(out.name + ".report.txt")
-    sidecar.write_text("\n".join(report_lines) + "\n")
-
-
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if not (1 <= args.k <= args.n):
@@ -46,7 +39,7 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
     try:
         if args.mode == "explicit":
-            cert = explicit_certificate(args.n, args.k, "explicit", seed=None)
+            cert = explicit_certificate(args.n, args.k)
         elif args.mode == "biuniform":
             builder = feasibility_matrix_4x4 if args.matrix == "4x4" else feasibility_matrix_3x3
             matrix = builder(args.n, args.k)
@@ -58,37 +51,27 @@ def cmd_construct(args) -> int:
                 max_retries=args.retries,
                 target_reserve=args.reserve,
             )
-            if not cert.certified:
-                raise RetriesExhausted(cert)
         else:
             cert = pipeline(
-                args.n,
-                args.k,
-                seed=args.seed,
-                mode="strict" if args.strict else "best-effort",
-                max_retries=args.retries,
+                args.n, args.k, seed=args.seed, strict=args.strict, max_retries=args.retries
             )
     except RetriesExhausted as exc:
         cert = exc.certificate
-        elapsed = time.perf_counter() - t0
-        lines = [
-            "status: retries exhausted",
-            f"retries: {cert.retries_used}",
-            f"best achieved reserve: {cert.best_reserve}",
-            f"per-retry reserves: {list(cert.per_retry_reserves)}",
-            f"wall time: {elapsed:.2f}s",
-        ]
-        _write_outputs(args.out, cert.output, cert.k, None, args.seed, lines)
-        print(exc, file=sys.stderr)
-        return EXIT_RETRIES
     except (ConstructionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    elapsed = time.perf_counter() - t0
+    # the file and its sidecar describe the certificate alone: on
+    # exhaustion that is the best sample, with its own n and k
+    if cert.certified:
+        status, code = "certified", EXIT_OK
+    elif cert.per_retry_reserves:
+        status, code = "retries exhausted", EXIT_RETRIES
+    else:
+        status, code = "not certified", EXIT_VERIFY
     report = cert.report
     lines = [
-        f"status: {'certified' if cert.certified else 'not certified'}",
+        f"status: {status}",
         f"lineage: {list(cert.lineage)}",
         f"axis max: {report.axis_max}",
         f"generic max: {report.generic_max}",
@@ -96,18 +79,17 @@ def cmd_construct(args) -> int:
         f"directions swept: {report.directions_swept}",
         f"retries used: {cert.retries_used}",
         f"per-retry reserves: {list(cert.per_retry_reserves)}",
-        f"wall time: {elapsed:.2f}s",
+        f"wall time: {time.perf_counter() - t0:.2f}s",
     ]
-    _write_outputs(
-        args.out,
-        cert.output,
-        args.k,
-        report.required_reserve if cert.certified else None,
-        cert.seed,
-        lines,
+    reserve = report.required_reserve if cert.certified else None
+    out = Path(args.out)
+    out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
+    out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
+    print(
+        f"wrote {len(cert.output)} points to {out} ({lines[0]})",
+        file=sys.stdout if cert.certified else sys.stderr,
     )
-    print(f"wrote {len(cert.output)} points to {args.out} ({lines[0]})")
-    return EXIT_OK if cert.certified else EXIT_VERIFY
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -117,7 +99,11 @@ def cmd_verify(args) -> int:
         print(f"error: {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     k = args.k if args.k is not None else parsed.k
-    report = verify(parsed.points, k, args.reserve)
+    try:
+        report = verify(parsed.points, k, args.reserve)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(report.summary())
     print(f"points: {len(parsed.points)}  expected k*n: {k * parsed.points.n}")
     return EXIT_OK if report.passed else EXIT_VERIFY

@@ -36,30 +36,31 @@ class RetriesExhausted(RuntimeError):
     def __init__(self, certificate: "ConstructionCertificate"):
         super().__init__(
             f"no certified set within {certificate.retries_used} retries; "
-            f"best achieved reserve {certificate.best_reserve}"
+            f"best achieved reserve {certificate.report.achieved_reserve}"
         )
         self.certificate = certificate
 
 
 @dataclass(frozen=True)
 class ConstructionCertificate:
-    """Construction outcome: inputs, the (best) output set, its
-    verification report, and the ordered lineage of applied steps."""
+    """Construction outcome.  Stores the seed, the (best) output set, its
+    verification report, the ordered lineage of applied steps and the
+    achieved reserve of each randomized retry.  n is `output.n` and k is
+    `report.k`; certified and retries_used are derived."""
 
-    n: int
-    k: int
-    mode: str
     seed: Optional[int]
-    retries_used: int
-    certified: bool
     output: PointSet
     report: VerificationReport
     lineage: tuple[tuple[str, dict], ...]
     per_retry_reserves: tuple[int, ...] = ()
 
     @property
-    def best_reserve(self) -> int:
-        return self.report.achieved_reserve
+    def certified(self) -> bool:
+        return self.report.passed
+
+    @property
+    def retries_used(self) -> int:
+        return len(self.per_retry_reserves)
 
 
 def explicit_construct(n: int, k: int) -> PointSet:
@@ -87,25 +88,18 @@ def explicit_construct(n: int, k: int) -> PointSet:
     rows = rows[(rows <= 2 * k - n) | (rows > k)]
     assert len(rows) == len(cols) == 2 * k - n
     complement[np.ix_(cols - 1, rows - 1)] |= _circulant(2 * k - n, s)
-    xs, ys = np.nonzero(~complement)
-    out = PointSet.from_xy(n, xs + 1, ys + 1)
+    out = PointSet(n, np.flatnonzero(~complement))
     assert len(out) == k * n
     return out
 
 
-def explicit_certificate(n: int, k: int, mode: str, seed: Optional[int]) -> ConstructionCertificate:
+def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> ConstructionCertificate:
     """`explicit_construct(n, k)` with its verification report at reserve 0."""
     points = explicit_construct(n, k)
-    report = verify(points, k, 0)
     return ConstructionCertificate(
-        n=n,
-        k=k,
-        mode=mode,
         seed=seed,
-        retries_used=0,
-        certified=report.passed,
         output=points,
-        report=report,
+        report=verify(points, k, 0),
         lineage=(("explicit", {"n": n, "k": k}),),
     )
 
@@ -174,12 +168,7 @@ def biuniform_construct(
     sample, report = best
     retry = t if report.passed else None
     return ConstructionCertificate(
-        n=n,
-        k=k,
-        mode="biuniform",
         seed=seed,
-        retries_used=len(reserves),
-        certified=report.passed,
         output=sample,
         report=report,
         lineage=(("biuniform", {"n": n, "k": k, "m": matrix.m, "seed": seed, "retry": retry}),),
@@ -243,6 +232,8 @@ def adjust_n(
     `slack`.  The degrees are still audited (`BipartiteFactor`), and the
     output is verified at reserve 0; that report is the certificate, so
     a wrong input report can make the output fail, never pass unchecked.
+    With slack 0 the set is unchanged and not swept again: the input
+    report comes back re-targeted to reserve 0.
 
     For each new index i, the i-th extracted 1-factor donates its k
     cells of smallest x: those cells are erased and re-emitted as a full
@@ -254,14 +245,14 @@ def adjust_n(
     if slack < 0 or slack % 2 != 0:
         raise ConstructionError(f"slack must be even and >= 0, got {slack}")
     n = points.n
-    if slack == 0:
-        return points, verify(points, k, 0)
     if report.axis_max > k or report.achieved_reserve < slack:
         raise ConstructionError(
             f"input does not have reserve {slack}: {report.summary()}"
         )
     if k > n:
         raise ConstructionError("k may not exceed n")
+    if slack == 0:
+        return points, replace(report, required_reserve=0)
     grow = slack // 2
     matchings = islice(_factorization_of(points, k), grow)
     side = n + grow
@@ -285,7 +276,7 @@ def pipeline(
     n: int,
     k: int,
     seed: int,
-    mode: str = "best-effort",
+    strict: bool = False,
     max_retries: int = 64,
     C: float = 12.5,
 ) -> ConstructionCertificate:
@@ -295,15 +286,13 @@ def pipeline(
     Large k (k >= 2n/3) routes to the explicit construction.  Otherwise
     n and k are rounded to multiples of 4 and 10, the bi-uniform
     construction runs at target reserve 15, and the reserve is spent
-    shrinking k back and growing n back.  strict mode additionally
-    enforces n >= 68 and C*sqrt(n ln n) <= k (the checkable hypotheses
-    of the regime where success is guaranteed asymptotically).
+    shrinking k back and growing n back.  strict additionally enforces
+    n >= 68 and C*sqrt(n ln n) <= k (the checkable hypotheses of the
+    regime where success is guaranteed asymptotically).
     """
-    if mode not in ("strict", "best-effort"):
-        raise ConstructionError(f"unknown mode {mode!r}")
     if not (1 <= k <= n):
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if mode == "strict":
+    if strict:
         if n < 68:
             raise ConstructionError(f"strict mode needs n >= 68, got {n}")
         bound = C * sqrt(n * log(n))
@@ -313,7 +302,7 @@ def pipeline(
             )
 
     if 3 * k >= 2 * n:
-        cert = explicit_certificate(n, k, mode, seed)
+        cert = explicit_certificate(n, k, seed)
         assert cert.certified, cert.report.summary()
         return cert
 
@@ -324,9 +313,9 @@ def pipeline(
     if 6 * k_round > 5 * n_round:
         raise ConstructionError(
             f"rounded k={k_round} exceeds 5/6 of rounded n={n_round}"
-            + ("" if mode == "best-effort" else " (strict chain broken)")
+            + (" (strict chain broken)" if strict else "")
         )
-    if mode == "strict" and n_round < 66:
+    if strict and n_round < 66:
         raise ConstructionError(f"rounded n={n_round} below 66; 5n/6 chain not guaranteed")
 
     target_h = 15
@@ -335,7 +324,7 @@ def pipeline(
         n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=target_h
     )
     if not cert.certified:
-        raise RetriesExhausted(replace(cert, n=n, k=k, mode=mode))
+        raise RetriesExhausted(cert)
     lineage = list(cert.lineage)
 
     # a step that spends no reserve keeps the set, so it is not swept again
@@ -350,16 +339,9 @@ def pipeline(
     slack = 2 * (n - n_round)
     if slack > h_left:
         raise ConstructionError(f"slack {slack} exceeds remaining reserve {h_left}")
-    if slack:
-        points, report = adjust_n(points, report, slack)
-    else:
-        report = replace(
-            report,
-            required_reserve=0,
-            passed=report.axis_max <= k and report.generic_max <= k,
-        )
+    points, report = adjust_n(points, report, slack)
     lineage.append(("adjust-n", {"from": n_round, "to": n, "slack": slack}))
     if not report.passed:
         raise ConstructionError(f"reserve chain broken after adjust-n: {report.summary()}")
     assert points.n == n and len(points) == k * n
-    return replace(cert, n=n, k=k, mode=mode, output=points, report=report, lineage=tuple(lineage))
+    return replace(cert, output=points, report=report, lineage=tuple(lineage))

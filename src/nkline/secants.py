@@ -29,20 +29,29 @@ from .grid import Direction, PointSet, _heaviest_line, line_points
 class VerificationReport:
     """Certificate for one verification run.
 
-    generic_max is the exact largest number of set points on one
+    Stores only what the sweep measured, and the bounds it was asked to
+    check: generic_max is the exact largest number of set points on one
     generic line, worst_line the first such line in (modulus, vx, vy)
-    order, and achieved_reserve = k - generic_max.  directions_swept
-    counts the directions the sweep visited before its stop.
+    order, axis_max the fullest row or column, and directions_swept the
+    directions the sweep visited before its stop.  achieved_reserve and
+    passed are derived, so a copy re-targeted with `replace` (a new k or
+    required_reserve) re-derives its verdict.
     """
 
     k: int
     required_reserve: int
     axis_max: int
     generic_max: int
-    achieved_reserve: int
     worst_line: Optional[tuple[Direction, int]]
     directions_swept: int
-    passed: bool = False
+
+    @property
+    def achieved_reserve(self) -> int:
+        return self.k - self.generic_max
+
+    @property
+    def passed(self) -> bool:
+        return self.axis_max <= self.k and self.generic_max <= self.k - self.required_reserve
 
     def summary(self) -> str:
         worst = (
@@ -92,10 +101,8 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         required_reserve=reserve,
         axis_max=axis_max,
         generic_max=generic_max,
-        achieved_reserve=k - generic_max,
         worst_line=worst,
         directions_swept=swept,
-        passed=axis_max <= k and generic_max <= k - reserve,
     )
 
 

@@ -104,6 +104,30 @@ def test_construct_retries_exhausted_exit_code(tmp_path):
     assert "retries exhausted" in (tmp_path / "hard.txt.report.txt").read_text()
 
 
+def test_construct_retries_exhausted_writes_the_sample_it_holds(tmp_path, capsys):
+    # reserve 15 is out of reach at k=120 on the 400-grid, so the best
+    # sample is a 120-factor on [1,400]^2 and the file must say so
+    out = tmp_path / "best.txt"
+    code = main(["construct", "--n", "403", "--k", "113", "--seed", "7", "--retries", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert out.read_text().splitlines()[1] == "n=400 k=120 reserve=unknown seed=7"
+    sidecar = (tmp_path / "best.txt.report.txt").read_text().splitlines()
+    assert sidecar[0] == "status: retries exhausted"
+    assert "achieved reserve: 0" in sidecar
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 0
+    assert "achieved_reserve=0 " in capsys.readouterr().out
+
+
+def test_verify_negative_reserve_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    assert main(["construct", "--n", "12", "--k", "9", "--mode", "explicit", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--reserve", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_roundtrip_exit_zero(tmp_path):
     out = tmp_path / "s.txt"
     assert main(["construct", "--n", "12", "--k", "9", "--mode", "explicit", "--out", str(out)]) == 0

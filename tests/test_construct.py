@@ -238,7 +238,7 @@ def test_adjust_n_rejects_odd_or_unearned_slack():
 def test_adjust_n_rejects_a_report_without_the_slack(desk_scale_run):
     cert, _ = desk_scale_run
     assert cert.report.passed and cert.report.achieved_reserve >= 4
-    short = replace(cert.report, achieved_reserve=3)
+    short = replace(cert.report, generic_max=cert.report.k - 3)
     with pytest.raises(ConstructionError, match="reserve 4"):
         adjust_n(cert.output, short, 4)
     over = replace(cert.report, axis_max=241)
@@ -362,10 +362,10 @@ def test_pipeline_retries_exhausted_carries_best_effort():
 
 def test_pipeline_strict_mode_checks():
     with pytest.raises(ConstructionError):
-        pipeline(50, 40, seed=0, mode="strict")
+        pipeline(50, 40, seed=0, strict=True)
     with pytest.raises(ConstructionError):
-        pipeline(68, 20, seed=0, mode="strict")  # below C*sqrt(n ln n)
-    cert = pipeline(68, 46, seed=0, mode="strict", C=1.0)
+        pipeline(68, 20, seed=0, strict=True)  # below C*sqrt(n ln n)
+    cert = pipeline(68, 46, seed=0, strict=True, C=1.0)
     assert cert.certified
 
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from dataclasses import replace
 from math import gcd, pi
 
 import pytest
@@ -131,7 +132,10 @@ def test_verify_matches_oracles_on_random_sets(n, data):
     assert rep.axis_max == max(s.row_counts() + s.col_counts())
     for k in range(n + 1):
         for h in range(k + 1):
-            assert verify(s, k, h).passed == (rep.axis_max <= k and expect <= k - h), (k, h)
+            passed = verify(s, k, h).passed
+            assert passed == (rep.axis_max <= k and expect <= k - h), (k, h)
+            # a re-targeted report re-derives its verdict
+            assert replace(rep, k=k, required_reserve=h).passed == passed, (k, h)
     if expect == 0:
         assert rep.worst_line is None
         return
