@@ -83,8 +83,12 @@ def cmd_construct(args) -> int:
     ]
     reserve = report.required_reserve if cert.certified else None
     out = Path(args.out)
-    out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
-    out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
+    try:
+        out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
+        out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(
         f"wrote {len(cert.output)} points to {out} ({lines[0]})",
         file=sys.stdout if cert.certified else sys.stderr,

@@ -140,8 +140,14 @@ class PointSet:
 
     def xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinate arrays (xs, ys), sorted by (x, y)."""
-        xs, ys = np.divmod(self._keys, self._n)
-        return xs + 1, ys + 1
+        # one floor-divide by a scalar, then y - 1 = key - (x - 1) * n, all
+        # in place: np.divmod is about 4x slower and each copy page-faults
+        xs = self._keys // self._n
+        ys = xs * -self._n
+        ys += self._keys
+        xs += 1
+        ys += 1
+        return xs, ys
 
     def __len__(self) -> int:
         return self._keys.size
@@ -181,8 +187,9 @@ class PointSet:
 
     def is_regular(self, r: int) -> bool:
         """Exactly r points in every row and every column."""
-        full = [r] * self._n
-        return len(self) == r * self._n and self.row_counts() == full and self.col_counts() == full
+        return len(self) == r * self._n and all(
+            (np.bincount(v, minlength=self._n + 1)[1:] == r).all() for v in self.xy()
+        )
 
 
 class FeasibilityMatrix:

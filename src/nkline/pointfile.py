@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -42,6 +43,7 @@ from .grid import MAX_SIDE, PointSet
 MAGIC = "nkline v1"
 
 _LF, _SP, _ZERO = 0x0A, 0x20, 0x30
+_WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(
@@ -63,14 +65,6 @@ class ParsedPointSet:
     seed: Optional[int]
 
 
-class _Names(dict):
-    """str(v) for each coordinate value v, made once on first use."""
-
-    def __missing__(self, v: int) -> str:
-        name = self[v] = str(v)
-        return name
-
-
 def serialize(
     points: PointSet,
     k: int,
@@ -79,17 +73,40 @@ def serialize(
 ) -> str:
     reserve_s = "unknown" if reserve is None else str(reserve)
     seed_s = "none" if seed is None else str(seed)
-    lines = [MAGIC, f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
+    header = f"{MAGIC}\nn={points.n} k={k} reserve={reserve_s} seed={seed_s}\n"
+    lead, padded = _group_words()
+    # each coordinate is `width` 3-digit groups, most significant first, one
+    # word each; a group's zeros lead only if no group above it is nonzero
+    width = (len(str(points.n)) + 2) // 3
     xs, ys = points.xy()
-    # one str per coordinate value used, and one join per run of equal x
-    names = _Names()
-    ys = ys.tolist()
-    starts = np.flatnonzero(np.diff(xs, prepend=0)).tolist()
-    for start, end in zip(starts, starts[1:] + [len(ys)]):
-        x = names[int(xs[start])] + " "
-        lines.append(x + ("\n" + x).join(map(names.__getitem__, ys[start:end])))
-    lines.append("")  # the trailing newline, without a copy of the text
-    return "\n".join(lines)
+    words = np.empty((len(points), 2, width), _WORD)
+    for column, high in enumerate((xs, ys)):
+        for g in range(width - 1, 0, -1):
+            part = high % 1000
+            high = high // 1000
+            words[:, column, g] = np.where(high > 0, padded[part], lead[part])
+        words[:, column, 0] = lead[high]
+    del xs, ys, high
+    words[:, :, -1] |= np.array([_SP << 24, _LF << 24], _WORD)
+    data = words.tobytes()
+    del words
+    # drops the leading zeros and the unused separator bytes
+    return header + data.translate(None, b"\0").decode("ascii")
+
+
+@cache
+def _group_words() -> tuple[np.ndarray, np.ndarray]:
+    """(lead, padded): for each v in [0, 1000), the word whose bytes 0-2
+    are v's three digits, most significant first, and whose byte 3 is
+    NUL.  `lead` writes leading zeros as NUL (lead[0] is all NUL);
+    `padded` keeps them."""
+    v = np.arange(1000)[:, None]
+    place = np.array([100, 10, 1])
+    digits = (v // place % 10 + _ZERO) << np.array([0, 8, 16])
+    lead = np.where(v < place, 0, digits).sum(axis=1).astype(_WORD)
+    padded = digits.sum(axis=1).astype(_WORD)
+    lead.flags.writeable = padded.flags.writeable = False
+    return lead, padded
 
 
 def parse(text: str) -> ParsedPointSet:

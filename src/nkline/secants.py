@@ -83,12 +83,15 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     # box, so no direction needs a pass for its minimum (an empty set
     # sweeps no direction)
     x0, x1, y1 = (int(xs[0]), int(xs[-1]), int(ys.max())) if len(points) else (0, 0, 0)
+    # two buffers for every direction: fresh set-sized arrays page-fault
+    c, tmp = np.empty_like(xs), np.empty_like(xs)
 
     def histogram(d: Direction) -> tuple[np.ndarray, int]:
         c0 = (d.vy * x0 if d.vy > 0 else d.vy * x1) - d.vx * y1
-        c = d.vy * xs
-        c -= d.vx * ys
-        c -= c0
+        np.multiply(xs, d.vy, out=c)
+        np.multiply(ys, d.vx, out=tmp)
+        np.subtract(c, tmp, out=c)
+        np.subtract(c, c0, out=c)
         return np.bincount(c), c0
 
     # a modulus-M line holds at most (n-1)//M + 1 grid points, and no

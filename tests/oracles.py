@@ -303,12 +303,14 @@ def row_bitsets_by_or_at(points):
 
 
 def serialize_by_points(points, k, reserve=None, seed=None):
-    """The nkline v1 text of a PointSet, one formatted line per point."""
+    """The nkline v1 text of a PointSet, one formatted line per point,
+    each key decoded by Python's divmod."""
     reserve_s = "unknown" if reserve is None else reserve
     seed_s = "none" if seed is None else seed
     lines = ["nkline v1", f"n={points.n} k={k} reserve={reserve_s} seed={seed_s}"]
-    for x, y in points.sorted_xy():
-        lines.append(f"{x} {y}")
+    for key in points.keys.tolist():
+        x, y = divmod(key, points.n)
+        lines.append(f"{x + 1} {y + 1}")
     return "\n".join(lines) + "\n"
 
 

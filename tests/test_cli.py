@@ -128,6 +128,14 @@ def test_verify_negative_reserve_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("out", ["missing/s.txt", "."])
+def test_construct_unwritable_out_is_usage_error(tmp_path, capsys, out):
+    path = tmp_path / out
+    code = main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_verify_roundtrip_exit_zero(tmp_path):
     out = tmp_path / "s.txt"
     assert main(["construct", "--n", "12", "--k", "9", "--mode", "explicit", "--out", str(out)]) == 0

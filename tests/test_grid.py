@@ -61,6 +61,50 @@ def test_pointset_sorted_xy_order():
     assert s.sorted_xy() == [(1, 2), (2, 1), (3, 1)]
 
 
+@given(
+    n=st.sampled_from([1, 2, 999, 1000, 1001, 999_999, 10**6, 10**6 + 1, MAX_SIDE])
+    | st.integers(1, MAX_SIDE),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_xy_matches_python_divmod(n, data):
+    top = n * n - 1
+    key = st.integers(0, top) | st.integers(max(0, top - 2 * n), top)
+    keys = sorted(data.draw(st.sets(key, max_size=20)) | {top})
+    xs, ys = PointSet(n, keys).xy()
+    assert (xs.dtype, ys.dtype) == (np.int64, np.int64)
+    expected = [divmod(key, n) for key in keys]
+    assert list(zip(xs.tolist(), ys.tolist())) == [(x + 1, y + 1) for x, y in expected]
+
+
+def _is_regular_by_lists(s, r):
+    full = [r] * s.n
+    return len(s) == r * s.n and s.row_counts() == full and s.col_counts() == full
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_is_regular_matches_list_rule_on_near_misses(data):
+    n = data.draw(st.integers(2, 12))
+    r = data.draw(st.integers(1, n - 1))
+    cells = {(x, (x + j) % n) for x in range(n) for j in range(r)}
+    # move one point along its column: the total stays, one row goes to
+    # r - 1 and another to r + 1
+    x = data.draw(st.integers(0, n - 1))
+    column = sorted(y for a, y in cells if a == x)
+    y = data.draw(st.sampled_from(column))
+    to = data.draw(st.sampled_from(sorted(set(range(n)) - set(column))))
+    moved = (cells - {(x, y)}) | {(x, to)}
+    transpose = data.draw(st.booleans())
+    for pts, regular in ((cells, True), (moved, False)):
+        if transpose:
+            pts = {(b, a) for a, b in pts}
+        s = PointSet.from_points(n, [(a + 1, b + 1) for a, b in pts])
+        assert s.is_regular(r) is regular
+        for rr in (r - 1, r, r + 1):
+            assert s.is_regular(rr) == _is_regular_by_lists(s, rr)
+
+
 def test_pointset_keys_are_sorted_unique_and_read_only():
     s = PointSet(4, [15, 0, 6, 0, 4])
     assert s.keys.tolist() == [0, 4, 6, 15]

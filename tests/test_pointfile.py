@@ -43,6 +43,10 @@ def _point_sets(draw):
     return PointSet.from_points(n, pts)
 
 
+def _corners(n):
+    return PointSet.from_points(n, [(1, 1), (1, n), (n, 1), (n, n)])
+
+
 @given(
     points=_point_sets(),
     k=st.integers(0, 50),
@@ -53,6 +57,14 @@ def _point_sets(draw):
 @example(points=PointSet.from_points(1, [(1, 1)]), k=1, reserve=0, seed=0)
 @example(points=PointSet.from_points(1, []), k=0, reserve=None, seed=3)
 @example(points=PointSet.from_points(5, [(5, 5), (5, 1), (1, 5)]), k=2, reserve=1, seed=None)
+# the corners of sides at and around each boundary of the 3-digit groups
+@example(points=_corners(999), k=2, reserve=0, seed=1)
+@example(points=_corners(1000), k=2, reserve=0, seed=1)
+@example(points=_corners(1001), k=2, reserve=0, seed=1)
+@example(points=_corners(999_999), k=2, reserve=0, seed=1)
+@example(points=_corners(10**6), k=2, reserve=0, seed=1)
+@example(points=_corners(10**6 + 1), k=2, reserve=0, seed=1)
+@example(points=_corners(MAX_SIDE), k=2, reserve=0, seed=1)
 @settings(max_examples=150, deadline=None)
 def test_serialize_matches_one_line_per_point_rendering(points, k, reserve, seed):
     assert serialize(points, k, reserve, seed) == serialize_by_points(points, k, reserve, seed)
@@ -234,6 +246,21 @@ def _outcome(reader, text):
 @settings(max_examples=400, deadline=None)
 def test_parse_agrees_with_line_by_line_oracle(text):
     assert _outcome(parse, text) == _outcome(parse_by_lines, text)
+
+
+def test_serialize_peak_memory_is_at_most_6_bytes_per_byte_of_text():
+    n, k = 400, 240
+    xs = np.repeat(np.arange(1, n + 1), k)
+    ys = (xs + np.tile(np.arange(k), n)) % n + 1
+    points = PointSet.from_xy(n, xs, ys)
+    tracemalloc.start()
+    try:
+        text = serialize(points, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.split("\n")) == 2 + k * n + 1
+    assert peak <= 6 * len(text)
 
 
 def test_parse_peak_memory_is_at_most_16_bytes_per_byte_of_text():
