@@ -150,7 +150,7 @@ def cmd_bounds(args) -> int:
             K=args.K,
             L=args.L,
         )
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(

@@ -321,6 +321,7 @@ def _heaviest_line(
     n: int,
     cap: Callable[[int], int],
     histogram: Callable[[Direction], tuple[np.ndarray, int]],
+    class_cap: Optional[Callable[[int], int]] = None,
 ) -> tuple[int, Optional[tuple[Direction, int]], int]:
     """Heaviest generic line of [1,n]^2 under a line weight, over the
     primitive directions walked in (modulus, vx, vy) order.
@@ -329,15 +330,19 @@ def _heaviest_line(
     the line of direction d with intercept c = vy*x - vx*y = c0 + i.
     `cap(M)` bounds the weight of every line of modulus M or more; the
     walk stops at the first class whose cap cannot beat the best weight
-    so far, so the result equals that of the full walk.  The witness is
-    the first direction to reach the maximum and, within it, the
-    smallest intercept.  Returns (best weight, witness (direction,
-    intercept) or None, number of directions swept).
+    so far.  `class_cap(M)`, when given, bounds the lines of modulus M
+    alone, and a class it cannot lift above the best is skipped.  Either
+    way the result equals that of the full walk.  The witness is the
+    first direction to reach the maximum and, within it, the smallest
+    intercept.  Returns (best weight, witness (direction, intercept) or
+    None, number of directions swept, one histogram each).
     """
     best, witness, swept = 0, None, 0
     for M in range(1, n):
         if cap(M) <= best:
             break
+        if class_cap is not None and class_cap(M) <= best:
+            continue
         for d in _directions_of_modulus(M):
             weights, c0 = histogram(d)
             top = int(np.argmax(weights))

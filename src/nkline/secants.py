@@ -33,7 +33,8 @@ class VerificationReport:
     check: generic_max is the exact largest number of set points on one
     generic line, worst_line the first such line in (modulus, vx, vy)
     order, axis_max the fullest row or column, and directions_swept the
-    directions the sweep visited before its stop.  achieved_reserve and
+    directions the sweep made an intercept histogram for (classes its
+    caps rule out are not counted).  achieved_reserve and
     passed are derived, so a copy re-targeted with `replace` (a new k or
     required_reserve) re-derives its verdict.
     """
@@ -77,12 +78,16 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         raise ValueError("reserve must be >= 0")
     n = points.n
     xs, ys = points.xy()
-    axis_max = int(max(np.bincount(xs).max(), np.bincount(ys).max())) if len(points) else 0
+    cols, rows = np.bincount(xs, minlength=1), np.bincount(ys, minlength=1)
+    axis_max = int(max(cols.max(), rows.max()))
+    ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
 
     # intercepts are offset by the lowest one over the set's bounding
     # box, so no direction needs a pass for its minimum (an empty set
     # sweeps no direction)
-    x0, x1, y1 = (int(xs[0]), int(xs[-1]), int(ys.max())) if len(points) else (0, 0, 0)
+    x0, x1 = (int(ux[0]), int(ux[-1])) if len(points) else (0, 0)
+    y0, y1 = (int(uy[0]), int(uy[-1])) if len(points) else (0, 0)
+    span = max(x1 - x0, y1 - y0)
     # two buffers for every direction: fresh set-sized arrays page-fault
     c, tmp = np.empty_like(xs), np.empty_like(xs)
 
@@ -94,10 +99,19 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         np.subtract(c, c0, out=c)
         return np.bincount(c), c0
 
-    # a modulus-M line holds at most (n-1)//M + 1 grid points, and no
-    # line holds more points than the set
+    def residue_cap(M: int) -> int:
+        return int(max(np.bincount(ux % M).max(), np.bincount(uy % M).max()))
+
+    # a generic line meets each row and column at most once; a modulus-M
+    # line steps x or y by M, so it holds at most span//M + 1 points of
+    # the bounding box, in occupied columns or rows of one residue mod M.
+    # On a set that fills every row or column the residue cap is never
+    # below (n-1)//M + 1, so it is tried only on sets that miss both.
     generic_max, worst, swept = _heaviest_line(
-        n, lambda M: min(len(points), (n - 1) // M + 1), histogram
+        n,
+        lambda M: min(len(ux), len(uy), span // M + 1),
+        histogram,
+        residue_cap if len(ux) < n and len(uy) < n else None,
     )
     return VerificationReport(
         k=k,
@@ -130,6 +144,8 @@ def census(n: int, j: int) -> CensusRow:
     the number of its lines with >= j points is N_j - N_{j+1}.  Both
     sign classes contribute equally.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if j < 2:
         raise ValueError(f"j must be >= 2, got {j}")
     cutoff = (n - 1) // (j - 1)

@@ -142,6 +142,41 @@ def heaviest_line_by_scan(matrix, vx, vy):
     return Fraction(w, q), -neg_c
 
 
+def scan_max_expected_load(matrix):
+    """(load, (vx, vy, c) or None) of the heaviest generic secant of
+    [1,n]^2, the first in (modulus, vx, vy, c) order on ties: each
+    direction's intercepts are scanned over all n^2 grid points, as
+    `heaviest_line_by_scan` does, walking the directions by modulus M
+    until a line of M or more, at most (n-1)//M + 1 grid points of the
+    largest entry, cannot beat the heaviest found.  O(n^2) per direction
+    where `brute_max_expected_load` is O(n^4) in all."""
+    n, q = matrix.n, matrix.block_side
+    entries = np.asarray(matrix.entries, dtype=np.int64)
+    x, y = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+    x, y = x.ravel(), y.ravel()
+    point_weight = entries[(x - 1) // q, (y - 1) // q]
+    top = int(entries.max())
+    best, witness = 0, None
+    for M in range(1, n):
+        if top * ((n - 1) // M + 1) <= best:
+            break
+        dirs = sorted(
+            (vx, vy)
+            for vx in range(1, M + 1)
+            for vy in range(-M, M + 1)
+            if vy != 0 and max(vx, abs(vy)) == M and gcd(vx, abs(vy)) == 1
+        )
+        for vx, vy in dirs:
+            c = vy * x - vx * y
+            c0 = int(c.min())
+            weight = np.bincount(c - c0, weights=point_weight).astype(np.int64)
+            weight[np.bincount(c - c0) < 2] = 0
+            at = int(np.argmax(weight))
+            if weight[at] > best:
+                best, witness = int(weight[at]), (vx, vy, c0 + at)
+    return Fraction(best, q), witness
+
+
 def grid_line_sizes(n):
     """Sizes of all generic secants of the full grid [1,n]^2, via pair
     enumeration over grid points."""

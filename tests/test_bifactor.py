@@ -198,6 +198,62 @@ def test_split_marks_exactly_the_smallest_keys_under_ties():
     assert sorted(keys[1][to_a[1]]) == [0.0, 0.25]
 
 
+def _blocks_sha256(blocks):
+    return hashlib.sha256(str(blocks.shape).encode() + blocks.tobytes()).hexdigest()
+
+
+# sha256 of the (B, q, q) bool bytes of sample_blocks at odd q, where one
+# row sits out every round, with empty, 1-regular, mid and full blocks
+GOLDEN_ODD_BLOCKS = {
+    (7, None): "854e6b1798bf1165147bdaf02985552c0061aa34514fbe3f264aec4ee5bbe373",
+    (7, 3): "e839c420f40f545e00e4eb961e2a40532e5e596ab2f63e051ba6427b445b1217",
+    (13, None): "432dc434469714bbefd0c3cdf65b49564d56468073861e6e7e1e0e79b11ae392",
+    (13, 5): "bc125bcc2d66cdd9a6e25da3d9e7517e2d019a82127a7ae050b4a962338668da",
+}
+
+
+@pytest.mark.parametrize("q, rounds", sorted(GOLDEN_ODD_BLOCKS, key=str))
+def test_sample_blocks_golden_bytes_at_odd_q(q, rounds):
+    rs = [0, 1, q // 2, q, 1, q // 2]
+    seeds = [derive_seed(808, q, b) for b in range(len(rs))]
+    blocks = sample_blocks(q, rs, seeds, rounds)
+    assert _blocks_sha256(blocks) == GOLDEN_ODD_BLOCKS[q, rounds]
+
+
+class _QuarterKeys:
+    """A generator whose random(out=) keys are multiples of 1/4, so the
+    split thresholds of a round are often tied."""
+
+    default_rng = np.random.default_rng
+
+    def __init__(self, seed):
+        self._rng = _QuarterKeys.default_rng(seed)
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def random(self, out):
+        out[...] = self._rng.integers(0, 4, out.shape) / 4
+
+
+# sha256 of sample_blocks(q, rs, seeds) under _QuarterKeys, as above
+GOLDEN_TIED_BLOCKS = {
+    8: "92a1ce5abe27be641c000fa97dfb33661156c64bc3635d95b845af11eae9e2e9",
+    13: "0c6d1aa8d19eea0d456171e6209da7fa721a765c1bbd0cb293a09aa41d26055e",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_TIED_BLOCKS))
+def test_sample_blocks_golden_bytes_under_tied_keys(q):
+    rs = [1, 2, q // 2, q - 1, 0]
+    seeds = [derive_seed(909, q, b) for b in range(len(rs))]
+    with mock.patch.object(np.random, "default_rng", _QuarterKeys):
+        blocks = sample_blocks(q, rs, seeds)
+    for block, r in zip(blocks, rs):
+        assert (block.sum(axis=0) == r).all() and (block.sum(axis=1) == r).all()
+    assert _blocks_sha256(blocks) == GOLDEN_TIED_BLOCKS[q]
+
+
 @pytest.mark.parametrize("m, r", [(4, 2), (5, 1)])
 def test_sampler_matches_uniform_on_enumerated_factors(m, r):
     # about 30 samples per factor; chi-square against uniform over the

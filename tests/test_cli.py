@@ -223,6 +223,11 @@ def test_stats_usage_error_for_small_j(capsys):
     assert main(["stats", "--n", "3", "--j", "1"]) == 1
 
 
+def test_stats_ratio_on_an_empty_grid_is_usage_error(capsys):
+    assert main(["stats", "--n", "0", "--j", "2", "--ratio"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_stats_kappa_bound(capsys):
     assert main(["stats", "--n", "10", "--kappa", "10"]) == 0
     assert "10.00" in capsys.readouterr().out
@@ -238,6 +243,11 @@ def test_bounds_report(capsys):
 
 def test_bounds_rejects_bad_parameters(capsys):
     assert main(["bounds", "--n", "100", "--p", "1.5"]) == 1
+
+
+def test_bounds_zero_denominator_delta_is_usage_error(capsys):
+    assert main(["bounds", "--n", "100", "--delta", "2/0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_command_is_usage_error():

@@ -21,7 +21,12 @@ from nkline.grid import (
     max_expected_load,
 )
 
-from oracles import brute_max_expected_load, expected_load_by_scan, heaviest_line_by_scan
+from oracles import (
+    brute_max_expected_load,
+    expected_load_by_scan,
+    heaviest_line_by_scan,
+    scan_max_expected_load,
+)
 
 
 def test_gridspec_rejects_nonpositive():
@@ -375,6 +380,31 @@ def wide_block_matrices(draw):
 @example(FeasibilityMatrix(6, 4, [[(i + 2 * j) % 5 for j in range(6)] for i in range(6)]))
 def test_max_expected_load_matches_bruteforce_on_block_matrices(mat):
     assert max_expected_load(mat) == brute_max_expected_load(mat)
+
+
+@st.composite
+def wider_block_matrices(draw):
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 12))
+    entry = st.integers(0, q)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    return FeasibilityMatrix(m, q, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wider_block_matrices())
+@example(FeasibilityMatrix(6, 12, [[(5 * i + 7 * j) % 13 for j in range(6)] for i in range(6)]))
+@example(FeasibilityMatrix(6, 12, [[12 * ((i + j) % 2) for j in range(6)] for i in range(6)]))
+@example(FeasibilityMatrix(4, 12, [[3, 4, 3, 2], [4, 2, 4, 2], [3, 4, 3, 2], [2, 2, 2, 12]]))
+# the heaviest line, (1,1)-(2,3), reaches the modulus-2 cap exactly
+@example(FeasibilityMatrix(3, 1, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]))
+def test_max_expected_load_matches_scan_oracle_up_to_n_72(mat):
+    load, line = max_expected_load(mat, with_witness=True)
+    want, witness = scan_max_expected_load(mat)
+    assert load == want
+    assert (line and (line[0].vx, line[0].vy, line[1])) == witness
+    if mat.n <= 24:
+        assert load == brute_max_expected_load(mat)
 
 
 def test_slope_one_load_piecewise_linear():

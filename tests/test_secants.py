@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nkline.grid import Direction, PointSet, _directions_of_modulus
 from nkline.secants import census, count_on_line, richness_bound, verify
 
-from oracles import brute_generic_max, census_by_pairs, grid_line_sizes
+from oracles import brute_generic_max, census_by_pairs, generic_line_sizes, grid_line_sizes
 
 
 def _rich_directions(n, t):
@@ -188,6 +188,75 @@ def test_verify_sparse_corner_of_a_huge_grid_stays_small():
     assert rep.directions_swept == 2
     assert rep.worst_line == (Direction(1, 1), 0)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "pts, swept",
+    [
+        # two occupied rows: no generic line holds 3 of the points, so
+        # the sweep ends after the 2 directions of modulus 1
+        ([(1, 1), (2, 2), (1000, 1)], 2),
+        # 4 rows and 4 columns, but 3 occupied columns share a residue
+        # mod M only for M = 2, 3; every other class is skipped
+        ([(1, 1), (2, 2), (4, 3), (1000, 5)], 2 + 4 + 8),
+    ],
+)
+def test_verify_sparse_set_without_a_rich_short_line_stops_early(pts, swept):
+    rep = verify(PointSet.from_points(1000, pts), 3, 0)
+    assert rep.generic_max == brute_generic_max(pts)[0] == 2
+    assert rep.worst_line == (Direction(1, 1), 0)
+    assert rep.directions_swept == swept
+
+
+def _sparse_or_clustered(rng, n):
+    """Up to 80 points of [1,n]^2: uniform, in one small box, on a few
+    rows and columns, or in a few tight clusters."""
+    size = rng.randint(1, 80)
+    kind = rng.randrange(4)
+    if kind == 0:
+        draw = lambda: (rng.randint(1, n), rng.randint(1, n))
+    elif kind == 1:
+        w = rng.randint(1, max(1, n // 4))
+        x0, y0 = rng.randint(1, n - w + 1), rng.randint(1, n - w + 1)
+        draw = lambda: (rng.randint(x0, x0 + w - 1), rng.randint(y0, y0 + w - 1))
+    elif kind == 2:
+        xs = [rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+        ys = [rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+        draw = lambda: rng.choice(
+            [(rng.choice(xs), rng.randint(1, n)), (rng.randint(1, n), rng.choice(ys))]
+        )
+    else:
+        centres = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(1, 3))]
+        step = rng.choice([1, 2, 3])
+
+        def draw():
+            cx, cy = rng.choice(centres)
+            x, y = cx + step * rng.randint(-3, 3), cy + step * rng.randint(-3, 3)
+            return min(max(x, 1), n), min(max(y, 1), n)
+
+    return {draw() for _ in range(size)}
+
+
+def test_verify_matches_oracles_on_sparse_and_clustered_sets():
+    rng = random.Random(2024)
+    for trial in range(400):
+        n = rng.randint(2, 119)
+        pts = _sparse_or_clustered(rng, n)
+        s = PointSet.from_points(n, pts)
+        rep = verify(s, n, 0)
+        expect = _expected_generic_max(n, pts)
+        assert rep.generic_max == expect, (n, sorted(pts))
+        assert rep.axis_max == max(s.row_counts() + s.col_counts())
+        if expect < 2:
+            continue
+        # the witness is the first line of expect points in (modulus, vx,
+        # vy, intercept) order
+        sizes = generic_line_sizes(pts)
+        first = min(
+            (max(vx, abs(vy)), vx, vy, c) for (vx, vy, c), size in sizes.items() if size == expect
+        )
+        d, c = rep.worst_line
+        assert (d.vx, d.vy, c) == first[1:], (n, sorted(pts))
 
 
 @given(
