@@ -9,7 +9,7 @@ k threshold reproduce its exact algebraic value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, inf, log, sqrt
 from typing import Optional
 
 
@@ -144,8 +144,8 @@ def feasible_k_range(
     selects the profile and does not move the interval."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
     lo = ceil(C * sqrt(n * log(n)))

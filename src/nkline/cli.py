@@ -150,6 +150,9 @@ def cmd_bounds(args) -> int:
             K=args.K,
             L=args.L,
         )
+        coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
+        rng = bounds_mod.feasible_k_range(args.n, args.C, args.m)
+        n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C, args.m)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -161,14 +164,11 @@ def cmd_bounds(args) -> int:
     print(f"load_margin  = {prof.load_margin:.6f}")
     print(f"k_min        = {prof.k_min:.6f}")
     print(f"kappa_min    = {prof.kappa_min:.6f}")
-    coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
     print(f"growth coefficient of k_min: {coeff:.6f} * sqrt(n ln n)")
-    rng = bounds_mod.feasible_k_range(args.n, args.C, args.m)
     if rng is None:
         print(f"feasible k range for C={args.C}: empty")
     else:
         print(f"feasible k range for C={args.C}: [{rng[0]}, {rng[1]}]")
-        n0 = bounds_mod.smallest_feasible_n(args.C, args.m)
         print(f"smallest n with nonempty range at this C: {n0}")
     return EXIT_OK
 

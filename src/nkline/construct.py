@@ -176,12 +176,36 @@ def biuniform_construct(
     )
 
 
-def _factorization_of(points: PointSet, k: int):
+def _spend(points: PointSet, k: int, drop: int, grow: int) -> PointSet:
+    """Spend drop + grow 1-factors of a k-factor on [1,n]^2 in one step.
+
+    After one degree audit, drop + grow perfect matchings are taken from
+    one `iter_matchings` generator.  The first `drop` are erased; then
+    the i-th of the next `grow` moves its k - drop cells (x, y) of
+    smallest x to (n+i, y) and (x, n+i).  The result, a (k - drop)-factor
+    of [1, n + grow]^2, is read off one side^2 bool grid in key order.
+    Extraction depends only on the rows left, so this equals dropping
+    first and growing the survivor after, byte for byte.
+    """
     try:
         factor = BipartiteFactor(k, points)
     except ValueError as exc:
         raise ConstructionError(f"point set is not a {k}-factor per row/column: {exc}") from None
-    return iter_matchings(factor)
+    n, k_new, side = points.n, k - drop, points.n + grow
+    # ys[t, a-1] + 1 is the column of row a in the t-th matching
+    ys = np.array(tuple(islice(iter_matchings(factor), drop + grow)), dtype=np.int64)
+    ys = ys.reshape(drop + grow, n) - 1
+    # old key (x-1)*n + (y-1) moves to (x-1)*side + (y-1)
+    cells = np.zeros(side * side, dtype=bool)
+    cells[points.keys + points.keys // n * grow] = True
+    rows = np.arange(n) * side
+    cells[rows + ys[:drop]] = False
+    donors, donated = rows[:k_new], ys[drop:, :k_new]
+    new = n + np.arange(grow)[:, None]
+    cells[donors + donated] = False
+    cells[new * side + donated] = True
+    cells[donors + new] = True
+    return PointSet(side, np.flatnonzero(cells))
 
 
 def adjust_k(
@@ -191,9 +215,9 @@ def adjust_k(
     reserve: int,
 ) -> tuple[PointSet, VerificationReport]:
     """Shrink a k-factor with verified reserve `reserve` to a
-    k_new-factor by removing the first k - k_new extracted 1-factors;
-    the survivor keeps reserve reserve - (k - k_new).  Only those
-    k - k_new 1-factors are extracted, not all k.
+    k_new-factor by removing the first k - k_new extracted 1-factors
+    (`_spend` with nothing grown); the survivor keeps reserve
+    reserve - (k - k_new).
 
     Returns the new set together with its re-verification report (the
     report can only fail if the claimed input reserve was wrong).
@@ -205,17 +229,8 @@ def adjust_k(
         raise ConstructionError(
             f"reserve {reserve} insufficient to drop {drop} factors"
         )
-    if drop == 0:
-        return points, verify(points, k, reserve)
-    n = points.n
-    matchings = np.array(tuple(islice(_factorization_of(points, k), drop)), dtype=np.int64)
-    # cell (a, b) of a matching has key (a-1)*n + (b-1); drop the cells
-    # by their positions in the sorted keys, so the survivors stay sorted
-    keep = np.ones(len(points), dtype=bool)
-    keep[np.searchsorted(points.keys, (np.arange(n) * n + matchings - 1).ravel())] = False
-    out = PointSet(n, points.keys[keep])
-    report = verify(out, k_new, reserve - drop)
-    return out, report
+    out = _spend(points, k, drop, 0)
+    return out, verify(out, k_new, reserve - drop)
 
 
 def adjust_n(
@@ -224,52 +239,32 @@ def adjust_n(
     slack: int,
 ) -> tuple[PointSet, VerificationReport]:
     """Grow the grid by slack/2 rows and columns, spending an even
-    generic-line slack (verified reserve) of the input k-factor.
+    generic-line slack (verified reserve) of the input k-factor
+    (`_spend` with nothing dropped).  The result is a k-factor of
+    [1, n + slack/2]^2.
 
     `report` is the passing verification report of `points`, and its k
     is the degree of the factor.  The report is trusted, not recomputed:
     its `axis_max` must be at most k and its `achieved_reserve` at least
-    `slack`.  The degrees are still audited (`BipartiteFactor`), and the
-    output is verified at reserve 0; that report is the certificate, so
-    a wrong input report can make the output fail, never pass unchecked.
-    With slack 0 the set is unchanged and not swept again: the input
-    report comes back re-targeted to reserve 0.
-
-    For each new index i, the i-th extracted 1-factor donates its k
-    cells of smallest x: those cells are erased and re-emitted as a full
-    new column (n+i, y) and a full new row (x, n+i).  Only these slack/2
-    1-factors are extracted, not all k.  The result is a k-factor of
-    [1, n + slack/2]^2.
+    `slack`.  The degrees are still audited, and the output is verified
+    at reserve 0; that report is the certificate, so a wrong input
+    report can make the output fail, never pass unchecked.  With slack 0
+    the set is unchanged and not swept again: the input report comes
+    back re-targeted to reserve 0.
     """
     k = report.k
     if slack < 0 or slack % 2 != 0:
         raise ConstructionError(f"slack must be even and >= 0, got {slack}")
-    n = points.n
     if report.axis_max > k or report.achieved_reserve < slack:
         raise ConstructionError(
             f"input does not have reserve {slack}: {report.summary()}"
         )
-    if k > n:
+    if k > points.n:
         raise ConstructionError("k may not exceed n")
     if slack == 0:
         return points, replace(report, required_reserve=0)
-    grow = slack // 2
-    matchings = islice(_factorization_of(points, k), grow)
-    side = n + grow
-    # the output marked on one side x side grid, whose flat nonzero
-    # indices are its keys in sorted order; old key (x-1)*n + (y-1)
-    # moves to (x-1)*side + (y-1)
-    cells = np.zeros(side * side, dtype=bool)
-    cells[points.keys + points.keys // n * grow] = True
-    donors = np.arange(k) * side
-    for i, matching in enumerate(matchings, start=1):
-        ys = np.asarray(matching[:k], dtype=np.int64) - 1
-        cells[donors + ys] = False
-        cells[(n + i - 1) * side + ys] = True
-        cells[donors + n + i - 1] = True
-    out = PointSet(side, np.flatnonzero(cells))
-    report = verify(out, k, 0)
-    return out, report
+    out = _spend(points, k, 0, slack // 2)
+    return out, verify(out, k, 0)
 
 
 def pipeline(
@@ -285,8 +280,9 @@ def pipeline(
 
     Large k (k >= 2n/3) routes to the explicit construction.  Otherwise
     n and k are rounded to multiples of 4 and 10, the bi-uniform
-    construction runs at target reserve 15, and the reserve is spent
-    shrinking k back and growing n back.  strict additionally enforces
+    construction runs at target reserve 15, and the reserve is spent in
+    one step (`_spend`) shrinking k back and growing n back; the output
+    is swept once at reserve 0.  strict additionally enforces
     n >= 68 and C*sqrt(n ln n) <= k (the checkable hypotheses of the
     regime where success is guaranteed asymptotically).
     """
@@ -325,23 +321,21 @@ def pipeline(
     )
     if not cert.certified:
         raise RetriesExhausted(cert)
-    lineage = list(cert.lineage)
 
-    # a step that spends no reserve keeps the set, so it is not swept again
-    h_left = target_h - (k_round - k)
-    points, report = cert.output, cert.report
-    if k_round != k:
-        points, report = adjust_k(points, k_round, k, target_h)
-    lineage.append(("adjust-k", {"from": k_round, "to": k, "reserve_left": h_left}))
+    drop, grow = k_round - k, n - n_round
+    h_left = target_h - drop
+    assert 2 * grow <= h_left  # drop <= 9 and grow <= 3
+    lineage = cert.lineage + (
+        ("adjust-k", {"from": k_round, "to": k, "reserve_left": h_left}),
+        ("adjust-n", {"from": n_round, "to": n, "slack": 2 * grow}),
+    )
+    if drop or grow:
+        points = _spend(cert.output, k_round, drop, grow)
+        report = verify(points, k, 0)
+    else:
+        # nothing spent: the retry's sweep answers for the set at reserve 0
+        points, report = cert.output, replace(cert.report, required_reserve=0)
     if not report.passed:
-        raise ConstructionError(f"reserve chain broken after adjust-k: {report.summary()}")
-
-    slack = 2 * (n - n_round)
-    if slack > h_left:
-        raise ConstructionError(f"slack {slack} exceeds remaining reserve {h_left}")
-    points, report = adjust_n(points, report, slack)
-    lineage.append(("adjust-n", {"from": n_round, "to": n, "slack": slack}))
-    if not report.passed:
-        raise ConstructionError(f"reserve chain broken after adjust-n: {report.summary()}")
+        raise ConstructionError(f"reserve chain broken: {report.summary()}")
     assert points.n == n and len(points) == k * n
-    return replace(cert, output=points, report=report, lineage=tuple(lineage))
+    return replace(cert, output=points, report=report, lineage=lineage)

@@ -242,6 +242,24 @@ class FeasibilityMatrix:
         return f"FeasibilityMatrix(m={self.m}, block_side={self.block_side}, entries={self.entries})"
 
 
+def _scaled_matrix(n: int, k: int, pattern: list[list[int]]) -> FeasibilityMatrix:
+    """The m x m matrix (k/10) * pattern on blocks of side n/m.
+
+    Requires m | n, 10 | k, k >= 0 and every entry at most the block
+    side n/m.
+    """
+    m = len(pattern)
+    if n % m != 0:
+        raise ValueError(f"n={n} must be divisible by {m}")
+    if k % 10 != 0 or k < 0:
+        raise ValueError(f"k={k} must be a nonnegative multiple of 10")
+    u, q = k // 10, n // m
+    top = u * max(map(max, pattern))
+    if top > q:
+        raise ValueError(f"k={k} exceeds 5n/6={Fraction(5 * n, 6)}: entry {top} > block side {q}")
+    return FeasibilityMatrix(m, q, [[u * v for v in row] for row in pattern])
+
+
 def feasibility_matrix_4x4(n: int, k: int) -> FeasibilityMatrix:
     """The 4x4 matrix with 2k/10 on the two block diagonals and 3k/10
     elsewhere.  Every row and column sums to k.
@@ -249,20 +267,7 @@ def feasibility_matrix_4x4(n: int, k: int) -> FeasibilityMatrix:
     Requires 4 | n, 10 | k and k <= 5n/6 (else the off-diagonal entry
     3k/10 would exceed the block side n/4).
     """
-    if n % 4 != 0:
-        raise ValueError(f"n={n} must be divisible by 4")
-    if k % 10 != 0 or k < 0:
-        raise ValueError(f"k={k} must be a nonnegative multiple of 10")
-    sparse = 2 * k // 10
-    dense = 3 * k // 10
-    q = n // 4
-    if dense > q:
-        raise ValueError(f"k={k} exceeds 5n/6={Fraction(5 * n, 6)}: entry {dense} > block side {q}")
-    entries = [
-        [sparse if (i == j or i + j == 5) else dense for j in range(1, 5)]
-        for i in range(1, 5)
-    ]
-    return FeasibilityMatrix(4, q, entries)
+    return _scaled_matrix(n, k, [[2, 3, 3, 2], [3, 2, 2, 3], [3, 2, 2, 3], [2, 3, 3, 2]])
 
 
 def feasibility_matrix_3x3(n: int, k: int) -> FeasibilityMatrix:
@@ -270,16 +275,7 @@ def feasibility_matrix_3x3(n: int, k: int) -> FeasibilityMatrix:
 
     Requires 3 | n, 10 | k and k <= 5n/6 (entry 4k/10 <= n/3).
     """
-    if n % 3 != 0:
-        raise ValueError(f"n={n} must be divisible by 3")
-    if k % 10 != 0 or k < 0:
-        raise ValueError(f"k={k} must be a nonnegative multiple of 10")
-    u = k // 10
-    q = n // 3
-    if 4 * u > q:
-        raise ValueError(f"k={k} exceeds 5n/6={Fraction(5 * n, 6)}: entry {4 * u} > block side {q}")
-    pattern = [[3, 4, 3], [4, 2, 4], [3, 4, 3]]
-    return FeasibilityMatrix(3, q, [[u * v for v in row] for row in pattern])
+    return _scaled_matrix(n, k, [[3, 4, 3], [4, 2, 4], [3, 4, 3]])
 
 
 def expected_load(

@@ -163,6 +163,10 @@ def census(n: int, j: int) -> CensusRow:
 def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:
     """Upper-bound profile L * n^4 / kappa^3 for the number of generic
     secants holding more than kappa grid points."""
-    if kappa <= 0:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if not L > 0:
+        raise ValueError("L must be positive")
     return L * n**4 / kappa**3

@@ -250,5 +250,19 @@ def test_bounds_zero_denominator_delta_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("C", ["0", "nan"])
+def test_bounds_bad_C_is_one_error_line_and_no_output(C, capsys):
+    assert main(["bounds", "--n", "100", "--C", C]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stats_kappa_bound_rejects_nonpositive_n(capsys):
+    assert main(["stats", "--n", "-5", "--kappa", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == 1

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkline import bifactor, construct
 from nkline.bifactor import sample_r_factor
@@ -273,6 +275,52 @@ def test_adjust_n_row_col_exactness_small(desk_scale_run):
     assert len(out) == 240 * 402
 
 
+def _permuted_circulant(m, r, seed):
+    """The circulant r-factor on [1,m]^2 under random row and column
+    permutations."""
+    rng = np.random.default_rng(seed)
+    mask = bifactor._circulant(m, r)[rng.permutation(m)][:, rng.permutation(m)]
+    return PointSet(m, np.flatnonzero(mask))
+
+
+@st.composite
+def _spends(draw):
+    m = draw(st.integers(1, 16))
+    r = draw(st.integers(0, m))
+    drop = draw(st.integers(0, r))
+    return m, r, drop, draw(st.integers(0, r - drop))
+
+
+@given(spend=_spends(), circulant=st.booleans(), seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_spend_in_one_step_equals_drop_then_grow(spend, circulant, seed):
+    m, r, drop, grow = spend
+    f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
+    once = construct._spend(f, r, drop, grow)
+    assert once == construct._spend(construct._spend(f, r, drop, 0), r - drop, 0, grow)
+    assert once.n == m + grow and once.is_regular(r - drop)
+
+
+def test_pipeline_spends_from_one_audit_and_one_bitset_build(monkeypatch, extractions):
+    builds, audits = [], []
+    row_bitsets = bifactor._row_bitsets
+    audit = bifactor.BipartiteFactor.__post_init__
+
+    def counting_builds(points):
+        builds.append(points.n)
+        return row_bitsets(points)
+
+    def counting_audits(self):
+        audits.append(self.r)
+        audit(self)
+
+    monkeypatch.setattr(bifactor, "_row_bitsets", counting_builds)
+    monkeypatch.setattr(bifactor.BipartiteFactor, "__post_init__", counting_audits)
+    cert = pipeline(403, 233, seed=11)
+    assert cert.certified
+    assert builds == [400] and audits == [240] and len(extractions) == 10
+
+
 def test_pipeline_explicit_route_68_46():
     cert = pipeline(68, 46, seed=0)
     assert cert.certified
@@ -304,9 +352,9 @@ def test_pipeline_randomized_route_end_to_end():
     assert cert.output.is_regular(233)
 
 
-def test_pipeline_verifies_three_times(monkeypatch):
-    # one retry, then the outputs of adjust_k and adjust_n; adjust_n
-    # takes the report of adjust_k instead of sweeping its input again
+def test_pipeline_verifies_twice(monkeypatch):
+    # one retry, then the output of the one-step spend; the 233 x 400
+    # set between the two adjustments is never built, so never swept
     calls = []
 
     def counting(points, k, reserve=0):
@@ -316,7 +364,7 @@ def test_pipeline_verifies_three_times(monkeypatch):
     monkeypatch.setattr(construct, "verify", counting)
     cert = pipeline(403, 233, seed=11)
     assert cert.certified
-    assert calls == [(400, 240, 15), (400, 233, 8), (403, 233, 0)]
+    assert calls == [(400, 240, 15), (403, 233, 0)]
 
 
 def _count_verify_calls(monkeypatch, n, k):
@@ -344,7 +392,7 @@ def test_pipeline_verifies_once_when_n_and_k_are_round(monkeypatch):
 
 def test_pipeline_verifies_twice_when_only_n_is_round(monkeypatch):
     cert, calls = _count_verify_calls(monkeypatch, 400, 233)
-    assert calls == [(400, 240, 15), (400, 233, 8)]
+    assert calls == [(400, 240, 15), (400, 233, 0)]
     assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
     assert cert.report == verify(cert.output, 233, 0)
 

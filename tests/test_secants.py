@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from math import gcd, pi
+from math import gcd, nan, pi
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +337,14 @@ def test_richness_bound_values():
 def test_richness_bound_rejects_nonpositive_kappa():
     with pytest.raises(ValueError):
         richness_bound(10, 0)
+
+
+@pytest.mark.parametrize(
+    "n, kappa, L", [(0, 2, 1), (-5, 2, 1), (10, 2, 0), (10, 2, -1), (10, 2, nan), (10, nan, 1)]
+)
+def test_richness_bound_rejects_empty_grid_and_nonpositive_parameters(n, kappa, L):
+    with pytest.raises(ValueError):
+        richness_bound(n, kappa, L)
 
 
 def test_census_below_richness_bound():
