@@ -21,11 +21,10 @@ from .construct import (
     ConstructionCertificate,
     ConstructionError,
     RetriesExhausted,
-    adjust_k,
-    adjust_n,
     biuniform_construct,
     explicit_construct,
     pipeline,
+    spend,
 )
 from .grid import (
     Direction,
@@ -62,8 +61,6 @@ __all__ = [
     "PointSet",
     "RetriesExhausted",
     "VerificationReport",
-    "adjust_k",
-    "adjust_n",
     "biuniform_construct",
     "census",
     "compute_profile",
@@ -87,5 +84,6 @@ __all__ = [
     "sample_r_factor",
     "serialize",
     "smallest_feasible_n",
+    "spend",
     "verify",
 ]

@@ -69,8 +69,8 @@ def compute_profile(
         raise ValueError(f"m must be >= 2, got {m}")
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
-    if K <= 0 or L <= 0:
-        raise ValueError("K and L must be positive")
+    if not (0 < K < inf and 0 < L < inf):
+        raise ValueError(f"K and L must be positive and finite, got K={K}, L={L}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     b = 2 * m - 1

@@ -1,6 +1,6 @@
 """Point-set constructions: the explicit large-k complement, the
-bi-uniform randomized construction, reserve-consuming adjustments of k
-and n, and the end-to-end pipeline.
+bi-uniform randomized construction, the step that spends verified
+reserve to shrink k and grow n, and the end-to-end pipeline.
 
 Every construction output is certified by the sweep verifier rather
 than trusted; randomized steps are reproducible from a master seed.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import ceil, log, sqrt
+from math import ceil, inf, log, sqrt
 from typing import Optional
 
 import numpy as np
@@ -185,7 +185,8 @@ def _spend(points: PointSet, k: int, drop: int, grow: int) -> PointSet:
     smallest x to (n+i, y) and (x, n+i).  The result, a (k - drop)-factor
     of [1, n + grow]^2, is read off one side^2 bool grid in key order.
     Extraction depends only on the rows left, so this equals dropping
-    first and growing the survivor after, byte for byte.
+    first and growing the survivor after, byte for byte.  The reserve
+    is not checked here; `spend` checks it.
     """
     try:
         factor = BipartiteFactor(k, points)
@@ -208,62 +209,38 @@ def _spend(points: PointSet, k: int, drop: int, grow: int) -> PointSet:
     return PointSet(side, np.flatnonzero(cells))
 
 
-def adjust_k(
-    points: PointSet,
-    k: int,
-    k_new: int,
-    reserve: int,
-) -> tuple[PointSet, VerificationReport]:
-    """Shrink a k-factor with verified reserve `reserve` to a
-    k_new-factor by removing the first k - k_new extracted 1-factors
-    (`_spend` with nothing grown); the survivor keeps reserve
-    reserve - (k - k_new).
-
-    Returns the new set together with its re-verification report (the
-    report can only fail if the claimed input reserve was wrong).
-    """
-    drop = k - k_new
-    if not 0 <= k_new <= k:
-        raise ConstructionError(f"k_new={k_new} outside [0, k={k}]")
-    if drop > reserve:
-        raise ConstructionError(
-            f"reserve {reserve} insufficient to drop {drop} factors"
-        )
-    out = _spend(points, k, drop, 0)
-    return out, verify(out, k_new, reserve - drop)
-
-
-def adjust_n(
+def spend(
     points: PointSet,
     report: VerificationReport,
-    slack: int,
+    k: int,
+    n: int,
 ) -> tuple[PointSet, VerificationReport]:
-    """Grow the grid by slack/2 rows and columns, spending an even
-    generic-line slack (verified reserve) of the input k-factor
-    (`_spend` with nothing dropped).  The result is a k-factor of
-    [1, n + slack/2]^2.
+    """Spend the verified reserve of a `report.k`-factor on
+    [1, points.n]^2 to make a k-factor on [1,n]^2: drop report.k - k
+    1-factors and grow n - points.n rows and columns (`_spend`).  Each
+    dropped factor costs 1 of reserve, each new row and column 2.
 
-    `report` is the passing verification report of `points`, and its k
-    is the degree of the factor.  The report is trusted, not recomputed:
-    its `axis_max` must be at most k and its `achieved_reserve` at least
-    `slack`.  The degrees are still audited, and the output is verified
-    at reserve 0; that report is the certificate, so a wrong input
-    report can make the output fail, never pass unchecked.  With slack 0
-    the set is unchanged and not swept again: the input report comes
-    back re-targeted to reserve 0.
+    `report` is the passing verification report of `points`, trusted,
+    not recomputed: its `axis_max` must be at most its k and its
+    `achieved_reserve` at least the reserve spent.  The degrees are
+    still audited, and the output is verified at reserve 0; that report
+    is the certificate, so a wrong input report can make the output
+    fail, never pass unchecked.  When nothing is spent the set is
+    returned unchanged and not swept again: the input report comes back
+    re-targeted to reserve 0.
     """
-    k = report.k
-    if slack < 0 or slack % 2 != 0:
-        raise ConstructionError(f"slack must be even and >= 0, got {slack}")
-    if report.axis_max > k or report.achieved_reserve < slack:
+    drop, grow = report.k - k, n - points.n
+    if drop < 0 or grow < 0:
         raise ConstructionError(
-            f"input does not have reserve {slack}: {report.summary()}"
+            f"spending reserve cannot raise k ({report.k} -> {k}) or shrink n ({points.n} -> {n})"
         )
-    if k > points.n:
-        raise ConstructionError("k may not exceed n")
-    if slack == 0:
+    if report.axis_max > report.k or report.achieved_reserve < drop + 2 * grow:
+        raise ConstructionError(
+            f"input does not have reserve {drop + 2 * grow}: {report.summary()}"
+        )
+    if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    out = _spend(points, k, 0, slack // 2)
+    out = _spend(points, report.k, drop, grow)
     return out, verify(out, k, 0)
 
 
@@ -280,17 +257,19 @@ def pipeline(
 
     Large k (k >= 2n/3) routes to the explicit construction.  Otherwise
     n and k are rounded to multiples of 4 and 10, the bi-uniform
-    construction runs at target reserve 15, and the reserve is spent in
-    one step (`_spend`) shrinking k back and growing n back; the output
-    is swept once at reserve 0.  strict additionally enforces
-    n >= 68 and C*sqrt(n ln n) <= k (the checkable hypotheses of the
-    regime where success is guaranteed asymptotically).
+    construction runs at target reserve 15, and one `spend` shrinks k
+    back and grows n back; its output is swept once at reserve 0.
+    strict additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the
+    checkable hypotheses of the regime where success is guaranteed
+    asymptotically).
     """
     if not (1 <= k <= n):
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
     if strict:
         if n < 68:
             raise ConstructionError(f"strict mode needs n >= 68, got {n}")
+        if not 0 < C < inf:
+            raise ConstructionError(f"C must be positive and finite, got {C}")
         bound = C * sqrt(n * log(n))
         if k < bound:
             raise ConstructionError(
@@ -314,28 +293,17 @@ def pipeline(
     if strict and n_round < 66:
         raise ConstructionError(f"rounded n={n_round} below 66; 5n/6 chain not guaranteed")
 
-    target_h = 15
     matrix = feasibility_matrix_4x4(n_round, k_round)
     cert = biuniform_construct(
-        n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=target_h
+        n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=15
     )
     if not cert.certified:
         raise RetriesExhausted(cert)
 
-    drop, grow = k_round - k, n - n_round
-    h_left = target_h - drop
-    assert 2 * grow <= h_left  # drop <= 9 and grow <= 3
-    lineage = cert.lineage + (
-        ("adjust-k", {"from": k_round, "to": k, "reserve_left": h_left}),
-        ("adjust-n", {"from": n_round, "to": n, "slack": 2 * grow}),
-    )
-    if drop or grow:
-        points = _spend(cert.output, k_round, drop, grow)
-        report = verify(points, k, 0)
-    else:
-        # nothing spent: the retry's sweep answers for the set at reserve 0
-        points, report = cert.output, replace(cert.report, required_reserve=0)
+    # reserve 15 covers the most spent: drop <= 9 plus 2 * grow <= 6
+    points, report = spend(cert.output, cert.report, k, n)
     if not report.passed:
         raise ConstructionError(f"reserve chain broken: {report.summary()}")
     assert points.n == n and len(points) == k * n
+    lineage = cert.lineage + (("spend", {"from": (n_round, k_round), "to": (n, k)}),)
     return replace(cert, output=points, report=report, lineage=lineage)

@@ -192,29 +192,30 @@ class PointSet:
         )
 
 
+@dataclass(frozen=True)
 class FeasibilityMatrix:
     """m x m integer block-density matrix; entry (i, j) is the per-row
     count prescribed for block (i, j) of an m x m decomposition with
-    blocks of side `block_side`.
+    blocks of side `block_side`.  `entries` is stored as int tuples.
     """
 
-    __slots__ = ("m", "block_side", "entries")
+    m: int
+    block_side: int
+    entries: tuple[tuple[int, ...], ...]
 
-    def __init__(self, m: int, block_side: int, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
-        if m < 1 or block_side < 1:
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        object.__setattr__(self, "entries", rows)
+        if self.m < 1 or self.block_side < 1:
             raise ValueError("m and block_side must be positive")
-        if len(rows) != m or any(len(row) != m for row in rows):
-            raise ValueError(f"entries must be {m}x{m}")
+        if len(rows) != self.m or any(len(row) != self.m for row in rows):
+            raise ValueError(f"entries must be {self.m}x{self.m}")
         for row in rows:
             for v in row:
-                if not 0 <= v <= block_side:
+                if not 0 <= v <= self.block_side:
                     raise ValueError(
-                        f"entry {v} outside [0, {block_side}] (block side)"
+                        f"entry {v} outside [0, {self.block_side}] (block side)"
                     )
-        self.m = m
-        self.block_side = block_side
-        self.entries = rows
 
     @property
     def n(self) -> int:
@@ -229,17 +230,6 @@ class FeasibilityMatrix:
     @property
     def max_entry(self) -> int:
         return max(max(row) for row in self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FeasibilityMatrix)
-            and self.m == other.m
-            and self.block_side == other.block_side
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"FeasibilityMatrix(m={self.m}, block_side={self.block_side}, entries={self.entries})"
 
 
 def _scaled_matrix(n: int, k: int, pattern: list[list[int]]) -> FeasibilityMatrix:

@@ -17,7 +17,7 @@ the sweep is the hot loop for grids in the hundreds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Optional
 
 import numpy as np
@@ -165,8 +165,8 @@ def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:
     secants holding more than kappa grid points."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    if not L > 0:
-        raise ValueError("L must be positive")
+    if not 0 < kappa < inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0 < L < inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     return L * n**4 / kappa**3

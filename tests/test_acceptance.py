@@ -28,7 +28,7 @@ from nkline.bifactor import (
     sample_r_factor,
 )
 from nkline.bounds import estimate_growth_coefficient
-from nkline.construct import adjust_k, adjust_n, biuniform_construct, explicit_construct
+from nkline.construct import biuniform_construct, explicit_construct, spend
 from nkline.grid import feasibility_matrix_3x3, feasibility_matrix_4x4, max_expected_load
 from nkline.pointfile import serialize
 from nkline.secants import census, verify
@@ -37,7 +37,6 @@ from conftest import ACCEPTANCE_SEED, DESK_K, DESK_N, DESK_RESERVE, desk_scale_c
 from oracles import brute_max_expected_load, grid_line_sizes, matching_cells
 
 CHAIN_N, CHAIN_K = 403, 233
-CHAIN_SLACK = 2 * (CHAIN_N - DESK_N)
 
 
 def _report(criterion, ok, detail):
@@ -168,9 +167,8 @@ def test_criterion_07_factorization_roundtrip():
 
 
 def _adjust_chain(cert):
-    reserve = cert.report.required_reserve
-    shrunk, rep1 = adjust_k(cert.output, DESK_K, CHAIN_K, reserve=reserve)
-    grown, rep2 = adjust_n(shrunk, rep1, CHAIN_SLACK)
+    shrunk, rep1 = spend(cert.output, cert.report, CHAIN_K, DESK_N)
+    grown, rep2 = spend(shrunk, rep1, CHAIN_K, CHAIN_N)
     return shrunk, rep1, grown, rep2
 
 
@@ -224,7 +222,7 @@ def test_criterion_09_adjustment_chain(desk_scale_run):
         9,
         True,
         f"adjust chain {DESK_K}->{CHAIN_K}, {DESK_N}->{CHAIN_N} certified with exact "
-        f"audits (reserve {reserve} in, {rep1.achieved_reserve} after adjust_k)",
+        f"audits (reserve {reserve} in, {rep1.achieved_reserve} after spending k)",
     )
 
 

@@ -345,8 +345,8 @@ def _permuted_circulant(m, r, seed):
 
 
 # first matchings extracted by the eager 1-factorization before extraction
-# became lazy; any change to the extraction order moves adjust_k/adjust_n
-# output bytes
+# became lazy; any change to the extraction order moves the output bytes
+# of construct.spend
 GOLDEN_MATCHINGS = {
     (8, 3, 1): (
         (8, 1, 3, 5, 6, 2, 7, 4),

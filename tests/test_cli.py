@@ -65,7 +65,7 @@ def test_construct_auto_golden_bytes(tmp_path):
 
 
 # sha256 of the files `nkline construct --n 400 --k K --seed 11` writes
-# for K = 230 (no reserve spent) and K = 233 (adjust-k only), measured
+# for K = 230 (no reserve spent) and K = 233 (only k shrinks), measured
 # while the pipeline still re-verified the sets it did not change
 CONSTRUCT_400_SEED_11_SHA256 = {
     230: "4adaf21f521463df00c597713e00301a731c954c39f23d2c68b5bdcbf7ce1a3f",
@@ -253,6 +253,23 @@ def test_bounds_zero_denominator_delta_is_usage_error(capsys):
 @pytest.mark.parametrize("C", ["0", "nan"])
 def test_bounds_bad_C_is_one_error_line_and_no_output(C, capsys):
     assert main(["bounds", "--n", "100", "--C", C]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "100", "--K", "nan"],
+        ["bounds", "--n", "100", "--L", "inf"],
+        ["stats", "--n", "100", "--kappa", "inf"],
+        ["stats", "--n", "100", "--kappa", "nan"],
+        ["stats", "--n", "100", "--kappa", "10", "--L", "inf"],
+    ],
+)
+def test_non_finite_parameter_is_one_error_line_and_no_output(argv, capsys):
+    assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -1,8 +1,9 @@
-"""Tests for the constructions, adjustments and the pipeline."""
+"""Tests for the constructions, the reserve spend and the pipeline."""
 
 import hashlib
 import random
 from dataclasses import replace
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -15,15 +16,14 @@ from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
     _sample_retry,
-    adjust_k,
-    adjust_n,
     biuniform_construct,
     explicit_construct,
     pipeline,
+    spend,
 )
 from nkline.grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from nkline.pointfile import serialize
-from nkline.secants import verify
+from nkline.secants import VerificationReport, verify
 
 from oracles import brute_generic_max, generic_line_sizes
 
@@ -150,17 +150,21 @@ def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
         _sample_retry(matrix, 3, 0)
 
 
-def test_adjust_k_noop():
+def test_adjust_k_noop(monkeypatch):
+    # nothing spent: the same set and its own report come back unswept
     s = explicit_construct(12, 8)
-    out, rep = adjust_k(s, 8, 8, reserve=0)
-    assert out == s
-    assert rep.passed
+    report = verify(s, 8, 0)
+    sweeps = []
+    monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
+    out, rep = spend(s, report, 8, 12)
+    assert out is s and rep == report and rep.passed
+    assert sweeps == []
 
 
 def test_adjust_k_full_grid_degree_audit():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out, _ = adjust_k(full, n, n - 1, reserve=1)
+    out = construct._spend(full, n, 1, 0)
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -169,26 +173,41 @@ def test_adjustments_leave_their_input_unchanged(desk_scale_run):
     cert, _ = desk_scale_run
     s = cert.output
     before = s.keys.copy()
-    shrunk, report = adjust_k(s, 240, 233, reserve=15)
+    shrunk, report = spend(s, cert.report, 233, 400)
     assert np.array_equal(s.keys, before)
     assert len(s) == 240 * 400 and s.is_regular(240)
     before = shrunk.keys.copy()
-    adjust_n(shrunk, report, 6)
+    spend(shrunk, report, 233, 403)
     assert np.array_equal(shrunk.keys, before)
     assert shrunk.n == 400 and shrunk.is_regular(233)
 
 
-def test_adjust_k_rejects_bad_targets():
-    s = explicit_construct(12, 8)
-    with pytest.raises(ConstructionError):
-        adjust_k(s, 8, 9, reserve=5)
-    with pytest.raises(ConstructionError):
-        adjust_k(s, 8, 5, reserve=2)
-    with pytest.raises(ConstructionError):
-        adjust_k(s, 8, -1, reserve=9)
-    skew = PointSet.from_points(4, [(1, 1), (1, 2), (2, 1)])
-    with pytest.raises(ConstructionError):
-        adjust_k(skew, 2, 1, reserve=1)
+_S12 = explicit_construct(12, 8)
+_R12 = verify(_S12, 8, 0)  # an explicit set has reserve 0
+
+
+@pytest.mark.parametrize(
+    "points, report, k, n, match",
+    [
+        pytest.param(_S12, _R12, 9, 12, "raise k", id="raise-k"),
+        pytest.param(_S12, _R12, 8, 11, "shrink n", id="shrink-n"),
+        # reserve 3 covers neither drop 2 plus grow 1 nor grow 2
+        pytest.param(_S12, replace(_R12, generic_max=5), 6, 13, "reserve 4", id="short-reserve"),
+        pytest.param(_S12, replace(_R12, generic_max=5), 8, 14, "reserve 4", id="short-grow"),
+        pytest.param(_S12, replace(_R12, axis_max=9, generic_max=0), 7, 12, "reserve 1", id="axis-max-above-k"),
+        pytest.param(
+            PointSet.from_points(4, [(1, 1), (1, 2), (2, 1)]),
+            VerificationReport(2, 0, 2, 0, None, 0),
+            1,
+            4,
+            "not a 2-factor",
+            id="not-regular",
+        ),
+    ],
+)
+def test_spend_rejects(points, report, k, n, match):
+    with pytest.raises(ConstructionError, match=match):
+        spend(points, report, k, n)
 
 
 @pytest.fixture
@@ -206,6 +225,7 @@ def extractions(monkeypatch):
 
 
 def test_adjust_k_never_increases_any_line_count(extractions):
+    # sampled factors carry no verified reserve, so the kernel is driven directly
     rng = random.Random(3)
     for trial in range(4):
         m = rng.choice([8, 10, 12])
@@ -214,50 +234,33 @@ def test_adjust_k_never_increases_any_line_count(extractions):
         s = f.points
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out, _ = adjust_k(s, r, r - 2, reserve=2)
+        out = construct._spend(s, r, 2, 0)
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
             assert cnt <= before.get(key, cnt)
 
 
-def test_adjust_n_noop_for_zero_slack():
-    s = explicit_construct(12, 8)
-    out, rep = adjust_n(s, verify(s, 8, 0), 0)
-    assert out == s
-
-
-def test_adjust_n_rejects_odd_or_unearned_slack():
-    s = explicit_construct(12, 8)
-    report = verify(s, 8, 0)
-    with pytest.raises(ConstructionError):
-        adjust_n(s, report, 3)
-    # explicit sets have reserve 0: slack 2 is not covered
-    with pytest.raises(ConstructionError):
-        adjust_n(s, report, 2)
-
-
-def test_adjust_n_rejects_a_report_without_the_slack(desk_scale_run):
+def test_adjust_n_noop_for_zero_slack(desk_scale_run, monkeypatch):
+    # a report certified at reserve 15 comes back re-targeted to reserve 0
     cert, _ = desk_scale_run
-    assert cert.report.passed and cert.report.achieved_reserve >= 4
-    short = replace(cert.report, generic_max=cert.report.k - 3)
-    with pytest.raises(ConstructionError, match="reserve 4"):
-        adjust_n(cert.output, short, 4)
-    over = replace(cert.report, axis_max=241)
-    with pytest.raises(ConstructionError, match="reserve 4"):
-        adjust_n(cert.output, over, 4)
+    sweeps = []
+    monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
+    out, rep = spend(cert.output, cert.report, 240, 400)
+    assert out is cert.output and sweeps == []
+    assert rep == replace(cert.report, required_reserve=0) and rep.passed
 
 
 def test_adjustment_chain_at_scale(desk_scale_run, extractions):
     cert, _ = desk_scale_run
     assert cert.certified, cert.report.summary()
-    shrunk, rep1 = adjust_k(cert.output, 240, 233, reserve=15)
+    shrunk, rep1 = spend(cert.output, cert.report, 233, 400)
     assert len(extractions) == 7
     assert rep1.passed
     assert rep1.achieved_reserve >= 8
     assert shrunk.is_regular(233)
     extractions.clear()
-    grown, rep2 = adjust_n(shrunk, rep1, 6)
+    grown, rep2 = spend(shrunk, rep1, 233, 403)
     assert len(extractions) == 3
     assert rep2.passed
     assert grown.n == 403
@@ -266,9 +269,9 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
 
 
 def test_adjust_n_row_col_exactness_small(desk_scale_run):
-    # earn a small verified slack by shrinking k below the certified bound
+    # grow by 2, spending 4 of the certified reserve 15
     cert, _ = desk_scale_run
-    out, rep = adjust_n(cert.output, cert.report, 4)
+    out, rep = spend(cert.output, cert.report, 240, 402)
     assert rep.passed
     assert out.n == 402
     assert out.is_regular(240)
@@ -291,10 +294,10 @@ def _spends(draw):
     return m, r, drop, draw(st.integers(0, r - drop))
 
 
-@given(spend=_spends(), circulant=st.booleans(), seed=st.integers(0, 2**32))
+@given(sizes=_spends(), circulant=st.booleans(), seed=st.integers(0, 2**32))
 @settings(max_examples=80, deadline=None)
-def test_spend_in_one_step_equals_drop_then_grow(spend, circulant, seed):
-    m, r, drop, grow = spend
+def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
+    m, r, drop, grow = sizes
     f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
     once = construct._spend(f, r, drop, grow)
     assert once == construct._spend(construct._spend(f, r, drop, 0), r - drop, 0, grow)
@@ -346,15 +349,16 @@ def test_pipeline_replay_is_bit_identical():
 def test_pipeline_randomized_route_end_to_end():
     cert = pipeline(403, 233, seed=11, max_retries=16)
     assert cert.certified
-    assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
+    assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
+    assert cert.lineage[-1][1] == {"from": (400, 240), "to": (403, 233)}
     assert cert.output.n == 403
     assert len(cert.output) == 233 * 403
     assert cert.output.is_regular(233)
 
 
 def test_pipeline_verifies_twice(monkeypatch):
-    # one retry, then the output of the one-step spend; the 233 x 400
-    # set between the two adjustments is never built, so never swept
+    # one retry, then the output of the one-step spend; no 233 x 400
+    # set between dropping and growing is built, so none is swept
     calls = []
 
     def counting(points, k, reserve=0):
@@ -386,14 +390,14 @@ def test_pipeline_verifies_once_when_n_and_k_are_round(monkeypatch):
     # reserve-0 report is read off it
     cert, calls = _count_verify_calls(monkeypatch, 400, 230)
     assert calls == [(400, 230, 15)]
-    assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
+    assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
     assert cert.report == verify(cert.output, 230, 0)
 
 
 def test_pipeline_verifies_twice_when_only_n_is_round(monkeypatch):
     cert, calls = _count_verify_calls(monkeypatch, 400, 233)
     assert calls == [(400, 240, 15), (400, 233, 0)]
-    assert [s for s, _ in cert.lineage] == ["biuniform", "adjust-k", "adjust-n"]
+    assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
     assert cert.report == verify(cert.output, 233, 0)
 
 
@@ -413,6 +417,9 @@ def test_pipeline_strict_mode_checks():
         pipeline(50, 40, seed=0, strict=True)
     with pytest.raises(ConstructionError):
         pipeline(68, 20, seed=0, strict=True)  # below C*sqrt(n ln n)
+    for C in (nan, inf, 0.0):
+        with pytest.raises(ConstructionError, match="C must be positive and finite"):
+            pipeline(68, 46, seed=0, strict=True, C=C)
     cert = pipeline(68, 46, seed=0, strict=True, C=1.0)
     assert cert.certified
 

@@ -226,6 +226,21 @@ def test_matrix_3x3_rejects_bad_args():
         feasibility_matrix_3x3(9, 10)  # entry 4 > block side 3
 
 
+def test_feasibility_matrix_stores_int_tuples_and_validates():
+    mat = FeasibilityMatrix(2, 3, [np.array([1, 2]), [3, 0]])
+    assert mat.entries == ((1, 2), (3, 0))
+    assert all(type(v) is int for row in mat.entries for v in row)
+    assert mat == FeasibilityMatrix(2, 3, ((1, 2), (3, 0)))
+    assert repr(mat) == "FeasibilityMatrix(m=2, block_side=3, entries=((1, 2), (3, 0)))"
+    for args, match in [
+        ((0, 3, []), "m and block_side must be positive"),
+        ((2, 3, [[1, 2]]), "entries must be 2x2"),
+        ((2, 3, [[1, 4], [0, 0]]), r"entry 4 outside \[0, 3\]"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            FeasibilityMatrix(*args)
+
+
 def test_expected_load_main_diagonal():
     mat = feasibility_matrix_4x4(40, 30)
     d = Direction(1, 1)
