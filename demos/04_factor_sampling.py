@@ -5,6 +5,12 @@ The chain starts from the circulant factor.  Each round pairs the rows
 at random; each pair shuffles the columns that lie in exactly one of its
 two rows and splits them back with each row's size unchanged, so every
 state keeps all row and column degrees at r.
+
+This is the sampler for uniform random factors.  The randomized
+construction's retries use `relabeled_circulants` instead: the circulant
+factor under random row and column permutations, which is not uniform
+but matches Curveball's reserve law, and whose every output the exact
+verifier certifies.
 """
 
 from nkline import PointSet, derive_seed, iter_matchings, matching_containment_probability, sample_r_factor

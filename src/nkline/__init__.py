@@ -6,6 +6,7 @@ from .bifactor import (
     derive_seed,
     iter_matchings,
     matching_containment_probability,
+    relabeled_circulants,
     sample_blocks,
     sample_r_factor,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "max_expected_load",
     "parse",
     "pipeline",
+    "relabeled_circulants",
     "richness_bound",
     "sample_blocks",
     "sample_r_factor",

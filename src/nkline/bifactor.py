@@ -1,15 +1,26 @@
-"""Regular bipartite structure: Curveball sampling of r-factors and
-their 1-factorization.
+"""Regular bipartite structure: random r-factors and their
+1-factorization.
 
 A factor on m rows and m columns is a `PointSet` on [1,m]^2 whose point
 (a, b) is the cell of row a and column b: one sorted array of keys
 (a-1)*m + (b-1).  It is r-regular when every row index and every column
-index occurs in exactly r cells.  The sampler `sample_blocks` steps
-the Curveball chains of many equal-sided blocks together in one
-(blocks, m, m) numpy bool array, each block with its own generator; a
-block's flat nonzero indices are its keys.  `sample_r_factor` is its
-one-block call, and its output, like every factor, passes the
-`BipartiteFactor` degree audit when it is built.
+index occurs in exactly r cells.  Both samplers return many equal-sided
+blocks as one (blocks, m, m) numpy bool array, each block drawn from its
+own generator; a block's flat nonzero indices are its keys.
+
+- `relabeled_circulants` permutes the rows and the columns of the
+  circulant factor uniformly at random: no chain, two permutations per
+  block.  It is not the uniform law on r-factors, but it has the same
+  one-cell marginal r/m and the same two-cell law within a row, and the
+  reserve law of a bi-uniform retry built from it matches Curveball's
+  (CHANGES.md holds the measured table).  The randomized construction
+  samples its retries with it; the exact verification report of each
+  output, not the sampler, is the certificate.
+- `sample_blocks` steps the Curveball chains of many blocks together
+  and targets the uniform law; `sample_r_factor` is its one-block call,
+  and its output, like every factor, passes the `BipartiteFactor`
+  degree audit when it is built.  It serves the uses that need the
+  uniform law: the marginal and containment checks and the demo.
 
 A factor splits into r disjoint perfect matchings (König), each found
 by Hopcroft–Karp.  The matcher holds row a's remaining cells as one
@@ -59,16 +70,53 @@ class BipartiteFactor:
         return self.points.n
 
 
-def _circulant(q: int, r) -> np.ndarray:
-    """The circulant r-factor of the q x q cell grid as a bool mask:
-    [a-1, c-1] is set iff (c - a) mod q < r.  An array of degrees r
-    gives one mask per entry, shape r.shape + (q, q)."""
+def _degrees(q: int, r) -> np.ndarray:
+    """r as an array, checked to lie in [0, q]."""
     r = np.asarray(r)
     bad = r[(r < 0) | (r > q)]
     if bad.size:
         raise ValueError(f"regularity {bad[0]} outside [0, {q}]")
+    return r
+
+
+def _circulant(q: int, r) -> np.ndarray:
+    """The circulant r-factor of the q x q cell grid as a bool mask:
+    [a-1, c-1] is set iff (c - a) mod q < r.  An array of degrees r
+    gives one mask per entry, shape r.shape + (q, q)."""
+    r = _degrees(q, r)
     idx = np.arange(q)
     return (idx[None, :] - idx[:, None]) % q < r[..., None, None]
+
+
+def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
+    """One rs[b]-factor of the q x q cell grid per block b: the circulant
+    factor under a uniformly random row and column relabeling.
+
+    Block b seeds `default_rng(seeds[b])` and draws a row permutation
+    sigma, then a column permutation tau; [b, a, c] is set iff
+    (tau[c] - sigma[a]) mod q < rs[b], which is
+    `_circulant(q, rs[b])[sigma][:, tau]`.  Returns a (B, q, q) bool
+    array like `sample_blocks`, built in one broadcast with no chain
+    rounds; a block depends only on its own seed.
+
+    Every cell lies in the factor with probability r/q, and two cells of
+    one row (or column) with probability r(r-1)/(q(q-1)), as under the
+    uniform law; the law itself is not uniform over r-factors.
+    """
+    rs = _degrees(q, np.asarray(rs, dtype=np.int64).reshape(-1))
+    if len(seeds) != rs.size:
+        raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
+    sigma = np.empty((rs.size, q), dtype=np.int64)
+    tau = np.empty_like(sigma)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        sigma[b] = rng.permutation(q)
+        tau[b] = rng.permutation(q)
+    # d = tau[c] - sigma[a] lies in (-q, q), so d mod q < r exactly when
+    # 0 <= d < r or d < r - q; this skips an integer modulo per cell
+    d = tau[:, None, :] - sigma[:, :, None]
+    r = rs[:, None, None]
+    return (d >= 0) & (d < r) | (d < r - q)
 
 
 def default_chain_rounds(m: int) -> int:

@@ -44,6 +44,15 @@ class BoundsProfile:
         return 2 * self.m - 1
 
 
+def _check_epsilon_delta_m(epsilon: float, delta: float, m: int) -> None:
+    if not 0 <= epsilon <= 1:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if not -inf < delta < 1:
+        raise ValueError(f"delta must be finite and < 1, got {delta}")
+    if m < 2:
+        raise ValueError(f"m must be >= 2, got {m}")
+
+
 def compute_profile(
     n: int,
     p: float = 0.5,
@@ -61,12 +70,7 @@ def compute_profile(
     """
     if not 0 <= p < 1:
         raise ValueError(f"p must be in [0, 1), got {p}")
-    if not 0 <= epsilon <= 1:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if not delta < 1:
-        raise ValueError(f"delta must be < 1, got {delta}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
+    _check_epsilon_delta_m(epsilon, delta, m)
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
     if not (0 < K < inf and 0 < L < inf):
@@ -98,6 +102,7 @@ def compute_profile(
 
 def growth_coefficient(epsilon: float = 0.5, delta: float = 0.8, m: int = 4) -> float:
     """Limit of k_min / sqrt(n ln n): sqrt((2m-1)*(2 - 3*eps/2))/(1-delta)."""
+    _check_epsilon_delta_m(epsilon, delta, m)
     b = 2 * m - 1
     return sqrt(b * (2 - 1.5 * epsilon)) / (1 - delta)
 

@@ -117,23 +117,24 @@ def cmd_stats(args) -> int:
     if args.j is None and args.kappa is None:
         print("error: one of --j / --kappa is required", file=sys.stderr)
         return EXIT_USAGE
+    # compute everything first, so a usage error leaves stdout empty
     try:
-        if args.j is not None:
-            row = census(args.n, args.j)
-            if args.csv:
-                print("n,j,count")
-                print(f"{row.n},{row.j},{row.count}")
-            else:
-                print(f"n={row.n} j={row.j} count={row.count}")
-            if args.ratio:
-                ref = (6 / pi**2) * args.n**4 / args.j**3
-                print(f"reference (6/pi^2) n^4/j^3 = {ref:.2f}  ratio = {row.count / ref:.4f}")
-        if args.kappa is not None:
-            bound = richness_bound(args.n, args.kappa, args.L)
-            print(f"richness bound L*n^4/kappa^3 = {bound:.2f} (L={args.L})")
+        row = census(args.n, args.j) if args.j is not None else None
+        bound = richness_bound(args.n, args.kappa, args.L) if args.kappa is not None else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if row is not None:
+        if args.csv:
+            print("n,j,count")
+            print(f"{row.n},{row.j},{row.count}")
+        else:
+            print(f"n={row.n} j={row.j} count={row.count}")
+        if args.ratio:
+            ref = (6 / pi**2) * args.n**4 / args.j**3
+            print(f"reference (6/pi^2) n^4/j^3 = {ref:.2f}  ratio = {row.count / ref:.4f}")
+    if bound is not None:
+        print(f"richness bound L*n^4/kappa^3 = {bound:.2f} (L={args.L})")
     return EXIT_OK
 
 

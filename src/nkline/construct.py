@@ -20,7 +20,7 @@ from .bifactor import (
     _circulant,
     derive_seed,
     iter_matchings,
-    sample_blocks,
+    relabeled_circulants,
 )
 from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
@@ -106,9 +106,14 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
 
 def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     """Union of the per-block factors of retry t; block (i, j) gets an
-    r_{i,j}-factor sampled with seed derived from (seed, t, i, j).
+    r_{i,j}-factor, a relabeled circulant (`relabeled_circulants`) drawn
+    with seed derived from (seed, t, i, j).  That is not the paper's
+    uniform r-factor: its reserve law matches Curveball's in the table
+    of CHANGES.md, and the exact verification report of the retry is
+    its certificate.  The Curveball sampler remains for the uses
+    that need the uniform law.
 
-    The m blocks of a block-row are sampled in lockstep and audited
+    The m blocks of a block-row are sampled together and audited
     together.  Laid side by side they form a q x n slab of grid rows, so
     the slab's flat nonzero indices, offset by the rows above it, are
     the row's keys already in file order.
@@ -117,7 +122,7 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     keys = []
     for i in range(1, m + 1):
         rs = np.array(matrix.entries[i - 1])[:, None]
-        blocks = sample_blocks(q, rs, [derive_seed(seed, t, i, j) for j in range(1, m + 1)])
+        blocks = relabeled_circulants(q, rs, [derive_seed(seed, t, i, j) for j in range(1, m + 1)])
         if not (
             (np.count_nonzero(blocks, axis=2) == rs).all()
             and (np.count_nonzero(blocks, axis=1) == rs).all()
@@ -140,10 +145,14 @@ def biuniform_construct(
     sample verifies at the target reserve.
 
     Block (i, j) of the m x m decomposition receives an r_{i,j}-factor
-    sampled with seed derived from (seed, retry, i, j).  Row/column sums
-    of the matrix equal to k make every sample an exact k-factor; only
-    generic secants are random.  On exhaustion the best-effort sample
-    and its report are returned with certified=False.
+    sampled with seed derived from (seed, retry, i, j): a relabeled
+    circulant (`_sample_retry`), not the paper's uniform r-factor (the
+    uniform Curveball sampler remains for other uses), whose reserve law
+    matches Curveball's in the table of CHANGES.md.
+    Row/column sums of the matrix equal to k make every sample an exact
+    k-factor; only generic secants are random, and the exact
+    verification report is the certificate.  On exhaustion the
+    best-effort sample and its report are returned with certified=False.
     """
     if matrix.n != n:
         raise ConstructionError(
@@ -257,8 +266,13 @@ def pipeline(
 
     Large k (k >= 2n/3) routes to the explicit construction.  Otherwise
     n and k are rounded to multiples of 4 and 10, the bi-uniform
-    construction runs at target reserve 15, and one `spend` shrinks k
-    back and grows n back; its output is swept once at reserve 0.
+    construction retries until a sample verifies at the reserve one
+    `spend` needs to shrink k back and grow n back, (k' - k) + 2(n - n'),
+    and that `spend` makes the output, swept once at reserve 0.  Its
+    retries are relabeled circulants, not the paper's uniform factors
+    (`_sample_retry`; Curveball remains for the uniform-law uses), with
+    the reserve law of the table in CHANGES.md; the exact verification
+    report is the certificate.
     strict additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the
     checkable hypotheses of the regime where success is guaranteed
     asymptotically).
@@ -294,13 +308,14 @@ def pipeline(
         raise ConstructionError(f"rounded n={n_round} below 66; 5n/6 chain not guaranteed")
 
     matrix = feasibility_matrix_4x4(n_round, k_round)
+    # exactly the reserve `spend` checks for: at most 9 + 2 * 3 = 15
+    reserve = (k_round - k) + 2 * (n - n_round)
     cert = biuniform_construct(
-        n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=15
+        n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=reserve
     )
     if not cert.certified:
         raise RetriesExhausted(cert)
 
-    # reserve 15 covers the most spent: drop <= 9 plus 2 * grow <= 6
     points, report = spend(cert.output, cert.report, k, n)
     if not report.passed:
         raise ConstructionError(f"reserve chain broken: {report.summary()}")

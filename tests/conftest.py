@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The desk-scale randomized run (seed 7, n=400, k=240, target reserve 15,
-the run behind pipeline(403, 233)) takes seconds to sample and verify;
-the tests of construct.spend and acceptance criteria 8-10 all start
-from it, so it is built once per test session.
+the run behind pipeline(403, 233)) is the input of the tests of
+construct.spend and of acceptance criteria 8-10, so it is built once per
+test session.
 """
 
 import time

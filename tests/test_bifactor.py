@@ -18,6 +18,7 @@ from nkline.bifactor import (
     derive_seed,
     iter_matchings,
     matching_containment_probability,
+    relabeled_circulants,
     sample_blocks,
     sample_r_factor,
 )
@@ -180,6 +181,76 @@ def test_sample_blocks_rejects_bad_arguments():
         sample_blocks(5, [2, 2], [1])
     with pytest.raises(ValueError):
         sample_blocks(5, [2], [1], rounds=0)
+
+
+def _relabeled_circulant_by_oracle(q, r, seed):
+    """One block as the docstring states it: seed a generator, draw the
+    row permutation, then the column permutation, and permute the
+    circulant mask by them."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.permutation(q)
+    tau = rng.permutation(q)
+    return bifactor._circulant(q, r)[sigma][:, tau]
+
+
+@given(q=st.integers(1, 30), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_relabeled_circulants_match_per_block_oracle(q, data):
+    # every degree in [0, q] occurs, in a drawn order, plus a few repeats
+    rs = data.draw(st.lists(st.integers(0, q), max_size=4))
+    rs = data.draw(st.permutations(rs + list(range(q + 1))))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rs), max_size=len(rs)))
+    blocks = relabeled_circulants(q, rs, seeds)
+    assert blocks.shape == (len(rs), q, q) and blocks.dtype == bool
+    for block, r, seed in zip(blocks, rs, seeds):
+        assert np.array_equal(block, _relabeled_circulant_by_oracle(q, r, seed))
+        BipartiteFactor(r, PointSet(q, np.flatnonzero(block)))  # degree audit
+
+
+def test_relabeled_circulants_block_depends_only_on_its_seed():
+    q, rs = 11, [0, 3, 5, 11, 3]
+    seeds = [derive_seed(17, b) for b in range(len(rs))]
+    blocks = relabeled_circulants(q, rs, seeds)
+    # alone, reordered, and next to other seeds, each block is unchanged
+    for b, (r, seed) in enumerate(zip(rs, seeds)):
+        assert np.array_equal(relabeled_circulants(q, [r], [seed])[0], blocks[b])
+    order = [4, 2, 0, 3, 1]
+    shuffled = relabeled_circulants(q, [rs[b] for b in order], [seeds[b] for b in order])
+    assert np.array_equal(shuffled, blocks[order])
+    others = relabeled_circulants(q, rs, [seeds[0], 1, seeds[2], 2, seeds[4]])
+    assert np.array_equal(others[[0, 2, 4]], blocks[[0, 2, 4]])
+    assert not np.array_equal(others[1], blocks[1])
+
+
+def test_relabeled_circulants_reject_bad_arguments():
+    with pytest.raises(ValueError, match="outside"):
+        relabeled_circulants(5, [2, 6], [1, 2])
+    with pytest.raises(ValueError, match="outside"):
+        relabeled_circulants(5, [2, -1], [1, 2])
+    with pytest.raises(ValueError, match="seeds"):
+        relabeled_circulants(5, [2, 2], [1])
+    assert relabeled_circulants(1, [0, 1], [3, 4]).tolist() == [[[False]], [[True]]]
+
+
+def test_relabeled_circulants_cell_and_same_row_pair_laws():
+    # every cell is set with probability r/q and every two cells of one
+    # row (or column) together with r(r-1)/(q(q-1)), exactly; each count
+    # over independent blocks is checked by its normal approximation,
+    # with the limit z <= 5 fixed in advance
+    q, r, trials = 6, 2, 3000
+    blocks = relabeled_circulants(q, [r] * trials, [derive_seed(505, t) for t in range(trials)])
+    cells = blocks.astype(np.int64)
+
+    def z_scores(counts, p):
+        return (counts - trials * p) / np.sqrt(trials * p * (1 - p))
+
+    assert np.abs(z_scores(cells.sum(axis=0), r / q)).max() <= 5
+    pair = r * (r - 1) / (q * (q - 1))
+    off_diagonal = ~np.eye(q, dtype=bool)
+    rows = np.einsum("tac,tad->acd", cells, cells)[:, off_diagonal]
+    cols = np.einsum("tac,tbc->cab", cells, cells)[:, off_diagonal]
+    assert np.abs(z_scores(rows, pair)).max() <= 5
+    assert np.abs(z_scores(cols, pair)).max() <= 5
 
 
 def test_split_marks_exactly_the_smallest_keys_under_ties():

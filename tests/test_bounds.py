@@ -1,7 +1,7 @@
 """Tests for the derived constants and parameter ranges."""
 
 from decimal import Decimal, getcontext
-from math import log, sqrt
+from math import inf, log, nan, sqrt
 
 import pytest
 
@@ -70,6 +70,25 @@ def test_profile_rejects_bad_parameters():
         compute_profile(10**4, m=1)
     with pytest.raises(ValueError):
         compute_profile(1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(delta=-inf),
+        dict(delta=nan),
+        dict(delta=1.0),
+        dict(epsilon=nan),
+        dict(epsilon=1.5),
+        dict(m=1),
+    ],
+)
+def test_profile_and_growth_coefficient_reject_the_same_shape_parameters(kwargs):
+    # delta = -inf used to give k_min = 0, a threshold that admits every k
+    with pytest.raises(ValueError):
+        compute_profile(10**4, **kwargs)
+    with pytest.raises(ValueError):
+        growth_coefficient(**kwargs)
 
 
 def test_growth_coefficient_closed_forms():

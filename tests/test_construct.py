@@ -113,8 +113,9 @@ def test_biuniform_deterministic_for_fixed_seed():
 
 # sha256 of the search benchmark's output: biuniform_construct(400, 120)
 # at seed 7, target reserve 15, cut to 4 retries; a change that moves it
-# moves the bytes of every bi-uniform construction
-SEARCH_400_120_SHA256 = "5138b2e3e5b9f33a16e05b9bdac1501f6540008d1a9128e44a2cc7b8aee29b11"
+# moves the bytes of every bi-uniform construction.  Re-pinned because
+# the retry sampler is now a relabeled circulant.
+SEARCH_400_120_SHA256 = "cfd88685fa40b2e706bf2256d3789411d7b9f880df69d505d64f194ba736fbe8"
 
 
 def test_biuniform_search_400_120_golden_bytes():
@@ -123,7 +124,7 @@ def test_biuniform_search_400_120_golden_bytes():
     )
     text = serialize(cert.output, 120, seed=7)
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_400_120_SHA256
-    assert cert.per_retry_reserves == (0, -2, -1, -5)
+    assert cert.per_retry_reserves == (2, -2, -5, -4)
 
 
 def _flip_cell(blocks):
@@ -135,17 +136,30 @@ def _move_cell_within_its_row(blocks):
     row[np.argmax(row)], row[np.argmin(row)] = False, True
 
 
+def test_sample_retry_places_each_block_at_its_grid_offset():
+    matrix = feasibility_matrix_4x4(40, 30)
+    m, q = matrix.m, matrix.block_side
+    grid = np.zeros(40 * 40, dtype=bool)
+    grid[_sample_retry(matrix, 3, 2).keys] = True
+    grid = grid.reshape(40, 40)
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            r = matrix.entries[i - 1][j - 1]
+            block = bifactor.relabeled_circulants(q, [r], [bifactor.derive_seed(3, 2, i, j)])[0]
+            assert np.array_equal(grid[(i - 1) * q : i * q, (j - 1) * q : j * q], block), (i, j)
+
+
 @pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
 def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
     matrix = feasibility_matrix_4x4(40, 30)
     assert _sample_retry(matrix, 3, 0).is_regular(30)
 
-    def corrupted(q, rs, seeds, rounds=None):
-        blocks = bifactor.sample_blocks(q, rs, seeds, rounds)
+    def corrupted(q, rs, seeds):
+        blocks = bifactor.relabeled_circulants(q, rs, seeds)
         corrupt(blocks)
         return blocks
 
-    monkeypatch.setattr(construct, "sample_blocks", corrupted)
+    monkeypatch.setattr(construct, "relabeled_circulants", corrupted)
     with pytest.raises(RuntimeError, match="degree audit"):
         _sample_retry(matrix, 3, 0)
 
@@ -368,7 +382,8 @@ def test_pipeline_verifies_twice(monkeypatch):
     monkeypatch.setattr(construct, "verify", counting)
     cert = pipeline(403, 233, seed=11)
     assert cert.certified
-    assert calls == [(400, 240, 15), (403, 233, 0)]
+    # the retry is verified at exactly the reserve the spend uses: 7 + 2 * 3
+    assert calls == [(400, 240, 13), (403, 233, 0)]
 
 
 def _count_verify_calls(monkeypatch, n, k):
@@ -389,27 +404,38 @@ def test_pipeline_verifies_once_when_n_and_k_are_round(monkeypatch):
     # no reserve is spent, so the retry's sweep is the only one; the
     # reserve-0 report is read off it
     cert, calls = _count_verify_calls(monkeypatch, 400, 230)
-    assert calls == [(400, 230, 15)]
+    assert calls == [(400, 230, 0)]
     assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
     assert cert.report == verify(cert.output, 230, 0)
 
 
 def test_pipeline_verifies_twice_when_only_n_is_round(monkeypatch):
     cert, calls = _count_verify_calls(monkeypatch, 400, 233)
-    assert calls == [(400, 240, 15), (400, 233, 0)]
+    assert calls == [(400, 240, 7), (400, 233, 0)]
     assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
     assert cert.report == verify(cert.output, 233, 0)
 
 
 def test_pipeline_retries_exhausted_carries_best_effort():
-    # reserve 15 is out of reach at k=120 on a 400-grid; the failure
-    # must surface the best sample, which is still an exact 120-factor
+    # 113 on the 403-grid spends reserve 7 + 2 * 3 = 13, out of reach at
+    # k=120 on the 400-grid; the failure must surface the best sample,
+    # which is still an exact 120-factor
     with pytest.raises(RetriesExhausted) as exc:
         pipeline(403, 113, seed=7, max_retries=2)
     cert = exc.value.certificate
     assert not cert.certified
     assert cert.output.is_regular(120)
     assert len(cert.per_retry_reserves) == 2
+
+
+@pytest.mark.parametrize("k", [130, 150, 170])
+def test_pipeline_certifies_below_the_fixed_reserve_range(k):
+    # the retry aims at the reserve 6 that growing 400 -> 403 spends; a
+    # fixed target of 15 exhausted its retries at these k
+    cert = pipeline(403, k, seed=11)
+    assert cert.certified
+    assert cert.lineage[0][1]["k"] == k and cert.report.passed
+    assert cert.output.n == 403 and cert.output.is_regular(k)
 
 
 def test_pipeline_strict_mode_checks():
