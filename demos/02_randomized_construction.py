@@ -30,8 +30,9 @@ print(
     f"per-retry reserves {list(cert.per_retry_reserves)}"
 )
 
-# the full pipeline: round (n, k) to the divisible lattice, build with
-# reserve 15, shrink k back, grow n back
+# the full pipeline: round (n, k) to the divisible lattice (400, 240),
+# build with the reserve the spend uses, 7 + 2*3 = 13, then shrink k
+# back and grow n back with the retry's own shift-class 1-factors
 t0 = time.time()
 cert = pipeline(403, 233, seed=11, max_retries=16)
 print(

@@ -14,18 +14,20 @@ own generator; a block's flat nonzero indices are its keys.
   one-cell marginal r/m and the same two-cell law within a row, and the
   reserve law of a bi-uniform retry built from it matches Curveball's
   (CHANGES.md holds the measured table).  The randomized construction
-  samples its retries with it; the exact verification report of each
-  output, not the sampler, is the certificate.
+  samples its retries with it, and spends their shift classes as
+  1-factors; the exact verification report of each output, not the
+  sampler, is the certificate.
 - `sample_blocks` steps the Curveball chains of many blocks together
   and targets the uniform law; `sample_r_factor` is its one-block call,
   and its output, like every factor, passes the `BipartiteFactor`
   degree audit when it is built.  It serves the uses that need the
   uniform law: the marginal and containment checks and the demo.
 
-A factor splits into r disjoint perfect matchings (König), each found
-by Hopcroft–Karp.  The matcher holds row a's remaining cells as one
-Python int with bit b-1 set for column b, m^2/8 bytes for all rows, so
-each BFS and DFS step is a big-int operation on whole rows.
+Any factor splits into r disjoint perfect matchings (König), each
+found by Hopcroft–Karp (`iter_matchings`).  The matcher holds row a's
+remaining cells as one Python int with bit b-1 set for column b, m^2/8
+bytes for all rows, so each BFS and DFS step is a big-int operation on
+whole rows.
 """
 
 from __future__ import annotations
@@ -88,16 +90,33 @@ def _circulant(q: int, r) -> np.ndarray:
     return (idx[None, :] - idx[:, None]) % q < r[..., None, None]
 
 
+def _relabelings(q: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column permutations (sigma, tau), each of shape
+    (len(seeds), q), that `relabeled_circulants` applies: block b seeds
+    `default_rng(seeds[b])` and draws sigma[b], then tau[b].  They are
+    int16 when q < 2^15, so that tau - sigma fits the same type."""
+    dtype = np.int16 if q < 2**15 else np.int64
+    sigma = np.empty((len(seeds), q), dtype=dtype)
+    tau = np.empty_like(sigma)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        sigma[b] = rng.permutation(q)
+        tau[b] = rng.permutation(q)
+    return sigma, tau
+
+
 def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
     """One rs[b]-factor of the q x q cell grid per block b: the circulant
     factor under a uniformly random row and column relabeling.
 
     Block b seeds `default_rng(seeds[b])` and draws a row permutation
-    sigma, then a column permutation tau; [b, a, c] is set iff
-    (tau[c] - sigma[a]) mod q < rs[b], which is
+    sigma, then a column permutation tau (`_relabelings`); [b, a, c] is
+    set iff (tau[c] - sigma[a]) mod q < rs[b], which is
     `_circulant(q, rs[b])[sigma][:, tau]`.  Returns a (B, q, q) bool
     array like `sample_blocks`, built in one broadcast with no chain
-    rounds; a block depends only on its own seed.
+    rounds; a block depends only on its own seed.  Shift class
+    s < rs[b], the cells with tau[c] = (sigma[a] + s) mod q, is a
+    perfect matching of the block.
 
     Every cell lies in the factor with probability r/q, and two cells of
     one row (or column) with probability r(r-1)/(q(q-1)), as under the
@@ -106,16 +125,11 @@ def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
     rs = _degrees(q, np.asarray(rs, dtype=np.int64).reshape(-1))
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    sigma = np.empty((rs.size, q), dtype=np.int64)
-    tau = np.empty_like(sigma)
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        sigma[b] = rng.permutation(q)
-        tau[b] = rng.permutation(q)
+    sigma, tau = _relabelings(q, seeds)
     # d = tau[c] - sigma[a] lies in (-q, q), so d mod q < r exactly when
     # 0 <= d < r or d < r - q; this skips an integer modulo per cell
     d = tau[:, None, :] - sigma[:, :, None]
-    r = rs[:, None, None]
+    r = rs.astype(sigma.dtype)[:, None, None]
     return (d >= 0) & (d < r) | (d < r - q)
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 from math import ceil, inf, log, sqrt
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .bifactor import (
-    BipartiteFactor,
     _circulant,
+    _hopcroft_karp,
+    _relabelings,
     derive_seed,
-    iter_matchings,
     relabeled_circulants,
 )
 from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
@@ -119,18 +119,57 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
     the row's keys already in file order.
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
+    sums = np.min_scalar_type(q)
     keys = []
     for i in range(1, m + 1):
         rs = np.array(matrix.entries[i - 1])[:, None]
         blocks = relabeled_circulants(q, rs, [derive_seed(seed, t, i, j) for j in range(1, m + 1)])
+        ones = blocks.view(np.uint8)
         if not (
-            (np.count_nonzero(blocks, axis=2) == rs).all()
-            and (np.count_nonzero(blocks, axis=1) == rs).all()
+            (ones.sum(axis=2, dtype=sums) == rs).all()
+            and (ones.sum(axis=1, dtype=sums) == rs).all()
         ):
             raise RuntimeError(f"degree audit failed in block-row {i} of retry {t}")
         slab = blocks.transpose(1, 0, 2).reshape(q, n)
         keys.append(np.flatnonzero(slab) + (i - 1) * q * n)
     return PointSet(n, np.concatenate(keys))
+
+
+def _retry_factors(matrix: FeasibilityMatrix, seed: int, t: int) -> Iterator[np.ndarray]:
+    """Yield the 1-factors of `_sample_retry(matrix, seed, t)` one at a
+    time, with no matching run on its n x n cells: array f maps row x to
+    column f[x-1], 1-based.  The row sums and column sums of the matrix
+    must all be equal, to k; then there are k factors, disjoint, whose
+    union is the retry.
+
+    Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
+    classes is a perfect matching of the block (`relabeled_circulants`);
+    its sigma, tau are drawn again from the retry's seeds.  Step s takes a
+    perfect matching pi of the support of the block entries not yet
+    used, by `_hopcroft_karp` on m bits (one exists, by König, as every
+    line of what is left sums to k - s).  Each block (i, pi(i)) gives
+    its lowest unused shift class c, and row a of block-row i goes to
+    column pi(i)*q + tau^-1[(sigma[a] + c) mod q] (0-based).  A factor
+    is built only when it is asked for, and the first ones never depend
+    on how many follow.
+    """
+    m, q = matrix.m, matrix.block_side
+    seeds = [derive_seed(seed, t, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    sigma, tau = _relabelings(q, seeds)
+    tau_inv = np.argsort(tau, axis=1)
+    left = [list(row) for row in matrix.entries]
+    while any(map(any, left)):
+        pi, _ = _hopcroft_karp(m, [sum(1 << j for j, v in enumerate(row) if v) for row in left])
+        if -1 in pi:
+            raise ConstructionError("block matrix has unequal line sums; no 1-factor left")
+        # the shift classes below c are spent already
+        c = np.array([[matrix.entries[i][j] - left[i][j]] for i, j in enumerate(pi)])
+        for i, j in enumerate(pi):
+            left[i][j] -= 1
+        pi = np.array(pi)
+        b = np.arange(m) * m + pi
+        cols = tau_inv[b[:, None], (sigma[b] + c) % q] + (pi * q + 1)[:, None]
+        yield cols.reshape(-1)
 
 
 def biuniform_construct(
@@ -185,30 +224,39 @@ def biuniform_construct(
     )
 
 
-def _spend(points: PointSet, k: int, drop: int, grow: int) -> PointSet:
+def _spend(points: PointSet, k: int, drop: int, grow: int, factors: Iterable) -> PointSet:
     """Spend drop + grow 1-factors of a k-factor on [1,n]^2 in one step.
 
-    After one degree audit, drop + grow perfect matchings are taken from
-    one `iter_matchings` generator.  The first `drop` are erased; then
-    the i-th of the next `grow` moves its k - drop cells (x, y) of
-    smallest x to (n+i, y) and (x, n+i).  The result, a (k - drop)-factor
-    of [1, n + grow]^2, is read off one side^2 bool grid in key order.
-    Extraction depends only on the rows left, so this equals dropping
-    first and growing the survivor after, byte for byte.  The reserve
-    is not checked here; `spend` checks it.
+    The first drop + grow 1-factors are taken from `factors`, any
+    iterable of length-n sequences that map row x to column f[x-1]
+    (1-based): `_retry_factors` for a bi-uniform retry, or
+    `iter_matchings(BipartiteFactor(k, points))` for any k-factor.  They
+    are audited: there must be enough of them, each a permutation of
+    [1, n], every cell in the set and no cell in two of them.  The
+    first `drop` are erased; then the i-th of the next `grow` moves its
+    k - drop cells (x, y) of smallest x to (n+i, y) and (x, n+i).  The
+    result, a (k - drop)-factor of [1, n + grow]^2, is read off one
+    side^2 bool grid in key order.  The reserve is not checked here;
+    `spend` checks it.
     """
-    try:
-        factor = BipartiteFactor(k, points)
-    except ValueError as exc:
-        raise ConstructionError(f"point set is not a {k}-factor per row/column: {exc}") from None
     n, k_new, side = points.n, k - drop, points.n + grow
-    # ys[t, a-1] + 1 is the column of row a in the t-th matching
-    ys = np.array(tuple(islice(iter_matchings(factor), drop + grow)), dtype=np.int64)
-    ys = ys.reshape(drop + grow, n) - 1
+    # ys[t, a-1] + 1 is the column of row a in the t-th factor
+    ys = [np.asarray(f, dtype=np.int64) for f in islice(factors, drop + grow)]
+    if len(ys) < drop + grow:
+        raise ConstructionError(f"{drop + grow} 1-factors needed, {len(ys)} given")
+    if not all(f.shape == (n,) and (np.sort(f) == np.arange(1, n + 1)).all() for f in ys):
+        raise ConstructionError(f"a 1-factor is not a permutation of [1, {n}]")
+    ys = np.array(ys, dtype=np.int64).reshape(drop + grow, n) - 1
     # old key (x-1)*n + (y-1) moves to (x-1)*side + (y-1)
     cells = np.zeros(side * side, dtype=bool)
     cells[points.keys + points.keys // n * grow] = True
     rows = np.arange(n) * side
+    if not cells[rows + ys].all():
+        raise ConstructionError("a 1-factor has a cell outside the set")
+    # two factors share a cell only if they send some row to one column
+    ranked = np.sort(ys, axis=0)
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ConstructionError("two 1-factors share a cell")
     cells[rows + ys[:drop]] = False
     donors, donated = rows[:k_new], ys[drop:, :k_new]
     new = n + np.arange(grow)[:, None]
@@ -223,20 +271,28 @@ def spend(
     report: VerificationReport,
     k: int,
     n: int,
+    factors: Iterable,
 ) -> tuple[PointSet, VerificationReport]:
     """Spend the verified reserve of a `report.k`-factor on
     [1, points.n]^2 to make a k-factor on [1,n]^2: drop report.k - k
     1-factors and grow n - points.n rows and columns (`_spend`).  Each
     dropped factor costs 1 of reserve, each new row and column 2.
 
+    The 1-factors are the first drop + grow of `factors`: `pipeline`
+    passes its retry's own shift classes (`_retry_factors`); a caller
+    holding any other k-factor passes
+    `iter_matchings(BipartiteFactor(report.k, points))`, which extracts
+    them by Hopcroft-Karp.  `_spend` audits each one it uses.
+
     `report` is the passing verification report of `points`, trusted,
     not recomputed: its `axis_max` must be at most its k and its
-    `achieved_reserve` at least the reserve spent.  The degrees are
-    still audited, and the output is verified at reserve 0; that report
+    `achieved_reserve` at least the reserve spent.  With len(points) =
+    report.k * points.n that makes every row and column hold exactly
+    report.k points.  The output is verified at reserve 0; that report
     is the certificate, so a wrong input report can make the output
     fail, never pass unchecked.  When nothing is spent the set is
-    returned unchanged and not swept again: the input report comes back
-    re-targeted to reserve 0.
+    returned unchanged and not swept again, and no factor is read: the
+    input report comes back re-targeted to reserve 0.
     """
     drop, grow = report.k - k, n - points.n
     if drop < 0 or grow < 0:
@@ -247,9 +303,14 @@ def spend(
         raise ConstructionError(
             f"input does not have reserve {drop + 2 * grow}: {report.summary()}"
         )
+    if len(points) != report.k * points.n:
+        raise ConstructionError(
+            f"point set is not a {report.k}-factor per row/column: "
+            f"{len(points)} points on [1,{points.n}]^2"
+        )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    out = _spend(points, report.k, drop, grow)
+    out = _spend(points, report.k, drop, grow, factors)
     return out, verify(out, k, 0)
 
 
@@ -268,11 +329,13 @@ def pipeline(
     n and k are rounded to multiples of 4 and 10, the bi-uniform
     construction retries until a sample verifies at the reserve one
     `spend` needs to shrink k back and grow n back, (k' - k) + 2(n - n'),
-    and that `spend` makes the output, swept once at reserve 0.  Its
-    retries are relabeled circulants, not the paper's uniform factors
-    (`_sample_retry`; Curveball remains for the uniform-law uses), with
-    the reserve law of the table in CHANGES.md; the exact verification
-    report is the certificate.
+    and that `spend` makes the output, swept once at reserve 0.  The
+    spend uses the passing retry's own 1-factors, the shift classes of
+    its relabeled circulant blocks (`_retry_factors`), so no matching
+    is run on the n' x n' set.  Its retries are relabeled circulants,
+    not the paper's uniform factors (`_sample_retry`; Curveball remains
+    for the uniform-law uses), with the reserve law of the table in
+    CHANGES.md; the exact verification report is the certificate.
     strict additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the
     checkable hypotheses of the regime where success is guaranteed
     asymptotically).
@@ -316,7 +379,8 @@ def pipeline(
     if not cert.certified:
         raise RetriesExhausted(cert)
 
-    points, report = spend(cert.output, cert.report, k, n)
+    retry = cert.lineage[0][1]["retry"]
+    points, report = spend(cert.output, cert.report, k, n, _retry_factors(matrix, seed, retry))
     if not report.passed:
         raise ConstructionError(f"reserve chain broken: {report.summary()}")
     assert points.n == n and len(points) == k * n

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import pi, sqrt
 
 from nkline.bifactor import (
+    BipartiteFactor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
@@ -167,8 +168,10 @@ def test_criterion_07_factorization_roundtrip():
 
 
 def _adjust_chain(cert):
-    shrunk, rep1 = spend(cert.output, cert.report, CHAIN_K, DESK_N)
-    grown, rep2 = spend(shrunk, rep1, CHAIN_K, CHAIN_N)
+    factors = iter_matchings(BipartiteFactor(DESK_K, cert.output))
+    shrunk, rep1 = spend(cert.output, cert.report, CHAIN_K, DESK_N, factors)
+    factors = iter_matchings(BipartiteFactor(CHAIN_K, shrunk))
+    grown, rep2 = spend(shrunk, rep1, CHAIN_K, CHAIN_N, factors)
     return shrunk, rep1, grown, rep2
 
 

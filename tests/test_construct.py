@@ -3,6 +3,7 @@
 import hashlib
 import random
 from dataclasses import replace
+from itertools import islice
 from math import inf, nan
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkline import bifactor, construct
-from nkline.bifactor import sample_r_factor
+from nkline.bifactor import BipartiteFactor, iter_matchings, sample_r_factor
 from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
+    _retry_factors,
     _sample_retry,
     biuniform_construct,
     explicit_construct,
@@ -149,6 +151,21 @@ def test_sample_retry_places_each_block_at_its_grid_offset():
             assert np.array_equal(grid[(i - 1) * q : i * q, (j - 1) * q : j * q], block), (i, j)
 
 
+def test_sample_retry_above_255_matches_the_permuted_circulant():
+    # q and r above 255: int16 relabelings, uint16 degree sums
+    q, r = 300, 280
+    matrix = FeasibilityMatrix(2, q, [[r, q - r], [q - r, r]])
+    grid = np.zeros(matrix.n**2, dtype=bool)
+    grid[_sample_retry(matrix, 9, 1).keys] = True
+    grid = grid.reshape(matrix.n, matrix.n)
+    for i in range(1, 3):
+        for j in range(1, 3):
+            rng = np.random.default_rng(bifactor.derive_seed(9, 1, i, j))
+            sigma, tau = rng.permutation(q), rng.permutation(q)
+            want = bifactor._circulant(q, matrix.entries[i - 1][j - 1])[sigma][:, tau]
+            assert np.array_equal(grid[(i - 1) * q : i * q, (j - 1) * q : j * q], want), (i, j)
+
+
 @pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
 def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
     matrix = feasibility_matrix_4x4(40, 30)
@@ -170,7 +187,7 @@ def test_adjust_k_noop(monkeypatch):
     report = verify(s, 8, 0)
     sweeps = []
     monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
-    out, rep = spend(s, report, 8, 12)
+    out, rep = spend(s, report, 8, 12, iter_matchings(BipartiteFactor(8, s)))
     assert out is s and rep == report and rep.passed
     assert sweeps == []
 
@@ -178,7 +195,7 @@ def test_adjust_k_noop(monkeypatch):
 def test_adjust_k_full_grid_degree_audit():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out = construct._spend(full, n, 1, 0)
+    out = construct._spend(full, n, 1, 0, iter_matchings(BipartiteFactor(n, full)))
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -187,11 +204,11 @@ def test_adjustments_leave_their_input_unchanged(desk_scale_run):
     cert, _ = desk_scale_run
     s = cert.output
     before = s.keys.copy()
-    shrunk, report = spend(s, cert.report, 233, 400)
+    shrunk, report = spend(s, cert.report, 233, 400, iter_matchings(BipartiteFactor(240, s)))
     assert np.array_equal(s.keys, before)
     assert len(s) == 240 * 400 and s.is_regular(240)
     before = shrunk.keys.copy()
-    spend(shrunk, report, 233, 403)
+    spend(shrunk, report, 233, 403, iter_matchings(BipartiteFactor(233, shrunk)))
     assert np.array_equal(shrunk.keys, before)
     assert shrunk.n == 400 and shrunk.is_regular(233)
 
@@ -220,13 +237,16 @@ _R12 = verify(_S12, 8, 0)  # an explicit set has reserve 0
     ],
 )
 def test_spend_rejects(points, report, k, n, match):
+    # each check fails before a 1-factor is read, so none is given
     with pytest.raises(ConstructionError, match=match):
-        spend(points, report, k, n)
+        spend(points, report, k, n, ())
 
 
 @pytest.fixture
 def extractions(monkeypatch):
-    """List that grows by one entry per perfect-matching extraction."""
+    """List with one entry m per perfect matching found on an m x m
+    grid: a 1-factor of an m x m factor (`iter_matchings`), or a block
+    permutation of an m x m block matrix (`_retry_factors`)."""
     calls = []
     matcher = bifactor._hopcroft_karp
 
@@ -235,6 +255,7 @@ def extractions(monkeypatch):
         return matcher(m, adj)
 
     monkeypatch.setattr(bifactor, "_hopcroft_karp", counting)
+    monkeypatch.setattr(construct, "_hopcroft_karp", counting)
     return calls
 
 
@@ -248,7 +269,7 @@ def test_adjust_k_never_increases_any_line_count(extractions):
         s = f.points
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out = construct._spend(s, r, 2, 0)
+        out = construct._spend(s, r, 2, 0, iter_matchings(f))
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
@@ -260,7 +281,9 @@ def test_adjust_n_noop_for_zero_slack(desk_scale_run, monkeypatch):
     cert, _ = desk_scale_run
     sweeps = []
     monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
-    out, rep = spend(cert.output, cert.report, 240, 400)
+    out, rep = spend(
+        cert.output, cert.report, 240, 400, iter_matchings(BipartiteFactor(240, cert.output))
+    )
     assert out is cert.output and sweeps == []
     assert rep == replace(cert.report, required_reserve=0) and rep.passed
 
@@ -268,13 +291,15 @@ def test_adjust_n_noop_for_zero_slack(desk_scale_run, monkeypatch):
 def test_adjustment_chain_at_scale(desk_scale_run, extractions):
     cert, _ = desk_scale_run
     assert cert.certified, cert.report.summary()
-    shrunk, rep1 = spend(cert.output, cert.report, 233, 400)
+    shrunk, rep1 = spend(
+        cert.output, cert.report, 233, 400, iter_matchings(BipartiteFactor(240, cert.output))
+    )
     assert len(extractions) == 7
     assert rep1.passed
     assert rep1.achieved_reserve >= 8
     assert shrunk.is_regular(233)
     extractions.clear()
-    grown, rep2 = spend(shrunk, rep1, 233, 403)
+    grown, rep2 = spend(shrunk, rep1, 233, 403, iter_matchings(BipartiteFactor(233, shrunk)))
     assert len(extractions) == 3
     assert rep2.passed
     assert grown.n == 403
@@ -285,7 +310,9 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
 def test_adjust_n_row_col_exactness_small(desk_scale_run):
     # grow by 2, spending 4 of the certified reserve 15
     cert, _ = desk_scale_run
-    out, rep = spend(cert.output, cert.report, 240, 402)
+    out, rep = spend(
+        cert.output, cert.report, 240, 402, iter_matchings(BipartiteFactor(240, cert.output))
+    )
     assert rep.passed
     assert out.n == 402
     assert out.is_regular(240)
@@ -313,29 +340,115 @@ def _spends(draw):
 def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
     m, r, drop, grow = sizes
     f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
-    once = construct._spend(f, r, drop, grow)
-    assert once == construct._spend(construct._spend(f, r, drop, 0), r - drop, 0, grow)
+    once = construct._spend(f, r, drop, grow, iter_matchings(BipartiteFactor(r, f)))
+    dropped = construct._spend(f, r, drop, 0, iter_matchings(BipartiteFactor(r, f)))
+    grown = construct._spend(
+        dropped, r - drop, 0, grow, iter_matchings(BipartiteFactor(r - drop, dropped))
+    )
+    assert once == grown
     assert once.n == m + grow and once.is_regular(r - drop)
 
 
-def test_pipeline_spends_from_one_audit_and_one_bitset_build(monkeypatch, extractions):
-    builds, audits = [], []
+def test_pipeline_spends_without_a_matching_on_the_set(monkeypatch, extractions):
+    # the spend takes the retry's own shift classes: no row bitsets of
+    # the 400 x 400 set are built and Hopcroft-Karp runs only on the
+    # 4 x 4 block matrix, once per factor spent (7 dropped, 3 grown)
+    builds = []
     row_bitsets = bifactor._row_bitsets
-    audit = bifactor.BipartiteFactor.__post_init__
 
     def counting_builds(points):
         builds.append(points.n)
         return row_bitsets(points)
 
-    def counting_audits(self):
-        audits.append(self.r)
-        audit(self)
-
     monkeypatch.setattr(bifactor, "_row_bitsets", counting_builds)
-    monkeypatch.setattr(bifactor.BipartiteFactor, "__post_init__", counting_audits)
     cert = pipeline(403, 233, seed=11)
     assert cert.certified
-    assert builds == [400] and audits == [240] and len(extractions) == 10
+    assert builds == [] and extractions == [4] * 10
+
+
+@st.composite
+def _regular_block_matrices(draw):
+    """(matrix, k): an m x m block matrix with every line sum k, the sum
+    of k permutation matrices, on blocks of side q >= k."""
+    m, q = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    k = draw(st.integers(0, q))
+    entries = np.zeros((m, m), dtype=np.int64)
+    for _ in range(k):
+        entries[np.arange(m), draw(st.permutations(range(m)))] += 1
+    return FeasibilityMatrix(m, q, entries.tolist()), k
+
+
+@given(
+    mk=_regular_block_matrices(), seed=st.integers(0, 2**32), t=st.integers(0, 3), data=st.data()
+)
+@settings(max_examples=80, deadline=None)
+def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed, t, data):
+    matrix, k = mk
+    n = matrix.n
+    factors = list(_retry_factors(matrix, seed, t))
+    assert len(factors) == k
+    for f in factors:
+        assert sorted(f.tolist()) == list(range(1, n + 1))
+    # k * n distinct cells, exactly the retry's
+    keys = np.array([np.arange(n) * n + f - 1 for f in factors], dtype=np.int64).reshape(-1)
+    assert np.array_equal(np.sort(keys), _sample_retry(matrix, seed, t).keys)
+    # a prefix does not depend on how many are asked for, and a rerun
+    # with the same seed gives the same factors
+    j = data.draw(st.integers(0, k))
+    prefix = list(islice(_retry_factors(matrix, seed, t), j))
+    assert [f.tolist() for f in prefix] == [f.tolist() for f in factors[:j]]
+    assert [f.tolist() for f in _retry_factors(matrix, seed, t)] == [f.tolist() for f in factors]
+
+
+def test_retry_factors_reject_unequal_line_sums():
+    factors = _retry_factors(FeasibilityMatrix(2, 3, [[1, 0], [0, 2]]), 0, 0)
+    assert sorted(next(factors).tolist()) == list(range(1, 7))
+    with pytest.raises(ConstructionError, match="unequal line sums"):
+        next(factors)
+
+
+def _swap_into_a_cell_outside_the_set(factors):
+    # swapping two rows' columns keeps a permutation
+    f = factors[1]
+    inside = set(_S12.sorted_xy())
+    a, b = next(
+        (a, b) for a in range(12) for b in range(12) if (a + 1, int(f[b])) not in inside
+    )
+    f[a], f[b] = f[b], f[a]
+
+
+def _repeat_a_factor(factors):
+    factors[2] = factors[0].copy()
+
+
+def _break_a_permutation(factors):
+    factors[1][0] = factors[1][1]
+
+
+def _shorten_a_factor(factors):
+    factors[0] = factors[0][:-1]
+
+
+def _give_too_few(factors):
+    del factors[2]
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        (_swap_into_a_cell_outside_the_set, "outside the set"),
+        (_repeat_a_factor, "share a cell"),
+        (_break_a_permutation, "not a permutation"),
+        (_shorten_a_factor, "not a permutation"),
+        (_give_too_few, "3 1-factors needed, 2 given"),
+    ],
+)
+def test_spend_audit_rejects_bad_factors(mutate, match):
+    factors = [np.array(f) for f in islice(iter_matchings(BipartiteFactor(8, _S12)), 3)]
+    assert construct._spend(_S12, 8, 2, 1, [f.copy() for f in factors]).is_regular(6)
+    mutate(factors)
+    with pytest.raises(ConstructionError, match=match):
+        construct._spend(_S12, 8, 2, 1, factors)
 
 
 def test_pipeline_explicit_route_68_46():
