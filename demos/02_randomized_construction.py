@@ -30,9 +30,9 @@ print(
     f"per-retry reserves {list(cert.per_retry_reserves)}"
 )
 
-# the full pipeline: round (n, k) to the divisible lattice (400, 240),
-# build with the reserve the spend uses, 7 + 2*3 = 13, then shrink k
-# back and grow n back with the retry's own shift-class 1-factors
+# the full pipeline: sample each retry on the divisible lattice
+# (400, 240), shrink k back and grow n back with the retry's own
+# shift-class 1-factors, then verify the spent set at reserve 0
 t0 = time.time()
 cert = pipeline(403, 233, seed=11, max_retries=16)
 print(

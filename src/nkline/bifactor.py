@@ -125,11 +125,17 @@ def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
     rs = _degrees(q, np.asarray(rs, dtype=np.int64).reshape(-1))
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    sigma, tau = _relabelings(q, seeds)
+    return _permuted_circulants(q, rs, *_relabelings(q, seeds))
+
+
+def _permuted_circulants(q: int, rs: np.ndarray, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The broadcast of `relabeled_circulants` on relabelings already
+    drawn (`_relabelings`): [b, a, c] is set iff
+    (tau[b, c] - sigma[b, a]) mod q < rs[b].  rs is not range-checked."""
     # d = tau[c] - sigma[a] lies in (-q, q), so d mod q < r exactly when
     # 0 <= d < r or d < r - q; this skips an integer modulo per cell
     d = tau[:, None, :] - sigma[:, :, None]
-    r = rs.astype(sigma.dtype)[:, None, None]
+    r = rs.astype(sigma.dtype).reshape(-1, 1, 1)
     return (d >= 0) & (d < r) | (d < r - q)
 
 

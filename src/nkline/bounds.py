@@ -140,19 +140,15 @@ def estimate_growth_coefficient(
 def feasible_k_range(
     n: int,
     C: float,
-    m: int = 4,
     multiple_of: int = 1,
 ) -> Optional[tuple[int, int]]:
     """Admissible k interval [ceil(C*sqrt(n ln n)), floor(5n/6)],
     optionally snapped inward to a divisibility lattice.  None when
-    empty.  Both built-in matrices share the 5n/6 cap, so m only
-    selects the profile and does not move the interval."""
+    empty.  Both built-in matrices share the 5n/6 cap."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < C < inf:
         raise ValueError(f"C must be positive and finite, got {C}")
-    if m < 2:
-        raise ValueError(f"m must be >= 2, got {m}")
     lo = ceil(C * sqrt(n * log(n)))
     hi = (5 * n) // 6
     if multiple_of > 1:
@@ -165,7 +161,6 @@ def feasible_k_range(
 
 def smallest_feasible_n(
     C: float,
-    m: int = 4,
     multiple_of: int = 1,
     limit: int = 1 << 40,
 ) -> Optional[int]:
@@ -175,7 +170,7 @@ def smallest_feasible_n(
     lo, hi = 2, None
     n = 2
     while n <= limit:
-        if feasible_k_range(n, C, m, multiple_of) is not None:
+        if feasible_k_range(n, C, multiple_of) is not None:
             hi = n
             break
         lo = n
@@ -184,7 +179,7 @@ def smallest_feasible_n(
         return None
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if feasible_k_range(mid, C, m, multiple_of) is not None:
+        if feasible_k_range(mid, C, multiple_of) is not None:
             hi = mid
         else:
             lo = mid

@@ -62,7 +62,7 @@ def cmd_construct(args) -> int:
         return EXIT_USAGE
 
     # the file and its sidecar describe the certificate alone: on
-    # exhaustion that is the best sample, with its own n and k
+    # exhaustion that is the best sample
     if cert.certified:
         status, code = "certified", EXIT_OK
     elif cert.per_retry_reserves:
@@ -152,8 +152,8 @@ def cmd_bounds(args) -> int:
             L=args.L,
         )
         coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
-        rng = bounds_mod.feasible_k_range(args.n, args.C, args.m)
-        n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C, args.m)
+        rng = bounds_mod.feasible_k_range(args.n, args.C)
+        n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

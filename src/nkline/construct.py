@@ -18,9 +18,9 @@ import numpy as np
 from .bifactor import (
     _circulant,
     _hopcroft_karp,
+    _permuted_circulants,
     _relabelings,
     derive_seed,
-    relabeled_circulants,
 )
 from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
@@ -104,58 +104,54 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     )
 
 
-def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> PointSet:
-    """Union of the per-block factors of retry t; block (i, j) gets an
-    r_{i,j}-factor, a relabeled circulant (`relabeled_circulants`) drawn
-    with seed derived from (seed, t, i, j).  That is not the paper's
-    uniform r-factor: its reserve law matches Curveball's in the table
-    of CHANGES.md, and the exact verification report of the retry is
-    its certificate.  The Curveball sampler remains for the uses
-    that need the uniform law.
+def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[PointSet, Iterator]:
+    """Retry t: the union of the per-block factors, and its 1-factors.
 
-    The m blocks of a block-row are sampled together and audited
-    together.  Laid side by side they form a q x n slab of grid rows, so
-    the slab's flat nonzero indices, offset by the rows above it, are
-    the row's keys already in file order.
+    Block (i, j) gets an r_{i,j}-factor, a relabeled circulant
+    (`relabeled_circulants`) whose sigma, tau are drawn once, with seed
+    derived from (seed, t, i, j), blocks in row-major order.  That is
+    not the paper's uniform r-factor: its reserve law matches
+    Curveball's in the table of CHANGES.md, and the exact verification
+    report of the output is its certificate.  The Curveball sampler
+    remains for the uses that need the uniform law.
+
+    All m^2 blocks are built in one broadcast and audited together.
+    Laid out as the n x n grid they are row-major, so its flat nonzero
+    indices are the keys already in file order.  The same sigma, tau
+    give the lazy `_retry_factors` iterator returned with the points.
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
-    sums = np.min_scalar_type(q)
-    keys = []
-    for i in range(1, m + 1):
-        rs = np.array(matrix.entries[i - 1])[:, None]
-        blocks = relabeled_circulants(q, rs, [derive_seed(seed, t, i, j) for j in range(1, m + 1)])
-        ones = blocks.view(np.uint8)
-        if not (
-            (ones.sum(axis=2, dtype=sums) == rs).all()
-            and (ones.sum(axis=1, dtype=sums) == rs).all()
-        ):
-            raise RuntimeError(f"degree audit failed in block-row {i} of retry {t}")
-        slab = blocks.transpose(1, 0, 2).reshape(q, n)
-        keys.append(np.flatnonzero(slab) + (i - 1) * q * n)
-    return PointSet(n, np.concatenate(keys))
-
-
-def _retry_factors(matrix: FeasibilityMatrix, seed: int, t: int) -> Iterator[np.ndarray]:
-    """Yield the 1-factors of `_sample_retry(matrix, seed, t)` one at a
-    time, with no matching run on its n x n cells: array f maps row x to
-    column f[x-1], 1-based.  The row sums and column sums of the matrix
-    must all be equal, to k; then there are k factors, disjoint, whose
-    union is the retry.
-
-    Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
-    classes is a perfect matching of the block (`relabeled_circulants`);
-    its sigma, tau are drawn again from the retry's seeds.  Step s takes a
-    perfect matching pi of the support of the block entries not yet
-    used, by `_hopcroft_karp` on m bits (one exists, by König, as every
-    line of what is left sums to k - s).  Each block (i, pi(i)) gives
-    its lowest unused shift class c, and row a of block-row i goes to
-    column pi(i)*q + tau^-1[(sigma[a] + c) mod q] (0-based).  A factor
-    is built only when it is asked for, and the first ones never depend
-    on how many follow.
-    """
-    m, q = matrix.m, matrix.block_side
+    rs = np.array(matrix.entries).reshape(-1, 1)
     seeds = [derive_seed(seed, t, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     sigma, tau = _relabelings(q, seeds)
+    blocks = _permuted_circulants(q, rs, sigma, tau)
+    ones, sums = blocks.view(np.uint8), np.min_scalar_type(q)
+    if not (
+        (ones.sum(axis=2, dtype=sums) == rs).all() and (ones.sum(axis=1, dtype=sums) == rs).all()
+    ):
+        raise RuntimeError(f"degree audit failed in retry {t}")
+    grid = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
+    return PointSet(n, np.flatnonzero(grid)), _retry_factors(matrix, sigma, tau)
+
+
+def _retry_factors(matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray) -> Iterator:
+    """Yield the 1-factors of the retry that `_sample_retry` built from
+    the relabelings sigma, tau, one at a time, with no matching run on
+    its n x n cells: array f maps row x to column f[x-1], 1-based.  The
+    row sums and column sums of the matrix must all be equal, to k; then
+    there are k factors, disjoint, whose union is the retry.
+
+    Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
+    classes is a perfect matching of the block (`relabeled_circulants`).
+    Step s takes a perfect matching pi of the support of the block
+    entries not yet used, by `_hopcroft_karp` on m bits (one exists, by
+    König, as every line of what is left sums to k - s).  Each block
+    (i, pi(i)) gives its lowest unused shift class c, and row a of
+    block-row i goes to column pi(i)*q + tau^-1[(sigma[a] + c) mod q]
+    (0-based).  A factor is built only when it is asked for, and the
+    first ones never depend on how many follow.
+    """
+    m, q = matrix.m, matrix.block_side
     tau_inv = np.argsort(tau, axis=1)
     left = [list(row) for row in matrix.entries]
     while any(map(any, left)):
@@ -180,31 +176,40 @@ def biuniform_construct(
     max_retries: int = 64,
     target_reserve: int = 0,
 ) -> ConstructionCertificate:
-    """Union of independently sampled per-block factors, retried until a
-    sample verifies at the target reserve.
+    """A k-factor on [1,n]^2 from independently sampled per-block
+    factors, retried until one verifies at the target reserve.
 
-    Block (i, j) of the m x m decomposition receives an r_{i,j}-factor
-    sampled with seed derived from (seed, retry, i, j): a relabeled
-    circulant (`_sample_retry`), not the paper's uniform r-factor (the
-    uniform Curveball sampler remains for other uses), whose reserve law
-    matches Curveball's in the table of CHANGES.md.
-    Row/column sums of the matrix equal to k make every sample an exact
-    k-factor; only generic secants are random, and the exact
-    verification report is the certificate.  On exhaustion the
-    best-effort sample and its report are returned with certified=False.
+    The matrix lies on a grid n' = matrix.n <= n, and its row and column
+    sums all equal one k' >= k.  Retry t samples a k'-factor on
+    [1,n']^2 (`_sample_retry`): block (i, j) of the m x m decomposition
+    receives an r_{i,j}-factor with seed derived from (seed, t, i, j), a
+    relabeled circulant, not the paper's uniform r-factor (the uniform
+    Curveball sampler remains for other uses), whose reserve law matches
+    Curveball's in the table of CHANGES.md.  When k' > k or n' < n the
+    retry is spent (`_spend`): k' - k of its own shift-class 1-factors
+    are dropped and the next n - n' each grow one row and column, which
+    needs (k' - k) + (n - n') <= k'.  The set is then verified once, at
+    (k, target_reserve); only generic secants are random, and that exact
+    report is the certificate.  On exhaustion the best-effort set (at n
+    and k too) and its report are returned with certified=False.
     """
-    if matrix.n != n:
+    n_sample, k_sample = matrix.n, matrix.row_sums()[0]
+    if matrix.row_sums() != [k_sample] * matrix.m or matrix.col_sums() != [k_sample] * matrix.m:
+        raise ConstructionError(f"matrix row/column sums are not all equal: {matrix.entries}")
+    drop, grow = k_sample - k, n - n_sample
+    if min(drop, grow) < 0 or drop + grow > k_sample:
         raise ConstructionError(
-            f"matrix is for n={matrix.n} (m={matrix.m} x side {matrix.block_side}), not n={n}"
+            f"a {k_sample}-factor on [1,{n_sample}]^2 cannot be spent to k={k} on [1,{n}]^2: "
+            f"it would drop {drop} and grow {grow} of its {k_sample} 1-factors"
         )
-    if matrix.row_sums() != [k] * matrix.m or matrix.col_sums() != [k] * matrix.m:
-        raise ConstructionError(f"matrix row/column sums must all equal k={k}")
     if max_retries < 1:
         raise ConstructionError("max_retries must be >= 1")
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
-        sample = _sample_retry(matrix, seed, t)
+        sample, factors = _sample_retry(matrix, seed, t)
+        if drop or grow:
+            sample = _spend(sample, k_sample, drop, grow, factors)
         report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
@@ -212,16 +217,13 @@ def biuniform_construct(
         if report.passed:
             break
         # a retry that is not the best must not stay alive while the next is built
-        del sample, report
+        del sample, factors, report
     sample, report = best
-    retry = t if report.passed else None
-    return ConstructionCertificate(
-        seed=seed,
-        output=sample,
-        report=report,
-        lineage=(("biuniform", {"n": n, "k": k, "m": matrix.m, "seed": seed, "retry": retry}),),
-        per_retry_reserves=tuple(reserves),
-    )
+    lineage = (("biuniform", {"n": n_sample, "k": k_sample, "m": matrix.m, "seed": seed,
+                              "retry": t if report.passed else None}),)
+    if drop or grow:
+        lineage += (("spend", {"from": (n_sample, k_sample), "to": (n, k)}),)
+    return ConstructionCertificate(seed, sample, report, lineage, tuple(reserves))
 
 
 def _spend(points: PointSet, k: int, drop: int, grow: int, factors: Iterable) -> PointSet:
@@ -278,11 +280,11 @@ def spend(
     1-factors and grow n - points.n rows and columns (`_spend`).  Each
     dropped factor costs 1 of reserve, each new row and column 2.
 
-    The 1-factors are the first drop + grow of `factors`: `pipeline`
-    passes its retry's own shift classes (`_retry_factors`); a caller
-    holding any other k-factor passes
+    The 1-factors are the first drop + grow of `factors`, for instance
     `iter_matchings(BipartiteFactor(report.k, points))`, which extracts
     them by Hopcroft-Karp.  `_spend` audits each one it uses.
+    (`biuniform_construct` spends each retry with its own shift classes
+    before its one sweep, so it has no report to pass here.)
 
     `report` is the passing verification report of `points`, trusted,
     not recomputed: its `axis_max` must be at most its k and its
@@ -326,18 +328,17 @@ def pipeline(
     size k*n on [1,n]^2.
 
     Large k (k >= 2n/3) routes to the explicit construction.  Otherwise
-    n and k are rounded to multiples of 4 and 10, the bi-uniform
-    construction retries until a sample verifies at the reserve one
-    `spend` needs to shrink k back and grow n back, (k' - k) + 2(n - n'),
-    and that `spend` makes the output, swept once at reserve 0.  The
-    spend uses the passing retry's own 1-factors, the shift classes of
-    its relabeled circulant blocks (`_retry_factors`), so no matching
-    is run on the n' x n' set.  Its retries are relabeled circulants,
-    not the paper's uniform factors (`_sample_retry`; Curveball remains
-    for the uniform-law uses), with the reserve law of the table in
-    CHANGES.md; the exact verification report is the certificate.
-    strict additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the
-    checkable hypotheses of the regime where success is guaranteed
+    n and k are rounded down to n' and up to k', multiples of 4 and 10,
+    and `biuniform_construct(n, k, feasibility_matrix_4x4(n', k'), ...)`
+    samples each retry at (n', k'), spends it back to (n, k) with its own
+    shift-class 1-factors (no matching runs on the n' x n' set), and
+    sweeps the spent set once at reserve 0.  Its retries are relabeled
+    circulants, not the paper's uniform factors (`_sample_retry`;
+    Curveball remains for the uniform-law uses), with the reserve law of
+    the table in CHANGES.md; the exact verification report is the
+    certificate.  RetriesExhausted carries the best spent set.  strict
+    additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the checkable
+    hypotheses of the regime where success is guaranteed
     asymptotically).
     """
     if not (1 <= k <= n):
@@ -360,29 +361,13 @@ def pipeline(
 
     n_round = 4 * (n // 4)
     k_round = 10 * ceil(k / 10)
-    if n_round < 4 or k_round < 10:
-        raise ConstructionError(f"n'={n} / k'={k} too small for the randomized route")
     if 6 * k_round > 5 * n_round:
         raise ConstructionError(
             f"rounded k={k_round} exceeds 5/6 of rounded n={n_round}"
             + (" (strict chain broken)" if strict else "")
         )
-    if strict and n_round < 66:
-        raise ConstructionError(f"rounded n={n_round} below 66; 5n/6 chain not guaranteed")
-
     matrix = feasibility_matrix_4x4(n_round, k_round)
-    # exactly the reserve `spend` checks for: at most 9 + 2 * 3 = 15
-    reserve = (k_round - k) + 2 * (n - n_round)
-    cert = biuniform_construct(
-        n_round, k_round, matrix, seed, max_retries=max_retries, target_reserve=reserve
-    )
+    cert = biuniform_construct(n, k, matrix, seed, max_retries=max_retries)
     if not cert.certified:
         raise RetriesExhausted(cert)
-
-    retry = cert.lineage[0][1]["retry"]
-    points, report = spend(cert.output, cert.report, k, n, _retry_factors(matrix, seed, retry))
-    if not report.passed:
-        raise ConstructionError(f"reserve chain broken: {report.summary()}")
-    assert points.n == n and len(points) == k * n
-    lineage = cert.lineage + (("spend", {"from": (n_round, k_round), "to": (n, k)}),)
-    return replace(cert, output=points, report=report, lineage=lineage)
+    return cert

@@ -108,20 +108,20 @@ def test_construct_retries_exhausted_exit_code(tmp_path):
 
 
 def test_construct_retries_exhausted_writes_the_sample_it_holds(tmp_path, capsys):
-    # the reserve 13 that 113 on the 403-grid spends is out of reach at
-    # k=120 on the 400-grid, so the best sample is a 120-factor on
-    # [1,400]^2 and the file must say so
+    # neither retry at (400, 120), spent to (403, 113), is certified, so
+    # the best spent set is a 113-factor on [1,403]^2 with a line of 118
+    # points, and the file and its sidecar must say so
     out = tmp_path / "best.txt"
     code = main(["construct", "--n", "403", "--k", "113", "--seed", "7", "--retries", "2",
                  "--out", str(out)])
     assert code == 2
-    assert out.read_text().splitlines()[1] == "n=400 k=120 reserve=unknown seed=7"
+    assert out.read_text().splitlines()[1] == "n=403 k=113 reserve=unknown seed=7"
     sidecar = (tmp_path / "best.txt.report.txt").read_text().splitlines()
     assert sidecar[0] == "status: retries exhausted"
-    assert "achieved reserve: 2" in sidecar
+    assert "achieved reserve: -5" in sidecar
     capsys.readouterr()
-    assert main(["verify", "--in", str(out)]) == 0
-    assert "achieved_reserve=2 " in capsys.readouterr().out
+    assert main(["verify", "--in", str(out)]) == 3
+    assert "achieved_reserve=-5 " in capsys.readouterr().out
 
 
 def test_verify_negative_reserve_is_usage_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from nkline.bifactor import BipartiteFactor, iter_matchings, sample_r_factor
 from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
-    _retry_factors,
     _sample_retry,
     biuniform_construct,
     explicit_construct,
@@ -25,7 +24,7 @@ from nkline.construct import (
 )
 from nkline.grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
 from nkline.pointfile import serialize
-from nkline.secants import VerificationReport, verify
+from nkline.secants import VerificationReport, count_on_line, verify
 
 from oracles import brute_generic_max, generic_line_sizes
 
@@ -96,11 +95,41 @@ def test_biuniform_zero_matrix_trivially_certifies():
 
 
 def test_biuniform_rejects_mismatched_matrix():
-    mat = feasibility_matrix_4x4(40, 30)
-    with pytest.raises(ConstructionError):
-        biuniform_construct(44, 30, mat, seed=0)
-    with pytest.raises(ConstructionError):
-        biuniform_construct(40, 20, mat, seed=0)
+    for n, k, matrix, match in [
+        (36, 30, feasibility_matrix_4x4(40, 30), "grow -4 "),
+        (40, 31, feasibility_matrix_4x4(40, 30), "drop -1 "),
+        (6, 1, FeasibilityMatrix(2, 3, [[1, 0], [0, 2]]), "not all equal"),
+        (6, 1, FeasibilityMatrix(2, 3, [[1, 1], [0, 2]]), "not all equal"),
+        (48, 5, feasibility_matrix_4x4(40, 10), "drop 5 and grow 8 of its 10 "),
+    ]:
+        with pytest.raises(ConstructionError, match=match):
+            biuniform_construct(n, k, matrix, seed=0)
+
+
+def test_biuniform_spends_each_retry_with_its_own_factors():
+    # the retry at (400, 240) is spent to (403, 233), then swept once
+    matrix = feasibility_matrix_4x4(400, 240)
+    cert = biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
+    sample, factors = _sample_retry(matrix, 11, 0)
+    want = construct._spend(sample, 240, 7, 3, factors)
+    assert cert.certified and cert.output == want
+    assert cert.report == verify(want, 233, 0)
+    assert cert.lineage[1] == ("spend", {"from": (400, 240), "to": (403, 233)})
+
+
+def test_biuniform_draws_the_relabelings_once_per_retry(monkeypatch):
+    calls = []
+    relabelings = bifactor._relabelings
+
+    def counting(q, seeds):
+        calls.append(len(seeds))
+        return relabelings(q, seeds)
+
+    monkeypatch.setattr(bifactor, "_relabelings", counting)
+    monkeypatch.setattr(construct, "_relabelings", counting)
+    cert = biuniform_construct(403, 113, feasibility_matrix_4x4(400, 120), seed=7, max_retries=3)
+    assert not cert.certified
+    assert calls == [16] * 3
 
 
 def test_biuniform_deterministic_for_fixed_seed():
@@ -135,14 +164,15 @@ def _flip_cell(blocks):
 
 def _move_cell_within_its_row(blocks):
     row = blocks[1, 0]
-    row[np.argmax(row)], row[np.argmin(row)] = False, True
+    on, off = np.argmax(row), np.argmin(row)
+    row[on], row[off] = False, True
 
 
 def test_sample_retry_places_each_block_at_its_grid_offset():
     matrix = feasibility_matrix_4x4(40, 30)
     m, q = matrix.m, matrix.block_side
     grid = np.zeros(40 * 40, dtype=bool)
-    grid[_sample_retry(matrix, 3, 2).keys] = True
+    grid[_sample_retry(matrix, 3, 2)[0].keys] = True
     grid = grid.reshape(40, 40)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -156,7 +186,7 @@ def test_sample_retry_above_255_matches_the_permuted_circulant():
     q, r = 300, 280
     matrix = FeasibilityMatrix(2, q, [[r, q - r], [q - r, r]])
     grid = np.zeros(matrix.n**2, dtype=bool)
-    grid[_sample_retry(matrix, 9, 1).keys] = True
+    grid[_sample_retry(matrix, 9, 1)[0].keys] = True
     grid = grid.reshape(matrix.n, matrix.n)
     for i in range(1, 3):
         for j in range(1, 3):
@@ -169,19 +199,19 @@ def test_sample_retry_above_255_matches_the_permuted_circulant():
 @pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
 def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
     matrix = feasibility_matrix_4x4(40, 30)
-    assert _sample_retry(matrix, 3, 0).is_regular(30)
+    assert _sample_retry(matrix, 3, 0)[0].is_regular(30)
 
-    def corrupted(q, rs, seeds):
-        blocks = bifactor.relabeled_circulants(q, rs, seeds)
+    def corrupted(q, rs, sigma, tau):
+        blocks = bifactor._permuted_circulants(q, rs, sigma, tau)
         corrupt(blocks)
         return blocks
 
-    monkeypatch.setattr(construct, "relabeled_circulants", corrupted)
+    monkeypatch.setattr(construct, "_permuted_circulants", corrupted)
     with pytest.raises(RuntimeError, match="degree audit"):
         _sample_retry(matrix, 3, 0)
 
 
-def test_adjust_k_noop(monkeypatch):
+def test_spend_nothing_returns_the_set_unswept(monkeypatch):
     # nothing spent: the same set and its own report come back unswept
     s = explicit_construct(12, 8)
     report = verify(s, 8, 0)
@@ -192,7 +222,7 @@ def test_adjust_k_noop(monkeypatch):
     assert sweeps == []
 
 
-def test_adjust_k_full_grid_degree_audit():
+def test_spend_kernel_drops_a_factor_of_the_full_grid():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
     out = construct._spend(full, n, 1, 0, iter_matchings(BipartiteFactor(n, full)))
@@ -259,7 +289,7 @@ def extractions(monkeypatch):
     return calls
 
 
-def test_adjust_k_never_increases_any_line_count(extractions):
+def test_spend_drop_never_increases_any_line_count(extractions):
     # sampled factors carry no verified reserve, so the kernel is driven directly
     rng = random.Random(3)
     for trial in range(4):
@@ -276,7 +306,7 @@ def test_adjust_k_never_increases_any_line_count(extractions):
             assert cnt <= before.get(key, cnt)
 
 
-def test_adjust_n_noop_for_zero_slack(desk_scale_run, monkeypatch):
+def test_spend_nothing_retargets_a_reserve_15_report(desk_scale_run, monkeypatch):
     # a report certified at reserve 15 comes back re-targeted to reserve 0
     cert, _ = desk_scale_run
     sweeps = []
@@ -307,7 +337,7 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
     assert grown.is_regular(233)
 
 
-def test_adjust_n_row_col_exactness_small(desk_scale_run):
+def test_spend_grow_by_two_keeps_rows_and_columns_exact(desk_scale_run):
     # grow by 2, spending 4 of the certified reserve 15
     cert, _ = desk_scale_run
     out, rep = spend(
@@ -385,23 +415,24 @@ def _regular_block_matrices(draw):
 def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed, t, data):
     matrix, k = mk
     n = matrix.n
-    factors = list(_retry_factors(matrix, seed, t))
+    points, retry_factors = _sample_retry(matrix, seed, t)
+    factors = list(retry_factors)
     assert len(factors) == k
     for f in factors:
         assert sorted(f.tolist()) == list(range(1, n + 1))
     # k * n distinct cells, exactly the retry's
     keys = np.array([np.arange(n) * n + f - 1 for f in factors], dtype=np.int64).reshape(-1)
-    assert np.array_equal(np.sort(keys), _sample_retry(matrix, seed, t).keys)
+    assert np.array_equal(np.sort(keys), points.keys)
     # a prefix does not depend on how many are asked for, and a rerun
     # with the same seed gives the same factors
     j = data.draw(st.integers(0, k))
-    prefix = list(islice(_retry_factors(matrix, seed, t), j))
+    prefix = list(islice(_sample_retry(matrix, seed, t)[1], j))
     assert [f.tolist() for f in prefix] == [f.tolist() for f in factors[:j]]
-    assert [f.tolist() for f in _retry_factors(matrix, seed, t)] == [f.tolist() for f in factors]
+    assert [f.tolist() for f in _sample_retry(matrix, seed, t)[1]] == [f.tolist() for f in factors]
 
 
 def test_retry_factors_reject_unequal_line_sums():
-    factors = _retry_factors(FeasibilityMatrix(2, 3, [[1, 0], [0, 2]]), 0, 0)
+    _, factors = _sample_retry(FeasibilityMatrix(2, 3, [[1, 0], [0, 2]]), 0, 0)
     assert sorted(next(factors).tolist()) == list(range(1, 7))
     with pytest.raises(ConstructionError, match="unequal line sums"):
         next(factors)
@@ -483,23 +514,19 @@ def test_pipeline_randomized_route_end_to_end():
     assert cert.output.is_regular(233)
 
 
-def test_pipeline_verifies_twice(monkeypatch):
-    # one retry, then the output of the one-step spend; no 233 x 400
-    # set between dropping and growing is built, so none is swept
-    calls = []
-
-    def counting(points, k, reserve=0):
-        calls.append((points.n, k, reserve))
-        return verify(points, k, reserve)
-
-    monkeypatch.setattr(construct, "verify", counting)
-    cert = pipeline(403, 233, seed=11)
-    assert cert.certified
-    # the retry is verified at exactly the reserve the spend uses: 7 + 2 * 3
-    assert calls == [(400, 240, 13), (403, 233, 0)]
-
-
-def _count_verify_calls(monkeypatch, n, k):
+@pytest.mark.parametrize(
+    "n, k, steps",
+    [
+        (403, 233, ["biuniform", "spend"]),
+        (400, 233, ["biuniform", "spend"]),
+        (400, 230, ["biuniform"]),
+        (403, 120, ["biuniform", "spend"]),
+    ],
+    ids=["403-233", "400-233", "400-230", "403-120"],
+)
+def test_pipeline_verifies_once_per_retry(monkeypatch, n, k, steps):
+    # each retry is spent to (n, k) first, so the one sweep per retry is
+    # at (n, k, 0), and the last one's report is the certificate
     calls = []
 
     def counting(points, k, reserve=0):
@@ -509,42 +536,41 @@ def _count_verify_calls(monkeypatch, n, k):
     monkeypatch.setattr(construct, "verify", counting)
     cert = pipeline(n, k, seed=11)
     assert cert.certified
+    assert calls == [(n, k, 0)] * cert.retries_used
+    assert [s for s, _ in cert.lineage] == steps
     assert cert.output.n == n and cert.output.is_regular(k)
-    return cert, calls
-
-
-def test_pipeline_verifies_once_when_n_and_k_are_round(monkeypatch):
-    # no reserve is spent, so the retry's sweep is the only one; the
-    # reserve-0 report is read off it
-    cert, calls = _count_verify_calls(monkeypatch, 400, 230)
-    assert calls == [(400, 230, 0)]
-    assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
-    assert cert.report == verify(cert.output, 230, 0)
-
-
-def test_pipeline_verifies_twice_when_only_n_is_round(monkeypatch):
-    cert, calls = _count_verify_calls(monkeypatch, 400, 233)
-    assert calls == [(400, 240, 7), (400, 233, 0)]
-    assert [s for s, _ in cert.lineage] == ["biuniform", "spend"]
-    assert cert.report == verify(cert.output, 233, 0)
+    assert cert.report == verify(cert.output, k, 0)
 
 
 def test_pipeline_retries_exhausted_carries_best_effort():
-    # 113 on the 403-grid spends reserve 7 + 2 * 3 = 13, out of reach at
-    # k=120 on the 400-grid; the failure must surface the best sample,
-    # which is still an exact 120-factor
+    # no retry at (400, 120) spent to (403, 113) is certified within 2;
+    # the failure must surface the best spent set, an exact 113-factor
+    # on the 403-grid with its own reserve-0 report
     with pytest.raises(RetriesExhausted) as exc:
         pipeline(403, 113, seed=7, max_retries=2)
     cert = exc.value.certificate
     assert not cert.certified
-    assert cert.output.is_regular(120)
-    assert len(cert.per_retry_reserves) == 2
+    assert cert.output.n == 403 and cert.output.is_regular(113)
+    assert cert.per_retry_reserves == (-5, -9)
+    assert cert.report == verify(cert.output, 113, 0)
+
+
+@pytest.mark.parametrize("k", [110, 120])
+def test_pipeline_certifies_where_the_spend_reserve_ran_out(k):
+    # a retry had to verify at reserve (k' - k) + 6 before it was spent;
+    # these k exhausted 64 retries that way
+    cert = pipeline(403, k, seed=11)
+    assert cert.certified
+    assert cert.output.n == 403 and cert.output.is_regular(k)
+    assert cert.report == verify(cert.output, k, 0)
+    d, c = cert.report.worst_line
+    assert count_on_line(cert.output, d, c) == cert.report.generic_max <= k
 
 
 @pytest.mark.parametrize("k", [130, 150, 170])
 def test_pipeline_certifies_below_the_fixed_reserve_range(k):
-    # the retry aims at the reserve 6 that growing 400 -> 403 spends; a
-    # fixed target of 15 exhausted its retries at these k
+    # the spent set is verified at reserve 0; a retry at the fixed
+    # target 15 exhausted its retries at these k
     cert = pipeline(403, k, seed=11)
     assert cert.certified
     assert cert.lineage[0][1]["k"] == k and cert.report.passed
