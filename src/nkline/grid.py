@@ -90,6 +90,23 @@ def line_points(n: int, direction: Direction, c: int) -> list[tuple[int, int]]:
     return [(x0 + u * vx, y0 + u * vy) for u in range(lo, hi + 1)]
 
 
+def _exact_int64(values, what: str) -> np.ndarray:
+    """`values` as an int64 array.  Integer arrays pass as they are, and
+    floats only when every one is a whole number inside the int64 range;
+    anything else (1.5, NaN, ±inf, 1e20, bools, strings) raises
+    ValueError instead of being truncated."""
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind == "f":
+        # NaN fails every comparison, so it lands in `bad` with ±inf
+        bad = np.flatnonzero(~(np.abs(a) < 2.0**63) | (a != np.trunc(a)))
+        if not bad.size:
+            return a.astype(np.int64)
+        raise ValueError(f"{what} {a.flat[bad[0]]} is not a 64-bit integer")
+    raise ValueError(f"{what}s must be 64-bit integers, got dtype {a.dtype}")
+
+
 class PointSet:
     """An immutable subset of [1,n]^2, stored as the read-only array of
     its unique keys (x-1)*n + (y-1) in ascending order, which is (x, y)
@@ -101,7 +118,7 @@ class PointSet:
     def __init__(self, n: int, keys):
         if not 1 <= n <= MAX_SIDE:
             raise ValueError(f"grid side must be in [1, {MAX_SIDE}], got {n}")
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        keys = _exact_int64(keys, "key").reshape(-1)
         # keys that arrive strictly increasing skip the sort, but are still
         # copied; a sort and a drop of adjacent repeats is the cheap unique
         if (keys[1:] <= keys[:-1]).any():
@@ -118,8 +135,8 @@ class PointSet:
     @classmethod
     def from_xy(cls, n: int, xs, ys) -> "PointSet":
         """The points (xs[i], ys[i]); repeated points collapse."""
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
+        xs = _exact_int64(xs, "coordinate")
+        ys = _exact_int64(ys, "coordinate")
         bad = np.flatnonzero((xs < 1) | (xs > n) | (ys < 1) | (ys > n))
         if bad.size:
             raise ValueError(f"point ({xs[bad[0]]}, {ys[bad[0]]}) outside [1,{n}]^2")
@@ -127,7 +144,7 @@ class PointSet:
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[tuple[int, int]]) -> "PointSet":
-        xy = np.array(list(points), dtype=np.int64).reshape(-1, 2)
+        xy = np.array(list(points)).reshape(-1, 2)
         return cls.from_xy(n, xy[:, 0], xy[:, 1])
 
     @property

@@ -7,11 +7,22 @@ direction.  Directions are swept by increasing modulus M, and the sweep
 stops once no line of modulus M or more can hold more points than the
 fullest line found, so the reported maximum and its witness are exact.
 The sweep is `grid._heaviest_line`, shared with `max_expected_load`;
-the verifier hands it one histogram of the set's points per direction,
-offset by the set's bounding box.  Axis-parallel lines are handled
-separately by row/column histograms.  Sweeps are numpy-vectorised per
-direction; intercept histograms are dense arrays, not hash maps, since
-the sweep is the hot loop for grids in the hundreds.
+the verifier hands it one histogram of the set's points per direction.
+Axis-parallel lines are handled separately by row/column histograms.
+
+Intercepts are offset by the lowest one over the set's bounding box
+[x0, x1] x [y0, y1], so c - c0 = |vy|*X + vx*Y with X = x - x0 when
+vy > 0, X = x1 - x when vy < 0, and Y = y1 - y.  The three offset arrays
+are built once per call, and each direction's histogram is one
+`bincount` of |vy|*X + vx*Y, with no multiply for a coefficient of 1
+(a modulus-1 direction is a single add).  Both terms are nonnegative
+and their sum is at most 2*M*span on a modulus-M class, span being the
+larger side of the box.  So the offsets are held in the narrowest of
+int16, int32 and int64 that holds that bound (int16 up to M = 41 on a
+400-wide box), and are widened once, from the narrow copies, when the
+walk first reaches a class that needs more.  Histograms are dense
+arrays, not hash maps, since the sweep is the hot loop for grids in the
+hundreds.
 """
 
 from __future__ import annotations
@@ -70,10 +81,26 @@ class VerificationReport:
         )
 
 
+def _offset_dtype(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every integer
+    in [0, bound]."""
+    for t in (np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
+
+
+def _check_int(name: str, v) -> None:
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     """Check |S ∩ line| <= k on every line and <= k - reserve on every
     generic line.  A failing set yields a failing report, never an error.
     """
+    _check_int("k", k)
+    _check_int("reserve", reserve)
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
     n = points.n
@@ -88,15 +115,33 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     x0, x1 = (int(ux[0]), int(ux[-1])) if len(points) else (0, 0)
     y0, y1 = (int(uy[0]), int(uy[-1])) if len(points) else (0, 0)
     span = max(x1 - x0, y1 - y0)
-    # two buffers for every direction: fresh set-sized arrays page-fault
-    c, tmp = np.empty_like(xs), np.empty_like(xs)
+
+    # the offset arrays of the module docstring, each decoded coordinate
+    # array freed once its offsets exist; a modulus-M class needs their
+    # type to hold 2*M*span, up to `top`
+    dtype = _offset_dtype(2 * span)
+    Y1 = np.subtract(y1, ys, out=np.empty(len(ys), dtype))
+    del ys
+    X0 = np.subtract(xs, x0, out=np.empty(len(xs), dtype))
+    X1 = np.subtract(x1, xs, out=np.empty(len(xs), dtype))
+    del xs
+    c, tmp = np.empty_like(Y1), np.empty_like(Y1)
+    top = np.iinfo(dtype).max
 
     def histogram(d: Direction) -> tuple[np.ndarray, int]:
+        nonlocal X0, X1, Y1, c, tmp, top
+        if 2 * d.modulus * span > top:
+            wider = _offset_dtype(2 * d.modulus * span)
+            X0, X1, Y1 = X0.astype(wider), X1.astype(wider), Y1.astype(wider)
+            c, tmp = np.empty_like(Y1), np.empty_like(Y1)
+            top = np.iinfo(wider).max
+        a, X = (d.vy, X0) if d.vy > 0 else (-d.vy, X1)
+        # c - c0 = a*X + vx*Y1, with no multiply for a coefficient of 1
+        if a > 1:
+            X = np.multiply(X, a, out=c)
+        Y = np.multiply(Y1, d.vx, out=tmp) if d.vx > 1 else Y1
+        np.add(X, Y, out=c)
         c0 = (d.vy * x0 if d.vy > 0 else d.vy * x1) - d.vx * y1
-        np.multiply(xs, d.vy, out=c)
-        np.multiply(ys, d.vx, out=tmp)
-        np.subtract(c, tmp, out=c)
-        np.subtract(c, c0, out=c)
         return np.bincount(c), c0
 
     def residue_cap(M: int) -> int:

@@ -147,6 +147,46 @@ def test_pointset_unsorted_or_repeated_keys_come_out_sorted_unique(keys):
     assert PointSet(4, np.array(keys)).keys.tolist() == sorted(set(keys))
 
 
+NOT_INTEGERS = [1.5, 2.7, -0.5, float("nan"), float("inf"), float("-inf"), 1e20, -(2.0**63) - 4096, "3"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_pointset_rejects_keys_that_are_not_integers(bad):
+    # np.asarray(..., dtype=int64) would truncate 1.5 and 2.7 to keys 1, 2
+    with pytest.raises(ValueError):
+        PointSet(5, [0, bad])
+    with pytest.raises(ValueError):
+        PointSet(5, np.array([bad]))
+
+
+def test_pointset_rejects_bool_arrays():
+    with pytest.raises(ValueError):
+        PointSet(5, np.array([True, False]))
+    with pytest.raises(ValueError):
+        PointSet.from_xy(5, np.array([True]), np.array([True]))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS)
+def test_pointset_from_xy_rejects_coordinates_that_are_not_integers(bad):
+    # (1.9, 2.2) would otherwise be the point (1, 2)
+    with pytest.raises(ValueError):
+        PointSet.from_xy(5, [1, bad], [2, 2])
+    with pytest.raises(ValueError):
+        PointSet.from_xy(5, [2], [bad])
+    with pytest.raises(ValueError):
+        PointSet.from_points(5, [(1, 1), (bad, 2)])
+
+
+def test_pointset_takes_empty_integer_and_whole_float_input():
+    assert len(PointSet(5, [])) == 0
+    assert len(PointSet.from_xy(5, [], [])) == 0
+    assert len(PointSet.from_points(5, [])) == 0
+    for dtype in (np.int8, np.int32, np.int64, np.uint16, np.uint64):
+        assert PointSet(5, np.array([7, 3], dtype=dtype)).keys.tolist() == [3, 7]
+    assert PointSet(5, [3.0, 7.0]).keys.tolist() == [3, 7]
+    assert PointSet.from_xy(5, np.array([2.0]), np.array([3])) == PointSet(5, [7])
+
+
 def test_line_points_slope_one():
     d = Direction(1, 1)
     assert line_points(4, d, 0) == [(1, 1), (2, 2), (3, 3), (4, 4)]

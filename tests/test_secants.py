@@ -5,11 +5,14 @@ from collections import Counter
 from dataclasses import replace
 from math import gcd, nan, pi
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkline.grid import Direction, PointSet, _directions_of_modulus
+from nkline import secants
+from nkline.construct import pipeline
 from nkline.secants import census, count_on_line, richness_bound, verify
 
 from oracles import brute_generic_max, census_by_pairs, generic_line_sizes, grid_line_sizes
@@ -208,10 +211,10 @@ def test_verify_sparse_set_without_a_rich_short_line_stops_early(pts, swept):
     assert rep.directions_swept == swept
 
 
-def _sparse_or_clustered(rng, n):
+def _sparse_or_clustered(rng, n, most=80):
     """Up to 80 points of [1,n]^2: uniform, in one small box, on a few
     rows and columns, or in a few tight clusters."""
-    size = rng.randint(1, 80)
+    size = rng.randint(1, most)
     kind = rng.randrange(4)
     if kind == 0:
         draw = lambda: (rng.randint(1, n), rng.randint(1, n))
@@ -237,26 +240,95 @@ def _sparse_or_clustered(rng, n):
     return {draw() for _ in range(size)}
 
 
+def _assert_matches_line_sizes(n, pts):
+    s = PointSet.from_points(n, pts)
+    rep = verify(s, n, 0)
+    expect = _expected_generic_max(n, pts)
+    assert rep.generic_max == expect, (n, sorted(pts))
+    assert rep.axis_max == max(s.row_counts() + s.col_counts())
+    if expect < 2:
+        return
+    # the witness is the first line of expect points in (modulus, vx,
+    # vy, intercept) order
+    sizes = generic_line_sizes(pts)
+    first = min(
+        (max(vx, abs(vy)), vx, vy, c) for (vx, vy, c), size in sizes.items() if size == expect
+    )
+    d, c = rep.worst_line
+    assert (d.vx, d.vy, c) == first[1:], (n, sorted(pts))
+
+
 def test_verify_matches_oracles_on_sparse_and_clustered_sets():
     rng = random.Random(2024)
     for trial in range(400):
         n = rng.randint(2, 119)
-        pts = _sparse_or_clustered(rng, n)
-        s = PointSet.from_points(n, pts)
-        rep = verify(s, n, 0)
-        expect = _expected_generic_max(n, pts)
-        assert rep.generic_max == expect, (n, sorted(pts))
-        assert rep.axis_max == max(s.row_counts() + s.col_counts())
-        if expect < 2:
-            continue
-        # the witness is the first line of expect points in (modulus, vx,
-        # vy, intercept) order
-        sizes = generic_line_sizes(pts)
-        first = min(
-            (max(vx, abs(vy)), vx, vy, c) for (vx, vy, c), size in sizes.items() if size == expect
-        )
-        d, c = rep.worst_line
-        assert (d.vx, d.vy, c) == first[1:], (n, sorted(pts))
+        _assert_matches_line_sizes(n, _sparse_or_clustered(rng, n))
+
+
+def test_verify_matches_oracles_across_offset_widths(monkeypatch):
+    # intercept offsets are held in int16 while 2*M*span < 2^15 and are
+    # widened when the walk reaches a class past that; below n = 120 no
+    # walk gets there, so these sets span hundreds of rows.  Sets stay
+    # at 20 points: a sparse set with no 3 in line walks to modulus
+    # ~span/2, which takes seconds per set at 40 points.
+    widths = []
+
+    def spy(bound):
+        widths.append(offset_dtype(bound))
+        return widths[-1]
+
+    offset_dtype = secants._offset_dtype
+    monkeypatch.setattr(secants, "_offset_dtype", spy)
+    rng = random.Random(2026)
+    widened = 0
+    for trial in range(40):
+        n = rng.randint(200, 1000)
+        widths.clear()
+        _assert_matches_line_sizes(n, _sparse_or_clustered(rng, n, 20))
+        widened += widths[-1] != np.int16
+    assert widened >= 5
+
+
+@pytest.mark.parametrize(
+    "bound, dtype",
+    [(0, np.int16), (2**15 - 1, np.int16), (2**15, np.int32),
+     (2**31 - 1, np.int32), (2**31, np.int64), (2**62, np.int64)],
+)
+def test_offset_width_is_the_narrowest_that_holds_the_bound(bound, dtype):
+    assert secants._offset_dtype(bound) == dtype
+
+
+@pytest.mark.parametrize("k, reserve", [(True, 0), (3.0, 0), (0.5, 0), (3, True), (3, 0.5), (3, 1.0)])
+def test_verify_rejects_k_or_reserve_that_is_not_an_integer(k, reserve):
+    s = PointSet.from_points(3, [(1, 1), (2, 2), (3, 3)])
+    with pytest.raises(ValueError):
+        verify(s, k, reserve)
+
+
+def test_verify_takes_numpy_integers_and_rejects_a_negative_reserve():
+    s = PointSet.from_points(3, [(1, 1), (2, 2), (3, 3)])
+    rep = verify(s, np.int64(3), np.int32(1))
+    assert (rep.k, rep.required_reserve, rep.passed) == (3, 1, False)
+    assert verify(s, np.int16(3)).passed
+    with pytest.raises(ValueError):
+        verify(s, 3, -1)
+
+
+def test_verify_peak_memory_per_point_on_the_shipped_set():
+    # offsets are built from the decoded coordinates one array at a
+    # time, each decoded array freed once its offsets exist: ~19 bytes
+    # a point at the peak, where two int64 intercept buffers took ~32
+    import tracemalloc
+
+    s = pipeline(403, 233, seed=11).output
+    tracemalloc.start()
+    try:
+        rep = verify(s, 233)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak <= 26 * len(s), peak / len(s)
 
 
 @given(
