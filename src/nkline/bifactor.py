@@ -6,7 +6,7 @@ A factor on m rows and m columns is a `PointSet` on [1,m]^2 whose point
 (a-1)*m + (b-1).  It is r-regular when every row index and every column
 index occurs in exactly r cells.  Both samplers return many equal-sided
 blocks as one (blocks, m, m) numpy bool array, each block drawn from its
-own generator; a block's flat nonzero indices are its keys.
+own generator; `PointSet.from_mask` reads one block as a factor.
 
 - `relabeled_circulants` permutes the rows and the columns of the
   circulant factor uniformly at random: no chain, two permutations per
@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grid import PointSet
+from .grid import PointSet, _exact_int64
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -73,8 +73,8 @@ class BipartiteFactor:
 
 
 def _degrees(q: int, r) -> np.ndarray:
-    """r as an array, checked to lie in [0, q]."""
-    r = np.asarray(r)
+    """r as an int64 array, checked to be whole numbers in [0, q]."""
+    r = _exact_int64(r, "regularity")
     bad = r[(r < 0) | (r > q)]
     if bad.size:
         raise ValueError(f"regularity {bad[0]} outside [0, {q}]")
@@ -122,7 +122,7 @@ def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
     one row (or column) with probability r(r-1)/(q(q-1)), as under the
     uniform law; the law itself is not uniform over r-factors.
     """
-    rs = _degrees(q, np.asarray(rs, dtype=np.int64).reshape(-1))
+    rs = _degrees(q, rs).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
     return _permuted_circulants(q, rs, *_relabelings(q, seeds))
@@ -172,7 +172,7 @@ def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray
     `sample_r_factor`; an empty or full block is the unique factor and
     draws nothing.
     """
-    rs = np.asarray(rs, dtype=np.int64).reshape(-1)
+    rs = _degrees(q, rs).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
     if rounds is not None and rounds < 1:
@@ -253,9 +253,7 @@ def sample_r_factor(
     given (m, r, seed, rounds); downstream users certify every output
     anyway.
     """
-    present = sample_blocks(m, [r], [seed], rounds)[0]
-    # row-major flat indices are the keys (a-1)*m + (b-1), ascending
-    return BipartiteFactor(r, PointSet(m, np.flatnonzero(present)))
+    return BipartiteFactor(r, PointSet.from_mask(sample_blocks(m, [r], [seed], rounds)[0]))
 
 
 # cells sampled in one lockstep call of `matching_containment_probability`
@@ -302,10 +300,7 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
     of its untried columns that lies in bydist[d+1] (or is free, when
     d+1 == found_free): exactly the next column a sorted adjacency list
     would accept.  A dead-end row leaves its layer, so it is never
-    entered again in the phase.  When the free rows reach only free
-    columns, as in the first phase from the empty matching, every
-    augmenting path is one edge, and each root takes its lowest free
-    column without a DFS.
+    entered again in the phase.
     """
     match_row = [-1] * m
     match_col = [-1] * m
@@ -333,21 +328,6 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
                 layer.append(match_col[low.bit_length() - 1])
                 new ^= low
         found_free = len(bydist) - 1
-
-        if found_free == 1 and not bydist[1]:
-            # the free rows reach only free columns (the first phase from
-            # the empty matching): every augmenting path is one edge, and
-            # each root takes its lowest column still free
-            for root in range(m):
-                if match_row[root] == -1:
-                    cand = rowbits[root] & freecols
-                    if cand:
-                        low = cand & -cand
-                        freecols ^= low
-                        b = low.bit_length() - 1
-                        match_row[root] = b
-                        match_col[b] = root
-            continue
 
         for root in range(m):
             if match_row[root] != -1:
@@ -390,14 +370,12 @@ def _hopcroft_karp(m: int, rowbits: list[int]) -> tuple[list[int], list[int]]:
 def _row_bitsets(points: PointSet) -> list[int]:
     """rowbits[a-1] has bit b-1 set for each cell (a, b) of the points.
 
-    The cells are marked in one dense m x m bool array (m^2 transient
-    bytes, 160 KB at m = 400) and each row is packed to ceil(m/8) bytes,
-    lowest column in the lowest bit.
+    The cells are marked in the points' dense m x m bool mask (m^2
+    transient bytes, 160 KB at m = 400) and each row is packed to
+    ceil(m/8) bytes, lowest column in the lowest bit.
     """
     m = points.n
-    cells = np.zeros(m * m, dtype=bool)
-    cells[points.keys] = True
-    data = np.packbits(cells.reshape(m, m), axis=1, bitorder="little").tobytes()
+    data = np.packbits(points.mask(), axis=1, bitorder="little").tobytes()
     width = (m + 7) // 8
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
 

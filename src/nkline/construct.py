@@ -22,7 +22,7 @@ from .bifactor import (
     _relabelings,
     derive_seed,
 )
-from .grid import FeasibilityMatrix, PointSet, feasibility_matrix_4x4
+from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
 
 
@@ -71,6 +71,7 @@ def explicit_construct(n: int, k: int) -> PointSet:
     squares leave empty; the returned set is the grid minus that
     complement and holds exactly k points in every row and column.
     """
+    _check_int(n=n, k=k)
     if not (0 <= k <= n):
         raise ConstructionError(f"k={k} outside [0, n={n}]")
     if 3 * k < 2 * n:
@@ -88,7 +89,7 @@ def explicit_construct(n: int, k: int) -> PointSet:
     rows = rows[(rows <= 2 * k - n) | (rows > k)]
     assert len(rows) == len(cols) == 2 * k - n
     complement[np.ix_(cols - 1, rows - 1)] |= _circulant(2 * k - n, s)
-    out = PointSet(n, np.flatnonzero(~complement))
+    out = PointSet.from_mask(~complement)
     assert len(out) == k * n
     return out
 
@@ -104,8 +105,9 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     )
 
 
-def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[PointSet, Iterator]:
-    """Retry t: the union of the per-block factors, and its 1-factors.
+def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[np.ndarray, Iterator]:
+    """Retry t: the n x n bool mask of the union of the per-block
+    factors, and its 1-factors.
 
     Block (i, j) gets an r_{i,j}-factor, a relabeled circulant
     (`relabeled_circulants`) whose sigma, tau are drawn once, with seed
@@ -115,10 +117,9 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[PointSe
     report of the output is its certificate.  The Curveball sampler
     remains for the uses that need the uniform law.
 
-    All m^2 blocks are built in one broadcast and audited together.
-    Laid out as the n x n grid they are row-major, so its flat nonzero
-    indices are the keys already in file order.  The same sigma, tau
-    give the lazy `_retry_factors` iterator returned with the points.
+    All m^2 blocks are built in one broadcast, audited together and
+    laid out as the n x n mask, [x-1, y-1] for cell (x, y).  The same
+    sigma, tau give the lazy `_retry_factors` iterator returned with it.
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
     rs = np.array(matrix.entries).reshape(-1, 1)
@@ -130,8 +131,8 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[PointSe
         (ones.sum(axis=2, dtype=sums) == rs).all() and (ones.sum(axis=1, dtype=sums) == rs).all()
     ):
         raise RuntimeError(f"degree audit failed in retry {t}")
-    grid = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
-    return PointSet(n, np.flatnonzero(grid)), _retry_factors(matrix, sigma, tau)
+    cells = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
+    return cells, _retry_factors(matrix, sigma, tau)
 
 
 def _retry_factors(matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray) -> Iterator:
@@ -185,14 +186,16 @@ def biuniform_construct(
     receives an r_{i,j}-factor with seed derived from (seed, t, i, j), a
     relabeled circulant, not the paper's uniform r-factor (the uniform
     Curveball sampler remains for other uses), whose reserve law matches
-    Curveball's in the table of CHANGES.md.  When k' > k or n' < n the
-    retry is spent (`_spend`): k' - k of its own shift-class 1-factors
-    are dropped and the next n - n' each grow one row and column, which
-    needs (k' - k) + (n - n') <= k'.  The set is then verified once, at
+    Curveball's in the table of CHANGES.md.  Each retry is spent
+    (`_spend`): k' - k of its own shift-class 1-factors are dropped and
+    the next n - n' each grow one row and column, which needs
+    (k' - k) + (n - n') <= k'; with nothing to spend that is the retry
+    as it was sampled.  The set is then verified once, at
     (k, target_reserve); only generic secants are random, and that exact
     report is the certificate.  On exhaustion the best-effort set (at n
     and k too) and its report are returned with certified=False.
     """
+    _check_int(n=n, k=k, max_retries=max_retries)
     n_sample, k_sample = matrix.n, matrix.row_sums()[0]
     if matrix.row_sums() != [k_sample] * matrix.m or matrix.col_sums() != [k_sample] * matrix.m:
         raise ConstructionError(f"matrix row/column sums are not all equal: {matrix.entries}")
@@ -207,9 +210,10 @@ def biuniform_construct(
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
-        sample, factors = _sample_retry(matrix, seed, t)
-        if drop or grow:
-            sample = _spend(sample, k_sample, drop, grow, factors)
+        cells, factors = _sample_retry(matrix, seed, t)
+        sample = _spend(cells, k_sample, drop, grow, factors)
+        # the retry's mask must not stay alive through the sweep
+        del cells, factors
         report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
@@ -217,7 +221,7 @@ def biuniform_construct(
         if report.passed:
             break
         # a retry that is not the best must not stay alive while the next is built
-        del sample, factors, report
+        del sample, report
     sample, report = best
     lineage = (("biuniform", {"n": n_sample, "k": k_sample, "m": matrix.m, "seed": seed,
                               "retry": t if report.passed else None}),)
@@ -226,22 +230,24 @@ def biuniform_construct(
     return ConstructionCertificate(seed, sample, report, lineage, tuple(reserves))
 
 
-def _spend(points: PointSet, k: int, drop: int, grow: int, factors: Iterable) -> PointSet:
-    """Spend drop + grow 1-factors of a k-factor on [1,n]^2 in one step.
+def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: Iterable) -> PointSet:
+    """Spend drop + grow 1-factors of a k-factor on [1,n]^2, given as its
+    n x n bool mask (`PointSet.mask`), in one step.
 
     The first drop + grow 1-factors are taken from `factors`, any
     iterable of length-n sequences that map row x to column f[x-1]
     (1-based): `_retry_factors` for a bi-uniform retry, or
     `iter_matchings(BipartiteFactor(k, points))` for any k-factor.  They
-    are audited: there must be enough of them, each a permutation of
-    [1, n], every cell in the set and no cell in two of them.  The
+    are audited on the mask: there must be enough of them, each a
+    permutation of [1, n], every cell in the set and no cell in two of
+    them.  The mask is copied once into an (n + grow)^2 mask, where the
     first `drop` are erased; then the i-th of the next `grow` moves its
     k - drop cells (x, y) of smallest x to (n+i, y) and (x, n+i).  The
-    result, a (k - drop)-factor of [1, n + grow]^2, is read off one
-    side^2 bool grid in key order.  The reserve is not checked here;
-    `spend` checks it.
+    result, a (k - drop)-factor of [1, n + grow]^2, is read off that
+    mask (`PointSet.from_mask`); with nothing to spend it is the input's
+    cells.  The reserve is not checked here; `spend` checks it.
     """
-    n, k_new, side = points.n, k - drop, points.n + grow
+    n, k_new = len(cells), k - drop
     # ys[t, a-1] + 1 is the column of row a in the t-th factor
     ys = [np.asarray(f, dtype=np.int64) for f in islice(factors, drop + grow)]
     if len(ys) < drop + grow:
@@ -249,23 +255,22 @@ def _spend(points: PointSet, k: int, drop: int, grow: int, factors: Iterable) ->
     if not all(f.shape == (n,) and (np.sort(f) == np.arange(1, n + 1)).all() for f in ys):
         raise ConstructionError(f"a 1-factor is not a permutation of [1, {n}]")
     ys = np.array(ys, dtype=np.int64).reshape(drop + grow, n) - 1
-    # old key (x-1)*n + (y-1) moves to (x-1)*side + (y-1)
-    cells = np.zeros(side * side, dtype=bool)
-    cells[points.keys + points.keys // n * grow] = True
-    rows = np.arange(n) * side
-    if not cells[rows + ys].all():
+    rows = np.arange(n)
+    if not cells[rows, ys].all():
         raise ConstructionError("a 1-factor has a cell outside the set")
     # two factors share a cell only if they send some row to one column
     ranked = np.sort(ys, axis=0)
     if (ranked[1:] == ranked[:-1]).any():
         raise ConstructionError("two 1-factors share a cell")
-    cells[rows + ys[:drop]] = False
+    out = np.zeros((n + grow, n + grow), dtype=bool)
+    out[:n, :n] = cells
+    out[rows, ys[:drop]] = False
     donors, donated = rows[:k_new], ys[drop:, :k_new]
     new = n + np.arange(grow)[:, None]
-    cells[donors + donated] = False
-    cells[new * side + donated] = True
-    cells[donors + new] = True
-    return PointSet(side, np.flatnonzero(cells))
+    out[donors, donated] = False
+    out[new, donated] = True
+    out[donors, new] = True
+    return PointSet.from_mask(out)
 
 
 def spend(
@@ -312,7 +317,7 @@ def spend(
         )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    out = _spend(points, report.k, drop, grow, factors)
+    out = _spend(points.mask(), report.k, drop, grow, factors)
     return out, verify(out, k, 0)
 
 
@@ -341,6 +346,7 @@ def pipeline(
     hypotheses of the regime where success is guaranteed
     asymptotically).
     """
+    _check_int(n=n, k=k, max_retries=max_retries)
     if not (1 <= k <= n):
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
     if strict:

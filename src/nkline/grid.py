@@ -3,7 +3,9 @@ class, and block-density matrices with an exact expected-load evaluator.
 
 A point set on [1,n]^2 is one sorted int64 array of keys
 (x-1)*n + (y-1); the same form holds a bipartite factor on rows x
-columns, from the sampler to the point file.
+columns, from the sampler to the point file.  Its n x n bool mask, read
+by `PointSet.from_mask` and written by `PointSet.mask`, is the one dense
+form.
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep
@@ -104,7 +106,15 @@ def _exact_int64(values, what: str) -> np.ndarray:
         if not bad.size:
             return a.astype(np.int64)
         raise ValueError(f"{what} {a.flat[bad[0]]} is not a 64-bit integer")
-    raise ValueError(f"{what}s must be 64-bit integers, got dtype {a.dtype}")
+    raise ValueError(f"{what} of dtype {a.dtype} is not a 64-bit integer")
+
+
+def _check_int(**values) -> None:
+    """Reject each named value that is not an int or a numpy integer;
+    bools and whole floats are rejected too."""
+    for name, v in values.items():
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 class PointSet:
@@ -143,6 +153,20 @@ class PointSet:
         return cls(n, (xs - 1) * n + (ys - 1))
 
     @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "PointSet":
+        """The set cells of a non-empty square bool mask, [x-1, y-1] for
+        point (x, y): its row-major flat nonzero indices are the keys,
+        already sorted and unique, so they are adopted without a check or
+        a copy."""
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.ndim != 2 or not 0 < len(mask) == mask.shape[1]:
+            raise ValueError(f"need a non-empty square bool mask, got {mask.dtype} {mask.shape}")
+        out = cls.__new__(cls)
+        out._n, out._keys = len(mask), np.flatnonzero(mask)
+        out._keys.flags.writeable = False
+        return out
+
+    @classmethod
     def from_points(cls, n: int, points: Iterable[tuple[int, int]]) -> "PointSet":
         xy = np.array(list(points)).reshape(-1, 2)
         return cls.from_xy(n, xy[:, 0], xy[:, 1])
@@ -165,6 +189,13 @@ class PointSet:
         xs += 1
         ys += 1
         return xs, ys
+
+    def mask(self) -> np.ndarray:
+        """The n x n bool mask that `from_mask` reads: [x-1, y-1] is set
+        for each point (x, y)."""
+        cells = np.zeros(self._n * self._n, dtype=bool)
+        cells[self._keys] = True
+        return cells.reshape(self._n, self._n)
 
     def __len__(self) -> int:
         return self._keys.size
@@ -221,18 +252,16 @@ class FeasibilityMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        _check_int(m=self.m, block_side=self.block_side)
         if self.m < 1 or self.block_side < 1:
             raise ValueError("m and block_side must be positive")
-        if len(rows) != self.m or any(len(row) != self.m for row in rows):
+        if len(self.entries) != self.m or any(len(row) != self.m for row in self.entries):
             raise ValueError(f"entries must be {self.m}x{self.m}")
-        for row in rows:
-            for v in row:
-                if not 0 <= v <= self.block_side:
-                    raise ValueError(
-                        f"entry {v} outside [0, {self.block_side}] (block side)"
-                    )
+        entries = _exact_int64(self.entries, "entry")
+        bad = entries[(entries < 0) | (entries > self.block_side)]
+        if bad.size:
+            raise ValueError(f"entry {bad[0]} outside [0, {self.block_side}] (block side)")
+        object.__setattr__(self, "entries", tuple(map(tuple, entries.tolist())))
 
     @property
     def n(self) -> int:

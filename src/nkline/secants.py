@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Direction, PointSet, _heaviest_line, line_points
+from .grid import Direction, PointSet, _check_int, _heaviest_line, line_points
 
 
 @dataclass(frozen=True)
@@ -90,17 +90,11 @@ def _offset_dtype(bound: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _check_int(name: str, v) -> None:
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     """Check |S ∩ line| <= k on every line and <= k - reserve on every
     generic line.  A failing set yields a failing report, never an error.
     """
-    _check_int("k", k)
-    _check_int("reserve", reserve)
+    _check_int(k=k, reserve=reserve)
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
     n = points.n

@@ -1,9 +1,10 @@
 """Shared fixtures.
 
 The desk-scale randomized run (seed 7, n=400, k=240, target reserve 15,
-the run behind pipeline(403, 233)) is the input of the tests of
-construct.spend and of acceptance criteria 8-10, so it is built once per
-test session.
+on the 400/240 matrix that pipeline(403, 233) samples from; the pipeline
+itself samples at its own seed and sweeps only the spent set, at
+reserve 0) is the input of the tests of construct.spend and of
+acceptance criteria 8-10, so it is built once per test session.
 """
 
 import time

@@ -2,7 +2,9 @@
 line (run with -s to see the lines for passing criteria too).
 
 Criteria 8-10 share one desk-scale randomized run with a fixed master
-seed: n=400, k=240, target reserve 15, the run behind pipeline(403, 233).
+seed: n=400, k=240, target reserve 15, on the 400/240 matrix that
+pipeline(403, 233) samples from (the pipeline itself samples at its own
+seed and sweeps only the spent set, at reserve 0).
 Its expected worst load is 192 = 4/5*k, which leaves a margin of 33
 (about 3 sigma) under the 225 that reserve 15 allows.  Criterion 9
 spends that reserve on the chain k 240 -> 233, n 400 -> 403.

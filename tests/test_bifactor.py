@@ -23,7 +23,7 @@ from nkline.bifactor import (
     sample_r_factor,
 )
 from nkline.bifactor import _row_bitsets, _split
-from nkline.grid import PointSet
+from nkline.grid import FeasibilityMatrix, PointSet
 from oracles import ReadCounter, all_r_factors, matching_cells, matchings_by_lists, row_bitsets_by_or_at
 
 
@@ -230,6 +230,38 @@ def test_relabeled_circulants_reject_bad_arguments():
     with pytest.raises(ValueError, match="seeds"):
         relabeled_circulants(5, [2, 2], [1])
     assert relabeled_circulants(1, [0, 1], [3, 4]).tolist() == [[[False]], [[True]]]
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: FeasibilityMatrix(2, 3, [[1.5, 0], [0, 1]]), "entry 1.5 is not"),
+        (lambda: FeasibilityMatrix(2, 3, [[float("nan"), 0], [0, 1]]), "entry nan is not"),
+        (lambda: FeasibilityMatrix(1, 5, [["3"]]), "entry of dtype <U1"),
+        (lambda: FeasibilityMatrix(1, 5, [[True]]), "entry of dtype bool"),
+        (lambda: FeasibilityMatrix(2, 2.5, [[1, 0], [0, 1]]), "block_side must be an integer"),
+        (lambda: FeasibilityMatrix(2.0, 3, [[1, 0], [0, 1]]), "m must be an integer"),
+        (lambda: relabeled_circulants(4, [2.5], [1]), "regularity 2.5 is not"),
+        (lambda: sample_blocks(4, [2.5], [1]), "regularity 2.5 is not"),
+        (lambda: sample_r_factor(4, 2.5, seed=1), "regularity 2.5 is not"),
+        (lambda: bifactor._circulant(4, 2.5), "regularity 2.5 is not"),
+    ],
+    ids=[
+        "matrix-entry-1.5", "matrix-entry-nan", "matrix-entry-str", "matrix-entry-bool",
+        "matrix-block-side-2.5", "matrix-m-2.0", "relabeled-circulants", "sample-blocks",
+        "sample-r-factor", "circulant",
+    ],
+)
+def test_degrees_and_matrix_entries_reject_non_integers(call, match):
+    # an int64 cast would make degree 2.5 a 2-regular block and entry 1.5
+    # the entry 1, and block side 2.5 would give a matrix with n == 5.0
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_degrees_take_whole_floats():
+    assert np.array_equal(relabeled_circulants(4, [2.0], [1]), relabeled_circulants(4, [2], [1]))
+    assert np.array_equal(sample_blocks(4, np.array([2.0]), [1]), sample_blocks(4, [2], [1]))
 
 
 def test_relabeled_circulants_cell_and_same_row_pair_laws():
@@ -520,6 +552,7 @@ def _side_and_degree(draw):
 @example(mr=(9, 7), circulant=False, seed=4)
 @example(mr=(13, 0), circulant=True, seed=1)
 @example(mr=(40, 40), circulant=True, seed=2)
+@example(mr=(100, 50), circulant=False, seed=5)  # a first phase of 100 one-edge paths
 @settings(max_examples=120, deadline=None)
 def test_iter_matchings_follows_list_based_extraction(mr, circulant, seed):
     # same matchings, and the same rows expanded and entered in each

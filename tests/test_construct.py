@@ -171,9 +171,7 @@ def _move_cell_within_its_row(blocks):
 def test_sample_retry_places_each_block_at_its_grid_offset():
     matrix = feasibility_matrix_4x4(40, 30)
     m, q = matrix.m, matrix.block_side
-    grid = np.zeros(40 * 40, dtype=bool)
-    grid[_sample_retry(matrix, 3, 2)[0].keys] = True
-    grid = grid.reshape(40, 40)
+    grid = _sample_retry(matrix, 3, 2)[0]
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             r = matrix.entries[i - 1][j - 1]
@@ -185,9 +183,7 @@ def test_sample_retry_above_255_matches_the_permuted_circulant():
     # q and r above 255: int16 relabelings, uint16 degree sums
     q, r = 300, 280
     matrix = FeasibilityMatrix(2, q, [[r, q - r], [q - r, r]])
-    grid = np.zeros(matrix.n**2, dtype=bool)
-    grid[_sample_retry(matrix, 9, 1)[0].keys] = True
-    grid = grid.reshape(matrix.n, matrix.n)
+    grid = _sample_retry(matrix, 9, 1)[0]
     for i in range(1, 3):
         for j in range(1, 3):
             rng = np.random.default_rng(bifactor.derive_seed(9, 1, i, j))
@@ -199,7 +195,7 @@ def test_sample_retry_above_255_matches_the_permuted_circulant():
 @pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
 def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
     matrix = feasibility_matrix_4x4(40, 30)
-    assert _sample_retry(matrix, 3, 0)[0].is_regular(30)
+    assert PointSet.from_mask(_sample_retry(matrix, 3, 0)[0]).is_regular(30)
 
     def corrupted(q, rs, sigma, tau):
         blocks = bifactor._permuted_circulants(q, rs, sigma, tau)
@@ -225,7 +221,7 @@ def test_spend_nothing_returns_the_set_unswept(monkeypatch):
 def test_spend_kernel_drops_a_factor_of_the_full_grid():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out = construct._spend(full, n, 1, 0, iter_matchings(BipartiteFactor(n, full)))
+    out = construct._spend(full.mask(), n, 1, 0, iter_matchings(BipartiteFactor(n, full)))
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -299,7 +295,7 @@ def test_spend_drop_never_increases_any_line_count(extractions):
         s = f.points
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out = construct._spend(s, r, 2, 0, iter_matchings(f))
+        out = construct._spend(s.mask(), r, 2, 0, iter_matchings(f))
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
@@ -370,10 +366,10 @@ def _spends(draw):
 def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
     m, r, drop, grow = sizes
     f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
-    once = construct._spend(f, r, drop, grow, iter_matchings(BipartiteFactor(r, f)))
-    dropped = construct._spend(f, r, drop, 0, iter_matchings(BipartiteFactor(r, f)))
+    once = construct._spend(f.mask(), r, drop, grow, iter_matchings(BipartiteFactor(r, f)))
+    dropped = construct._spend(f.mask(), r, drop, 0, iter_matchings(BipartiteFactor(r, f)))
     grown = construct._spend(
-        dropped, r - drop, 0, grow, iter_matchings(BipartiteFactor(r - drop, dropped))
+        dropped.mask(), r - drop, 0, grow, iter_matchings(BipartiteFactor(r - drop, dropped))
     )
     assert once == grown
     assert once.n == m + grow and once.is_regular(r - drop)
@@ -415,7 +411,8 @@ def _regular_block_matrices(draw):
 def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed, t, data):
     matrix, k = mk
     n = matrix.n
-    points, retry_factors = _sample_retry(matrix, seed, t)
+    cells, retry_factors = _sample_retry(matrix, seed, t)
+    points = PointSet.from_mask(cells)
     factors = list(retry_factors)
     assert len(factors) == k
     for f in factors:
@@ -476,10 +473,10 @@ def _give_too_few(factors):
 )
 def test_spend_audit_rejects_bad_factors(mutate, match):
     factors = [np.array(f) for f in islice(iter_matchings(BipartiteFactor(8, _S12)), 3)]
-    assert construct._spend(_S12, 8, 2, 1, [f.copy() for f in factors]).is_regular(6)
+    assert construct._spend(_S12.mask(), 8, 2, 1, [f.copy() for f in factors]).is_regular(6)
     mutate(factors)
     with pytest.raises(ConstructionError, match=match):
-        construct._spend(_S12, 8, 2, 1, factors)
+        construct._spend(_S12.mask(), 8, 2, 1, factors)
 
 
 def test_pipeline_explicit_route_68_46():
@@ -594,6 +591,41 @@ def test_pipeline_rejects_out_of_range_k():
         pipeline(10, 11, seed=0)
     with pytest.raises(ConstructionError):
         pipeline(10, 0, seed=0)
+
+
+_M40 = feasibility_matrix_4x4(40, 30)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: pipeline(403, 233.0, seed=1), "k must be an integer, got 233.0"),
+        (lambda: pipeline(403.0, 233, seed=1), "n must be an integer, got 403.0"),
+        (lambda: pipeline(403, True, seed=1), "k must be an integer, got True"),
+        (lambda: pipeline(403, 233, seed=1, max_retries=2.0), "max_retries must be an integer"),
+        (lambda: biuniform_construct(40, 30.0, _M40, seed=1), "k must be an integer, got 30.0"),
+        (lambda: biuniform_construct(40, 30, _M40, seed=1, max_retries=1.5), "max_retries must"),
+        (lambda: explicit_construct(10, 7.0), "k must be an integer, got 7.0"),
+        (lambda: explicit_construct(np.bool_(True), 1), "n must be an integer"),
+    ],
+    ids=[
+        "pipeline-k-float", "pipeline-n-float", "pipeline-k-bool", "pipeline-retries-float",
+        "biuniform-k-float", "biuniform-retries-float", "explicit-k-float", "explicit-n-bool",
+    ],
+)
+def test_constructions_reject_non_integer_sizes_before_sampling(monkeypatch, call, match):
+    # each is rejected before a retry is sampled, not later in islice or slicing
+    monkeypatch.setattr(construct, "_sample_retry", None)
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_constructions_take_numpy_integer_sizes():
+    n, k = np.int64(40), np.int32(30)
+    assert explicit_construct(np.int64(12), np.int16(8)) == explicit_construct(12, 8)
+    cert = biuniform_construct(n, k, _M40, seed=5, max_retries=np.int64(3))
+    assert cert.output == biuniform_construct(40, 30, _M40, seed=5, max_retries=3).output
+    assert pipeline(np.int64(16), np.int64(11), seed=0).certified
 
 
 def test_pipeline_too_small_for_randomized_route():

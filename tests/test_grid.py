@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nkline.grid import (
     MAX_SIDE,
@@ -187,6 +188,35 @@ def test_pointset_takes_empty_integer_and_whole_float_input():
     assert PointSet.from_xy(5, np.array([2.0]), np.array([3])) == PointSet(5, [7])
 
 
+@given(mask=st.integers(1, 24).flatmap(lambda n: arrays(bool, (n, n))))
+@example(mask=np.zeros((1, 1), dtype=bool))
+@example(mask=np.ones((1, 1), dtype=bool))
+@example(mask=np.zeros((7, 7), dtype=bool))
+@settings(max_examples=100, deadline=None)
+def test_pointset_from_mask_round_trips(mask):
+    s = PointSet.from_mask(mask)
+    assert s == PointSet(len(mask), np.flatnonzero(mask))
+    assert np.array_equal(s.mask(), mask)
+    assert not s.keys.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        np.ones((3, 3), dtype=np.uint8),
+        np.ones((3, 3), dtype=np.int64),
+        np.ones((2, 3), dtype=bool),
+        np.ones(9, dtype=bool),
+        np.ones((2, 2, 2), dtype=bool),
+        np.zeros((0, 0), dtype=bool),
+    ],
+    ids=["uint8", "int64", "2x3", "flat", "3-d", "0x0"],
+)
+def test_pointset_from_mask_rejects_non_bool_non_square_and_empty_masks(mask):
+    with pytest.raises(ValueError, match="non-empty square bool mask"):
+        PointSet.from_mask(mask)
+
+
 def test_line_points_slope_one():
     d = Direction(1, 1)
     assert line_points(4, d, 0) == [(1, 1), (2, 2), (3, 3), (4, 4)]
@@ -271,6 +301,8 @@ def test_feasibility_matrix_stores_int_tuples_and_validates():
     assert mat.entries == ((1, 2), (3, 0))
     assert all(type(v) is int for row in mat.entries for v in row)
     assert mat == FeasibilityMatrix(2, 3, ((1, 2), (3, 0)))
+    # whole floats and numpy integers still work
+    assert mat == FeasibilityMatrix(np.int64(2), np.int32(3), np.array([[1.0, 2.0], [3.0, 0.0]]))
     assert repr(mat) == "FeasibilityMatrix(m=2, block_side=3, entries=((1, 2), (3, 0)))"
     for args, match in [
         ((0, 3, []), "m and block_side must be positive"),
