@@ -40,16 +40,20 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .grid import PointSet, _exact_int64
+from .grid import PointSet, _check_int, _exact_int64
 
 
 def derive_seed(master: int, *indices: int) -> int:
     """Stable 64-bit stream seed for (master, *indices); reruns with the
     same arguments reproduce the same factor on any platform.  Every
-    argument must lie in the signed 64-bit range [-2^63, 2^63)."""
+    argument must be an integer in the signed 64-bit range
+    [-2^63, 2^63)."""
     h = hashlib.blake2b(digest_size=8)
     h.update(b"nkline-seed")
     for v in (master, *indices):
+        # a plain int passes; the full check would double this call's cost
+        if type(v) is not int:
+            _check_int(seed=v)
         if not -(2**63) <= v < 2**63:
             raise ValueError(f"seed {v} outside the signed 64-bit range [-2^63, 2^63)")
         h.update(struct.pack(">q", v))

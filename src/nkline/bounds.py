@@ -107,17 +107,9 @@ def growth_coefficient(epsilon: float = 0.5, delta: float = 0.8, m: int = 4) -> 
     return sqrt(b * (2 - 1.5 * epsilon)) / (1 - delta)
 
 
-def estimate_growth_coefficient(
-    n: int,
-    p: float = 0.5,
-    epsilon: float = 0.5,
-    delta: float = 0.8,
-    h: int = 15,
-    m: int = 4,
-    K: float = 1.0,
-    L: float = 1.0,
-) -> float:
-    """Extract the sqrt(n ln n) coefficient of k_min numerically.
+def estimate_growth_coefficient(n: int, m: int = 4) -> float:
+    """Extract the sqrt(n ln n) coefficient of k_min numerically, at the
+    default parameter point of `compute_profile` with m x m blocks.
 
     The plain ratio k_min / sqrt(n ln n) converges only at rate
     1/ln n (the K, L and additive terms decay very slowly), so the
@@ -125,52 +117,40 @@ def estimate_growth_coefficient(
     coefficient is affine in ln n, and its exact slope is the squared
     per-ln-n growth.
     """
-    prof1 = compute_profile(n, p, epsilon, delta, h, m, K, L)
-    prof2 = compute_profile(4 * n, p, epsilon, delta, h, m, K, L)
-    b = 2 * m - 1
+    prof1 = compute_profile(n, m=m)
+    prof2 = compute_profile(4 * n, m=m)
+    b = prof1.band_count
 
     def squared_tail(prof: BoundsProfile) -> float:
-        margin = prof.k_min * (1 - delta) - h - b
+        margin = prof.k_min * (1 - prof.delta) - prof.h - b
         return margin * margin / (b * prof.n)
 
     slope_sq = (squared_tail(prof2) - squared_tail(prof1)) / (log(4 * n) - log(n))
-    return sqrt(b * slope_sq) / (1 - delta)
+    return sqrt(b * slope_sq) / (1 - prof1.delta)
 
 
-def feasible_k_range(
-    n: int,
-    C: float,
-    multiple_of: int = 1,
-) -> Optional[tuple[int, int]]:
-    """Admissible k interval [ceil(C*sqrt(n ln n)), floor(5n/6)],
-    optionally snapped inward to a divisibility lattice.  None when
-    empty.  Both built-in matrices share the 5n/6 cap."""
+def feasible_k_range(n: int, C: float) -> Optional[tuple[int, int]]:
+    """Admissible k interval [ceil(C*sqrt(n ln n)), floor(5n/6)]; None
+    when empty.  Both built-in matrices share the 5n/6 cap."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < C < inf:
         raise ValueError(f"C must be positive and finite, got {C}")
     lo = ceil(C * sqrt(n * log(n)))
     hi = (5 * n) // 6
-    if multiple_of > 1:
-        lo = multiple_of * ceil(lo / multiple_of)
-        hi = multiple_of * (hi // multiple_of)
     if lo > hi:
         return None
     return lo, hi
 
 
-def smallest_feasible_n(
-    C: float,
-    multiple_of: int = 1,
-    limit: int = 1 << 40,
-) -> Optional[int]:
-    """Smallest n with a nonempty feasible k range; a desk-scale proxy
-    for the unspecified threshold beyond which the randomized regime
-    opens up (no claim the true threshold equals it)."""
+def smallest_feasible_n(C: float) -> Optional[int]:
+    """Smallest n <= 2^40 with a nonempty feasible k range; a desk-scale
+    proxy for the unspecified threshold beyond which the randomized
+    regime opens up (no claim the true threshold equals it)."""
     lo, hi = 2, None
     n = 2
-    while n <= limit:
-        if feasible_k_range(n, C, multiple_of) is not None:
+    while n <= 1 << 40:
+        if feasible_k_range(n, C) is not None:
             hi = n
             break
         lo = n
@@ -179,7 +159,7 @@ def smallest_feasible_n(
         return None
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if feasible_k_range(mid, C, multiple_of) is not None:
+        if feasible_k_range(mid, C) is not None:
             hi = mid
         else:
             lo = mid

@@ -10,20 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import ceil, inf, log, sqrt
+from math import ceil, log, sqrt
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .bifactor import (
+    BipartiteFactor,
     _circulant,
     _hopcroft_karp,
     _permuted_circulants,
     _relabelings,
     derive_seed,
+    iter_matchings,
 )
 from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
+
+
+# `pipeline(strict=True)` needs k >= _STRICT_C * sqrt(n ln n)
+_STRICT_C = 12.5
 
 
 class ConstructionError(ValueError):
@@ -96,6 +102,8 @@ def explicit_construct(n: int, k: int) -> PointSet:
 
 def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> ConstructionCertificate:
     """`explicit_construct(n, k)` with its verification report at reserve 0."""
+    if seed is not None:
+        _check_int(seed=seed)
     points = explicit_construct(n, k)
     return ConstructionCertificate(
         seed=seed,
@@ -195,7 +203,7 @@ def biuniform_construct(
     report is the certificate.  On exhaustion the best-effort set (at n
     and k too) and its report are returned with certified=False.
     """
-    _check_int(n=n, k=k, max_retries=max_retries)
+    _check_int(n=n, k=k, seed=seed, max_retries=max_retries, target_reserve=target_reserve)
     n_sample, k_sample = matrix.n, matrix.row_sums()[0]
     if matrix.row_sums() != [k_sample] * matrix.m or matrix.col_sums() != [k_sample] * matrix.m:
         raise ConstructionError(f"matrix row/column sums are not all equal: {matrix.entries}")
@@ -207,6 +215,8 @@ def biuniform_construct(
         )
     if max_retries < 1:
         raise ConstructionError("max_retries must be >= 1")
+    if target_reserve < 0:
+        raise ConstructionError(f"target_reserve must be >= 0, got {target_reserve}")
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
@@ -278,18 +288,18 @@ def spend(
     report: VerificationReport,
     k: int,
     n: int,
-    factors: Iterable,
 ) -> tuple[PointSet, VerificationReport]:
     """Spend the verified reserve of a `report.k`-factor on
     [1, points.n]^2 to make a k-factor on [1,n]^2: drop report.k - k
     1-factors and grow n - points.n rows and columns (`_spend`).  Each
     dropped factor costs 1 of reserve, each new row and column 2.
 
-    The 1-factors are the first drop + grow of `factors`, for instance
-    `iter_matchings(BipartiteFactor(report.k, points))`, which extracts
-    them by Hopcroft-Karp.  `_spend` audits each one it uses.
-    (`biuniform_construct` spends each retry with its own shift classes
-    before its one sweep, so it has no report to pass here.)
+    The 1-factors are the first drop + grow of
+    `iter_matchings(BipartiteFactor(report.k, points))`, extracted by
+    Hopcroft-Karp once the checks below pass; `_spend` audits each one
+    it uses.  (`biuniform_construct` spends each retry with its own
+    shift classes before its one sweep, so it has no report to pass
+    here.)
 
     `report` is the passing verification report of `points`, trusted,
     not recomputed: its `axis_max` must be at most its k and its
@@ -298,8 +308,8 @@ def spend(
     report.k points.  The output is verified at reserve 0; that report
     is the certificate, so a wrong input report can make the output
     fail, never pass unchecked.  When nothing is spent the set is
-    returned unchanged and not swept again, and no factor is read: the
-    input report comes back re-targeted to reserve 0.
+    returned unchanged and not swept again, and no factor is extracted:
+    the input report comes back re-targeted to reserve 0.
     """
     drop, grow = report.k - k, n - points.n
     if drop < 0 or grow < 0:
@@ -317,6 +327,7 @@ def spend(
         )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
+    factors = iter_matchings(BipartiteFactor(report.k, points))
     out = _spend(points.mask(), report.k, drop, grow, factors)
     return out, verify(out, k, 0)
 
@@ -327,7 +338,6 @@ def pipeline(
     seed: int,
     strict: bool = False,
     max_retries: int = 64,
-    C: float = 12.5,
 ) -> ConstructionCertificate:
     """End-to-end construction of a certified no-(k+1)-in-line set of
     size k*n on [1,n]^2.
@@ -342,22 +352,21 @@ def pipeline(
     Curveball remains for the uniform-law uses), with the reserve law of
     the table in CHANGES.md; the exact verification report is the
     certificate.  RetriesExhausted carries the best spent set.  strict
-    additionally enforces n >= 68 and C*sqrt(n ln n) <= k (the checkable
-    hypotheses of the regime where success is guaranteed
-    asymptotically).
+    additionally enforces n >= 68 and 12.5*sqrt(n ln n) <= k (the
+    checkable hypotheses of the regime where success is guaranteed
+    asymptotically; the paper leaves its constant C open, and 12.5 is
+    `bounds.growth_coefficient` at m = 3).
     """
-    _check_int(n=n, k=k, max_retries=max_retries)
+    _check_int(n=n, k=k, seed=seed, max_retries=max_retries)
     if not (1 <= k <= n):
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
     if strict:
         if n < 68:
             raise ConstructionError(f"strict mode needs n >= 68, got {n}")
-        if not 0 < C < inf:
-            raise ConstructionError(f"C must be positive and finite, got {C}")
-        bound = C * sqrt(n * log(n))
+        bound = _STRICT_C * sqrt(n * log(n))
         if k < bound:
             raise ConstructionError(
-                f"strict mode needs k >= C*sqrt(n ln n) = {bound:.1f}, got {k}"
+                f"strict mode needs k >= {_STRICT_C}*sqrt(n ln n) = {bound:.1f}, got {k}"
             )
 
     if 3 * k >= 2 * n:
@@ -368,10 +377,7 @@ def pipeline(
     n_round = 4 * (n // 4)
     k_round = 10 * ceil(k / 10)
     if 6 * k_round > 5 * n_round:
-        raise ConstructionError(
-            f"rounded k={k_round} exceeds 5/6 of rounded n={n_round}"
-            + (" (strict chain broken)" if strict else "")
-        )
+        raise ConstructionError(f"rounded k={k_round} exceeds 5/6 of rounded n={n_round}")
     matrix = feasibility_matrix_4x4(n_round, k_round)
     cert = biuniform_construct(n, k, matrix, seed, max_retries=max_retries)
     if not cert.certified:

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import MAX_SIDE, PointSet
+from .grid import MAX_SIDE, PointSet, _check_int
 
 MAGIC = "nkline v1"
 
@@ -71,6 +71,11 @@ def serialize(
     reserve: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> str:
+    _check_int(k=k)
+    if reserve is not None:
+        _check_int(reserve=reserve)
+    if seed is not None:
+        _check_int(seed=seed)
     reserve_s = "unknown" if reserve is None else str(reserve)
     seed_s = "none" if seed is None else str(seed)
     header = f"{MAGIC}\nn={points.n} k={k} reserve={reserve_s} seed={seed_s}\n"

@@ -24,7 +24,6 @@ from fractions import Fraction
 from math import pi, sqrt
 
 from nkline.bifactor import (
-    BipartiteFactor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
@@ -97,8 +96,8 @@ def test_criterion_03_feasibility_exactness():
 
 
 def test_criterion_04_bounds_growth_coefficients():
-    est4 = estimate_growth_coefficient(10**12, p=0.5, epsilon=0.5, delta=0.8, h=15, m=4)
-    est3 = estimate_growth_coefficient(10**12, p=0.5, epsilon=0.5, delta=0.8, h=15, m=3)
+    est4 = estimate_growth_coefficient(10**12, m=4)
+    est3 = estimate_growth_coefficient(10**12, m=3)
     want4 = 2.5 * sqrt(35)
     want3 = 12.5
     ok = abs(est4 - want4) < 1e-3 and abs(est3 - want3) < 1e-3
@@ -170,10 +169,8 @@ def test_criterion_07_factorization_roundtrip():
 
 
 def _adjust_chain(cert):
-    factors = iter_matchings(BipartiteFactor(DESK_K, cert.output))
-    shrunk, rep1 = spend(cert.output, cert.report, CHAIN_K, DESK_N, factors)
-    factors = iter_matchings(BipartiteFactor(CHAIN_K, shrunk))
-    grown, rep2 = spend(shrunk, rep1, CHAIN_K, CHAIN_N, factors)
+    shrunk, rep1 = spend(cert.output, cert.report, CHAIN_K, DESK_N)
+    grown, rep2 = spend(shrunk, rep1, CHAIN_K, CHAIN_N)
     return shrunk, rep1, grown, rep2
 
 

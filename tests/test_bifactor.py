@@ -62,6 +62,15 @@ def test_derive_seed_rejects_values_outside_int64():
             derive_seed(1, 0, bad)
 
 
+def test_derive_seed_takes_integers_only():
+    assert derive_seed(np.int64(7), np.int16(1)) == derive_seed(7, 1)
+    for bad in (1.5, 7.0, "7", True, np.bool_(False), None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_seed(bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            derive_seed(1, 0, bad)
+
+
 def test_factor_validation_catches_bad_degrees():
     with pytest.raises(ValueError):
         BipartiteFactor(1, PointSet.from_points(2, {(1, 1), (2, 1)}))

@@ -124,14 +124,6 @@ def test_feasible_k_range_examples():
     assert feasible_k_range(2, 100) is None
 
 
-def test_feasible_k_range_lattice_snap():
-    rng = feasible_k_range(10**5, 12.5, multiple_of=10)
-    lo, hi = rng
-    assert lo % 10 == 0 and hi % 10 == 0
-    plain_lo, plain_hi = feasible_k_range(10**5, 12.5)
-    assert plain_lo <= lo and hi <= plain_hi
-
-
 def test_smallest_feasible_n_is_a_boundary():
     n0 = smallest_feasible_n(12.5)
     assert n0 is not None

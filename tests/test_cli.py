@@ -98,6 +98,28 @@ def test_construct_biuniform_divisibility_usage_error(tmp_path):
     assert code == 1
 
 
+
+def test_construct_biuniform_3x3_matrix(tmp_path, capsys):
+    out = tmp_path / "m3.txt"
+    args = ["construct", "--n", "30", "--k", "20", "--mode", "biuniform", "--seed", "1"]
+    assert main(args + ["--matrix", "3x3", "--out", str(out)]) == 0
+    parsed = parse(out.read_text())
+    assert len(parsed.points) == 600 and parsed.k == 20
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    # 30 is not a multiple of 4
+    assert main(args + ["--matrix", "4x4", "--out", str(tmp_path / "m4.txt")]) == 1
+
+
+def test_construct_strict_rejects_k_below_its_bound(tmp_path, capsys):
+    args = ["construct", "--n", "100", "--k", "70"]
+    assert main(args + ["--strict", "--out", str(tmp_path / "s.txt")]) == 1
+    assert "strict mode needs" in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+    # without --strict the explicit route takes it
+    assert main(args + ["--out", str(tmp_path / "e.txt")]) == 0
+
 def test_construct_retries_exhausted_exit_code(tmp_path):
     out = tmp_path / "hard.txt"
     code = main(["construct", "--n", "40", "--k", "30", "--mode", "biuniform",
@@ -187,6 +209,16 @@ def test_verify_sparse_file_on_a_huge_grid_stays_small(tmp_path):
     assert code == 0
     assert peak_kb < 100 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(nkline.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "nkline", "stats", "--n", "20", "--j", "3"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("n=20 j=3 count=")
 
 def test_verify_missing_file(tmp_path):
     assert main(["verify", "--in", str(tmp_path / "none.txt"), "--k", "2"]) == 1

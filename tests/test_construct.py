@@ -4,7 +4,6 @@ import hashlib
 import random
 from dataclasses import replace
 from itertools import islice
-from math import inf, nan
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from nkline.construct import (
     RetriesExhausted,
     _sample_retry,
     biuniform_construct,
+    explicit_certificate,
     explicit_construct,
     pipeline,
     spend,
@@ -207,15 +207,16 @@ def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
         _sample_retry(matrix, 3, 0)
 
 
-def test_spend_nothing_returns_the_set_unswept(monkeypatch):
-    # nothing spent: the same set and its own report come back unswept
+def test_spend_nothing_returns_the_set_unswept(monkeypatch, extractions):
+    # nothing spent: the same set and its own report come back unswept,
+    # and no 1-factor is extracted
     s = explicit_construct(12, 8)
     report = verify(s, 8, 0)
     sweeps = []
     monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
-    out, rep = spend(s, report, 8, 12, iter_matchings(BipartiteFactor(8, s)))
+    out, rep = spend(s, report, 8, 12)
     assert out is s and rep == report and rep.passed
-    assert sweeps == []
+    assert sweeps == [] and extractions == []
 
 
 def test_spend_kernel_drops_a_factor_of_the_full_grid():
@@ -230,11 +231,11 @@ def test_adjustments_leave_their_input_unchanged(desk_scale_run):
     cert, _ = desk_scale_run
     s = cert.output
     before = s.keys.copy()
-    shrunk, report = spend(s, cert.report, 233, 400, iter_matchings(BipartiteFactor(240, s)))
+    shrunk, report = spend(s, cert.report, 233, 400)
     assert np.array_equal(s.keys, before)
     assert len(s) == 240 * 400 and s.is_regular(240)
     before = shrunk.keys.copy()
-    spend(shrunk, report, 233, 403, iter_matchings(BipartiteFactor(233, shrunk)))
+    spend(shrunk, report, 233, 403)
     assert np.array_equal(shrunk.keys, before)
     assert shrunk.n == 400 and shrunk.is_regular(233)
 
@@ -263,9 +264,10 @@ _R12 = verify(_S12, 8, 0)  # an explicit set has reserve 0
     ],
 )
 def test_spend_rejects(points, report, k, n, match):
-    # each check fails before a 1-factor is read, so none is given
+    # each check fails before a 1-factor is extracted (the not-regular
+    # set has none to extract)
     with pytest.raises(ConstructionError, match=match):
-        spend(points, report, k, n, ())
+        spend(points, report, k, n)
 
 
 @pytest.fixture
@@ -307,9 +309,7 @@ def test_spend_nothing_retargets_a_reserve_15_report(desk_scale_run, monkeypatch
     cert, _ = desk_scale_run
     sweeps = []
     monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
-    out, rep = spend(
-        cert.output, cert.report, 240, 400, iter_matchings(BipartiteFactor(240, cert.output))
-    )
+    out, rep = spend(cert.output, cert.report, 240, 400)
     assert out is cert.output and sweeps == []
     assert rep == replace(cert.report, required_reserve=0) and rep.passed
 
@@ -317,15 +317,13 @@ def test_spend_nothing_retargets_a_reserve_15_report(desk_scale_run, monkeypatch
 def test_adjustment_chain_at_scale(desk_scale_run, extractions):
     cert, _ = desk_scale_run
     assert cert.certified, cert.report.summary()
-    shrunk, rep1 = spend(
-        cert.output, cert.report, 233, 400, iter_matchings(BipartiteFactor(240, cert.output))
-    )
+    shrunk, rep1 = spend(cert.output, cert.report, 233, 400)
     assert len(extractions) == 7
     assert rep1.passed
     assert rep1.achieved_reserve >= 8
     assert shrunk.is_regular(233)
     extractions.clear()
-    grown, rep2 = spend(shrunk, rep1, 233, 403, iter_matchings(BipartiteFactor(233, shrunk)))
+    grown, rep2 = spend(shrunk, rep1, 233, 403)
     assert len(extractions) == 3
     assert rep2.passed
     assert grown.n == 403
@@ -336,9 +334,7 @@ def test_adjustment_chain_at_scale(desk_scale_run, extractions):
 def test_spend_grow_by_two_keeps_rows_and_columns_exact(desk_scale_run):
     # grow by 2, spending 4 of the certified reserve 15
     cert, _ = desk_scale_run
-    out, rep = spend(
-        cert.output, cert.report, 240, 402, iter_matchings(BipartiteFactor(240, cert.output))
-    )
+    out, rep = spend(cert.output, cert.report, 240, 402)
     assert rep.passed
     assert out.n == 402
     assert out.is_regular(240)
@@ -579,10 +575,7 @@ def test_pipeline_strict_mode_checks():
         pipeline(50, 40, seed=0, strict=True)
     with pytest.raises(ConstructionError):
         pipeline(68, 20, seed=0, strict=True)  # below C*sqrt(n ln n)
-    for C in (nan, inf, 0.0):
-        with pytest.raises(ConstructionError, match="C must be positive and finite"):
-            pipeline(68, 46, seed=0, strict=True, C=C)
-    cert = pipeline(68, 46, seed=0, strict=True, C=1.0)
+    cert = pipeline(1200, 1160, seed=0, strict=True)  # 12.5*sqrt(n ln n) = 1153.1
     assert cert.certified
 
 
@@ -607,10 +600,21 @@ _M40 = feasibility_matrix_4x4(40, 30)
         (lambda: biuniform_construct(40, 30, _M40, seed=1, max_retries=1.5), "max_retries must"),
         (lambda: explicit_construct(10, 7.0), "k must be an integer, got 7.0"),
         (lambda: explicit_construct(np.bool_(True), 1), "n must be an integer"),
+        (lambda: pipeline(403, 233, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: pipeline(16, 11, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: pipeline(16, 11, seed="7"), "seed must be an integer, got '7'"),
+        (lambda: pipeline(16, 11, seed=True), "seed must be an integer, got True"),
+        (lambda: biuniform_construct(40, 30, _M40, seed=2.5), "seed must be an integer"),
+        (lambda: biuniform_construct(40, 30, _M40, seed=1, target_reserve=-1), "target_reserve must be >= 0"),
+        (lambda: biuniform_construct(40, 30, _M40, seed=1, target_reserve=1.5), "target_reserve must be an"),
+        (lambda: explicit_certificate(16, 11, seed=1.5), "seed must be an integer, got 1.5"),
     ],
     ids=[
         "pipeline-k-float", "pipeline-n-float", "pipeline-k-bool", "pipeline-retries-float",
         "biuniform-k-float", "biuniform-retries-float", "explicit-k-float", "explicit-n-bool",
+        "pipeline-seed-float", "pipeline-explicit-seed-float", "pipeline-seed-str",
+        "pipeline-seed-bool", "biuniform-seed-float", "biuniform-reserve-negative",
+        "biuniform-reserve-float", "explicit-certificate-seed-float",
     ],
 )
 def test_constructions_reject_non_integer_sizes_before_sampling(monkeypatch, call, match):
@@ -623,9 +627,12 @@ def test_constructions_reject_non_integer_sizes_before_sampling(monkeypatch, cal
 def test_constructions_take_numpy_integer_sizes():
     n, k = np.int64(40), np.int32(30)
     assert explicit_construct(np.int64(12), np.int16(8)) == explicit_construct(12, 8)
-    cert = biuniform_construct(n, k, _M40, seed=5, max_retries=np.int64(3))
+    cert = biuniform_construct(
+        n, k, _M40, seed=np.int64(5), max_retries=np.int64(3), target_reserve=np.int8(0)
+    )
     assert cert.output == biuniform_construct(40, 30, _M40, seed=5, max_retries=3).output
-    assert pipeline(np.int64(16), np.int64(11), seed=0).certified
+    assert pipeline(np.int64(16), np.int64(11), seed=np.int32(0)).certified
+    assert explicit_certificate(12, 8, seed=np.uint8(3)).seed == 3
 
 
 def test_pipeline_too_small_for_randomized_route():

@@ -30,6 +30,24 @@ def test_serialize_unknown_reserve_and_no_seed():
     assert "seed=none" in text
 
 
+
+@pytest.mark.parametrize(
+    "k, reserve, seed, name",
+    [(9.0, None, None, "k"), (True, None, None, "k"), ("9", None, None, "k"),
+     (9, 1.5, None, "reserve"), (9, np.bool_(True), None, "reserve"), (9, 0, 2.0, "seed")],
+)
+def test_serialize_rejects_headers_parse_would_reject(k, reserve, seed, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        serialize(PointSet.from_points(3, [(1, 1)]), k, reserve, seed)
+
+
+def test_serialize_takes_numpy_integers():
+    s = PointSet.from_points(3, [(2, 1), (1, 2)])
+    text = serialize(s, np.int64(1), reserve=np.int32(0), seed=np.uint64(2**63 - 1))
+    assert text == serialize(s, 1, reserve=0, seed=2**63 - 1)
+    parsed = parse(text)
+    assert (parsed.points, parsed.k, parsed.reserve, parsed.seed) == (s, 1, 0, 2**63 - 1)
+
 @st.composite
 def _point_sets(draw):
     n = draw(st.integers(1, 30))
