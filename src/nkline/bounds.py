@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import ceil, inf, log, sqrt
 from typing import Optional
 
+from .grid import _check_int
+
 
 @dataclass(frozen=True)
 class BoundsProfile:
@@ -45,6 +47,7 @@ class BoundsProfile:
 
 
 def _check_epsilon_delta_m(epsilon: float, delta: float, m: int) -> None:
+    _check_int(m=m)
     if not 0 <= epsilon <= 1:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if not -inf < delta < 1:
@@ -66,8 +69,10 @@ def compute_profile(
     """Evaluate the constants at one parameter point.
 
     tail_coeff = sqrt((2 - 3*eps/2)*ln n + ln(b*K*L/(1-p))/2) with
-    b = 2m - 1.  A nonpositive radicand is reported, not clamped.
+    b = 2m - 1.  A nonpositive radicand is reported, not clamped.  n, h
+    and m must be integers (numpy integers pass).
     """
+    _check_int(n=n, h=h)
     if not 0 <= p < 1:
         raise ValueError(f"p must be in [0, 1), got {p}")
     _check_epsilon_delta_m(epsilon, delta, m)
@@ -131,7 +136,9 @@ def estimate_growth_coefficient(n: int, m: int = 4) -> float:
 
 def feasible_k_range(n: int, C: float) -> Optional[tuple[int, int]]:
     """Admissible k interval [ceil(C*sqrt(n ln n)), floor(5n/6)]; None
-    when empty.  Both built-in matrices share the 5n/6 cap."""
+    when empty.  Both built-in matrices share the 5n/6 cap.  n must be
+    an integer (numpy integers pass)."""
+    _check_int(n=n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < C < inf:

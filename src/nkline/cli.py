@@ -3,6 +3,10 @@
 Exit codes: 0 certified / success, 1 usage or parse error, 2 randomized
 construction exhausted its retries, 3 verification failure.  All
 configuration goes through flags so runs are reproducible.
+
+Each command raises on a usage error, and `main` alone catches it: an
+OSError, ValueError or ArithmeticError ends the run as one `error:`
+line on stderr and exit 1, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -15,15 +19,9 @@ from math import pi
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .construct import (
-    ConstructionError,
-    RetriesExhausted,
-    biuniform_construct,
-    explicit_certificate,
-    pipeline,
-)
+from .construct import RetriesExhausted, biuniform_construct, explicit_certificate, pipeline
 from .grid import feasibility_matrix_3x3, feasibility_matrix_4x4
-from .pointfile import ParseError, parse, serialize
+from .pointfile import parse, serialize
 from .secants import census, richness_bound, verify
 
 EXIT_OK = 0
@@ -35,8 +33,7 @@ EXIT_VERIFY = 3
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if not (1 <= args.k <= args.n):
-        print(f"error: need 1 <= k <= n, got k={args.k}, n={args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     try:
         if args.mode == "explicit":
             cert = explicit_certificate(args.n, args.k)
@@ -57,9 +54,6 @@ def cmd_construct(args) -> int:
             )
     except RetriesExhausted as exc:
         cert = exc.certificate
-    except (ConstructionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     # the file and its sidecar describe the certificate alone: on
     # exhaustion that is the best sample
@@ -83,12 +77,8 @@ def cmd_construct(args) -> int:
     ]
     reserve = report.required_reserve if cert.certified else None
     out = Path(args.out)
-    try:
-        out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
-        out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: {exc.filename or out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
+    out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
     print(
         f"wrote {len(cert.output)} points to {out} ({lines[0]})",
         file=sys.stdout if cert.certified else sys.stderr,
@@ -97,17 +87,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        parsed = parse(Path(args.infile).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, ParseError) as exc:
-        print(f"error: {args.infile}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    parsed = parse(Path(args.infile).read_text(encoding="utf-8"))
     k = args.k if args.k is not None else parsed.k
-    try:
-        report = verify(parsed.points, k, args.reserve)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify(parsed.points, k, args.reserve)
     print(report.summary())
     print(f"points: {len(parsed.points)}  expected k*n: {k * parsed.points.n}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -115,48 +97,41 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.j is None and args.kappa is None:
-        print("error: one of --j / --kappa is required", file=sys.stderr)
-        return EXIT_USAGE
-    # compute everything first, so a usage error leaves stdout empty
-    try:
-        row = census(args.n, args.j) if args.j is not None else None
-        bound = richness_bound(args.n, args.kappa, args.L) if args.kappa is not None else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if row is not None:
+        raise ValueError("one of --j / --kappa is required")
+    # build every line first, so a usage error leaves stdout empty
+    lines = []
+    if args.j is not None:
+        row = census(args.n, args.j)
         if args.csv:
-            print("n,j,count")
-            print(f"{row.n},{row.j},{row.count}")
+            lines += ["n,j,count", f"{row.n},{row.j},{row.count}"]
         else:
-            print(f"n={row.n} j={row.j} count={row.count}")
+            lines.append(f"n={row.n} j={row.j} count={row.count}")
         if args.ratio:
             ref = (6 / pi**2) * args.n**4 / args.j**3
-            print(f"reference (6/pi^2) n^4/j^3 = {ref:.2f}  ratio = {row.count / ref:.4f}")
-    if bound is not None:
-        print(f"richness bound L*n^4/kappa^3 = {bound:.2f} (L={args.L})")
+            lines.append(f"reference (6/pi^2) n^4/j^3 = {ref:.2f}  ratio = {row.count / ref:.4f}")
+    if args.kappa is not None:
+        bound = richness_bound(args.n, args.kappa, args.L)
+        lines.append(f"richness bound L*n^4/kappa^3 = {bound:.2f} (L={args.L})")
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    try:
-        delta = float(Fraction(args.delta))
-        prof = bounds_mod.compute_profile(
-            args.n,
-            p=args.p,
-            epsilon=args.epsilon,
-            delta=delta,
-            h=args.reserve,
-            m=args.m,
-            K=args.K,
-            L=args.L,
-        )
-        coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
-        rng = bounds_mod.feasible_k_range(args.n, args.C)
-        n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # compute everything first, so a usage error leaves stdout empty
+    delta = float(Fraction(args.delta))
+    prof = bounds_mod.compute_profile(
+        args.n,
+        p=args.p,
+        epsilon=args.epsilon,
+        delta=delta,
+        h=args.reserve,
+        m=args.m,
+        K=args.K,
+        L=args.L,
+    )
+    coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
+    rng = bounds_mod.feasible_k_range(args.n, args.C)
+    n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C)
     print(
         f"n={prof.n} p={prof.p} epsilon={prof.epsilon} delta={prof.delta} "
         f"h={prof.h} m={prof.m} (bands={prof.band_count}) K={prof.K} L={prof.L}"
@@ -229,7 +204,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    # the one error boundary: every command raises its usage errors
+    try:
+        return args.func(args)
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def entry() -> None:

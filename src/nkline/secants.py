@@ -181,8 +181,10 @@ def census(n: int, j: int) -> CensusRow:
     (a, b) with a, b > 0, the number of grid points starting a run of t
     collinear points is N_t = max(0, n-(t-1)a) * max(0, n-(t-1)b), and
     the number of its lines with >= j points is N_j - N_{j+1}.  Both
-    sign classes contribute equally.
+    sign classes contribute equally.  n and j must be integers (numpy
+    integers pass).
     """
+    _check_int(n=n, j=j)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if j < 2:
@@ -201,7 +203,9 @@ def census(n: int, j: int) -> CensusRow:
 
 def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:
     """Upper-bound profile L * n^4 / kappa^3 for the number of generic
-    secants holding more than kappa grid points."""
+    secants holding more than kappa grid points; n must be an integer
+    (numpy integers pass)."""
+    _check_int(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < kappa < inf:

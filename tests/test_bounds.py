@@ -3,6 +3,7 @@
 from decimal import Decimal, getcontext
 from math import inf, log, nan, sqrt
 
+import numpy as np
 import pytest
 
 from nkline.bounds import (
@@ -12,6 +13,7 @@ from nkline.bounds import (
     growth_coefficient,
     smallest_feasible_n,
 )
+from nkline.secants import census, richness_bound
 
 
 def _tail_coeff_decimal(n, p, epsilon, b, K, L):
@@ -89,6 +91,36 @@ def test_profile_and_growth_coefficient_reject_the_same_shape_parameters(kwargs)
         compute_profile(10**4, **kwargs)
     with pytest.raises(ValueError):
         growth_coefficient(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "func, args, kwargs",
+    [
+        (feasible_k_range, (100.5, 1.0), {}),
+        (compute_profile, (100.5,), {}),
+        (compute_profile, (100,), dict(h=2.5)),
+        (compute_profile, (100,), dict(m=2.5)),
+        (compute_profile, (True,), {}),
+        (growth_coefficient, (), dict(m=2.5)),
+        (estimate_growth_coefficient, (100.5,), {}),
+        (richness_bound, (100.5, 2), {}),
+        (census, (20.5, 3), {}),
+        (census, (20, 3.0), {}),
+    ],
+)
+def test_sizes_that_are_not_integers_are_rejected(func, args, kwargs):
+    # a float n would give the feasible k range a float upper end
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(*args, **kwargs)
+
+
+def test_sizes_may_be_numpy_integers():
+    n, h, m = np.int64(10**5), np.int64(15), np.int64(3)
+    assert compute_profile(n, h=h, m=m).k_min == compute_profile(10**5, h=15, m=3).k_min
+    assert growth_coefficient(m=m) == growth_coefficient(m=3)
+    assert feasible_k_range(n, 12.5) == feasible_k_range(10**5, 12.5)
+    assert census(np.int64(20), np.int64(3)).count == census(20, 3).count
+    assert richness_bound(np.int64(10), 10.0) == richness_bound(10, 10.0)
 
 
 def test_growth_coefficient_closed_forms():

@@ -304,6 +304,14 @@ def test_bounds_bad_C_is_one_error_line_and_no_output(C, capsys):
         ["stats", "--n", "100", "--kappa", "10", "--L", "inf"],
         # a valid census must not be printed before --kappa is rejected
         ["stats", "--n", "100", "--j", "5", "--kappa", "inf"],
+        # arithmetic that overflows or divides by zero is a usage error too
+        ["bounds", "--n", "1" + "0" * 400],
+        ["bounds", "--n", "100", "--C", "1e308"],
+        ["bounds", "--n", "100", "--delta", "1e400"],
+        ["stats", "--n", "1" + "0" * 400, "--kappa", "2"],
+        ["stats", "--n", "100", "--kappa", "1e-300"],
+        # the census is cheap here, and its reference ratio overflows
+        ["stats", "--n", "1" + "0" * 100, "--j", "1" + "0" * 100, "--ratio"],
     ],
 )
 def test_non_finite_parameter_is_one_error_line_and_no_output(argv, capsys):
@@ -317,6 +325,12 @@ def test_stats_kappa_bound_rejects_nonpositive_n(capsys):
     assert main(["stats", "--n", "-5", "--kappa", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [[], ["construct"], ["verify"], ["stats"], ["bounds"]])
+def test_help_exits_zero_with_usage_on_stdout(argv, capsys):
+    assert main(argv + ["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: nkline")
 
 
 def test_unknown_command_is_usage_error():
