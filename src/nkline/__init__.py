@@ -38,7 +38,7 @@ from .grid import (
     line_points,
     max_expected_load,
 )
-from .pointfile import ParsedPointSet, ParseError, parse, serialize
+from .pointfile import ParsedPointSet, ParseError, parse, serialize, write_points
 from .secants import (
     CensusRow,
     VerificationReport,
@@ -88,4 +88,5 @@ __all__ = [
     "smallest_feasible_n",
     "spend",
     "verify",
+    "write_points",
 ]

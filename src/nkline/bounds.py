@@ -137,13 +137,17 @@ def estimate_growth_coefficient(n: int, m: int = 4) -> float:
 def feasible_k_range(n: int, C: float) -> Optional[tuple[int, int]]:
     """Admissible k interval [ceil(C*sqrt(n ln n)), floor(5n/6)]; None
     when empty.  Both built-in matrices share the 5n/6 cap.  n must be
-    an integer (numpy integers pass)."""
+    an integer (numpy integers pass); a C that makes C*sqrt(n ln n)
+    overflow a float raises ValueError."""
     _check_int(n=n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not 0 < C < inf:
         raise ValueError(f"C must be positive and finite, got {C}")
-    lo = ceil(C * sqrt(n * log(n)))
+    scaled = C * sqrt(n * log(n))
+    if scaled == inf:
+        raise ValueError(f"C*sqrt(n ln n) overflows a float for C={C}, n={n}")
+    lo = ceil(scaled)
     hi = (5 * n) // 6
     if lo > hi:
         return None

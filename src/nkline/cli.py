@@ -7,11 +7,16 @@ configuration goes through flags so runs are reproducible.
 Each command raises on a usage error, and `main` alone catches it: an
 OSError, ValueError or ArithmeticError ends the run as one `error:`
 line on stderr and exit 1, with nothing on stdout.
+
+`construct` writes its point file as bytes with `pointfile.write_points`,
+so no platform newline translation can reach the file.  The argument
+parser is built once per process and reused by every `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +26,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .construct import RetriesExhausted, biuniform_construct, explicit_certificate, pipeline
 from .grid import feasibility_matrix_3x3, feasibility_matrix_4x4
-from .pointfile import parse, serialize
+from .pointfile import parse, write_points
 from .secants import census, richness_bound, verify
 
 EXIT_OK = 0
@@ -77,7 +82,8 @@ def cmd_construct(args) -> int:
     ]
     reserve = report.required_reserve if cert.certified else None
     out = Path(args.out)
-    out.write_text(serialize(cert.output, report.k, reserve=reserve, seed=cert.seed))
+    with out.open("wb") as file:
+        write_points(file, cert.output, report.k, reserve=reserve, seed=cert.seed)
     out.with_name(out.name + ".report.txt").write_text("\n".join(lines) + "\n")
     print(
         f"wrote {len(cert.output)} points to {out} ({lines[0]})",
@@ -149,7 +155,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: building it takes longer than
+    parsing with it, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nkline",
         description="Construct and certify maximum no-(k+1)-in-line point sets on square grids.",

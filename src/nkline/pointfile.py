@@ -21,16 +21,22 @@ So the header holds its four fields once each, in this order, split by
 single spaces, and every number in the file is a canonical ASCII
 decimal: no other whitespace (no CR, no tab), no "+", no digit
 separator, no leading zero, no "-0".  The side n lies in [1, MAX_SIDE],
-every coordinate in [1, n], and no point repeats.  `serialize` writes
+every coordinate in [1, n], and no point repeats.  `write_points` writes
 the points in ascending order; `parse` accepts any order.  A ParseError
 names the first line that breaks the grammar or a range; failing those,
 the line where a point first repeats.
 
 Plain 7-bit text with \n newlines; serialize/parse round-trips exactly.
+
+`write_points` writes the file as bytes to a binary file object: the
+header, then the body one chunk of `_CHUNK` points at a time, so what it
+holds beyond the set is a few MiB however many points there are.
+`serialize` is `write_points` into memory, decoded once to a str.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -44,6 +50,7 @@ MAGIC = "nkline v1"
 
 _LF, _SP, _ZERO = 0x0A, 0x20, 0x30
 _WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
+_CHUNK = 32768  # points per body write; 16k-64k measured alike, less holds less
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(
@@ -65,12 +72,18 @@ class ParsedPointSet:
     seed: Optional[int]
 
 
-def serialize(
+def write_points(
+    file,
     points: PointSet,
     k: int,
     reserve: Optional[int] = None,
     seed: Optional[int] = None,
-) -> str:
+) -> None:
+    """Write the nkline v1 file of `points` to the binary file object
+    `file`: the header, then the body `_CHUNK` points at a time, so the
+    memory it holds beyond `points` does not grow with the set.  k, and
+    reserve and seed when given, must be integers; they are checked
+    before anything is written."""
     _check_int(k=k)
     if reserve is not None:
         _check_int(reserve=reserve)
@@ -78,25 +91,41 @@ def serialize(
         _check_int(seed=seed)
     reserve_s = "unknown" if reserve is None else str(reserve)
     seed_s = "none" if seed is None else str(seed)
-    header = f"{MAGIC}\nn={points.n} k={k} reserve={reserve_s} seed={seed_s}\n"
+    n = points.n
+    file.write(f"{MAGIC}\nn={n} k={k} reserve={reserve_s} seed={seed_s}\n".encode("ascii"))
     lead, padded = _group_words()
     # each coordinate is `width` 3-digit groups, most significant first, one
     # word each; a group's zeros lead only if no group above it is nonzero
-    width = (len(str(points.n)) + 2) // 3
-    xs, ys = points.xy()
-    words = np.empty((len(points), 2, width), _WORD)
-    for column, high in enumerate((xs, ys)):
-        for g in range(width - 1, 0, -1):
-            part = high % 1000
-            high = high // 1000
-            words[:, column, g] = np.where(high > 0, padded[part], lead[part])
-        words[:, column, 0] = lead[high]
-    del xs, ys, high
-    words[:, :, -1] |= np.array([_SP << 24, _LF << 24], _WORD)
-    data = words.tobytes()
-    del words
-    # drops the leading zeros and the unused separator bytes
-    return header + data.translate(None, b"\0").decode("ascii")
+    width = (len(str(n)) + 2) // 3
+    separators = np.array([_SP << 24, _LF << 24], _WORD)
+    for start in range(0, len(points), _CHUNK):
+        keys = points.keys[start : start + _CHUNK]
+        xs = keys // n
+        ys = keys - xs * n
+        xs += 1
+        ys += 1
+        words = np.empty((len(keys), 2, width), _WORD)
+        for column, high in enumerate((xs, ys)):
+            for g in range(width - 1, 0, -1):
+                part = high % 1000
+                high = high // 1000
+                words[:, column, g] = np.where(high > 0, padded[part], lead[part])
+            words[:, column, 0] = lead[high]
+        words[:, :, -1] |= separators
+        # drops the leading zeros and the unused separator bytes
+        file.write(words.tobytes().translate(None, b"\0"))
+
+
+def serialize(
+    points: PointSet,
+    k: int,
+    reserve: Optional[int] = None,
+    seed: Optional[int] = None,
+) -> str:
+    """The nkline v1 text of `points`, as `write_points` writes it."""
+    buffer = io.BytesIO()
+    write_points(buffer, points, k, reserve, seed)
+    return buffer.getvalue().decode("ascii")
 
 
 @cache

@@ -204,7 +204,8 @@ def census(n: int, j: int) -> CensusRow:
 def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:
     """Upper-bound profile L * n^4 / kappa^3 for the number of generic
     secants holding more than kappa grid points; n must be an integer
-    (numpy integers pass)."""
+    (numpy integers pass).  A bound that overflows a float raises
+    ValueError naming n, kappa and L."""
     _check_int(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -212,4 +213,10 @@ def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not 0 < L < inf:
         raise ValueError(f"L must be positive and finite, got {L}")
-    return L * n**4 / kappa**3
+    try:
+        bound = L * n**4 / kappa**3
+    except (OverflowError, ZeroDivisionError):  # kappa**3 may underflow to 0
+        bound = inf
+    if bound == inf:
+        raise ValueError(f"L*n^4/kappa^3 overflows a float for n={n}, kappa={kappa}, L={L}")
+    return bound

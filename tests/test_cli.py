@@ -66,6 +66,34 @@ def test_construct_auto_golden_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_403_233_SEED_11_SHA256
 
 
+def test_construct_truncates_a_longer_file_and_keeps_it_on_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    old = b"nkline v1\n" + b"1 1\n" * 500_000  # longer than the file construct writes
+    out.write_bytes(old)
+    # rejected before the file is opened: k above n, and a seed outside int64
+    assert main(["construct", "--n", "403", "--k", "500", "--out", str(out)]) == 1
+    assert main(["construct", "--n", "403", "--k", "233", "--seed", "99999999999999999999",
+                 "--out", str(out)]) == 1
+    assert out.read_bytes() == old
+    assert main(["construct", "--n", "403", "--k", "233", "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_403_233_SEED_11_SHA256
+
+
+def test_main_parses_each_call_afresh(tmp_path, capsys):
+    # the parser is built once per process, so no value of one call may
+    # reach the next
+    out = tmp_path / "c.txt"
+    args = ["construct", "--n", "403", "--k", "233", "--out", str(out)]
+    assert main(args + ["--strict", "--seed", "12"]) == 1
+    assert "strict mode needs" in capsys.readouterr().err
+    assert main(args + ["--seed", "12"]) == 0
+    assert parse(out.read_text()).seed == 12
+    assert main(args) == 0
+    assert parse(out.read_text()).seed == 0
+    assert main(args + ["--seed", "11"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_403_233_SEED_11_SHA256
+
+
 # sha256 of the files `nkline construct --n 400 --k K --seed 11` writes
 # for K = 230 (no reserve spent) and K = 233 (only k shrinks).
 # Re-pinned because the retry sampler is now a relabeled circulant;
@@ -319,6 +347,20 @@ def test_non_finite_parameter_is_one_error_line_and_no_output(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["bounds", "--n", "100", "--C", "1e308"], "C=1e+308"),
+        # kappa**3 underflows to 0
+        (["stats", "--n", "100", "--kappa", "1e-300"], "kappa=1e-300"),
+    ],
+)
+def test_overflow_error_names_the_value_at_fault(argv, named, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and named in err
 
 
 def test_stats_kappa_bound_rejects_nonpositive_n(capsys):

@@ -1,15 +1,20 @@
 """Round-trip and error-reporting tests for the point-set file format."""
 
+import io
+import os
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nkline import pointfile
+from nkline.construct import explicit_construct
 from nkline.grid import MAX_SIDE, PointSet
-from nkline.pointfile import MAGIC, ParseError, parse, serialize
+from nkline.pointfile import MAGIC, ParseError, parse, serialize, write_points
 from oracles import parse_by_lines, serialize_by_points
 
 
@@ -86,6 +91,68 @@ def _corners(n):
 @settings(max_examples=150, deadline=None)
 def test_serialize_matches_one_line_per_point_rendering(points, k, reserve, seed):
     assert serialize(points, k, reserve, seed) == serialize_by_points(points, k, reserve, seed)
+
+
+@st.composite
+def _sets_across_digit_groups(draw):
+    n = draw(st.sampled_from([1, 2, 999, 1000, 1001, 999_999, 10**6, 10**6 + 1, MAX_SIDE]))
+    # the smallest and largest coordinates of each digit count up to n
+    edges = sorted({v for d in range(len(str(n))) for v in (10**d, 10 ** (d + 1) - 1, n) if v <= n})
+    coord = st.sampled_from(edges) | st.integers(1, n)
+    return PointSet.from_points(n, draw(st.sets(st.tuples(coord, coord), max_size=22)))
+
+
+def _first_keys(n, count):
+    return PointSet(n, np.arange(count))
+
+
+@given(
+    points=_sets_across_digit_groups(),
+    chunk=st.sampled_from([1, 2, 3, 7]),
+    k=st.integers(0, 50),
+    reserve=st.none() | st.integers(-5, 50),
+    seed=st.none() | st.integers(-(2**63), 2**63 - 1),
+)
+@example(points=PointSet.from_points(5, []), chunk=1, k=0, reserve=None, seed=None)
+@example(points=PointSet.from_points(5, [(5, 1)]), chunk=7, k=1, reserve=0, seed=0)
+@example(points=PointSet.from_points(1, [(1, 1)]), chunk=1, k=1, reserve=0, seed=0)
+# sizes that are exact multiples of the chunk, with 4 and 7 digit groups
+@example(points=_first_keys(1000, 14), chunk=7, k=2, reserve=0, seed=1)
+@example(points=_first_keys(10**6, 6), chunk=3, k=2, reserve=None, seed=None)
+@example(points=_corners(10**6 + 1), chunk=2, k=2, reserve=0, seed=1)
+@example(points=_corners(MAX_SIDE), chunk=1, k=2, reserve=0, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_write_points_matches_one_line_per_point_rendering_across_chunks(
+    points, chunk, k, reserve, seed
+):
+    expected = serialize_by_points(points, k, reserve, seed)
+    buffer = io.BytesIO()
+    with mock.patch.object(pointfile, "_CHUNK", chunk):
+        write_points(buffer, points, k, reserve, seed)
+        text = serialize(points, k, reserve, seed)
+    assert buffer.getvalue() == expected.encode()
+    assert text == expected
+
+
+def test_write_points_peak_memory_does_not_grow_with_the_set():
+    points = explicit_construct(1200, 1000)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "wb") as file:
+            write_points(file, points, 1000)
+        _, written_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = serialize(points, 1000)
+        _, whole_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 1_200_000 and len(text) > 9 * 2**20
+    # one chunk of 32,768 points at n=1200 measured 2.5 MiB (about 80 bytes
+    # a point: coordinates, group words and their bytes); the bound holds
+    # one chunk with headroom, far below the 9.3 MiB text
+    assert written_peak <= 4 * 2**20
+    # while serialize, which returns the whole text, holds at least that
+    assert whole_peak >= len(text)
 
 
 def test_roundtrip_random_sets():
