@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 from math import ceil, log, sqrt
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -113,9 +113,11 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     )
 
 
-def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[np.ndarray, Iterator]:
+def _sample_retry(
+    matrix: FeasibilityMatrix, seed: int, t: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Retry t: the n x n bool mask of the union of the per-block
-    factors, and its 1-factors.
+    factors, and the relabelings sigma, tau that it was built from.
 
     Block (i, j) gets an r_{i,j}-factor, a relabeled circulant
     (`relabeled_circulants`) whose sigma, tau are drawn once, with seed
@@ -127,7 +129,7 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[np.ndar
 
     All m^2 blocks are built in one broadcast, audited together and
     laid out as the n x n mask, [x-1, y-1] for cell (x, y).  The same
-    sigma, tau give the lazy `_retry_factors` iterator returned with it.
+    sigma, tau give its 1-factors (`_retry_factors`).
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
     rs = np.array(matrix.entries).reshape(-1, 1)
@@ -140,15 +142,18 @@ def _sample_retry(matrix: FeasibilityMatrix, seed: int, t: int) -> tuple[np.ndar
     ):
         raise RuntimeError(f"degree audit failed in retry {t}")
     cells = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
-    return cells, _retry_factors(matrix, sigma, tau)
+    return cells, sigma, tau
 
 
-def _retry_factors(matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray) -> Iterator:
-    """Yield the 1-factors of the retry that `_sample_retry` built from
-    the relabelings sigma, tau, one at a time, with no matching run on
-    its n x n cells: array f maps row x to column f[x-1], 1-based.  The
-    row sums and column sums of the matrix must all be equal, to k; then
-    there are k factors, disjoint, whose union is the retry.
+def _retry_factors(
+    matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray, count: int
+) -> np.ndarray:
+    """The first `count` 1-factors of the retry that `_sample_retry`
+    built from the relabelings sigma, tau, with no matching run on its
+    n x n cells, as one (count, n) array: row f of it maps row x to
+    column f[x-1], 1-based.  The row sums and column sums of the matrix
+    must all be equal, to k; then there are k factors, disjoint, whose
+    union is the retry.
 
     Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
     classes is a perfect matching of the block (`relabeled_circulants`).
@@ -157,24 +162,28 @@ def _retry_factors(matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray
     König, as every line of what is left sums to k - s).  Each block
     (i, pi(i)) gives its lowest unused shift class c, and row a of
     block-row i goes to column pi(i)*q + tau^-1[(sigma[a] + c) mod q]
-    (0-based).  A factor is built only when it is asked for, and the
-    first ones never depend on how many follow.
+    (0-based).  The m-bit walk runs step by step; the gather through
+    tau^-1 runs once, for all steps.  The first factors never depend on
+    how many follow.
     """
     m, q = matrix.m, matrix.block_side
-    tau_inv = np.argsort(tau, axis=1)
     left = [list(row) for row in matrix.entries]
-    while any(map(any, left)):
-        pi, _ = _hopcroft_karp(m, [sum(1 << j for j, v in enumerate(row) if v) for row in left])
-        if -1 in pi:
+    # pi[s, i] is the block column of block-row i at step s, c[s, i] its shift class
+    pi = np.empty((count, m), dtype=np.intp)
+    c = np.empty((count, m), dtype=np.intp)
+    for s in range(count):
+        step, _ = _hopcroft_karp(m, [sum(1 << j for j, v in enumerate(row) if v) for row in left])
+        if -1 in step:
             raise ConstructionError("block matrix has unequal line sums; no 1-factor left")
-        # the shift classes below c are spent already
-        c = np.array([[matrix.entries[i][j] - left[i][j]] for i, j in enumerate(pi)])
-        for i, j in enumerate(pi):
+        for i, j in enumerate(step):
+            # the shift classes below c are spent already
+            c[s, i] = matrix.entries[i][j] - left[i][j]
             left[i][j] -= 1
-        pi = np.array(pi)
-        b = np.arange(m) * m + pi
-        cols = tau_inv[b[:, None], (sigma[b] + c) % q] + (pi * q + 1)[:, None]
-        yield cols.reshape(-1)
+        pi[s] = step
+    b = np.arange(m) * m + pi
+    cols = np.argsort(tau, axis=1)[b[..., None], (sigma[b] + c[..., None]) % q]
+    cols += (pi * q + 1)[..., None]
+    return cols.reshape(count, m * q)
 
 
 def biuniform_construct(
@@ -220,10 +229,11 @@ def biuniform_construct(
     best: Optional[tuple[PointSet, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
-        cells, factors = _sample_retry(matrix, seed, t)
+        cells, sigma, tau = _sample_retry(matrix, seed, t)
+        factors = _retry_factors(matrix, sigma, tau, drop + grow)
         sample = _spend(cells, k_sample, drop, grow, factors)
         # the retry's mask must not stay alive through the sweep
-        del cells, factors
+        del cells, sigma, tau, factors
         report = verify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
@@ -240,31 +250,33 @@ def biuniform_construct(
     return ConstructionCertificate(seed, sample, report, lineage, tuple(reserves))
 
 
-def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: Iterable) -> PointSet:
+def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray) -> PointSet:
     """Spend drop + grow 1-factors of a k-factor on [1,n]^2, given as its
     n x n bool mask (`PointSet.mask`), in one step.
 
-    The first drop + grow 1-factors are taken from `factors`, any
-    iterable of length-n sequences that map row x to column f[x-1]
-    (1-based): `_retry_factors` for a bi-uniform retry, or
-    `iter_matchings(BipartiteFactor(k, points))` for any k-factor.  They
-    are audited on the mask: there must be enough of them, each a
-    permutation of [1, n], every cell in the set and no cell in two of
-    them.  The mask is copied once into an (n + grow)^2 mask, where the
-    first `drop` are erased; then the i-th of the next `grow` moves its
-    k - drop cells (x, y) of smallest x to (n+i, y) and (x, n+i).  The
-    result, a (k - drop)-factor of [1, n + grow]^2, is read off that
-    mask (`PointSet.from_mask`); with nothing to spend it is the input's
+    `factors` is the (drop + grow, n) integer array of the 1-factors to
+    spend, row f mapping row x to column f[x-1] (1-based):
+    `_retry_factors` for a bi-uniform retry, or the first drop + grow of
+    `iter_matchings(BipartiteFactor(k, points))` stacked, for any
+    k-factor.  They are audited on the mask in whole-array passes: there
+    must be drop + grow of them, each a permutation of [1, n] (one sort
+    along the rows), every cell in the set (one gather) and no cell in
+    two of them (one sort down the columns).  The mask is copied once
+    into an (n + grow)^2 mask, where the first `drop` are erased; then
+    the i-th of the next `grow` moves its k - drop cells (x, y) of
+    smallest x to (n+i, y) and (x, n+i).  The result, a
+    (k - drop)-factor of [1, n + grow]^2, is read off that mask
+    (`PointSet.from_mask`); with nothing to spend it is the input's
     cells.  The reserve is not checked here; `spend` checks it.
     """
     n, k_new = len(cells), k - drop
-    # ys[t, a-1] + 1 is the column of row a in the t-th factor
-    ys = [np.asarray(f, dtype=np.int64) for f in islice(factors, drop + grow)]
-    if len(ys) < drop + grow:
-        raise ConstructionError(f"{drop + grow} 1-factors needed, {len(ys)} given")
-    if not all(f.shape == (n,) and (np.sort(f) == np.arange(1, n + 1)).all() for f in ys):
+    factors = np.asarray(factors, dtype=np.int64)
+    if len(factors) != drop + grow:
+        raise ConstructionError(f"{drop + grow} 1-factors needed, {len(factors)} given")
+    if factors.shape[1:] != (n,) or (np.sort(factors, axis=1) != np.arange(1, n + 1)).any():
         raise ConstructionError(f"a 1-factor is not a permutation of [1, {n}]")
-    ys = np.array(ys, dtype=np.int64).reshape(drop + grow, n) - 1
+    # ys[t, a-1] is the 0-based column of row a in the t-th factor
+    ys = factors - 1
     rows = np.arange(n)
     if not cells[rows, ys].all():
         raise ConstructionError("a 1-factor has a cell outside the set")
@@ -296,8 +308,8 @@ def spend(
 
     The 1-factors are the first drop + grow of
     `iter_matchings(BipartiteFactor(report.k, points))`, extracted by
-    Hopcroft-Karp once the checks below pass; `_spend` audits each one
-    it uses.  (`biuniform_construct` spends each retry with its own
+    Hopcroft-Karp once the checks below pass and stacked into one
+    array, which `_spend` audits.  (`biuniform_construct` spends each retry with its own
     shift classes before its one sweep, so it has no report to pass
     here.)
 
@@ -327,8 +339,8 @@ def spend(
         )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    factors = iter_matchings(BipartiteFactor(report.k, points))
-    out = _spend(points.mask(), report.k, drop, grow, factors)
+    factors = islice(iter_matchings(BipartiteFactor(report.k, points)), drop + grow)
+    out = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
     return out, verify(out, k, 0)
 
 

@@ -8,10 +8,15 @@ stops once no line of modulus M or more can hold more points than the
 fullest line found, so the reported maximum and its witness are exact.
 The sweep is `grid._heaviest_line`, shared with `max_expected_load`;
 the verifier hands it one histogram of the set's points per direction.
-Axis-parallel lines are handled separately by row/column histograms.
+Axis-parallel lines are handled separately by row/column histograms
+over the set's bounding box [x0, x1] x [y0, y1].
 
-Intercepts are offset by the lowest one over the set's bounding box
-[x0, x1] x [y0, y1], so c - c0 = |vy|*X + vx*Y with X = x - x0 when
+The keys are decoded by column runs, not into coordinate arrays: the
+sorted keys of column x are those in [(x-1)*n, x*n), so one
+`searchsorted` gives every column's count, x - x0 is a `repeat` of the
+column offsets by those counts, and y is the key less its repeated
+column base, the one int64 temporary.  Intercepts are offset by the
+lowest one over the box, so c - c0 = |vy|*X + vx*Y with X = x - x0 when
 vy > 0, X = x1 - x when vy < 0, and Y = y1 - y.  The three offset arrays
 are built once per call, and each direction's histogram is one
 `bincount` of |vy|*X + vx*Y, with no multiply for a coefficient of 1
@@ -28,7 +33,7 @@ hundreds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import inf, isqrt
 from typing import Optional
 
 import numpy as np
@@ -97,28 +102,34 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     _check_int(k=k, reserve=reserve)
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
-    n = points.n
-    xs, ys = points.xy()
-    cols, rows = np.bincount(xs, minlength=1), np.bincount(ys, minlength=1)
-    axis_max = int(max(cols.max(), rows.max()))
-    ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
-
-    # intercepts are offset by the lowest one over the set's bounding
-    # box, so no direction needs a pass for its minimum (an empty set
-    # sweeps no direction)
-    x0, x1 = (int(ux[0]), int(ux[-1])) if len(points) else (0, 0)
-    y0, y1 = (int(uy[0]), int(uy[-1])) if len(points) else (0, 0)
+    n, keys = points.n, points.keys
+    # the keys are sorted by (x, y), so column x is the run of keys in
+    # [(x - 1) * n, x * n): the first and last key give the columns'
+    # span [x0, x1] and one searchsorted gives the count of each
+    x0, x1 = (int(keys[0]) // n + 1, int(keys[-1]) // n + 1) if len(keys) else (1, 1)
+    cols = np.diff(np.searchsorted(keys, np.arange(x0 - 1, x1 + 1) * n))
+    # y - 1 is the key less its column's base, repeated over the run
+    ys = np.repeat(np.arange(x0 - 1, x1) * n, cols)
+    ys = np.subtract(keys, ys, out=ys)
+    y0, y1 = (int(ys.min()) + 1, int(ys.max()) + 1) if len(keys) else (1, 1)
     span = max(x1 - x0, y1 - y0)
 
-    # the offset arrays of the module docstring, each decoded coordinate
-    # array freed once its offsets exist; a modulus-M class needs their
-    # type to hold 2*M*span, up to `top`
+    # rows are counted as y - y0 and columns as x - x0, over the box, so
+    # a set in a far corner gets histograms of its own size; ux and uy
+    # hold the occupied ones
+    ys = np.subtract(ys, y0 - 1, out=ys)
+    rows = np.bincount(ys, minlength=1)
+    axis_max = int(max(cols.max(), rows.max()))
+
+    # the offset arrays of the module docstring, X0 and X1 straight from
+    # the column runs; a modulus-M class needs their type to hold
+    # 2*M*span, up to `top`
     dtype = _offset_dtype(2 * span)
-    Y1 = np.subtract(y1, ys, out=np.empty(len(ys), dtype))
+    Y1 = np.subtract(y1 - y0, ys, out=np.empty(len(ys), dtype))
     del ys
-    X0 = np.subtract(xs, x0, out=np.empty(len(xs), dtype))
-    X1 = np.subtract(x1, xs, out=np.empty(len(xs), dtype))
-    del xs
+    X0 = np.repeat(np.arange(x1 - x0 + 1, dtype=dtype), cols)
+    X1 = np.subtract(x1 - x0, X0, dtype=dtype)
+    ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
     c, tmp = np.empty_like(Y1), np.empty_like(Y1)
     top = np.iinfo(dtype).max
 
@@ -139,6 +150,7 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         return np.bincount(c), c0
 
     def residue_cap(M: int) -> int:
+        # a shift or a reflection of the offsets permutes the residues
         return int(max(np.bincount(ux % M).max(), np.bincount(uy % M).max()))
 
     # a generic line meets each row and column at most once; a modulus-M
@@ -176,29 +188,53 @@ class CensusRow:
     count: int
 
 
+def _mobius(N: int) -> np.ndarray:
+    """mu[d], the Möbius function, for d in [0, N] (mu[0] = 0).
+
+    Only the primes p up to sqrt(N) are sieved, and rad[d] collects the
+    ones that divide d.  A square-free d is rad[d] times 1 or one prime
+    above sqrt(N) (two would exceed N), which flips the sign."""
+    mu = np.ones(N + 1, dtype=np.int8)
+    rad = np.ones(N + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in range(2, isqrt(N) + 1):
+        if rad[p] == 1:  # no smaller prime divides p
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            rad[p::p] *= p
+    mu[rad != np.arange(N + 1)] *= -1
+    return mu
+
+
 def census(n: int, j: int) -> CensusRow:
     """Exact rich-secant count by the closed form: for a direction
     (a, b) with a, b > 0, the number of grid points starting a run of t
-    collinear points is N_t = max(0, n-(t-1)a) * max(0, n-(t-1)b), and
-    the number of its lines with >= j points is N_j - N_{j+1}.  Both
-    sign classes contribute equally.  n and j must be integers (numpy
-    integers pass).
+    collinear points is N_t = f_t(a) * f_t(b), f_t(a) = max(0, n-(t-1)a),
+    and the number of its lines with >= j points is N_j - N_{j+1}.  Both
+    sign classes contribute equally.  The sum of f_t(a) * f_t(b) over
+    coprime a, b is, by Möbius inversion, the sum over d of
+    mu(d) * S_t(d)^2, where S_t(d) = sum over a >= 1 of f_t(d*a) is an
+    arithmetic series: with A = (n-1) // ((t-1)d) nonzero terms it is
+    A*n - (t-1)*d*A(A+1)/2.  mu is sieved up to (n-1)//(j-1), and the
+    squares are summed as exact Python integers.  n and j must be
+    integers (numpy integers pass).
     """
     _check_int(n=n, j=j)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if j < 2:
         raise ValueError(f"j must be >= 2, got {j}")
-    cutoff = (n - 1) // (j - 1)
-    total = 0
-    for a in range(1, cutoff + 1):
-        for b in range(1, cutoff + 1):
-            if gcd(a, b) != 1:
-                continue
-            nj = max(0, n - (j - 1) * a) * max(0, n - (j - 1) * b)
-            nj1 = max(0, n - j * a) * max(0, n - j * b)
-            total += 2 * (nj - nj1)
-    return CensusRow(n=n, j=j, count=total)
+    n, j = int(n), int(j)
+    mu = _mobius((n - 1) // (j - 1))
+    d = np.flatnonzero(mu)
+
+    def series(t: int) -> list[int]:
+        step = (t - 1) * d
+        A = (n - 1) // step
+        return (A * n - step * (A * (A + 1) // 2)).tolist()
+
+    total = sum(m * (s * s - r * r) for m, s, r in zip(mu[d].tolist(), series(j), series(j + 1)))
+    return CensusRow(n=n, j=j, count=2 * total)
 
 
 def richness_bound(n: int, kappa: float, L: float = 1.0) -> float:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's sweep/branch-and-bound code paths:
 lines are found by enumerating point pairs, loads by stepping along a
-direction, counts by inverting triangular pair counts.  The reference
+direction, counts by inverting triangular pair counts, and the census
+by a double loop over coprime directions.  The reference
 matcher is the list-based Hopcroft-Karp the bitset one replaced, its
 row bitsets are ORed together one cell at a time, and point files are
 rendered one formatted line per point and read one line at a time.
@@ -188,6 +189,24 @@ def census_by_pairs(n, j):
     """Number of generic secants of [1,n]^2 holding >= j grid points."""
     sizes = grid_line_sizes(n)
     return sum(1 for c in sizes.values() if c >= j)
+
+
+def census_by_coprime_pairs(n, j):
+    """Number of generic secants of [1,n]^2 holding >= j grid points,
+    by a double loop over the coprime directions (a, b), a, b >= 1: a
+    run of t collinear points starts at N_t = max(0, n-(t-1)a) *
+    max(0, n-(t-1)b) grid points, N_j - N_{j+1} lines hold >= j, and
+    the directions (a, -b) count the same."""
+    cutoff = (n - 1) // (j - 1)
+    total = 0
+    for a in range(1, cutoff + 1):
+        for b in range(1, cutoff + 1):
+            if gcd(a, b) != 1:
+                continue
+            nj = max(0, n - (j - 1) * a) * max(0, n - (j - 1) * b)
+            nj1 = max(0, n - j * a) * max(0, n - j * b)
+            total += 2 * (nj - nj1)
+    return total
 
 
 def all_r_factors(m, r):

@@ -110,8 +110,8 @@ def test_biuniform_spends_each_retry_with_its_own_factors():
     # the retry at (400, 240) is spent to (403, 233), then swept once
     matrix = feasibility_matrix_4x4(400, 240)
     cert = biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
-    sample, factors = _sample_retry(matrix, 11, 0)
-    want = construct._spend(sample, 240, 7, 3, factors)
+    sample, sigma, tau = _sample_retry(matrix, 11, 0)
+    want = construct._spend(sample, 240, 7, 3, construct._retry_factors(matrix, sigma, tau, 10))
     assert cert.certified and cert.output == want
     assert cert.report == verify(want, 233, 0)
     assert cert.lineage[1] == ("spend", {"from": (400, 240), "to": (403, 233)})
@@ -219,10 +219,17 @@ def test_spend_nothing_returns_the_set_unswept(monkeypatch, extractions):
     assert sweeps == [] and extractions == []
 
 
+def _first_factors(points, r, count):
+    """The first `count` 1-factors of an r-factor, stacked as `_spend`
+    takes them: one (count, n) array."""
+    factors = islice(iter_matchings(BipartiteFactor(r, points)), count)
+    return np.array(list(factors), dtype=np.int64).reshape(count, points.n)
+
+
 def test_spend_kernel_drops_a_factor_of_the_full_grid():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out = construct._spend(full.mask(), n, 1, 0, iter_matchings(BipartiteFactor(n, full)))
+    out = construct._spend(full.mask(), n, 1, 0, _first_factors(full, n, 1))
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -297,7 +304,7 @@ def test_spend_drop_never_increases_any_line_count(extractions):
         s = f.points
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out = construct._spend(s.mask(), r, 2, 0, iter_matchings(f))
+        out = construct._spend(s.mask(), r, 2, 0, _first_factors(s, r, 2))
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
@@ -362,11 +369,9 @@ def _spends(draw):
 def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
     m, r, drop, grow = sizes
     f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
-    once = construct._spend(f.mask(), r, drop, grow, iter_matchings(BipartiteFactor(r, f)))
-    dropped = construct._spend(f.mask(), r, drop, 0, iter_matchings(BipartiteFactor(r, f)))
-    grown = construct._spend(
-        dropped.mask(), r - drop, 0, grow, iter_matchings(BipartiteFactor(r - drop, dropped))
-    )
+    once = construct._spend(f.mask(), r, drop, grow, _first_factors(f, r, drop + grow))
+    dropped = construct._spend(f.mask(), r, drop, 0, _first_factors(f, r, drop))
+    grown = construct._spend(dropped.mask(), r - drop, 0, grow, _first_factors(dropped, r - drop, grow))
     assert once == grown
     assert once.n == m + grow and once.is_regular(r - drop)
 
@@ -407,28 +412,29 @@ def _regular_block_matrices(draw):
 def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed, t, data):
     matrix, k = mk
     n = matrix.n
-    cells, retry_factors = _sample_retry(matrix, seed, t)
+    cells, sigma, tau = _sample_retry(matrix, seed, t)
     points = PointSet.from_mask(cells)
-    factors = list(retry_factors)
-    assert len(factors) == k
+    factors = construct._retry_factors(matrix, sigma, tau, k)
+    assert factors.shape == (k, n)
     for f in factors:
         assert sorted(f.tolist()) == list(range(1, n + 1))
     # k * n distinct cells, exactly the retry's
-    keys = np.array([np.arange(n) * n + f - 1 for f in factors], dtype=np.int64).reshape(-1)
+    keys = (np.arange(n) * n + factors - 1).reshape(-1)
     assert np.array_equal(np.sort(keys), points.keys)
     # a prefix does not depend on how many are asked for, and a rerun
     # with the same seed gives the same factors
     j = data.draw(st.integers(0, k))
-    prefix = list(islice(_sample_retry(matrix, seed, t)[1], j))
-    assert [f.tolist() for f in prefix] == [f.tolist() for f in factors[:j]]
-    assert [f.tolist() for f in _sample_retry(matrix, seed, t)[1]] == [f.tolist() for f in factors]
+    assert np.array_equal(construct._retry_factors(matrix, sigma, tau, j), factors[:j])
+    _, sigma, tau = _sample_retry(matrix, seed, t)
+    assert np.array_equal(construct._retry_factors(matrix, sigma, tau, k), factors)
 
 
 def test_retry_factors_reject_unequal_line_sums():
-    _, factors = _sample_retry(FeasibilityMatrix(2, 3, [[1, 0], [0, 2]]), 0, 0)
-    assert sorted(next(factors).tolist()) == list(range(1, 7))
+    matrix = FeasibilityMatrix(2, 3, [[1, 0], [0, 2]])
+    _, sigma, tau = _sample_retry(matrix, 0, 0)
+    assert sorted(construct._retry_factors(matrix, sigma, tau, 1)[0].tolist()) == list(range(1, 7))
     with pytest.raises(ConstructionError, match="unequal line sums"):
-        next(factors)
+        construct._retry_factors(matrix, sigma, tau, 2)
 
 
 def _swap_into_a_cell_outside_the_set(factors):
@@ -438,23 +444,26 @@ def _swap_into_a_cell_outside_the_set(factors):
     a, b = next(
         (a, b) for a in range(12) for b in range(12) if (a + 1, int(f[b])) not in inside
     )
-    f[a], f[b] = f[b], f[a]
+    f[[a, b]] = f[[b, a]]
+    return factors
 
 
 def _repeat_a_factor(factors):
-    factors[2] = factors[0].copy()
+    factors[2] = factors[0]
+    return factors
 
 
 def _break_a_permutation(factors):
-    factors[1][0] = factors[1][1]
+    factors[1, 0] = factors[1, 1]
+    return factors
 
 
 def _shorten_a_factor(factors):
-    factors[0] = factors[0][:-1]
+    return factors[:, :-1]
 
 
 def _give_too_few(factors):
-    del factors[2]
+    return factors[:2]
 
 
 @pytest.mark.parametrize(
@@ -468,11 +477,42 @@ def _give_too_few(factors):
     ],
 )
 def test_spend_audit_rejects_bad_factors(mutate, match):
-    factors = [np.array(f) for f in islice(iter_matchings(BipartiteFactor(8, _S12)), 3)]
-    assert construct._spend(_S12.mask(), 8, 2, 1, [f.copy() for f in factors]).is_regular(6)
-    mutate(factors)
+    factors = _first_factors(_S12, 8, 3)
+    assert construct._spend(_S12.mask(), 8, 2, 1, factors.copy()).is_regular(6)
     with pytest.raises(ConstructionError, match=match):
-        construct._spend(_S12.mask(), 8, 2, 1, factors)
+        construct._spend(_S12.mask(), 8, 2, 1, mutate(factors))
+
+
+def _last_row_repeats_a_column(f, cells):
+    f[-1, -1] = f[-1, 0]
+
+
+def _last_row_takes_an_empty_cell(f, cells):
+    # swap two rows' columns in the last factor onto a cell off the set
+    a = next(a for a in range(1, f.shape[1]) if not cells[a, f[-1, 0] - 1])
+    f[-1, [0, a]] = f[-1, [a, 0]]
+
+
+def _last_factor_repeats_the_first(f, cells):
+    f[-1] = f[0]
+
+
+@pytest.mark.parametrize(
+    "mutate, match",
+    [
+        pytest.param(_last_row_repeats_a_column, "not a permutation", id="permutation"),
+        pytest.param(_last_row_takes_an_empty_cell, "outside the set", id="inside"),
+        pytest.param(_last_factor_repeats_the_first, "share a cell", id="disjoint"),
+    ],
+)
+def test_spend_audit_checks_every_factor_of_a_retry(mutate, match):
+    # the batched audit sees a fault in the last of the retry's 10 factors
+    matrix = feasibility_matrix_4x4(400, 240)
+    cells, sigma, tau = _sample_retry(matrix, 11, 0)
+    factors = construct._retry_factors(matrix, sigma, tau, 10)
+    mutate(factors, cells)
+    with pytest.raises(ConstructionError, match=match):
+        construct._spend(cells, 240, 7, 3, factors)
 
 
 def test_pipeline_explicit_route_68_46():

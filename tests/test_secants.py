@@ -10,12 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkline.grid import Direction, PointSet, _directions_of_modulus
+from nkline.grid import MAX_SIDE, Direction, PointSet, _directions_of_modulus
 from nkline import secants
 from nkline.construct import pipeline
 from nkline.secants import census, count_on_line, richness_bound, verify
 
-from oracles import brute_generic_max, census_by_pairs, generic_line_sizes, grid_line_sizes
+from oracles import (
+    brute_generic_max,
+    census_by_coprime_pairs,
+    census_by_pairs,
+    generic_line_sizes,
+    grid_line_sizes,
+)
 
 
 def _rich_directions(n, t):
@@ -193,6 +199,63 @@ def test_verify_sparse_corner_of_a_huge_grid_stays_small():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n", [10**6, MAX_SIDE])
+def test_verify_sparse_far_corner_of_a_huge_grid_stays_small(n):
+    # rows and columns are counted over the bounding box too, so six
+    # points next to (n, n) need no histogram of side n
+    import tracemalloc
+
+    pts = [(n - 6 + i, n - 6 + i) for i in range(1, 7)]
+    s = PointSet.from_points(n, pts)
+    tracemalloc.start()
+    try:
+        rep = verify(s, 6, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.generic_max == brute_generic_max(pts)[0] == 6
+    assert rep.axis_max == 1 and rep.directions_swept == 2
+    assert rep.worst_line == (Direction(1, 1), 0)
+    assert peak < 1 << 20
+
+
+@st.composite
+def _edge_sets(draw):
+    """(n, points): an empty set, one point, one row or one column, a
+    set on the last row or column, or a set confined to a band of
+    columns and rows that misses leading or trailing ones."""
+    n = draw(st.integers(1, 12))
+    coord = st.integers(1, n)
+    kind = draw(st.sampled_from(["empty", "one", "row", "column", "far edge", "band"]))
+    if kind == "empty":
+        return n, set()
+    if kind == "one":
+        return n, {(draw(coord), draw(coord))}
+    if kind in ("row", "column"):
+        at, run = draw(coord), draw(st.sets(coord, min_size=1))
+        return n, {(at, v) if kind == "column" else (v, at) for v in run}
+    if kind == "far edge":
+        pts = draw(st.sets(st.tuples(coord, coord), max_size=n * n))
+        edge = draw(st.sets(coord, min_size=1))
+        return n, pts | ({(n, v) for v in edge} if draw(st.booleans()) else {(v, n) for v in edge})
+    lo_x, lo_y = draw(coord), draw(coord)
+    xs, ys = st.integers(lo_x, draw(st.integers(lo_x, n))), st.integers(lo_y, draw(st.integers(lo_y, n)))
+    return n, draw(st.sets(st.tuples(xs, ys), min_size=1, max_size=n * n))
+
+
+@given(case=_edge_sets())
+@settings(max_examples=300, deadline=None)
+def test_verify_column_runs_match_direct_counts_on_edge_sets(case):
+    n, pts = case
+    s = PointSet.from_points(n, pts)
+    rep = verify(s, n, 0)
+    assert rep.generic_max == _expected_generic_max(n, pts)
+    cols, rows = Counter(x for x, _ in pts), Counter(y for _, y in pts)
+    assert rep.axis_max == max([*cols.values(), *rows.values(), 0])
+    if rep.worst_line is not None:
+        assert count_on_line(s, *rep.worst_line) == rep.generic_max
+
+
 @pytest.mark.parametrize(
     "pts, swept",
     [
@@ -315,9 +378,9 @@ def test_verify_takes_numpy_integers_and_rejects_a_negative_reserve():
 
 
 def test_verify_peak_memory_per_point_on_the_shipped_set():
-    # offsets are built from the decoded coordinates one array at a
-    # time, each decoded array freed once its offsets exist: ~19 bytes
-    # a point at the peak, where two int64 intercept buffers took ~32
+    # the keys are decoded by column runs into one int64 temporary,
+    # freed once the narrow offsets exist; the peak, 18.3 bytes a point,
+    # is five int16 arrays and the int64 copy `bincount` makes of one
     import tracemalloc
 
     s = pipeline(403, 233, seed=11).output
@@ -328,7 +391,7 @@ def test_verify_peak_memory_per_point_on_the_shipped_set():
     finally:
         tracemalloc.stop()
     assert rep.passed
-    assert peak <= 26 * len(s), peak / len(s)
+    assert peak <= 19 * len(s), peak / len(s)
 
 
 @given(
@@ -417,6 +480,34 @@ def test_richness_bound_rejects_nonpositive_kappa():
 def test_richness_bound_rejects_empty_grid_and_nonpositive_parameters(n, kappa, L):
     with pytest.raises(ValueError):
         richness_bound(n, kappa, L)
+
+
+@given(n=st.integers(1, 11), j=st.integers(2, 13))
+@settings(max_examples=60, deadline=None)
+def test_census_matches_both_oracles_on_small_grids(n, j):
+    assert census(n, j).count == census_by_coprime_pairs(n, j) == census_by_pairs(n, j)
+
+
+@given(n=st.integers(1, 400), j=st.integers(2, 40))
+@settings(max_examples=60, deadline=None)
+def test_census_matches_the_coprime_pair_loop(n, j):
+    assert census(n, j).count == census_by_coprime_pairs(n, j)
+
+
+def test_mobius_sieve_matches_trial_division():
+    def mu(d):
+        m, p = 1, 2
+        while p * p <= d:
+            if d % p == 0:
+                d //= p
+                if d % p == 0:
+                    return 0
+                m = -m
+            p += 1
+        return -m if d > 1 else m
+
+    for N in (0, 1, 2, 3, 4, 24, 25, 26, 1000):
+        assert secants._mobius(N).tolist() == [0] + [mu(d) for d in range(1, N + 1)], N
 
 
 def test_census_below_richness_bound():
