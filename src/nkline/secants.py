@@ -122,13 +122,13 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     axis_max = int(max(cols.max(), rows.max()))
 
     # the offset arrays of the module docstring, X0 and X1 straight from
-    # the column runs; a modulus-M class needs their type to hold
-    # 2*M*span, up to `top`
+    # the column runs, and ys freed once they exist; a modulus-M class
+    # needs their type to hold 2*M*span, up to `top`
     dtype = _offset_dtype(2 * span)
     Y1 = np.subtract(y1 - y0, ys, out=np.empty(len(ys), dtype))
-    del ys
     X0 = np.repeat(np.arange(x1 - x0 + 1, dtype=dtype), cols)
     X1 = np.subtract(x1 - x0, X0, dtype=dtype)
+    del ys
     ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
     c, tmp = np.empty_like(Y1), np.empty_like(Y1)
     top = np.iinfo(dtype).max
@@ -226,14 +226,17 @@ def census(n: int, j: int) -> CensusRow:
         raise ValueError(f"j must be >= 2, got {j}")
     n, j = int(n), int(j)
     mu = _mobius((n - 1) // (j - 1))
-    d = np.flatnonzero(mu)
 
-    def series(t: int) -> list[int]:
+    def series(t: int, d: np.ndarray) -> list[int]:
         step = (t - 1) * d
         A = (n - 1) // step
         return (A * n - step * (A * (A + 1) // 2)).tolist()
 
-    total = sum(m * (s * s - r * r) for m, s, r in zip(mu[d].tolist(), series(j), series(j + 1)))
+    total = 0
+    # a chunk of d at a time, so few exact Python ints are alive at once
+    for d in np.array_split(np.flatnonzero(mu), len(mu) // 2**14 + 1):
+        terms = zip(mu[d].tolist(), series(j, d), series(j + 1, d))
+        total += sum(m * (s * s - r * r) for m, s, r in terms)
     return CensusRow(n=n, j=j, count=2 * total)
 
 
