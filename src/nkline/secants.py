@@ -105,29 +105,30 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     n, keys = points.n, points.keys
     # the keys are sorted by (x, y), so column x is the run of keys in
     # [(x - 1) * n, x * n): the first and last key give the columns'
-    # span [x0, x1] and one searchsorted gives the count of each
+    # span [x0, x1], one searchsorted gives each run, and the first and
+    # last key of each run hold its column's lowest and highest y
     x0, x1 = (int(keys[0]) // n + 1, int(keys[-1]) // n + 1) if len(keys) else (1, 1)
-    cols = np.diff(np.searchsorted(keys, np.arange(x0 - 1, x1 + 1) * n))
-    # y - 1 is the key less its column's base, repeated over the run
-    ys = np.repeat(np.arange(x0 - 1, x1) * n, cols)
-    ys = np.subtract(keys, ys, out=ys)
-    y0, y1 = (int(ys.min()) + 1, int(ys.max()) + 1) if len(keys) else (1, 1)
+    runs = np.searchsorted(keys, np.arange(x0 - 1, x1 + 1) * n)
+    cols = np.diff(runs)
+    first, last = keys[runs[:-1][cols > 0]] % n, keys[runs[1:][cols > 0] - 1] % n
+    y0, y1 = (int(first.min()) + 1, int(last.max()) + 1) if len(keys) else (1, 1)
     span = max(x1 - x0, y1 - y0)
 
-    # rows are counted as y - y0 and columns as x - x0, over the box, so
-    # a set in a far corner gets histograms of its own size; ux and uy
-    # hold the occupied ones
-    ys = np.subtract(ys, y0 - 1, out=ys)
-    rows = np.bincount(ys, minlength=1)
-    axis_max = int(max(cols.max(), rows.max()))
-
-    # the offset arrays of the module docstring, X0 and X1 straight from
-    # the column runs, and ys freed once they exist; a modulus-M class
-    # needs their type to hold 2*M*span, up to `top`
+    # the offset arrays of the module docstring; a modulus-M class needs
+    # their type to hold 2*M*span, up to `top`.  X0 and X1 come straight
+    # from the column runs, and y - y0 is each key less its column's
+    # base and y0 - 1, repeated over the run: the one int64 temporary,
+    # freed once Y1 exists.  Rows are counted as y - y0 and columns as
+    # x - x0, over the box, so a set in a far corner gets histograms of
+    # its own size; ux and uy hold the occupied ones.
     dtype = _offset_dtype(2 * span)
-    Y1 = np.subtract(y1 - y0, ys, out=np.empty(len(ys), dtype))
     X0 = np.repeat(np.arange(x1 - x0 + 1, dtype=dtype), cols)
     X1 = np.subtract(x1 - x0, X0, dtype=dtype)
+    ys = np.repeat(np.arange(x0 - 1, x1) * n + (y0 - 1), cols)
+    ys = np.subtract(keys, ys, out=ys)
+    rows = np.bincount(ys, minlength=1)
+    axis_max = int(max(cols.max(), rows.max()))
+    Y1 = np.subtract(y1 - y0, ys, out=np.empty(len(ys), dtype))
     del ys
     ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
     c, tmp = np.empty_like(Y1), np.empty_like(Y1)

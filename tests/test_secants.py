@@ -379,7 +379,7 @@ def test_verify_takes_numpy_integers_and_rejects_a_negative_reserve():
 
 def test_verify_peak_memory_per_point_on_the_shipped_set():
     # the keys are decoded by column runs into one int64 temporary,
-    # freed once the narrow offsets exist; the peak, 18.3 bytes a point,
+    # freed once the narrow offsets exist; the peak, 18.4 bytes a point,
     # is five int16 arrays and the int64 copy `bincount` makes of one
     import tracemalloc
 
