@@ -108,9 +108,23 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     return ConstructionCertificate(
         seed=seed,
         output=points,
-        report=verify(points, k, 0),
+        report=_certify(points, k, 0),
         lineage=(("explicit", {"n": n, "k": k}),),
     )
+
+
+def _certify(points: PointSet, k: int, reserve: int) -> VerificationReport:
+    """`verify(points, k, reserve)`, the one sweep of a construction's
+    output, which must also hold k * n points with no row or column
+    above k, so exactly k in each.  The constructions make such sets by
+    design, so any other is a program fault and raises RuntimeError."""
+    report = verify(points, k, reserve)
+    if len(points) != k * points.n or report.axis_max > k:
+        raise RuntimeError(
+            f"construction output is not a {k}-factor on [1,{points.n}]^2: "
+            f"{len(points)} points, axis_max={report.axis_max}"
+        )
+    return report
 
 
 def _sample_retry(
@@ -121,26 +135,19 @@ def _sample_retry(
 
     Block (i, j) gets an r_{i,j}-factor, a relabeled circulant
     (`relabeled_circulants`) whose sigma, tau are drawn once, with seed
-    derived from (seed, t, i, j), blocks in row-major order.  That is
-    not the paper's uniform r-factor: its reserve law matches
-    Curveball's in the table of CHANGES.md, and the exact verification
-    report of the output is its certificate.  The Curveball sampler
-    remains for the uses that need the uniform law.
+    derived from (seed, t, i, j), blocks in row-major order: not the
+    paper's uniform r-factor, but with the reserve law of Curveball's in
+    the table of CHANGES.md (Curveball remains for the uniform law).
 
-    All m^2 blocks are built in one broadcast, audited together and
-    laid out as the n x n mask, [x-1, y-1] for cell (x, y).  The same
-    sigma, tau give its 1-factors (`_retry_factors`).
+    All m^2 blocks are built in one broadcast and laid out as the n x n
+    mask, [x-1, y-1] for cell (x, y); `_certify` counts the retry's
+    output.  The same sigma, tau give its 1-factors (`_retry_factors`).
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
     rs = np.array(matrix.entries).reshape(-1, 1)
     seeds = [derive_seed(seed, t, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     sigma, tau = _relabelings(q, seeds)
     blocks = _permuted_circulants(q, rs, sigma, tau)
-    ones, sums = blocks.view(np.uint8), np.min_scalar_type(q)
-    if not (
-        (ones.sum(axis=2, dtype=sums) == rs).all() and (ones.sum(axis=1, dtype=sums) == rs).all()
-    ):
-        raise RuntimeError(f"degree audit failed in retry {t}")
     cells = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
     return cells, sigma, tau
 
@@ -201,13 +208,12 @@ def biuniform_construct(
     sums all equal one k' >= k.  Retry t samples a k'-factor on
     [1,n']^2 (`_sample_retry`): block (i, j) of the m x m decomposition
     receives an r_{i,j}-factor with seed derived from (seed, t, i, j), a
-    relabeled circulant, not the paper's uniform r-factor (the uniform
-    Curveball sampler remains for other uses), whose reserve law matches
-    Curveball's in the table of CHANGES.md.  Each retry is spent
+    relabeled circulant with Curveball's reserve law, not the paper's
+    uniform r-factor.  Each retry is spent
     (`_spend`): k' - k of its own shift-class 1-factors are dropped and
     the next n - n' each grow one row and column, which needs
-    (k' - k) + (n - n') <= k'; with nothing to spend that is the retry
-    as it was sampled.  The set is then verified once, at
+    (k' - k) + (n - n') <= k'; with nothing to spend it is read off the
+    retry's mask.  The set is then certified once (`_certify`), at
     (k, target_reserve); only generic secants are random, and that exact
     report is the certificate.  On exhaustion the best-effort set (at n
     and k too) and its report are returned with certified=False.
@@ -230,11 +236,14 @@ def biuniform_construct(
     reserves = []
     for t in range(max_retries):
         cells, sigma, tau = _sample_retry(matrix, seed, t)
-        factors = _retry_factors(matrix, sigma, tau, drop + grow)
-        sample = _spend(cells, k_sample, drop, grow, factors)
+        if drop or grow:
+            factors = _retry_factors(matrix, sigma, tau, drop + grow)
+            sample = _spend(cells, k_sample, drop, grow, factors)
+        else:
+            sample = PointSet.from_mask(cells)
         # the retry's mask must not stay alive through the sweep
-        del cells, sigma, tau, factors
-        report = verify(sample, k, target_reserve)
+        del cells, sigma, tau
+        report = _certify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
             best = (sample, report)
@@ -258,32 +267,20 @@ def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray)
     spend, row f mapping row x to column f[x-1] (1-based):
     `_retry_factors` for a bi-uniform retry, or the first drop + grow of
     `iter_matchings(BipartiteFactor(k, points))` stacked, for any
-    k-factor.  They are audited on the mask in whole-array passes: there
-    must be drop + grow of them, each a permutation of [1, n] (one sort
-    along the rows), every cell in the set (one gather) and no cell in
-    two of them (one sort down the columns).  The mask is copied once
-    into an (n + grow)^2 mask, where the first `drop` are erased; then
-    the i-th of the next `grow` moves its k - drop cells (x, y) of
-    smallest x to (n+i, y) and (x, n+i).  The result, a
-    (k - drop)-factor of [1, n + grow]^2, is read off that mask
-    (`PointSet.from_mask`); with nothing to spend it is the input's
-    cells.  The reserve is not checked here; `spend` checks it.
+    k-factor.  Only their shape is checked, for the indexing; the caller
+    certifies the result (`_certify`).  The mask is copied once into an
+    (n + grow)^2 mask, where the first `drop` are erased; then the i-th
+    of the next `grow` moves its k - drop cells (x, y) of smallest x to
+    (n+i, y) and (x, n+i).  The result, a (k - drop)-factor of
+    [1, n + grow]^2, is read off that mask (`PointSet.from_mask`).  The
+    reserve is not checked here; `spend` checks it.
     """
     n, k_new = len(cells), k - drop
     factors = np.asarray(factors, dtype=np.int64)
-    if len(factors) != drop + grow:
-        raise ConstructionError(f"{drop + grow} 1-factors needed, {len(factors)} given")
-    if factors.shape[1:] != (n,) or (np.sort(factors, axis=1) != np.arange(1, n + 1)).any():
-        raise ConstructionError(f"a 1-factor is not a permutation of [1, {n}]")
+    if factors.shape != (drop + grow, n):
+        raise ConstructionError(f"{drop + grow} 1-factors on {n} rows needed, got {factors.shape}")
     # ys[t, a-1] is the 0-based column of row a in the t-th factor
-    ys = factors - 1
-    rows = np.arange(n)
-    if not cells[rows, ys].all():
-        raise ConstructionError("a 1-factor has a cell outside the set")
-    # two factors share a cell only if they send some row to one column
-    ranked = np.sort(ys, axis=0)
-    if (ranked[1:] == ranked[:-1]).any():
-        raise ConstructionError("two 1-factors share a cell")
+    ys, rows = factors - 1, np.arange(n)
     out = np.zeros((n + grow, n + grow), dtype=bool)
     out[:n, :n] = cells
     out[rows, ys[:drop]] = False
@@ -307,22 +304,22 @@ def spend(
     dropped factor costs 1 of reserve, each new row and column 2.
 
     The 1-factors are the first drop + grow of
-    `iter_matchings(BipartiteFactor(report.k, points))`, extracted by
-    Hopcroft-Karp once the checks below pass and stacked into one
-    array, which `_spend` audits.  (`biuniform_construct` spends each retry with its own
-    shift classes before its one sweep, so it has no report to pass
-    here.)
+    `iter_matchings(BipartiteFactor(report.k, points))`, extracted once
+    the checks below pass.  (`biuniform_construct` spends each retry
+    with its own shift classes, so it has no report to pass here.)
 
-    `report` is the passing verification report of `points`, trusted,
-    not recomputed: its `axis_max` must be at most its k and its
-    `achieved_reserve` at least the reserve spent.  With len(points) =
-    report.k * points.n that makes every row and column hold exactly
-    report.k points.  The output is verified at reserve 0; that report
-    is the certificate, so a wrong input report can make the output
-    fail, never pass unchecked.  When nothing is spent the set is
-    returned unchanged and not swept again, and no factor is extracted:
-    the input report comes back re-targeted to reserve 0.
+    k and n must be integers.  `report` is the passing verification
+    report of `points`, trusted, not recomputed: its `axis_max` must be
+    at most its k and its `achieved_reserve` at least the reserve spent.
+    With len(points) = report.k * points.n that makes every row and
+    column hold exactly report.k points.  The output is certified at
+    reserve 0 (`_certify`); that report is the certificate, so a wrong
+    input report can make the output fail, never pass unchecked.  When
+    nothing is spent the set is returned unchanged and not swept again,
+    and no factor is extracted: the input report comes back re-targeted
+    to reserve 0.
     """
+    _check_int(k=k, n=n)
     drop, grow = report.k - k, n - points.n
     if drop < 0 or grow < 0:
         raise ConstructionError(
@@ -341,7 +338,7 @@ def spend(
         return points, replace(report, required_reserve=0)
     factors = islice(iter_matchings(BipartiteFactor(report.k, points)), drop + grow)
     out = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
-    return out, verify(out, k, 0)
+    return out, _certify(out, k, 0)
 
 
 def pipeline(
@@ -359,13 +356,11 @@ def pipeline(
     and `biuniform_construct(n, k, feasibility_matrix_4x4(n', k'), ...)`
     samples each retry at (n', k'), spends it back to (n, k) with its own
     shift-class 1-factors (no matching runs on the n' x n' set), and
-    sweeps the spent set once at reserve 0.  Its retries are relabeled
-    circulants, not the paper's uniform factors (`_sample_retry`;
-    Curveball remains for the uniform-law uses), with the reserve law of
-    the table in CHANGES.md; the exact verification report is the
-    certificate.  RetriesExhausted carries the best spent set.  strict
-    additionally enforces n >= 68 and 12.5*sqrt(n ln n) <= k (the
-    checkable hypotheses of the regime where success is guaranteed
+    certifies the spent set once at reserve 0.  Its retries are
+    relabeled circulants (`_sample_retry`); the exact verification
+    report is the certificate.  RetriesExhausted carries the best spent
+    set.  strict additionally enforces n >= 68 and 12.5*sqrt(n ln n) <= k
+    (the checkable hypotheses of the regime where success is guaranteed
     asymptotically; the paper leaves its constant C open, and 12.5 is
     `bounds.growth_coefficient` at m = 3).
     """

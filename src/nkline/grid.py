@@ -465,9 +465,9 @@ class FeasibilityCheck:
 
 def is_feasible(matrix: FeasibilityMatrix, k: int, delta) -> FeasibilityCheck:
     """True iff every row and column of the matrix sums to k and the
-    maximum expected secant load is at most delta*k.
-
-    Pass delta as a Fraction (or int/str) for an exact comparison.
+    maximum expected secant load is at most delta*k (a grid with no
+    generic line has no load to bound).  Pass delta as a Fraction (or
+    int/str) for an exact comparison.
     """
     delta = Fraction(delta)
     if delta >= 1:
@@ -479,7 +479,7 @@ def is_feasible(matrix: FeasibilityMatrix, k: int, delta) -> FeasibilityCheck:
         if s != k:
             return FeasibilityCheck(False, ("col", j))
     load, line = max_expected_load(matrix, with_witness=True)
-    if load > delta * k:
+    if line is not None and load > delta * k:
         d, c = line
         return FeasibilityCheck(False, ("line", d, c, load))
     return FeasibilityCheck(True)

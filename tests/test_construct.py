@@ -192,10 +192,17 @@ def test_sample_retry_above_255_matches_the_permuted_circulant():
             assert np.array_equal(grid[(i - 1) * q : i * q, (j - 1) * q : j * q], want), (i, j)
 
 
+# the message of `construct._certify`, which rejects an output that is
+# not k * n points with every row and column at most k
+NOT_A_FACTOR = "construction output is not a"
+
+
 @pytest.mark.parametrize("corrupt", [_flip_cell, _move_cell_within_its_row])
 def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
+    # a flipped cell leaves the retry off 30 * 40 points, and a cell moved
+    # within its row puts a column at 31: the retry's `_certify` rejects both
     matrix = feasibility_matrix_4x4(40, 30)
-    assert PointSet.from_mask(_sample_retry(matrix, 3, 0)[0]).is_regular(30)
+    assert biuniform_construct(40, 30, matrix, seed=3, max_retries=1).output.is_regular(30)
 
     def corrupted(q, rs, sigma, tau):
         blocks = bifactor._permuted_circulants(q, rs, sigma, tau)
@@ -203,8 +210,8 @@ def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
         return blocks
 
     monkeypatch.setattr(construct, "_permuted_circulants", corrupted)
-    with pytest.raises(RuntimeError, match="degree audit"):
-        _sample_retry(matrix, 3, 0)
+    with pytest.raises(RuntimeError, match=f"{NOT_A_FACTOR} 30-factor on \\[1,40\\]"):
+        biuniform_construct(40, 30, matrix, seed=3, max_retries=1)
 
 
 def test_spend_nothing_returns_the_set_unswept(monkeypatch, extractions):
@@ -466,21 +473,39 @@ def _give_too_few(factors):
     return factors[:2]
 
 
+def _spend_and_certify(cells, k, drop, grow, factors):
+    out = construct._spend(cells, k, drop, grow, factors)
+    construct._certify(out, k - drop, 0)
+    return out
+
+
 @pytest.mark.parametrize(
-    "mutate, match",
+    "mutate, outcome",
     [
-        (_swap_into_a_cell_outside_the_set, "outside the set"),
-        (_repeat_a_factor, "share a cell"),
-        (_break_a_permutation, "not a permutation"),
-        (_shorten_a_factor, "not a permutation"),
-        (_give_too_few, "3 1-factors needed, 2 given"),
+        pytest.param(
+            _swap_into_a_cell_outside_the_set, NOT_A_FACTOR,
+            id="_swap_into_a_cell_outside_the_set-outside the set",
+        ),
+        pytest.param(_repeat_a_factor, NOT_A_FACTOR, id="_repeat_a_factor-share a cell"),
+        pytest.param(_break_a_permutation, NOT_A_FACTOR, id="_break_a_permutation-not a permutation"),
+        # the shape check guards `_spend`'s indexing
+        pytest.param(
+            _shorten_a_factor, r"3 1-factors on 12 rows needed, got \(3, 11\)",
+            id="_shorten_a_factor-not a permutation",
+        ),
+        pytest.param(
+            _give_too_few, r"3 1-factors on 12 rows needed, got \(2, 12\)",
+            id="_give_too_few-3 1-factors needed, 2 given",
+        ),
     ],
 )
-def test_spend_audit_rejects_bad_factors(mutate, match):
+def test_spend_audit_rejects_bad_factors(mutate, outcome):
+    # a fault in the factors of a spend (drop 2, grow 1) is rejected by
+    # `_spend`'s shape check, or its output by `_certify`
     factors = _first_factors(_S12, 8, 3)
-    assert construct._spend(_S12.mask(), 8, 2, 1, factors.copy()).is_regular(6)
-    with pytest.raises(ConstructionError, match=match):
-        construct._spend(_S12.mask(), 8, 2, 1, mutate(factors))
+    assert _spend_and_certify(_S12.mask(), 8, 2, 1, factors.copy()).is_regular(6)
+    with pytest.raises((ConstructionError, RuntimeError), match=outcome):
+        _spend_and_certify(_S12.mask(), 8, 2, 1, mutate(factors))
 
 
 def _last_row_repeats_a_column(f, cells):
@@ -498,21 +523,160 @@ def _last_factor_repeats_the_first(f, cells):
 
 
 @pytest.mark.parametrize(
-    "mutate, match",
+    "mutate, rejected",
     [
-        pytest.param(_last_row_repeats_a_column, "not a permutation", id="permutation"),
-        pytest.param(_last_row_takes_an_empty_cell, "outside the set", id="inside"),
-        pytest.param(_last_factor_repeats_the_first, "share a cell", id="disjoint"),
+        # row 400 of the last factor, a grow factor, donates no cell to
+        # the new row and column (only rows 1..233 do): the same output
+        pytest.param(_last_row_repeats_a_column, False, id="permutation"),
+        pytest.param(_last_row_takes_an_empty_cell, True, id="inside"),
+        pytest.param(_last_factor_repeats_the_first, True, id="disjoint"),
     ],
 )
-def test_spend_audit_checks_every_factor_of_a_retry(mutate, match):
-    # the batched audit sees a fault in the last of the retry's 10 factors
+def test_spend_audit_checks_every_factor_of_a_retry(monkeypatch, mutate, rejected):
+    # a fault in the last of the retry's 10 factors either makes its
+    # `_certify` raise or leaves the retry's output and report unchanged
     matrix = feasibility_matrix_4x4(400, 240)
-    cells, sigma, tau = _sample_retry(matrix, 11, 0)
-    factors = construct._retry_factors(matrix, sigma, tau, 10)
-    mutate(factors, cells)
-    with pytest.raises(ConstructionError, match=match):
-        construct._spend(cells, 240, 7, 3, factors)
+    clean = biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
+    cells = _sample_retry(matrix, 11, 0)[0]
+    retry_factors = construct._retry_factors
+
+    def faulty(*args):
+        factors = retry_factors(*args)
+        mutate(factors, cells)
+        return factors
+
+    monkeypatch.setattr(construct, "_retry_factors", faulty)
+    if rejected:
+        with pytest.raises(RuntimeError, match=f"{NOT_A_FACTOR} 233-factor on \\[1,403\\]"):
+            biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
+    else:
+        cert = biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
+        assert serialize(cert.output, 233) == serialize(clean.output, 233)
+        assert cert.report == clean.report and cert.certified
+
+
+def test_a_block_cell_a_dropped_factor_erases_leaves_the_output_unchanged(monkeypatch):
+    # row 1 loses its cell in the first factor, which the spend drops
+    # anyway: the same bytes come out
+    matrix = _M40
+    clean = biuniform_construct(40, 28, matrix, seed=3, max_retries=1)
+    _, sigma, tau = _sample_retry(matrix, 3, 0)
+    y = int(construct._retry_factors(matrix, sigma, tau, 1)[0, 0]) - 1
+    # the cell lies in block (1, y // q + 1) of the block-row major array
+    q = matrix.block_side
+
+    def erased(q_, rs, sigma, tau):
+        blocks = bifactor._permuted_circulants(q_, rs, sigma, tau)
+        assert blocks[y // q, 0, y % q]
+        blocks[y // q, 0, y % q] = False
+        return blocks
+
+    monkeypatch.setattr(construct, "_permuted_circulants", erased)
+    cert = biuniform_construct(40, 28, matrix, seed=3, max_retries=1)
+    assert serialize(cert.output, 28) == serialize(clean.output, 28)
+    assert cert.report == clean.report
+    # the same cell lost with nothing to spend is rejected
+    with pytest.raises(RuntimeError, match=NOT_A_FACTOR):
+        biuniform_construct(40, 30, matrix, seed=3, max_retries=1)
+
+
+def _flip_one(data, array):
+    """Flip one cell of a bool array, or move one entry of a 1-factor
+    array to another column in [1, n], at an index `data` draws."""
+    index = tuple(data.draw(st.integers(0, d - 1)) for d in array.shape)
+    if array.dtype == bool:
+        array[index] = ~array[index]
+    else:
+        array[index] = data.draw(st.integers(1, array.shape[-1]))
+
+
+@given(
+    stage=st.sampled_from(["blocks", "factors", "matchings", "mask"]),
+    drop=st.integers(0, 3),
+    grow=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_fault_at_any_stage_raises_or_leaves_a_regular_set(stage, drop, grow, seed, data):
+    # one cell or factor entry changed at one stage of a route: the blocks
+    # of a retry, its shift-class factors, the `iter_matchings` factors
+    # of `spend`, or the mask a spend or a retry is read off.  The route
+    # raises in `_certify`, or its output is a (30 - drop)-factor.
+    k = 30 - drop
+    if stage == "matchings":
+        # spend trusts a report; this one claims the reserve the spend needs
+        points = biuniform_construct(40, 30, _M40, seed=seed, max_retries=1).output
+        report = replace(verify(points, 30), generic_max=0)
+        run = lambda: spend(points, report, k, 40 + grow)[0]  # noqa: E731
+    else:
+        run = lambda: biuniform_construct(40 + grow, k, _M40, seed=seed, max_retries=1).output  # noqa: E731
+
+    def faulty(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            _flip_one(data, out)
+            return out
+
+        return wrapped
+
+    def faulty_matchings(factor):
+        factors = np.array(list(islice(iter_matchings(factor), drop + grow)))
+        _flip_one(data, factors)
+        return iter(factors.tolist())
+
+    class FaultyMask(PointSet):
+        @classmethod
+        def from_mask(cls, mask):
+            _flip_one(data, mask)
+            return PointSet.from_mask(mask)
+
+    patches = {
+        "blocks": ("_permuted_circulants", faulty(bifactor._permuted_circulants)),
+        "factors": ("_retry_factors", faulty(construct._retry_factors)),
+        "matchings": ("iter_matchings", faulty_matchings),
+        "mask": ("PointSet", FaultyMask),
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, *patches[stage])
+        try:
+            out = run()
+        except RuntimeError as e:
+            assert NOT_A_FACTOR in str(e)
+        else:
+            assert out.n == 40 + grow and out.is_regular(k)
+
+
+def test_every_route_returns_a_report_made_by_certify(monkeypatch, desk_scale_run):
+    made = []
+    certify = construct._certify
+
+    def counting(points, k, reserve):
+        made.append(certify(points, k, reserve))
+        return made[-1]
+
+    monkeypatch.setattr(construct, "_certify", counting)
+    cert = explicit_certificate(16, 11)
+    assert len(made) == 1 and made[0] is cert.report
+    made.clear()
+    cert = pipeline(16, 11, seed=0)
+    assert len(made) == 1 and made[0] is cert.report
+    # every retry, the best-effort one too, is certified once
+    made.clear()
+    cert = biuniform_construct(403, 113, feasibility_matrix_4x4(400, 120), seed=7, max_retries=2)
+    assert not cert.certified and cert.retries_used == len(made) == 2
+    assert any(r is cert.report for r in made)
+    assert tuple(r.achieved_reserve for r in made) == cert.per_retry_reserves
+    made.clear()
+    cert = pipeline(403, 233, seed=11)
+    assert cert.certified and len(made) == cert.retries_used and made[-1] is cert.report
+    made.clear()
+    desk, _ = desk_scale_run
+    out, report = spend(desk.output, desk.report, 233, 403)
+    assert len(made) == 1 and made[0] is report
+    # with nothing spent, spend hands back its input's report re-targeted
+    made.clear()
+    assert spend(out, report, 233, 403)[1] == report and made == []
 
 
 def test_pipeline_explicit_route_68_46():
@@ -627,6 +791,8 @@ def test_pipeline_rejects_out_of_range_k():
 
 
 _M40 = feasibility_matrix_4x4(40, 30)
+_E30 = explicit_certificate(30, 24)
+_R30 = verify(_E30.output, 24, 2)
 
 
 @pytest.mark.parametrize(
@@ -648,13 +814,16 @@ _M40 = feasibility_matrix_4x4(40, 30)
         (lambda: biuniform_construct(40, 30, _M40, seed=1, target_reserve=-1), "target_reserve must be >= 0"),
         (lambda: biuniform_construct(40, 30, _M40, seed=1, target_reserve=1.5), "target_reserve must be an"),
         (lambda: explicit_certificate(16, 11, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: spend(_E30.output, _R30, 24, 30.0), "n must be an integer, got 30.0"),
+        (lambda: spend(_E30.output, _R30, 23.0, 30), "k must be an integer, got 23.0"),
     ],
     ids=[
         "pipeline-k-float", "pipeline-n-float", "pipeline-k-bool", "pipeline-retries-float",
         "biuniform-k-float", "biuniform-retries-float", "explicit-k-float", "explicit-n-bool",
         "pipeline-seed-float", "pipeline-explicit-seed-float", "pipeline-seed-str",
         "pipeline-seed-bool", "biuniform-seed-float", "biuniform-reserve-negative",
-        "biuniform-reserve-float", "explicit-certificate-seed-float",
+        "biuniform-reserve-float", "explicit-certificate-seed-float", "spend-n-float",
+        "spend-k-float",
     ],
 )
 def test_constructions_reject_non_integer_sizes_before_sampling(monkeypatch, call, match):

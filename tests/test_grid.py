@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from nkline.grid import (
     MAX_SIDE,
     Direction,
+    FeasibilityCheck,
     FeasibilityMatrix,
     PointSet,
     _directions_of_modulus,
@@ -529,6 +530,15 @@ def test_is_feasible_bad_row_sum():
     check = is_feasible(mat, 30, Fraction(4, 5))
     assert not check.ok
     assert check.witness == ("row", 4)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, Fraction(1, 2)])
+def test_is_feasible_passes_a_grid_with_no_generic_line(delta):
+    # a 1 x 1 grid has no generic line, so no load, even against delta*k < 0
+    mat = FeasibilityMatrix(1, 1, [[1]])
+    assert max_expected_load(mat, with_witness=True)[1] is None
+    assert is_feasible(mat, 1, delta) == FeasibilityCheck(True)
+    assert is_feasible(mat, 2, delta).witness == ("row", 1)
 
 
 def test_is_feasible_rejects_delta_ge_one():
