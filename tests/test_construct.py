@@ -180,7 +180,7 @@ def test_sample_retry_places_each_block_at_its_grid_offset():
 
 
 def test_sample_retry_above_255_matches_the_permuted_circulant():
-    # q and r above 255: int16 relabelings, uint16 degree sums
+    # q and r above 255: int16 relabelings
     q, r = 300, 280
     matrix = FeasibilityMatrix(2, q, [[r, q - r], [q - r, r]])
     grid = _sample_retry(matrix, 9, 1)[0]
