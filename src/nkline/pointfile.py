@@ -50,7 +50,7 @@ MAGIC = "nkline v1"
 
 _LF, _SP, _ZERO = 0x0A, 0x20, 0x30
 _WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
-_CHUNK = 32768  # points per body write; 16k-64k measured alike, less holds less
+_CHUNK = 32768  # points per body write; 8k-128k measured alike, less holds less
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(
@@ -95,25 +95,34 @@ def write_points(
     file.write(f"{MAGIC}\nn={n} k={k} reserve={reserve_s} seed={seed_s}\n".encode("ascii"))
     lead, padded = _group_words()
     # each coordinate is `width` 3-digit groups, most significant first, one
-    # word each; a group's zeros lead only if no group above it is nonzero
+    # word each; a group's zeros lead only if no group above it is nonzero,
+    # and the last group's byte 3 holds the separator after the coordinate
     width = (len(str(n)) + 2) // 3
-    separators = np.array([_SP << 24, _LF << 24], _WORD)
+    tagged = (_tagged_words(_SP), _tagged_words(_LF))
+    size = min(_CHUNK, len(points))
+    xs, ys = np.empty(size, np.int64), np.empty(size, np.int64)
+    parts = np.empty(size, np.int64) if width > 1 else None
+    words = np.empty((size, 2, width), _WORD)
     for start in range(0, len(points), _CHUNK):
         keys = points.keys[start : start + _CHUNK]
-        xs = keys // n
-        ys = keys - xs * n
-        xs += 1
-        ys += 1
-        words = np.empty((len(keys), 2, width), _WORD)
-        for column, high in enumerate((xs, ys)):
+        count = len(keys)
+        x, y, chunk = xs[:count], ys[:count], words[:count]
+        np.floor_divide(keys, n, out=x)
+        np.multiply(x, n, out=y)
+        np.subtract(keys, y, out=y)
+        x += 1
+        y += 1
+        for column, high in enumerate((x, y)):
+            tables = tagged[column]
             for g in range(width - 1, 0, -1):
-                part = high % 1000
-                high = high // 1000
-                words[:, column, g] = np.where(high > 0, padded[part], lead[part])
-            words[:, column, 0] = lead[high]
-        words[:, :, -1] |= separators
+                part = parts[:count]
+                np.remainder(high, 1000, out=part)
+                high //= 1000
+                chunk[:, column, g] = np.where(high > 0, tables[1][part], tables[0][part])
+                tables = lead, padded
+            np.take(tables[0], high, out=chunk[:, column, 0])
         # drops the leading zeros and the unused separator bytes
-        file.write(words.tobytes().translate(None, b"\0"))
+        file.write(chunk.tobytes().translate(None, b"\0"))
 
 
 def serialize(
@@ -141,6 +150,17 @@ def _group_words() -> tuple[np.ndarray, np.ndarray]:
     padded = digits.sum(axis=1).astype(_WORD)
     lead.flags.writeable = padded.flags.writeable = False
     return lead, padded
+
+
+@cache
+def _tagged_words(separator: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_group_words()` with `separator` in byte 3 of every word: the
+    tables of a coordinate's last group, which the separator follows."""
+    tag = np.array(separator << 24, _WORD)
+    tables = tuple(table | tag for table in _group_words())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def parse(text: str) -> ParsedPointSet:

@@ -106,6 +106,10 @@ def _first_keys(n, count):
     return PointSet(n, np.arange(count))
 
 
+def _last_keys(n, count):
+    return PointSet(n, np.arange(n * n - count, n * n))
+
+
 @given(
     points=_sets_across_digit_groups(),
     chunk=st.sampled_from([1, 2, 3, 7]),
@@ -121,6 +125,14 @@ def _first_keys(n, count):
 @example(points=_first_keys(10**6, 6), chunk=3, k=2, reserve=None, seed=None)
 @example(points=_corners(10**6 + 1), chunk=2, k=2, reserve=0, seed=1)
 @example(points=_corners(MAX_SIDE), chunk=1, k=2, reserve=0, seed=1)
+# a chunk and one point, and two chunks, so that the last chunk fills a short
+# slice of the reused buffers or all of them, with 1, 2 and 4 digit groups
+@example(points=_first_keys(999, 8), chunk=7, k=2, reserve=0, seed=1)
+@example(points=_last_keys(999, 14), chunk=7, k=2, reserve=0, seed=1)
+@example(points=_first_keys(1000, 4), chunk=3, k=2, reserve=0, seed=1)
+@example(points=_last_keys(999_999, 6), chunk=3, k=2, reserve=0, seed=1)
+@example(points=_last_keys(MAX_SIDE, 3), chunk=2, k=2, reserve=0, seed=1)
+@example(points=_last_keys(MAX_SIDE, 4), chunk=2, k=2, reserve=0, seed=1)
 @settings(max_examples=200, deadline=None)
 def test_write_points_matches_one_line_per_point_rendering_across_chunks(
     points, chunk, k, reserve, seed
@@ -132,6 +144,14 @@ def test_write_points_matches_one_line_per_point_rendering_across_chunks(
         text = serialize(points, k, reserve, seed)
     assert buffer.getvalue() == expected.encode()
     assert text == expected
+
+
+@pytest.mark.parametrize("separator", [pointfile._SP, pointfile._LF])
+def test_tagged_words_are_the_group_words_with_their_separator(separator):
+    tagged = pointfile._tagged_words(separator)
+    for table, plain in zip(tagged, pointfile._group_words(), strict=True):
+        assert np.array_equal(table, plain | np.uint32(separator << 24))
+        assert not table.flags.writeable
 
 
 def test_write_points_peak_memory_does_not_grow_with_the_set():
@@ -147,9 +167,9 @@ def test_write_points_peak_memory_does_not_grow_with_the_set():
     finally:
         tracemalloc.stop()
     assert len(points) == 1_200_000 and len(text) > 9 * 2**20
-    # one chunk of 32,768 points at n=1200 measured 2.5 MiB (about 80 bytes
-    # a point: coordinates, group words and their bytes); the bound holds
-    # one chunk with headroom, far below the 9.3 MiB text
+    # one chunk of 32,768 points at n=1200 measured 2.25 MiB (72 bytes a
+    # point: coordinates, group remainders, group words and their bytes);
+    # the bound holds one chunk with headroom, far below the 9.3 MiB text
     assert written_peak <= 4 * 2**20
     # while serialize, which returns the whole text, holds at least that
     assert whole_peak >= len(text)
