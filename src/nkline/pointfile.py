@@ -80,10 +80,14 @@ def write_points(
     seed: Optional[int] = None,
 ) -> None:
     """Write the nkline v1 file of `points` to the binary file object
-    `file`: the header, then the body `_CHUNK` points at a time, so the
-    memory it holds beyond `points` does not grow with the set.  k, and
-    reserve and seed when given, must be integers; they are checked
-    before anything is written."""
+    `file`: the header, then the body `_CHUNK` points at a time, into
+    buffers allocated once per call at one chunk's size, so the memory
+    it holds beyond `points` does not grow with the set.  Each
+    coordinate is gathered group by group from the tables of
+    `_group_words`, its last group from `_tagged_words` with its
+    separator in place, and one `bytes.translate` per chunk drops the
+    NUL bytes.  k, and reserve and seed when given, must be integers;
+    they are checked before anything is written."""
     _check_int(k=k)
     if reserve is not None:
         _check_int(reserve=reserve)
@@ -112,8 +116,8 @@ def write_points(
         np.subtract(keys, y, out=y)
         x += 1
         y += 1
-        for column, high in enumerate((x, y)):
-            tables = tagged[column]
+        for column, (high, tables) in enumerate(zip((x, y), tagged)):
+            # only the last group's tables carry the separator
             for g in range(width - 1, 0, -1):
                 part = parts[:count]
                 np.remainder(high, 1000, out=part)
@@ -121,7 +125,7 @@ def write_points(
                 chunk[:, column, g] = np.where(high > 0, tables[1][part], tables[0][part])
                 tables = lead, padded
             np.take(tables[0], high, out=chunk[:, column, 0])
-        # drops the leading zeros and the unused separator bytes
+        # drops the leading zeros and the empty byte 3 of every group but the last
         file.write(chunk.tobytes().translate(None, b"\0"))
 
 

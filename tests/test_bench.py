@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from test_cli import CONSTRUCT_403_233_SEED_11_SHA256
+from test_construct import SEARCH_400_120_SHA256
+
 ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -30,3 +33,14 @@ def test_record_names_its_workload_seed_sha_and_metrics(path):
         got = record["metrics"][metric["name"]]
         assert got["unit"] == metric["unit"]
         assert math.isfinite(got["value"]) and got["value"] > 0
+
+
+@pytest.mark.parametrize(
+    "workload, seed, sha256",
+    [("construct-403-233", 11, CONSTRUCT_403_233_SEED_11_SHA256),
+     ("search-400-120", 7, SEARCH_400_120_SHA256)],
+)
+def test_record_wrote_the_pinned_output(workload, seed, sha256):
+    # every op of a run does identical work, so a record holds one digest
+    record = json.loads((ROOT / f"BENCH_{workload}.json").read_text())
+    assert record["seed"] == seed and record["sha256"] == [sha256]
