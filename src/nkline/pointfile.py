@@ -50,7 +50,7 @@ MAGIC = "nkline v1"
 
 _LF, _SP, _ZERO = 0x0A, 0x20, 0x30
 _WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
-_CHUNK = 32768  # points per body write; 8k-128k measured alike, less holds less
+_CHUNK = 16384  # points per body write; 8k-128k measured alike, less holds less
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(

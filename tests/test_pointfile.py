@@ -167,9 +167,9 @@ def test_write_points_peak_memory_does_not_grow_with_the_set():
     finally:
         tracemalloc.stop()
     assert len(points) == 1_200_000 and len(text) > 9 * 2**20
-    # one chunk of 32,768 points at n=1200 measured 2.25 MiB (72 bytes a
+    # one chunk of 16,384 points at n=1200 measured 1.13 MiB (72 bytes a
     # point: coordinates, group remainders, group words and their bytes);
-    # the bound holds one chunk with headroom, far below the 9.3 MiB text
+    # the bound holds a chunk with headroom, far below the 9.3 MiB text
     assert written_peak <= 4 * 2**20
     # while serialize, which returns the whole text, holds at least that
     assert whole_peak >= len(text)
