@@ -9,7 +9,6 @@ than trusted; randomized steps are reproducible from a master seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import islice
 from math import ceil, log, sqrt
 from typing import Optional
@@ -165,33 +164,18 @@ def _retry_factors(
 
     Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
     classes is a perfect matching of the block (`relabeled_circulants`).
-    Step s of the matrix's schedule (`_block_schedule`) pairs block-row
-    i with block column pi(i) and shift class c; row a of block-row i
-    goes to column pi(i)*q + tau^-1[(sigma[a] + c) mod q] (0-based).
-    The schedule depends on the matrix alone and is computed once per
-    matrix; the gather through tau^-1 runs once per retry, for all
-    steps.  The first factors never depend on how many follow.
+    Step s takes a perfect matching pi of the support of the block
+    entries not yet used, by `_hopcroft_karp` on m bits (one exists, by
+    König, as every line of what is left sums to k - s).  Each block
+    (i, pi(i)) gives its lowest unused shift class c, and row a of
+    block-row i goes to column pi(i)*q + tau^-1[(sigma[a] + c) mod q]
+    (0-based).  The m-bit walk runs step by step; the gather through
+    tau^-1 runs once, for all steps.  The first factors never depend on
+    how many follow.
     """
     m, q = matrix.m, matrix.block_side
-    pi, c = _block_schedule(matrix.entries, count)
-    b = np.arange(m) * m + pi
-    cols = np.argsort(tau, axis=1)[b[..., None], (sigma[b] + c[..., None]) % q]
-    cols += (pi * q + 1)[..., None]
-    return cols.reshape(count, m * q)
-
-
-@lru_cache(maxsize=32)
-def _block_schedule(
-    entries: tuple[tuple[int, ...], ...], count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(pi, c), read-only (count, m) arrays: at step s, block-row i takes
-    block column pi[s, i] and, in block (i, pi[s, i]), its shift class
-    c[s, i], the lowest one not yet used.  Step s is a perfect matching
-    pi of the support of the block entries not yet used, by
-    `_hopcroft_karp` on m bits (one exists, by König, as every line of
-    what is left sums to k - s)."""
-    m = len(entries)
-    left = [list(row) for row in entries]
+    left = [list(row) for row in matrix.entries]
+    # pi[s, i] is the block column of block-row i at step s, c[s, i] its shift class
     pi = np.empty((count, m), dtype=np.intp)
     c = np.empty((count, m), dtype=np.intp)
     for s in range(count):
@@ -200,11 +184,13 @@ def _block_schedule(
             raise ConstructionError("block matrix has unequal line sums; no 1-factor left")
         for i, j in enumerate(step):
             # the shift classes below c are spent already
-            c[s, i] = entries[i][j] - left[i][j]
+            c[s, i] = matrix.entries[i][j] - left[i][j]
             left[i][j] -= 1
         pi[s] = step
-    pi.flags.writeable = c.flags.writeable = False
-    return pi, c
+    b = np.arange(m) * m + pi
+    cols = np.argsort(tau, axis=1)[b[..., None], (sigma[b] + c[..., None]) % q]
+    cols += (pi * q + 1)[..., None]
+    return cols.reshape(count, m * q)
 
 
 def biuniform_construct(

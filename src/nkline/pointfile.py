@@ -29,8 +29,9 @@ the line where a point first repeats.
 Plain 7-bit text with \n newlines; serialize/parse round-trips exactly.
 
 `write_points` writes the file as bytes to a binary file object: the
-header, then the body one chunk of `_CHUNK` points at a time, so what it
-holds beyond the set is a few MiB however many points there are.
+header, then the body one chunk of `_CHUNK` points at a time, into
+buffers allocated once per call, so what it holds beyond the set is
+about a MiB however many points there are.
 `serialize` is `write_points` into memory, decoded once to a str.
 """
 
