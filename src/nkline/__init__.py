@@ -2,7 +2,6 @@
 with no k+1 collinear points in square integer grids."""
 
 from .bifactor import (
-    BipartiteFactor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
@@ -50,7 +49,6 @@ from .secants import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteFactor",
     "BoundsProfile",
     "CensusRow",
     "ConstructionCertificate",

@@ -19,24 +19,24 @@ own generator; `PointSet.from_mask` reads one block as a factor.
   sampler, is the certificate.
 - `sample_blocks` steps the Curveball chains of many blocks together
   and targets the uniform law; `sample_r_factor` is its one-block call,
-  and its output, like every factor, passes the `BipartiteFactor`
-  degree audit when it is built.  It serves the uses that need the
-  uniform law: the marginal and containment checks and the demo.
+  and its output passes an r-regularity audit before it is returned.
+  It serves the uses that need the uniform law: the marginal and
+  containment checks and the demo.
 
 Any factor splits into r disjoint perfect matchings (König), each
-found by Hopcroft–Karp (`iter_matchings`).  The matcher holds row a's
-remaining cells as one Python int with bit b-1 set for column b, m^2/8
-bytes for all rows, so each BFS and DFS step is a big-int operation on
-whole rows.
+found by Hopcroft–Karp (`iter_matchings`, which reads r off the
+factor's size and audits its degrees before the first matching).  The
+matcher holds row a's remaining cells as one Python int with bit b-1
+set for column b, m^2/8 bytes for all rows, so each BFS and DFS step is
+a big-int operation on whole rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from math import ceil, log
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -60,20 +60,12 @@ def derive_seed(master: int, *indices: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-@dataclass(frozen=True)
-class BipartiteFactor:
-    """An r-regular cell set on the m x m row/column index grid."""
-
-    r: int
-    points: PointSet
-
-    def __post_init__(self) -> None:
-        if not self.points.is_regular(self.r):
-            raise ValueError(f"degree audit failed: not {self.r}-regular on [1,{self.m}]^2")
-
-    @property
-    def m(self) -> int:
-        return self.points.n
+def _audit_degrees(points: PointSet, r: int) -> PointSet:
+    """The points, after checking that they form an r-factor on
+    [1,m]^2, m = points.n: exactly r cells in every row and column."""
+    if not points.is_regular(r):
+        raise ValueError(f"degree audit failed: not {r}-regular on [1,{points.n}]^2")
+    return points
 
 
 def _degrees(q: int, r) -> np.ndarray:
@@ -143,11 +135,6 @@ def _permuted_circulants(q: int, rs: np.ndarray, sigma: np.ndarray, tau: np.ndar
     return (d >= 0) & (d < r) | (d < r - q)
 
 
-def default_chain_rounds(m: int) -> int:
-    """Curveball rounds used when none are given: ceil(10 * ln(m+1))."""
-    return ceil(10 * log(m + 1))
-
-
 def _split(keys: np.ndarray, keep_a: np.ndarray) -> np.ndarray:
     """Mark in each row of `keys` (shape (P, q)) its keep_a smallest
     entries, keep_a of shape (P,) with entries below q: those below the
@@ -164,7 +151,7 @@ def _split(keys: np.ndarray, keep_a: np.ndarray) -> np.ndarray:
     return to_a
 
 
-def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray:
+def sample_blocks(q: int, rs, seeds) -> np.ndarray:
     """Sample one rs[b]-factor of the q x q cell grid per block b, with
     the Curveball chains of all blocks stepped in lockstep.
 
@@ -173,17 +160,12 @@ def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray
     the same draws in the same order as a lone call, so it does not
     depend on which blocks it is sampled with.  Each block starts from
     the circulant factor and runs the chain described in
-    `sample_r_factor`; an empty or full block is the unique factor and
-    draws nothing.
+    `sample_r_factor` for ceil(10 ln(q+1)) rounds; an empty or full
+    block is the unique factor and draws nothing.
     """
     rs = _degrees(q, rs).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    if rounds is not None and rounds < 1:
-        raise ValueError("rounds must be positive when given")
-    if rounds is None:
-        rounds = default_chain_rounds(q)
-
     present = _circulant(q, rs)
     live = np.flatnonzero((rs > 0) & (rs < q))
     if live.size == 0:
@@ -196,7 +178,7 @@ def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray
     keys = np.empty((live.size, pairs, q))
     flat_keys = keys.reshape(-1, q)  # the pairs of all live blocks, one per row
     row_base = (np.arange(live.size) * q)[:, None]
-    for _ in range(rounds):
+    for _ in range(ceil(10 * log(q + 1))):
         for g, rng in enumerate(rngs):
             perm[g] = rng.permutation(q)
             rng.random(out=keys[g])
@@ -223,15 +205,10 @@ def sample_blocks(q: int, rs, seeds, rounds: Optional[int] = None) -> np.ndarray
     return present
 
 
-def sample_r_factor(
-    m: int,
-    r: int,
-    seed: int,
-    rounds: Optional[int] = None,
-) -> BipartiteFactor:
+def sample_r_factor(m: int, r: int, seed: int) -> PointSet:
     """Sample an r-factor of the complete bipartite m x m cell grid:
-    the one-block call of `sample_blocks`, audited as a
-    `BipartiteFactor`.
+    the one-block call of `sample_blocks`, as a `PointSet` on [1,m]^2
+    whose degrees are audited before it is returned.
 
     Starts from the circulant factor, held as an m x m bool matrix, and
     runs the global Curveball chain (Strona et al. 2014; uniform
@@ -245,8 +222,7 @@ def sample_r_factor(
     sums never change, so every state is r-regular.  All trades of a
     round are a few whole-array numpy operations.
 
-    Chain length: `default_chain_rounds(m)` = ceil(10 ln(m+1)) rounds,
-    47 at m = 100.  It was chosen on measured data: exact enumeration
+    Chain length: ceil(10 ln(m+1)) rounds, 47 at m = 100.  It was chosen on measured data: exact enumeration
     of the (4, 2) and (5, 1) state spaces passes a chi-square test
     against uniform (`test_sampler_matches_uniform_on_enumerated_factors`);
     acceptance criterion 6 (cell marginal and 2-matching containment)
@@ -254,24 +230,16 @@ def sample_r_factor(
     retries of the bi-uniform construction at n=400, k=120, seed 3 is
     121.25 +- 2.68 (mean +- standard deviation), against 121.20 +- 2.95
     for the 2x2 switch chain this sampler replaced.  Fully deterministic
-    given (m, r, seed, rounds); downstream users certify every output
-    anyway.
+    given (m, r, seed); downstream users certify every output anyway.
     """
-    return BipartiteFactor(r, PointSet.from_mask(sample_blocks(m, [r], [seed], rounds)[0]))
+    return _audit_degrees(PointSet.from_mask(sample_blocks(m, [r], [seed])[0]), r)
 
 
 # cells sampled in one lockstep call of `matching_containment_probability`
 _GROUP_CELLS = 1 << 20
 
 
-def matching_containment_probability(
-    m: int,
-    r: int,
-    s: int,
-    trials: int,
-    seed: int,
-    rounds: Optional[int] = None,
-) -> float:
+def matching_containment_probability(m: int, r: int, s: int, trials: int, seed: int) -> float:
     """Empirical probability that a sampled r-factor contains the fixed
     matching {(1,1), ..., (s,s)}; meant for comparison against
     K * (r/m)^s.  Trial t samples with seed derive_seed(seed, t); the
@@ -286,7 +254,7 @@ def matching_containment_probability(
     hits = 0
     for start in range(0, trials, group):
         seeds = [derive_seed(seed, t) for t in range(start, min(start + group, trials))]
-        blocks = sample_blocks(m, [r] * len(seeds), seeds, rounds)
+        blocks = sample_blocks(m, [r] * len(seeds), seeds)
         hits += int(np.count_nonzero(blocks[:, diagonal, diagonal].all(axis=1)))
     return hits / trials
 
@@ -384,19 +352,22 @@ def _row_bitsets(points: PointSet) -> list[int]:
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, m * width, width)]
 
 
-def iter_matchings(factor: BipartiteFactor) -> Iterator[tuple[int, ...]]:
-    """Yield the r disjoint perfect matchings of an r-regular factor one
-    at a time, by successive extraction; deterministic for a given
-    input.  Row a's remaining cells are one Python int with bit b-1 set
-    for column b, so the rows take m^2/8 bytes in all (20 KB at
-    m = 400), and each extracted matching is cleared from them bit by
+def iter_matchings(points: PointSet) -> Iterator[tuple[int, ...]]:
+    """Yield the r disjoint perfect matchings of an r-factor on [1,m]^2,
+    m = points.n and r = len(points) // m, one at a time, by successive
+    extraction; deterministic for a given input.  The degrees are
+    audited before the first matching: a set that is not r-regular
+    raises ValueError.  Row a's remaining cells are one Python int with
+    bit b-1 set for column b, so the rows take m^2/8 bytes in all (20 KB
+    at m = 400), and each extracted matching is cleared from them bit by
     bit; building them takes m^2 transient bytes (`_row_bitsets`), freed
     before the first matching.  Each matching is extracted only when it
     is asked for, so a caller that needs the first t pays for t
     extractions; the first t matchings never depend on how many follow.
     """
-    m, r = factor.m, factor.r
-    rowbits = _row_bitsets(factor.points)
+    m = points.n
+    r = len(points) // m
+    rowbits = _row_bitsets(_audit_degrees(points, r))
     for _ in range(r):
         match_row, _ = _hopcroft_karp(m, rowbits)
         if -1 in match_row:

@@ -39,6 +39,8 @@ def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if not (1 <= args.k <= args.n):
         raise ValueError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
+    if args.mode != "biuniform" and (args.reserve or args.matrix != "4x4"):
+        raise ValueError(f"--reserve and --matrix act only under --mode biuniform, not {args.mode}")
     try:
         if args.mode == "explicit":
             cert = explicit_certificate(args.n, args.k)
@@ -54,9 +56,7 @@ def cmd_construct(args) -> int:
                 target_reserve=args.reserve,
             )
         else:
-            cert = pipeline(
-                args.n, args.k, seed=args.seed, strict=args.strict, max_retries=args.retries
-            )
+            cert = pipeline(args.n, args.k, seed=args.seed, max_retries=args.retries)
     except RetriesExhausted as exc:
         cert = exc.certificate
 
@@ -74,6 +74,7 @@ def cmd_construct(args) -> int:
         f"lineage: {list(cert.lineage)}",
         f"axis max: {report.axis_max}",
         f"generic max: {report.generic_max}",
+        f"worst line: {report.worst_line_text}",
         f"achieved reserve: {report.achieved_reserve}",
         f"directions swept: {report.directions_swept}",
         f"retries used: {cert.retries_used}",
@@ -172,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--retries", type=int, default=64)
     p.add_argument("--reserve", type=int, default=0, help="target reserve (biuniform mode)")
-    p.add_argument("--matrix", choices=["4x4", "3x3"], default="4x4")
-    p.add_argument("--strict", action="store_true", help="enforce the guaranteed-regime hypotheses")
+    p.add_argument("--matrix", choices=["4x4", "3x3"], default="4x4", help="block matrix (biuniform mode)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -201,7 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--K", type=float, default=1.0)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=12.5)
+    p.add_argument(
+        "--C", type=float, default=12.5,
+        help="C of the feasible range k >= C*sqrt(n ln n); the default 12.5 is the growth "
+        "coefficient of the 3x3 matrix (m=3), and that of --m is printed above the range",
+    )
     p.set_defaults(func=cmd_bounds)
 
     return parser

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import ceil, log, sqrt
+from math import ceil
 from typing import Optional
 
 import numpy as np
 
 from .bifactor import (
-    BipartiteFactor,
     _circulant,
     _hopcroft_karp,
     _permuted_circulants,
@@ -26,10 +25,6 @@ from .bifactor import (
 )
 from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
-
-
-# `pipeline(strict=True)` needs k >= _STRICT_C * sqrt(n ln n)
-_STRICT_C = 12.5
 
 
 class ConstructionError(ValueError):
@@ -266,11 +261,11 @@ def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray)
     `factors` is the (drop + grow, n) integer array of the 1-factors to
     spend, row f mapping row x to column f[x-1] (1-based):
     `_retry_factors` for a bi-uniform retry, or the first drop + grow of
-    `iter_matchings(BipartiteFactor(k, points))` stacked, for any
-    k-factor.  Only their shape is checked, for the indexing; the caller
-    certifies the result (`_certify`).  The mask is copied once into an
-    (n + grow)^2 mask, where the first `drop` are erased; then the i-th
-    of the next `grow` moves its k - drop cells (x, y) of smallest x to
+    `iter_matchings(points)` stacked, for any k-factor.  Only their shape
+    is checked, for the indexing; the caller certifies the result
+    (`_certify`).  The mask is copied once into an (n + grow)^2 mask,
+    where the first `drop` are erased; then the i-th of the next `grow`
+    moves its k - drop cells (x, y) of smallest x to
     (n+i, y) and (x, n+i).  The result, a (k - drop)-factor of
     [1, n + grow]^2, is read off that mask (`PointSet.from_mask`).  The
     reserve is not checked here; `spend` checks it.
@@ -303,10 +298,10 @@ def spend(
     1-factors and grow n - points.n rows and columns (`_spend`).  Each
     dropped factor costs 1 of reserve, each new row and column 2.
 
-    The 1-factors are the first drop + grow of
-    `iter_matchings(BipartiteFactor(report.k, points))`, extracted once
-    the checks below pass.  (`biuniform_construct` spends each retry
-    with its own shift classes, so it has no report to pass here.)
+    The 1-factors are the first drop + grow of `iter_matchings(points)`,
+    extracted once the checks below pass.  (`biuniform_construct` spends
+    each retry with its own shift classes, so it has no report to pass
+    here.)
 
     k and n must be integers.  `report` is the passing verification
     report of `points`, trusted, not recomputed: its `axis_max` must be
@@ -336,18 +331,12 @@ def spend(
         )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    factors = islice(iter_matchings(BipartiteFactor(report.k, points)), drop + grow)
+    factors = islice(iter_matchings(points), drop + grow)
     out = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
     return out, _certify(out, k, 0)
 
 
-def pipeline(
-    n: int,
-    k: int,
-    seed: int,
-    strict: bool = False,
-    max_retries: int = 64,
-) -> ConstructionCertificate:
+def pipeline(n: int, k: int, seed: int, max_retries: int = 64) -> ConstructionCertificate:
     """End-to-end construction of a certified no-(k+1)-in-line set of
     size k*n on [1,n]^2.
 
@@ -359,22 +348,11 @@ def pipeline(
     certifies the spent set once at reserve 0.  Its retries are
     relabeled circulants (`_sample_retry`); the exact verification
     report is the certificate.  RetriesExhausted carries the best spent
-    set.  strict additionally enforces n >= 68 and 12.5*sqrt(n ln n) <= k
-    (the checkable hypotheses of the regime where success is guaranteed
-    asymptotically; the paper leaves its constant C open, and 12.5 is
-    `bounds.growth_coefficient` at m = 3).
+    set.
     """
     _check_int(n=n, k=k, seed=seed, max_retries=max_retries)
     if not (1 <= k <= n):
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if strict:
-        if n < 68:
-            raise ConstructionError(f"strict mode needs n >= 68, got {n}")
-        bound = _STRICT_C * sqrt(n * log(n))
-        if k < bound:
-            raise ConstructionError(
-                f"strict mode needs k >= {_STRICT_C}*sqrt(n ln n) = {bound:.1f}, got {k}"
-            )
 
     if 3 * k >= 2 * n:
         cert = explicit_certificate(n, k, seed)

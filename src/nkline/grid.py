@@ -226,13 +226,6 @@ class PointSet:
         xs, ys = self.xy()
         return list(zip(xs.tolist(), ys.tolist()))
 
-    def row_counts(self) -> list[int]:
-        """counts[y-1] = number of points in row y."""
-        return np.bincount(self._keys % self._n, minlength=self._n).tolist()
-
-    def col_counts(self) -> list[int]:
-        return np.bincount(self._keys // self._n, minlength=self._n).tolist()
-
     def is_regular(self, r: int) -> bool:
         """Exactly r points in every row and every column."""
         return len(self) == r * self._n and all(

@@ -70,18 +70,20 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.axis_max <= self.k and self.generic_max <= self.k - self.required_reserve
 
+    @property
+    def worst_line_text(self) -> str:
+        """`direction (vx,vy) intercept c` for worst_line, or `none`."""
+        if self.worst_line is None:
+            return "none"
+        d, c = self.worst_line
+        return f"direction ({d.vx},{d.vy}) intercept {c}"
+
     def summary(self) -> str:
-        worst = (
-            f"direction ({self.worst_line[0].vx},{self.worst_line[0].vy}) "
-            f"intercept {self.worst_line[1]}"
-            if self.worst_line
-            else "none"
-        )
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status} k={self.k} reserve>={self.required_reserve} "
             f"axis_max={self.axis_max} generic_max={self.generic_max} "
-            f"achieved_reserve={self.achieved_reserve} worst_line={worst} "
+            f"achieved_reserve={self.achieved_reserve} worst_line={self.worst_line_text} "
             f"directions_swept={self.directions_swept}"
         )
 

@@ -127,7 +127,7 @@ def test_criterion_06_sampler_marginals():
     hits = 0
     for i in range(seeds):
         f = sample_r_factor(m, r, derive_seed(101, i))
-        if (1, 1) in f.points:
+        if (1, 1) in f:
             hits += 1
     freq = hits / seeds
     se = sqrt(0.3 * 0.7 / seeds)
@@ -162,7 +162,7 @@ def test_criterion_07_factorization_roundtrip():
             assert len(cells) == m
             assert not (cells & seen), (m, r, t)
             seen |= cells
-        assert seen == set(f.points.sorted_xy()), (m, r)
+        assert seen == set(f.sorted_xy()), (m, r)
         done += 1
     _report(7, done == 100, f"{done} random factors decomposed into disjoint matchings")
     assert done == 100

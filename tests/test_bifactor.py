@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from nkline import bifactor
 from nkline.bifactor import (
-    BipartiteFactor,
     derive_seed,
     iter_matchings,
     matching_containment_probability,
@@ -72,20 +71,20 @@ def test_derive_seed_takes_integers_only():
 
 
 def test_factor_validation_catches_bad_degrees():
-    with pytest.raises(ValueError):
-        BipartiteFactor(1, PointSet.from_points(2, {(1, 1), (2, 1)}))
-    with pytest.raises(ValueError):
-        BipartiteFactor(1, PointSet.from_points(2, {(1, 1)}))
-    with pytest.raises(ValueError):
-        BipartiteFactor(3, PointSet.from_points(2, {(1, 1), (2, 2)}))
-    f = BipartiteFactor(1, PointSet.from_points(2, {(1, 1), (2, 2)}))
-    assert (f.m, f.r, len(f.points)) == (2, 1, 2)
+    # r is read off the size: two cells in one column are not 1-regular,
+    # and one cell on a 2-grid is not 0-regular; each fails before the
+    # first matching
+    for r, cells in ((1, {(1, 1), (2, 1)}), (0, {(1, 1)})):
+        matchings = iter_matchings(PointSet.from_points(2, cells))
+        with pytest.raises(ValueError, match=rf"degree audit failed: not {r}-regular on \[1,2\]\^2"):
+            next(matchings)
+    assert list(iter_matchings(PointSet.from_points(2, {(1, 1), (2, 2)}))) == [(1, 2)]
 
 
 def test_circulant_cells_regular():
-    f = BipartiteFactor(2, _circulant(5, 2))  # constructor audits degrees
-    assert len(f.points) == 10
-    assert _cells(f.points) == {(a, b) for a in range(1, 6) for b in range(1, 6) if (b - a) % 5 < 2}
+    f = _circulant(5, 2)
+    assert f.is_regular(2) and len(f) == 10
+    assert _cells(f) == {(a, b) for a in range(1, 6) for b in range(1, 6) if (b - a) % 5 < 2}
 
 
 def test_circulant_factor_single_shift_is_diagonal():
@@ -115,8 +114,8 @@ def test_circulant_factor_rejects_r_too_large():
 
 
 def test_sample_r0_and_rm():
-    assert len(sample_r_factor(5, 0, 1).points) == 0
-    assert len(sample_r_factor(5, 5, 1).points) == 25
+    assert len(sample_r_factor(5, 0, 1)) == 0
+    assert len(sample_r_factor(5, 5, 1)) == 25
 
 
 def test_sample_rejects_bad_r():
@@ -130,19 +129,14 @@ def test_sample_is_deterministic():
     a = sample_r_factor(12, 5, seed=42)
     b = sample_r_factor(12, 5, seed=42)
     c = sample_r_factor(12, 5, seed=43)
-    assert a.points == b.points
-    assert a.points != c.points
+    assert a == b
+    assert a != c
 
 
 def test_sample_stays_regular_across_seeds():
     for seed in range(10):
-        f = sample_r_factor(9, 4, seed=seed)  # constructor audits degrees
-        assert len(f.points) == 36
-
-
-def test_sample_rejects_bad_rounds():
-    with pytest.raises(ValueError):
-        sample_r_factor(6, 2, 1, rounds=0)
+        f = sample_r_factor(9, 4, seed=seed)  # audits degrees
+        assert len(f) == 36
 
 
 # sha256 of str(sorted cells of sample_r_factor(12, 5, 42)), cells as
@@ -152,7 +146,7 @@ GOLDEN_SAMPLE_SHA256 = "944ced9c8d2293e65f034ca330b4e0392f407da96cf2384c3ca016af
 
 
 def test_sample_golden_bytes():
-    cells = sorted(sample_r_factor(12, 5, 42).points.sorted_xy())
+    cells = sorted(sample_r_factor(12, 5, 42).sorted_xy())
     assert hashlib.sha256(str(cells).encode()).hexdigest() == GOLDEN_SAMPLE_SHA256
 
 
@@ -161,10 +155,9 @@ def test_sample_golden_bytes():
 def test_sample_is_regular_and_deterministic(m, data):
     r = data.draw(st.integers(0, m))
     seed = data.draw(st.integers(0, 2**63 - 1))
-    rounds = data.draw(st.one_of(st.none(), st.integers(1, 8)))
-    f = sample_r_factor(m, r, seed, rounds)  # constructor audits degrees
-    assert (f.m, f.r, len(f.points)) == (m, r, m * r)
-    assert sample_r_factor(m, r, seed, rounds).points == f.points
+    f = sample_r_factor(m, r, seed)  # audits degrees
+    assert (f.n, len(f)) == (m, m * r) and f.is_regular(r)
+    assert sample_r_factor(m, r, seed) == f
 
 
 @given(q=st.integers(1, 30), data=st.data())
@@ -173,11 +166,10 @@ def test_lockstep_blocks_equal_lone_samples(q, data):
     rs = data.draw(st.lists(st.integers(0, q), min_size=1, max_size=5))
     rs = data.draw(st.permutations(rs + [0, q]))
     seeds = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=len(rs), max_size=len(rs)))
-    rounds = data.draw(st.one_of(st.none(), st.integers(1, 8)))
-    blocks = sample_blocks(q, rs, seeds, rounds)
+    blocks = sample_blocks(q, rs, seeds)
     assert blocks.shape == (len(rs), q, q) and blocks.dtype == bool
     for block, r, seed in zip(blocks, rs, seeds):
-        lone = sample_r_factor(q, r, seed, rounds).points
+        lone = sample_r_factor(q, r, seed)
         assert PointSet(q, np.flatnonzero(block)) == lone
 
 
@@ -188,8 +180,6 @@ def test_sample_blocks_rejects_bad_arguments():
         sample_blocks(5, [2, -1], [1, 2])
     with pytest.raises(ValueError):
         sample_blocks(5, [2, 2], [1])
-    with pytest.raises(ValueError):
-        sample_blocks(5, [2], [1], rounds=0)
 
 
 def _relabeled_circulant_by_oracle(q, r, seed):
@@ -213,7 +203,7 @@ def test_relabeled_circulants_match_per_block_oracle(q, data):
     assert blocks.shape == (len(rs), q, q) and blocks.dtype == bool
     for block, r, seed in zip(blocks, rs, seeds):
         assert np.array_equal(block, _relabeled_circulant_by_oracle(q, r, seed))
-        BipartiteFactor(r, PointSet(q, np.flatnonzero(block)))  # degree audit
+        assert PointSet(q, np.flatnonzero(block)).is_regular(r)
 
 
 def test_relabeled_circulants_block_depends_only_on_its_seed():
@@ -317,19 +307,17 @@ def _blocks_sha256(blocks):
 # sha256 of the (B, q, q) bool bytes of sample_blocks at odd q, where one
 # row sits out every round, with empty, 1-regular, mid and full blocks
 GOLDEN_ODD_BLOCKS = {
-    (7, None): "854e6b1798bf1165147bdaf02985552c0061aa34514fbe3f264aec4ee5bbe373",
-    (7, 3): "e839c420f40f545e00e4eb961e2a40532e5e596ab2f63e051ba6427b445b1217",
-    (13, None): "432dc434469714bbefd0c3cdf65b49564d56468073861e6e7e1e0e79b11ae392",
-    (13, 5): "bc125bcc2d66cdd9a6e25da3d9e7517e2d019a82127a7ae050b4a962338668da",
+    7: "854e6b1798bf1165147bdaf02985552c0061aa34514fbe3f264aec4ee5bbe373",
+    13: "432dc434469714bbefd0c3cdf65b49564d56468073861e6e7e1e0e79b11ae392",
 }
 
 
-@pytest.mark.parametrize("q, rounds", sorted(GOLDEN_ODD_BLOCKS, key=str))
-def test_sample_blocks_golden_bytes_at_odd_q(q, rounds):
+@pytest.mark.parametrize("q", sorted(GOLDEN_ODD_BLOCKS))
+def test_sample_blocks_golden_bytes_at_odd_q(q):
     rs = [0, 1, q // 2, q, 1, q // 2]
     seeds = [derive_seed(808, q, b) for b in range(len(rs))]
-    blocks = sample_blocks(q, rs, seeds, rounds)
-    assert _blocks_sha256(blocks) == GOLDEN_ODD_BLOCKS[q, rounds]
+    blocks = sample_blocks(q, rs, seeds)
+    assert _blocks_sha256(blocks) == GOLDEN_ODD_BLOCKS[q]
 
 
 class _QuarterKeys:
@@ -375,7 +363,7 @@ def test_sampler_matches_uniform_on_enumerated_factors(m, r):
     per_state = 30
     samples = per_state * len(states)
     counts = Counter(
-        frozenset(sample_r_factor(m, r, derive_seed(606, m, r, i)).points.sorted_xy())
+        frozenset(sample_r_factor(m, r, derive_seed(606, m, r, i)).sorted_xy())
         for i in range(samples)
     )
     assert set(counts) <= set(states)
@@ -387,33 +375,33 @@ def test_sampler_matches_uniform_on_enumerated_factors(m, r):
 
 def test_sample_moves_off_the_circulant_start():
     f = sample_r_factor(20, 6, seed=3)
-    assert f.points != _circulant(20, 6)
+    assert f != _circulant(20, 6)
 
 
 def test_one_factorize_circulant_two_factor():
-    f = BipartiteFactor(2, _circulant(4, 2))
+    f = _circulant(4, 2)
     matchings = list(iter_matchings(f))
     assert len(matchings) == 2
     c0, c1 = _cells(matching_cells(4, matchings[:1])), _cells(matching_cells(4, matchings[1:]))
     assert c0.isdisjoint(c1)
-    assert c0 | c1 == _cells(f.points)
+    assert c0 | c1 == _cells(f)
 
 
 def test_one_factorize_single_factor_is_identity_of_input():
     cells = {(1, 2), (2, 1), (3, 3)}
-    f = BipartiteFactor(1, PointSet.from_points(3, cells))
+    f = PointSet.from_points(3, cells)
     matchings = list(iter_matchings(f))
     assert len(matchings) == 1
-    assert matching_cells(3, matchings[:1]) == f.points
+    assert matching_cells(3, matchings[:1]) == f
     assert _cells(matching_cells(3, matchings[:1])) == cells
 
 
 def test_one_factorize_complete_graph_latin_square():
     m = 6
-    f = BipartiteFactor(m, PointSet.from_points(m, [(a, b) for a in range(1, 7) for b in range(1, 7)]))
+    f = PointSet.from_points(m, [(a, b) for a in range(1, 7) for b in range(1, 7)])
     matchings = list(iter_matchings(f))
     assert len(matchings) == m
-    assert matching_cells(m, matchings) == f.points
+    assert matching_cells(m, matchings) == f
     for t in range(m):
         assert sorted(matchings[t]) == list(range(1, m + 1))
 
@@ -431,7 +419,7 @@ def test_one_factorize_random_factors_roundtrip():
             cells = _cells(matching_cells(m, matchings[t : t + 1]))
             assert not (cells & seen)
             seen |= cells
-        assert seen == _cells(f.points)
+        assert seen == _cells(f)
 
 
 def test_one_factorize_is_deterministic():
@@ -453,7 +441,7 @@ def _permuted_circulant_xy(m, r, seed):
 
 
 def _permuted_circulant(m, r, seed):
-    return BipartiteFactor(r, PointSet.from_xy(m, *_permuted_circulant_xy(m, r, seed)))
+    return PointSet.from_xy(m, *_permuted_circulant_xy(m, r, seed))
 
 
 # first matchings extracted by the eager 1-factorization before extraction
@@ -501,9 +489,9 @@ def test_iter_matchings_golden_prefix(key):
 def test_row_bitsets_match_bitwise_or_oracle(m, r, seed, keys):
     # an r-factor (r = 0 and r = m among the examples) and an arbitrary
     # cell set, its keys unsorted and repeated
-    factor = sample_r_factor(m, min(r, m), seed, rounds=2)
+    factor = sample_r_factor(m, min(r, m), seed)
     cells = PointSet(m, np.array(keys, dtype=np.int64) % (m * m))
-    for points in (factor.points, cells):
+    for points in (factor, cells):
         assert _row_bitsets(points) == row_bitsets_by_or_at(points)
 
 
@@ -529,7 +517,7 @@ def test_iter_matchings_golden_prefix_from_raw_keys(key):
     xs, ys = _permuted_circulant_xy(m, r, seed)
     keys = (xs - 1) * m + (ys - 1)
     keys = np.random.default_rng(seed).permutation(np.concatenate([keys, keys[::2]]))
-    f = BipartiteFactor(r, PointSet(m, keys))
+    f = PointSet(m, keys)
     want = GOLDEN_MATCHINGS[key]
     assert tuple(islice(iter_matchings(f), len(want))) == want
 
@@ -546,7 +534,7 @@ def test_iter_matchings_prefix_is_disjoint_perfect_matchings(m, data):
     for matching in prefix:
         assert sorted(matching) == list(range(1, m + 1))
         cells = set(enumerate(matching, start=1))
-        assert all(cell in f.points for cell in cells)
+        assert all(cell in f for cell in cells)
         assert seen.isdisjoint(cells)
         seen |= cells
 
@@ -579,7 +567,7 @@ def test_iter_matchings_follows_list_based_extraction(mr, circulant, seed):
 
     with mock.patch.object(bifactor, "_hopcroft_karp", counting):
         got = list(iter_matchings(f))
-    assert (got, reads) == matchings_by_lists(m, f.points.sorted_xy())
+    assert (got, reads) == matchings_by_lists(m, f.sorted_xy())
 
 
 def test_containment_probability_trivial_cases():
@@ -614,7 +602,7 @@ def test_row_exchangeability_under_relabeling():
         f = sample_r_factor(m, r, seed=derive_seed(55, i))
         perm = list(range(1, m + 1))
         rng.shuffle(perm)
-        relabeled = {(perm[a - 1], b) for a, b in f.points.sorted_xy()}
+        relabeled = {(perm[a - 1], b) for a, b in f.sorted_xy()}
         t1 += sum(1 for a, b in relabeled if a == 1 and b in half)
         t2 += sum(1 for a, b in relabeled if a == 2 and b in half)
     mean1 = t1 / samples

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 import nkline
 from nkline.cli import main
+from nkline.grid import Direction
 from nkline.pointfile import MAGIC, parse
+from nkline.secants import count_on_line
 
 
 def test_construct_explicit_writes_file_and_report(tmp_path, capsys):
@@ -84,8 +87,9 @@ def test_main_parses_each_call_afresh(tmp_path, capsys):
     # reach the next
     out = tmp_path / "c.txt"
     args = ["construct", "--n", "403", "--k", "233", "--out", str(out)]
-    assert main(args + ["--strict", "--seed", "12"]) == 1
-    assert "strict mode needs" in capsys.readouterr().err
+    # 403/233 lies below the explicit route's k >= 2n/3
+    assert main(args + ["--mode", "explicit", "--seed", "12"]) == 1
+    assert "below 2n/3" in capsys.readouterr().err
     assert main(args + ["--seed", "12"]) == 0
     assert parse(out.read_text()).seed == 12
     assert main(args) == 0
@@ -140,13 +144,32 @@ def test_construct_biuniform_3x3_matrix(tmp_path, capsys):
     assert main(args + ["--matrix", "4x4", "--out", str(tmp_path / "m4.txt")]) == 1
 
 
-def test_construct_strict_rejects_k_below_its_bound(tmp_path, capsys):
-    args = ["construct", "--n", "100", "--k", "70"]
-    assert main(args + ["--strict", "--out", str(tmp_path / "s.txt")]) == 1
-    assert "strict mode needs" in capsys.readouterr().err
-    assert not (tmp_path / "s.txt").exists()
-    # without --strict the explicit route takes it
-    assert main(args + ["--out", str(tmp_path / "e.txt")]) == 0
+@pytest.mark.parametrize("mode", ["auto", "explicit"])
+@pytest.mark.parametrize("flag", [["--reserve", "15"], ["--matrix", "3x3"]])
+def test_construct_rejects_biuniform_flags_in_other_modes(tmp_path, capsys, mode, flag):
+    out = tmp_path / "s.txt"
+    args = ["construct", "--n", "400", "--k", "120", "--seed", "7", "--mode", mode, "--out", str(out)]
+    assert main(args + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --reserve and --matrix act only under --mode biuniform")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_sidecar_names_the_worst_line(tmp_path):
+    out = tmp_path / "c.txt"
+    assert main(["construct", "--n", "403", "--k", "233", "--seed", "11", "--out", str(out)]) == 0
+    lines = (tmp_path / "c.txt.report.txt").read_text().splitlines()
+    assert lines[0] == "status: certified"
+    fields = dict(line.split(": ", 1) for line in lines)
+    names = list(fields)
+    assert names.index("worst line") == names.index("generic max") + 1
+    worst = re.fullmatch(r"direction \((\d+),(-?\d+)\) intercept (-?\d+)", fields["worst line"])
+    vx, vy, c = map(int, worst.groups())
+    points = parse(out.read_text()).points
+    assert count_on_line(points, Direction(vx, vy), c) == int(fields["generic max"])
+
 
 def test_construct_retries_exhausted_exit_code(tmp_path):
     out = tmp_path / "hard.txt"

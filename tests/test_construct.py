@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkline import bifactor, construct
-from nkline.bifactor import BipartiteFactor, iter_matchings, sample_r_factor
+from nkline.bifactor import iter_matchings, sample_r_factor
 from nkline.construct import (
     ConstructionError,
     RetriesExhausted,
@@ -230,17 +230,17 @@ def test_spend_nothing_returns_the_set_unswept(monkeypatch, extractions):
     assert sweeps == [] and extractions == []
 
 
-def _first_factors(points, r, count):
-    """The first `count` 1-factors of an r-factor, stacked as `_spend`
-    takes them: one (count, n) array."""
-    factors = islice(iter_matchings(BipartiteFactor(r, points)), count)
+def _first_factors(points, count):
+    """The first `count` 1-factors of a regular factor, stacked as
+    `_spend` takes them: one (count, n) array."""
+    factors = islice(iter_matchings(points), count)
     return np.array(list(factors), dtype=np.int64).reshape(count, points.n)
 
 
 def test_spend_kernel_drops_a_factor_of_the_full_grid():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out = construct._spend(full.mask(), n, 1, 0, _first_factors(full, n, 1))
+    out = construct._spend(full.mask(), n, 1, 0, _first_factors(full, 1))
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -311,11 +311,10 @@ def test_spend_drop_never_increases_any_line_count(extractions):
     for trial in range(4):
         m = rng.choice([8, 10, 12])
         r = rng.randint(3, m - 1)
-        f = sample_r_factor(m, r, seed=40 + trial)
-        s = f.points
+        s = sample_r_factor(m, r, seed=40 + trial)
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out = construct._spend(s.mask(), r, 2, 0, _first_factors(s, r, 2))
+        out = construct._spend(s.mask(), r, 2, 0, _first_factors(s, 2))
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
@@ -379,10 +378,10 @@ def _spends(draw):
 @settings(max_examples=80, deadline=None)
 def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
     m, r, drop, grow = sizes
-    f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed).points
-    once = construct._spend(f.mask(), r, drop, grow, _first_factors(f, r, drop + grow))
-    dropped = construct._spend(f.mask(), r, drop, 0, _first_factors(f, r, drop))
-    grown = construct._spend(dropped.mask(), r - drop, 0, grow, _first_factors(dropped, r - drop, grow))
+    f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed)
+    once = construct._spend(f.mask(), r, drop, grow, _first_factors(f, drop + grow))
+    dropped = construct._spend(f.mask(), r, drop, 0, _first_factors(f, drop))
+    grown = construct._spend(dropped.mask(), r - drop, 0, grow, _first_factors(dropped, grow))
     assert once == grown
     assert once.n == m + grow and once.is_regular(r - drop)
 
@@ -506,7 +505,7 @@ def _spend_and_certify(cells, k, drop, grow, factors):
 def test_spend_audit_rejects_bad_factors(mutate, outcome):
     # a fault in the factors of a spend (drop 2, grow 1) is rejected by
     # `_spend`'s shape check, or its output by `_certify`
-    factors = _first_factors(_S12, 8, 3)
+    factors = _first_factors(_S12, 3)
     assert _spend_and_certify(_S12.mask(), 8, 2, 1, factors.copy()).is_regular(6)
     with pytest.raises((ConstructionError, RuntimeError), match=outcome):
         _spend_and_certify(_S12.mask(), 8, 2, 1, mutate(factors))
@@ -799,15 +798,6 @@ def test_pipeline_certifies_below_the_fixed_reserve_range(k):
     assert cert.certified
     assert cert.lineage[0][1]["k"] == k and cert.report.passed
     assert cert.output.n == 403 and cert.output.is_regular(k)
-
-
-def test_pipeline_strict_mode_checks():
-    with pytest.raises(ConstructionError):
-        pipeline(50, 40, seed=0, strict=True)
-    with pytest.raises(ConstructionError):
-        pipeline(68, 20, seed=0, strict=True)  # below C*sqrt(n ln n)
-    cert = pipeline(1200, 1160, seed=0, strict=True)  # 12.5*sqrt(n ln n) = 1153.1
-    assert cert.certified
 
 
 def test_pipeline_rejects_out_of_range_k():
