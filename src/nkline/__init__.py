@@ -1,90 +1,70 @@
 """nkline: construction and exact certification of maximum point sets
-with no k+1 collinear points in square integer grids."""
+with no k+1 collinear points in square integer grids.
 
-from .bifactor import (
-    derive_seed,
-    iter_matchings,
-    matching_containment_probability,
-    relabeled_circulants,
-    sample_blocks,
-    sample_r_factor,
-)
-from .bounds import (
-    BoundsProfile,
-    compute_profile,
-    estimate_growth_coefficient,
-    feasible_k_range,
-    growth_coefficient,
-    smallest_feasible_n,
-)
-from .construct import (
-    ConstructionCertificate,
-    ConstructionError,
-    RetriesExhausted,
-    biuniform_construct,
-    explicit_construct,
-    pipeline,
-    spend,
-)
-from .grid import (
-    Direction,
-    FeasibilityMatrix,
-    PointSet,
-    expected_load,
-    feasibility_matrix_3x3,
-    feasibility_matrix_4x4,
-    is_feasible,
-    line_points,
-    max_expected_load,
-)
-from .pointfile import ParsedPointSet, ParseError, parse, serialize, write_points
-from .secants import (
-    CensusRow,
-    VerificationReport,
-    census,
-    richness_bound,
-    verify,
-)
+Every public name and submodule is imported on first access, so a
+process imports only the modules it uses: `nkline verify` never loads
+the sampler, the construction or the bounds.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsProfile",
-    "CensusRow",
-    "ConstructionCertificate",
-    "ConstructionError",
-    "Direction",
-    "FeasibilityMatrix",
-    "ParseError",
-    "ParsedPointSet",
-    "PointSet",
-    "RetriesExhausted",
-    "VerificationReport",
-    "biuniform_construct",
-    "census",
-    "compute_profile",
-    "derive_seed",
-    "estimate_growth_coefficient",
-    "expected_load",
-    "explicit_construct",
-    "feasibility_matrix_3x3",
-    "feasibility_matrix_4x4",
-    "feasible_k_range",
-    "growth_coefficient",
-    "is_feasible",
-    "iter_matchings",
-    "line_points",
-    "matching_containment_probability",
-    "max_expected_load",
-    "parse",
-    "pipeline",
-    "relabeled_circulants",
-    "richness_bound",
-    "sample_blocks",
-    "sample_r_factor",
-    "serialize",
-    "smallest_feasible_n",
-    "spend",
-    "verify",
-    "write_points",
-]
+# each public name -> the submodule that defines it
+_EXPORTS = {
+    "BoundsProfile": "bounds",
+    "CensusRow": "secants",
+    "ConstructionCertificate": "construct",
+    "ConstructionError": "construct",
+    "Direction": "grid",
+    "FeasibilityMatrix": "grid",
+    "ParseError": "pointfile",
+    "ParsedPointSet": "pointfile",
+    "PointSet": "grid",
+    "RetriesExhausted": "construct",
+    "VerificationReport": "secants",
+    "biuniform_construct": "construct",
+    "census": "secants",
+    "compute_profile": "bounds",
+    "derive_seed": "bifactor",
+    "estimate_growth_coefficient": "bounds",
+    "expected_load": "grid",
+    "explicit_construct": "construct",
+    "feasibility_matrix_3x3": "grid",
+    "feasibility_matrix_4x4": "grid",
+    "feasible_k_range": "bounds",
+    "growth_coefficient": "bounds",
+    "is_feasible": "grid",
+    "iter_matchings": "bifactor",
+    "line_points": "grid",
+    "matching_containment_probability": "bifactor",
+    "max_expected_load": "grid",
+    "parse": "pointfile",
+    "pipeline": "construct",
+    "relabeled_circulants": "bifactor",
+    "richness_bound": "secants",
+    "sample_blocks": "bifactor",
+    "sample_r_factor": "bifactor",
+    "serialize": "pointfile",
+    "smallest_feasible_n": "bounds",
+    "spend": "construct",
+    "verify": "secants",
+    "write_points": "pointfile",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _EXPORTS.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

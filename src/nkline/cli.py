@@ -23,11 +23,6 @@ from fractions import Fraction
 from math import pi
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from .construct import RetriesExhausted, biuniform_construct, explicit_certificate, pipeline
-from .grid import feasibility_matrix_3x3, feasibility_matrix_4x4
-from .pointfile import parse, write_points
-from .secants import census, richness_bound, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,27 +31,36 @@ EXIT_VERIFY = 3
 
 
 def cmd_construct(args) -> int:
+    from .construct import RetriesExhausted, biuniform_construct, explicit_certificate, pipeline
+    from .pointfile import write_points
+
     t0 = time.perf_counter()
     if not (1 <= args.k <= args.n):
         raise ValueError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     if args.mode != "biuniform" and (args.reserve or args.matrix != "4x4"):
         raise ValueError(f"--reserve and --matrix act only under --mode biuniform, not {args.mode}")
+    if args.mode == "explicit" and (args.seed is not None or args.retries is not None):
+        raise ValueError("--seed and --retries act only under --mode auto or biuniform, not explicit")
+    seed = 0 if args.seed is None else args.seed
+    retries = 64 if args.retries is None else args.retries
     try:
         if args.mode == "explicit":
             cert = explicit_certificate(args.n, args.k)
         elif args.mode == "biuniform":
+            from .grid import feasibility_matrix_3x3, feasibility_matrix_4x4
+
             builder = feasibility_matrix_4x4 if args.matrix == "4x4" else feasibility_matrix_3x3
             matrix = builder(args.n, args.k)
             cert = biuniform_construct(
                 args.n,
                 args.k,
                 matrix,
-                seed=args.seed,
-                max_retries=args.retries,
+                seed=seed,
+                max_retries=retries,
                 target_reserve=args.reserve,
             )
         else:
-            cert = pipeline(args.n, args.k, seed=args.seed, max_retries=args.retries)
+            cert = pipeline(args.n, args.k, seed=seed, max_retries=retries)
     except RetriesExhausted as exc:
         cert = exc.certificate
 
@@ -94,6 +98,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .pointfile import parse
+    from .secants import verify
+
     parsed = parse(Path(args.infile).read_text(encoding="utf-8"))
     k = args.k if args.k is not None else parsed.k
     report = verify(parsed.points, k, args.reserve)
@@ -103,6 +110,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from .secants import census, richness_bound
+
     if args.j is None and args.kappa is None:
         raise ValueError("one of --j / --kappa is required")
     # build every line first, so a usage error leaves stdout empty
@@ -124,6 +133,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     # compute everything first, so a usage error leaves stdout empty
     delta = float(Fraction(args.delta))
     prof = bounds_mod.compute_profile(
@@ -137,8 +148,10 @@ def cmd_bounds(args) -> int:
         L=args.L,
     )
     coeff = bounds_mod.growth_coefficient(args.epsilon, delta, args.m)
-    rng = bounds_mod.feasible_k_range(args.n, args.C)
-    n0 = None if rng is None else bounds_mod.smallest_feasible_n(args.C)
+    C = coeff if args.C is None else args.C
+    rng = bounds_mod.feasible_k_range(args.n, C)
+    n0 = None if rng is None else bounds_mod.smallest_feasible_n(C)
+    label = f"{coeff:.6f}" if args.C is None else args.C
     print(
         f"n={prof.n} p={prof.p} epsilon={prof.epsilon} delta={prof.delta} "
         f"h={prof.h} m={prof.m} (bands={prof.band_count}) K={prof.K} L={prof.L}"
@@ -149,9 +162,9 @@ def cmd_bounds(args) -> int:
     print(f"kappa_min    = {prof.kappa_min:.6f}")
     print(f"growth coefficient of k_min: {coeff:.6f} * sqrt(n ln n)")
     if rng is None:
-        print(f"feasible k range for C={args.C}: empty")
+        print(f"feasible k range for C={label}: empty")
     else:
-        print(f"feasible k range for C={args.C}: [{rng[0]}, {rng[1]}]")
+        print(f"feasible k range for C={label}: [{rng[0]}, {rng[1]}]")
         print(f"smallest n with nonempty range at this C: {n0}")
     return EXIT_OK
 
@@ -170,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["auto", "explicit", "biuniform"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=64)
+    p.add_argument("--seed", type=int, help="sampler seed, default 0 (auto and biuniform modes)")
+    p.add_argument("--retries", type=int, help="retry cap, default 64 (auto and biuniform modes)")
     p.add_argument("--reserve", type=int, default=0, help="target reserve (biuniform mode)")
     p.add_argument("--matrix", choices=["4x4", "3x3"], default="4x4", help="block matrix (biuniform mode)")
     p.add_argument("--out", required=True)
@@ -202,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, default=1.0)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument(
-        "--C", type=float, default=12.5,
-        help="C of the feasible range k >= C*sqrt(n ln n); the default 12.5 is the growth "
-        "coefficient of the 3x3 matrix (m=3), and that of --m is printed above the range",
+        "--C", type=float,
+        help="C of the feasible range k >= C*sqrt(n ln n); by default the growth coefficient "
+        "of --m, --epsilon and --delta printed above the range",
     )
     p.set_defaults(func=cmd_bounds)
 

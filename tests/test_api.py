@@ -1,14 +1,29 @@
 """The package's public names: every export resolves, listed once, in
 order, and every Python example and CLI command in the README runs."""
 
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import nkline
 from nkline import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(nkline.__file__).resolve().parents[1]
+
+
+def _fresh_python(script, *argv):
+    """The last stdout line of `script`, run by a new interpreter, as JSON."""
+    run = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
 
 
 def test_every_exported_name_resolves():
@@ -37,3 +52,35 @@ def test_readme_cli_commands_exit_0(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert cli.main(command[1:]) == 0, command
+
+
+def test_cold_start_loads_only_the_modules_a_command_uses(tmp_path):
+    f = tmp_path / "e.txt"
+    assert cli.main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(f)]) == 0
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'nkline')\n"
+        "import nkline, nkline.cli\n"
+        "imported = loaded()\n"
+        "code = nkline.cli.main(['verify', '--in', sys.argv[1]])\n"
+        "print(json.dumps([imported, code, loaded(), 'hashlib' in sys.modules]))\n"
+    )
+    imported, code, verified, hashlib_loaded = _fresh_python(script, f)
+    assert imported == ["nkline", "nkline.cli"]
+    assert code == 0
+    assert verified == ["nkline", "nkline.cli", "nkline.grid", "nkline.pointfile", "nkline.secants"]
+    assert not hashlib_loaded
+
+
+def test_star_import_and_dir_list_every_export():
+    script = (
+        "import json, nkline\n"
+        "listed = dir(nkline)\n"
+        "names = {}\n"
+        "exec('from nkline import *', names)\n"
+        "print(json.dumps([nkline.__all__, listed, sorted(set(names) - {'__builtins__'})]))\n"
+    )
+    exports, listed, bound = _fresh_python(script)
+    assert bound == sorted(exports)
+    assert set(exports) <= set(listed)

@@ -88,7 +88,7 @@ def test_main_parses_each_call_afresh(tmp_path, capsys):
     out = tmp_path / "c.txt"
     args = ["construct", "--n", "403", "--k", "233", "--out", str(out)]
     # 403/233 lies below the explicit route's k >= 2n/3
-    assert main(args + ["--mode", "explicit", "--seed", "12"]) == 1
+    assert main(args + ["--mode", "explicit"]) == 1
     assert "below 2n/3" in capsys.readouterr().err
     assert main(args + ["--seed", "12"]) == 0
     assert parse(out.read_text()).seed == 12
@@ -155,6 +155,22 @@ def test_construct_rejects_biuniform_flags_in_other_modes(tmp_path, capsys, mode
     assert captured.err.startswith("error: --reserve and --matrix act only under --mode biuniform")
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--seed", "12"], ["--retries", "3"], ["--seed", "0"]])
+def test_construct_explicit_rejects_seed_and_retries(tmp_path, capsys, flag):
+    args = ["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(tmp_path / "e.txt")]
+    assert main(args + flag) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed and --retries act only under --mode auto or biuniform, not explicit\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_auto_takes_seed_on_the_explicit_route(tmp_path):
+    out = tmp_path / "a.txt"
+    assert main(["construct", "--n", "16", "--k", "11", "--seed", "12", "--retries", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "n=16 k=11 reserve=0 seed=12"
 
 
 def test_construct_sidecar_names_the_worst_line(tmp_path):
@@ -271,6 +287,19 @@ def test_python_dash_m_runs_the_cli():
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("n=20 j=3 count=")
 
+
+def test_python_dash_m_construct_then_verify(tmp_path):
+    # each command in its own fresh process, so every module the command
+    # needs is imported on demand
+    src = str(Path(nkline.__file__).resolve().parents[1])
+    for command in (["construct", "--n", "40", "--k", "30", "--out", "f"], ["verify", "--in", "f"]):
+        run = subprocess.run(
+            [sys.executable, "-m", "nkline", *command], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == 0, (command, run.stderr)
+    assert "PASS k=30" in run.stdout
+
 def test_verify_missing_file(tmp_path):
     assert main(["verify", "--in", str(tmp_path / "none.txt"), "--k", "2"]) == 1
 
@@ -326,6 +355,18 @@ def test_bounds_report(capsys):
     assert "tail_coeff   = 4.31" in out
     assert "k_min" in out
     assert "feasible k range" in out
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_bounds_default_C_is_the_printed_growth_coefficient(capsys, m):
+    n = 2000
+    assert main(["bounds", "--n", str(n), "--m", str(m)]) == 0
+    out = capsys.readouterr().out
+    coeff = re.search(r"growth coefficient of k_min: (\S+) \* sqrt\(n ln n\)", out).group(1)
+    line = re.search(r"feasible k range for C=(\S+): (.*)", out)
+    assert line.group(1) == coeff
+    # 14.79 * sqrt(n ln n) = 1824 lies above 5n/6 = 1666
+    assert line.group(2) == ("[1542, 1666]" if m == 3 else "empty")
 
 
 def test_bounds_rejects_bad_parameters(capsys):
