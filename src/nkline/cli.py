@@ -10,7 +10,10 @@ line on stderr and exit 1, with nothing on stdout.
 
 `construct` writes its point file as bytes with `pointfile.write_points`,
 so no platform newline translation can reach the file.  The argument
-parser is built once per process and reused by every `main` call.
+parser is built once per process and reused by every `main` call.  Each
+command imports the modules it runs when it runs, so a fresh process
+that only verifies never loads the sampler, the construction or the
+bounds.
 """
 
 from __future__ import annotations
