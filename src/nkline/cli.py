@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 certified / success, 1 usage or parse error, 2 randomized
-construction exhausted its retries, 3 verification failure.  All
+construction exhausted its retries, 3 verification failure (`verify`
+only; `construct` exits 0, 1 or 2).  All
 configuration goes through flags so runs are reproducible.
 
 Each command raises on a usage error, and `main` alone catches it: an
@@ -71,10 +72,8 @@ def cmd_construct(args) -> int:
     # exhaustion that is the best sample
     if cert.certified:
         status, code = "certified", EXIT_OK
-    elif cert.per_retry_reserves:
-        status, code = "retries exhausted", EXIT_RETRIES
     else:
-        status, code = "not certified", EXIT_VERIFY
+        status, code = "retries exhausted", EXIT_RETRIES
     report = cert.report
     lines = [
         f"status: {status}",
@@ -139,7 +138,10 @@ def cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
 
     # compute everything first, so a usage error leaves stdout empty
-    delta = float(Fraction(args.delta))
+    try:
+        delta = float(Fraction(args.delta))
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"--delta={args.delta} is not a fraction a float holds: {exc}") from None
     prof = bounds_mod.compute_profile(
         args.n,
         p=args.p,

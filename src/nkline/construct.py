@@ -96,14 +96,19 @@ def explicit_construct(n: int, k: int) -> PointSet:
 
 
 def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> ConstructionCertificate:
-    """`explicit_construct(n, k)` with its verification report at reserve 0."""
+    """`explicit_construct(n, k)` with its verification report at reserve 0.
+    The construction is deterministic and proven, so a report that does
+    not pass is a program fault and raises RuntimeError."""
     if seed is not None:
         _check_int(seed=seed)
     points = explicit_construct(n, k)
+    report = _certify(points, k, 0)
+    if not report.passed:
+        raise RuntimeError(f"explicit construction not certified: {report.summary()}")
     return ConstructionCertificate(
         seed=seed,
         output=points,
-        report=_certify(points, k, 0),
+        report=report,
         lineage=(("explicit", {"n": n, "k": k}),),
     )
 
@@ -240,7 +245,7 @@ def biuniform_construct(
         del cells, sigma, tau
         report = _certify(sample, k, target_reserve)
         reserves.append(report.achieved_reserve)
-        if report.passed or best is None or report.achieved_reserve > best[1].achieved_reserve:
+        if best is None or report.achieved_reserve > best[1].achieved_reserve:
             best = (sample, report)
         if report.passed:
             break
@@ -355,10 +360,7 @@ def pipeline(n: int, k: int, seed: int, max_retries: int = 64) -> ConstructionCe
         raise ConstructionError(f"need 1 <= k <= n, got k={k}, n={n}")
 
     if 3 * k >= 2 * n:
-        cert = explicit_certificate(n, k, seed)
-        if not cert.certified:
-            raise RuntimeError(f"explicit construction not certified: {cert.report.summary()}")
-        return cert
+        return explicit_certificate(n, k, seed)
 
     n_round = 4 * (n // 4)
     k_round = 10 * ceil(k / 10)

@@ -418,8 +418,11 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[n
     return histogram
 
 
-def max_expected_load(matrix: FeasibilityMatrix, with_witness: bool = False):
-    """Exact maximum of the expected load over all generic secants.
+def _heaviest_expected_line(
+    matrix: FeasibilityMatrix,
+) -> tuple[Fraction, Optional[tuple[Direction, int]]]:
+    """The maximum expected load over all generic secants and its witness
+    (direction, intercept), or None on a grid with no generic line.
 
     The heaviest-line sweep of the verifier, run over the full grid
     with each point weighted by the entry of its block
@@ -440,10 +443,13 @@ def max_expected_load(matrix: FeasibilityMatrix, with_witness: bool = False):
     best_w, best_line, _ = _heaviest_line(
         n, lambda M: rmax * ((n - 1) // M + 1), _block_histogram(matrix)
     )
-    load = Fraction(best_w, matrix.block_side)
-    if with_witness:
-        return load, best_line
-    return load
+    return Fraction(best_w, matrix.block_side), best_line
+
+
+def max_expected_load(matrix: FeasibilityMatrix) -> Fraction:
+    """Exact maximum of the expected load over all generic secants
+    (`_heaviest_expected_line`)."""
+    return _heaviest_expected_line(matrix)[0]
 
 
 @dataclass(frozen=True)
@@ -471,7 +477,7 @@ def is_feasible(matrix: FeasibilityMatrix, k: int, delta) -> FeasibilityCheck:
     for j, s in enumerate(matrix.col_sums(), start=1):
         if s != k:
             return FeasibilityCheck(False, ("col", j))
-    load, line = max_expected_load(matrix, with_witness=True)
+    load, line = _heaviest_expected_line(matrix)
     if line is not None and load > delta * k:
         d, c = line
         return FeasibilityCheck(False, ("line", d, c, load))

@@ -85,10 +85,10 @@ def write_points(
     buffers allocated once per call at one chunk's size, so the memory
     it holds beyond `points` does not grow with the set.  Each
     coordinate is gathered group by group from the tables of
-    `_group_words`, its last group from `_tagged_words` with its
-    separator in place, and one `bytes.translate` per chunk drops the
-    NUL bytes.  k, and reserve and seed when given, must be integers;
-    they are checked before anything is written."""
+    `_group_words`, its last group from the tables with its separator
+    in place, and one `bytes.translate` per chunk drops the NUL bytes.
+    k, and reserve and seed when given, must be integers; they are
+    checked before anything is written."""
     _check_int(k=k)
     if reserve is not None:
         _check_int(reserve=reserve)
@@ -103,7 +103,7 @@ def write_points(
     # word each; a group's zeros lead only if no group above it is nonzero,
     # and the last group's byte 3 holds the separator after the coordinate
     width = (len(str(n)) + 2) // 3
-    tagged = (_tagged_words(_SP), _tagged_words(_LF))
+    tagged = (_group_words(_SP), _group_words(_LF))
     size = min(_CHUNK, len(points))
     xs, ys = np.empty(size, np.int64), np.empty(size, np.int64)
     parts = np.empty(size, np.int64) if width > 1 else None
@@ -143,29 +143,20 @@ def serialize(
 
 
 @cache
-def _group_words() -> tuple[np.ndarray, np.ndarray]:
+def _group_words(separator: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(lead, padded): for each v in [0, 1000), the word whose bytes 0-2
     are v's three digits, most significant first, and whose byte 3 is
-    NUL.  `lead` writes leading zeros as NUL (lead[0] is all NUL);
-    `padded` keeps them."""
+    `separator`: NUL for every group but a coordinate's last, which the
+    separator follows.  `lead` writes leading zeros as NUL (bytes 0-2
+    of lead[0] are NUL); `padded` keeps them."""
     v = np.arange(1000)[:, None]
     place = np.array([100, 10, 1])
     digits = (v // place % 10 + _ZERO) << np.array([0, 8, 16])
-    lead = np.where(v < place, 0, digits).sum(axis=1).astype(_WORD)
-    padded = digits.sum(axis=1).astype(_WORD)
+    tag = separator << 24
+    lead = (np.where(v < place, 0, digits).sum(axis=1) + tag).astype(_WORD)
+    padded = (digits.sum(axis=1) + tag).astype(_WORD)
     lead.flags.writeable = padded.flags.writeable = False
     return lead, padded
-
-
-@cache
-def _tagged_words(separator: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_group_words()` with `separator` in byte 3 of every word: the
-    tables of a coordinate's last group, which the separator follows."""
-    tag = np.array(separator << 24, _WORD)
-    tables = tuple(table | tag for table in _group_words())
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 def parse(text: str) -> ParsedPointSet:
@@ -253,15 +244,17 @@ def _parse_body(data: bytes, start: int, n: int) -> PointSet:
     keys *= n
     keys += values[1::2]
     keys -= 1
-    if (keys[1:] <= keys[:-1]).any():
+    # PointSet sorts keys that are out of order and drops repeats, so a
+    # repeat is looked for only when the set comes out short
+    points = PointSet(n, keys)
+    if len(points) < keys.size:
         # a stable sort puts each repeat after its first occurrence
         order = np.argsort(keys, kind="stable")
         again = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if again.size:
-            i = int(again.min())
-            x, y = divmod(int(keys[i]), n)
-            raise ParseError(f"duplicate point ({x + 1}, {y + 1})", 3 + i)
-    return PointSet(n, keys)
+        i = int(again.min())
+        x, y = divmod(int(keys[i]), n)
+        raise ParseError(f"duplicate point ({x + 1}, {y + 1})", 3 + i)
+    return points
 
 
 def _first_line(token_mask: np.ndarray, bad: int) -> int:

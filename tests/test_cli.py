@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import nkline
+from nkline import construct
 from nkline.cli import main
 from nkline.grid import Direction
 from nkline.pointfile import MAGIC, parse
@@ -37,6 +39,17 @@ def test_construct_explicit_golden_bytes(tmp_path):
     out = tmp_path / "e.txt"
     assert main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_EXPLICIT_16_11_SHA256
+
+
+def test_construct_explicit_failed_certificate_raises_and_writes_nothing(tmp_path, monkeypatch):
+    # the explicit construction is proven, so a failed certificate is a
+    # program fault: it raises, and no file or sidecar is left behind
+    real = construct.verify
+    monkeypatch.setattr(construct, "verify", lambda p, k, h=0: replace(real(p, k, h), generic_max=k + 1))
+    out = tmp_path / "e.txt"
+    with pytest.raises(RuntimeError, match="^explicit construction not certified: FAIL k=11 "):
+        main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_usage_error_for_k_above_n(tmp_path):
@@ -419,6 +432,8 @@ def test_non_finite_parameter_is_one_error_line_and_no_output(argv, capsys):
         (["bounds", "--n", "100", "--C", "1e308"], "C=1e+308"),
         # kappa**3 underflows to 0
         (["stats", "--n", "100", "--kappa", "1e-300"], "kappa=1e-300"),
+        (["bounds", "--n", "100", "--delta", "1/0"], "--delta=1/0"),
+        (["bounds", "--n", "100", "--delta", "1e400"], "--delta=1e400"),
     ],
 )
 def test_overflow_error_names_the_value_at_fault(argv, named, capsys):

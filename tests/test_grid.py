@@ -15,6 +15,7 @@ from nkline.grid import (
     FeasibilityMatrix,
     PointSet,
     _directions_of_modulus,
+    _heaviest_expected_line,
     expected_load,
     feasibility_matrix_3x3,
     feasibility_matrix_4x4,
@@ -377,7 +378,7 @@ def test_max_expected_load_zero_matrix():
 
 def test_max_expected_load_witness_attains_max():
     mat = feasibility_matrix_4x4(16, 10)
-    load, (d, c) = max_expected_load(mat, with_witness=True)
+    load, (d, c) = _heaviest_expected_line(mat)
     assert expected_load(mat, d, c) == load
 
 
@@ -421,7 +422,7 @@ def block_matrices(draw):
 # asymmetric: the heaviest line of the transposed matrix is lighter here
 @example(FeasibilityMatrix(3, 1, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]))
 def test_max_expected_load_witness_is_first_heaviest_line(mat):
-    load, line = max_expected_load(mat, with_witness=True)
+    load, line = _heaviest_expected_line(mat)
     assert load == brute_max_expected_load(mat)
     if load == 0:
         assert line is None
@@ -489,7 +490,7 @@ def wider_block_matrices(draw):
 # the heaviest line, (1,1)-(2,3), reaches the modulus-2 cap exactly
 @example(FeasibilityMatrix(3, 1, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]))
 def test_max_expected_load_matches_scan_oracle_up_to_n_72(mat):
-    load, line = max_expected_load(mat, with_witness=True)
+    load, line = _heaviest_expected_line(mat)
     want, witness = scan_max_expected_load(mat)
     assert load == want
     assert (line and (line[0].vx, line[0].vy, line[1])) == witness
@@ -538,7 +539,7 @@ def test_is_feasible_bad_row_sum():
 def test_is_feasible_passes_a_grid_with_no_generic_line(delta):
     # a 1 x 1 grid has no generic line, so no load, even against delta*k < 0
     mat = FeasibilityMatrix(1, 1, [[1]])
-    assert max_expected_load(mat, with_witness=True)[1] is None
+    assert _heaviest_expected_line(mat)[1] is None
     assert is_feasible(mat, 1, delta) == FeasibilityCheck(True)
     assert is_feasible(mat, 2, delta).witness == ("row", 1)
 

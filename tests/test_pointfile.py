@@ -148,7 +148,7 @@ def test_write_points_matches_one_line_per_point_rendering_across_chunks(
 
 @pytest.mark.parametrize("separator", [pointfile._SP, pointfile._LF])
 def test_tagged_words_are_the_group_words_with_their_separator(separator):
-    tagged = pointfile._tagged_words(separator)
+    tagged = pointfile._group_words(separator)
     for table, plain in zip(tagged, pointfile._group_words(), strict=True):
         assert np.array_equal(table, plain | np.uint32(separator << 24))
         assert not table.flags.writeable
