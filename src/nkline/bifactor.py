@@ -10,13 +10,14 @@ own generator; `PointSet.from_mask` reads one block as a factor.
 
 - `relabeled_circulants` permutes the rows and the columns of the
   circulant factor uniformly at random: no chain, two permutations per
-  block.  It is not the uniform law on r-factors, but it has the same
-  one-cell marginal r/m and the same two-cell law within a row, and the
-  reserve law of a bi-uniform retry built from it matches Curveball's
-  (CHANGES.md holds the measured table).  The randomized construction
-  samples its retries with it, and spends their shift classes as
-  1-factors; the exact verification report of each output, not the
-  sampler, is the certificate.
+  block, and returns those permutations with the blocks.  It is not
+  the uniform law on r-factors, but it has the same one-cell marginal
+  r/m and the same two-cell law within a row, and the reserve law of a
+  bi-uniform retry built from it matches Curveball's (CHANGES.md holds
+  the measured table).  The randomized construction samples its
+  retries with it, and reads their shift classes off the returned
+  permutations to spend them as 1-factors; the exact verification
+  report of each output, not the sampler, is the certificate.
 - `sample_blocks` steps the Curveball chains of many blocks together
   and targets the uniform law; `sample_r_factor` is its one-block call,
   and its output passes an r-regularity audit before it is returned.
@@ -86,33 +87,20 @@ def _circulant(q: int, r) -> np.ndarray:
     return (idx[None, :] - idx[:, None]) % q < r[..., None, None]
 
 
-def _relabelings(q: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column permutations (sigma, tau), each of shape
-    (len(seeds), q), that `relabeled_circulants` applies: block b seeds
-    `default_rng(seeds[b])` and draws sigma[b], then tau[b].  They are
-    int16 when q < 2^15, so that tau - sigma fits the same type."""
-    dtype = np.int16 if q < 2**15 else np.int64
-    sigma = np.empty((len(seeds), q), dtype=dtype)
-    tau = np.empty_like(sigma)
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        sigma[b] = rng.permutation(q)
-        tau[b] = rng.permutation(q)
-    return sigma, tau
-
-
-def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
+def relabeled_circulants(q: int, rs, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One rs[b]-factor of the q x q cell grid per block b: the circulant
     factor under a uniformly random row and column relabeling.
 
     Block b seeds `default_rng(seeds[b])` and draws a row permutation
-    sigma, then a column permutation tau (`_relabelings`); [b, a, c] is
-    set iff (tau[c] - sigma[a]) mod q < rs[b], which is
-    `_circulant(q, rs[b])[sigma][:, tau]`.  Returns a (B, q, q) bool
-    array like `sample_blocks`, built in one broadcast with no chain
-    rounds; a block depends only on its own seed.  Shift class
-    s < rs[b], the cells with tau[c] = (sigma[a] + s) mod q, is a
-    perfect matching of the block.
+    sigma[b], then a column permutation tau[b]; [b, a, c] is set iff
+    (tau[b, c] - sigma[b, a]) mod q < rs[b], which is
+    `_circulant(q, rs[b])[sigma[b]][:, tau[b]]`.  Returns (blocks,
+    sigma, tau): blocks is a (B, q, q) bool array like `sample_blocks`,
+    built in one broadcast with no chain rounds, and sigma, tau are the
+    (B, q) relabelings, int16 when q < 2^15 so that tau - sigma fits the
+    same type.  A block depends only on its own seed.  Shift class
+    s < rs[b] of block b, the cells with tau[b, c] = (sigma[b, a] + s)
+    mod q, is a perfect matching of the block.
 
     Every cell lies in the factor with probability r/q, and two cells of
     one row (or column) with probability r(r-1)/(q(q-1)), as under the
@@ -121,18 +109,18 @@ def relabeled_circulants(q: int, rs, seeds) -> np.ndarray:
     rs = _degrees(q, rs).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    return _permuted_circulants(q, rs, *_relabelings(q, seeds))
-
-
-def _permuted_circulants(q: int, rs: np.ndarray, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """The broadcast of `relabeled_circulants` on relabelings already
-    drawn (`_relabelings`): [b, a, c] is set iff
-    (tau[b, c] - sigma[b, a]) mod q < rs[b].  rs is not range-checked."""
+    dtype = np.int16 if q < 2**15 else np.int64
+    sigma = np.empty((rs.size, q), dtype=dtype)
+    tau = np.empty_like(sigma)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        sigma[b] = rng.permutation(q)
+        tau[b] = rng.permutation(q)
     # d = tau[c] - sigma[a] lies in (-q, q), so d mod q < r exactly when
     # 0 <= d < r or d < r - q; this skips an integer modulo per cell
     d = tau[:, None, :] - sigma[:, :, None]
-    r = rs.astype(sigma.dtype).reshape(-1, 1, 1)
-    return (d >= 0) & (d < r) | (d < r - q)
+    r = rs.astype(dtype).reshape(-1, 1, 1)
+    return (d >= 0) & (d < r) | (d < r - q), sigma, tau
 
 
 def _split(keys: np.ndarray, keep_a: np.ndarray) -> np.ndarray:

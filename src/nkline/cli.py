@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
     from .pointfile import parse
     from .secants import verify
 
-    parsed = parse(Path(args.infile).read_text(encoding="utf-8"))
+    parsed = parse(Path(args.infile).read_bytes().decode("utf-8"))
     k = args.k if args.k is not None else parsed.k
     report = verify(parsed.points, k, args.reserve)
     print(report.summary())

@@ -18,10 +18,9 @@ import numpy as np
 from .bifactor import (
     _circulant,
     _hopcroft_karp,
-    _permuted_circulants,
-    _relabelings,
     derive_seed,
     iter_matchings,
+    relabeled_circulants,
 )
 from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
 from .secants import VerificationReport, verify
@@ -133,21 +132,20 @@ def _sample_retry(
     """Retry t: the n x n bool mask of the union of the per-block
     factors, and the relabelings sigma, tau that it was built from.
 
-    Block (i, j) gets an r_{i,j}-factor, a relabeled circulant
-    (`relabeled_circulants`) whose sigma, tau are drawn once, with seed
-    derived from (seed, t, i, j), blocks in row-major order: not the
-    paper's uniform r-factor, but with the reserve law of Curveball's in
-    the table of CHANGES.md (Curveball remains for the uniform law).
+    Block (i, j) gets an r_{i,j}-factor, a relabeled circulant, with
+    seed derived from (seed, t, i, j), blocks in row-major order: not
+    the paper's uniform r-factor, but with the reserve law of
+    Curveball's in the table of CHANGES.md (Curveball remains for the
+    uniform law).
 
-    All m^2 blocks are built in one broadcast and laid out as the n x n
-    mask, [x-1, y-1] for cell (x, y); `_certify` counts the retry's
+    One `relabeled_circulants` call builds all m^2 blocks and returns
+    the relabelings with them; the blocks are laid out as the n x n
+    mask, [x-1, y-1] for cell (x, y), and `_certify` counts the retry's
     output.  The same sigma, tau give its 1-factors (`_retry_factors`).
     """
     m, q, n = matrix.m, matrix.block_side, matrix.n
-    rs = np.array(matrix.entries).reshape(-1, 1)
     seeds = [derive_seed(seed, t, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-    sigma, tau = _relabelings(q, seeds)
-    blocks = _permuted_circulants(q, rs, sigma, tau)
+    blocks, sigma, tau = relabeled_circulants(q, matrix.entries, seeds)
     cells = blocks.reshape(m, m, q, q).transpose(0, 2, 1, 3).reshape(n, n)
     return cells, sigma, tau
 
@@ -156,14 +154,16 @@ def _retry_factors(
     matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray, count: int
 ) -> np.ndarray:
     """The first `count` 1-factors of the retry that `_sample_retry`
-    built from the relabelings sigma, tau, with no matching run on its
+    built, read off the relabelings sigma, tau that
+    `relabeled_circulants` returned for it, with no matching run on its
     n x n cells, as one (count, n) array: row f of it maps row x to
     column f[x-1], 1-based.  The row sums and column sums of the matrix
     must all be equal, to k; then there are k factors, disjoint, whose
     union is the retry.
 
-    Block (i, j) is a relabeled circulant, so each of its r_{i,j} shift
-    classes is a perfect matching of the block (`relabeled_circulants`).
+    Block (i, j), row b = (i-1)*m + (j-1) of sigma and tau, is a
+    relabeled circulant, so each of its r_{i,j} shift classes is a
+    perfect matching of the block (`relabeled_circulants`).
     Step s takes a perfect matching pi of the support of the block
     entries not yet used, by `_hopcroft_karp` on m bits (one exists, by
     König, as every line of what is left sums to k - s).  Each block

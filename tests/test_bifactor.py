@@ -199,24 +199,27 @@ def test_relabeled_circulants_match_per_block_oracle(q, data):
     rs = data.draw(st.lists(st.integers(0, q), max_size=4))
     rs = data.draw(st.permutations(rs + list(range(q + 1))))
     seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(rs), max_size=len(rs)))
-    blocks = relabeled_circulants(q, rs, seeds)
+    blocks, sigma, tau = relabeled_circulants(q, rs, seeds)
     assert blocks.shape == (len(rs), q, q) and blocks.dtype == bool
-    for block, r, seed in zip(blocks, rs, seeds):
+    assert sigma.shape == tau.shape == (len(rs), q) and sigma.dtype == tau.dtype == np.int16
+    for block, r, seed, row_perm, col_perm in zip(blocks, rs, seeds, sigma, tau):
         assert np.array_equal(block, _relabeled_circulant_by_oracle(q, r, seed))
+        # the returned relabelings rebuild the block
+        assert np.array_equal(block, bifactor._circulant(q, r)[row_perm][:, col_perm])
         assert PointSet(q, np.flatnonzero(block)).is_regular(r)
 
 
 def test_relabeled_circulants_block_depends_only_on_its_seed():
     q, rs = 11, [0, 3, 5, 11, 3]
     seeds = [derive_seed(17, b) for b in range(len(rs))]
-    blocks = relabeled_circulants(q, rs, seeds)
+    blocks = relabeled_circulants(q, rs, seeds)[0]
     # alone, reordered, and next to other seeds, each block is unchanged
     for b, (r, seed) in enumerate(zip(rs, seeds)):
-        assert np.array_equal(relabeled_circulants(q, [r], [seed])[0], blocks[b])
+        assert np.array_equal(relabeled_circulants(q, [r], [seed])[0][0], blocks[b])
     order = [4, 2, 0, 3, 1]
-    shuffled = relabeled_circulants(q, [rs[b] for b in order], [seeds[b] for b in order])
+    shuffled = relabeled_circulants(q, [rs[b] for b in order], [seeds[b] for b in order])[0]
     assert np.array_equal(shuffled, blocks[order])
-    others = relabeled_circulants(q, rs, [seeds[0], 1, seeds[2], 2, seeds[4]])
+    others = relabeled_circulants(q, rs, [seeds[0], 1, seeds[2], 2, seeds[4]])[0]
     assert np.array_equal(others[[0, 2, 4]], blocks[[0, 2, 4]])
     assert not np.array_equal(others[1], blocks[1])
 
@@ -228,7 +231,7 @@ def test_relabeled_circulants_reject_bad_arguments():
         relabeled_circulants(5, [2, -1], [1, 2])
     with pytest.raises(ValueError, match="seeds"):
         relabeled_circulants(5, [2, 2], [1])
-    assert relabeled_circulants(1, [0, 1], [3, 4]).tolist() == [[[False]], [[True]]]
+    assert relabeled_circulants(1, [0, 1], [3, 4])[0].tolist() == [[[False]], [[True]]]
 
 
 @pytest.mark.parametrize(
@@ -259,7 +262,9 @@ def test_degrees_and_matrix_entries_reject_non_integers(call, match):
 
 
 def test_degrees_take_whole_floats():
-    assert np.array_equal(relabeled_circulants(4, [2.0], [1]), relabeled_circulants(4, [2], [1]))
+    assert np.array_equal(
+        relabeled_circulants(4, [2.0], [1])[0], relabeled_circulants(4, [2], [1])[0]
+    )
     assert np.array_equal(sample_blocks(4, np.array([2.0]), [1]), sample_blocks(4, [2], [1]))
 
 
@@ -269,7 +274,7 @@ def test_relabeled_circulants_cell_and_same_row_pair_laws():
     # over independent blocks is checked by its normal approximation,
     # with the limit z <= 5 fixed in advance
     q, r, trials = 6, 2, 3000
-    blocks = relabeled_circulants(q, [r] * trials, [derive_seed(505, t) for t in range(trials)])
+    blocks = relabeled_circulants(q, [r] * trials, [derive_seed(505, t) for t in range(trials)])[0]
     cells = blocks.astype(np.int64)
 
     def z_scores(counts, p):

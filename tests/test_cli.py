@@ -324,6 +324,23 @@ def test_verify_file_that_is_not_utf8_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, err",
+    [
+        (f"{MAGIC}\r\nn=2 k=1 reserve=unknown seed=none\r\n1 1\r\n2 2\r\n", "line 1: expected header"),
+        (f"{MAGIC}\nn=2 k=2 reserve=unknown seed=none\n1 1\r2 2\n", "line 3: expected 'x y'"),
+    ],
+    ids=["crlf", "bare-cr"],
+)
+def test_verify_rejects_a_carriage_return(tmp_path, capsys, body, err):
+    # the format's lines end in LF alone; a text-mode read would turn a
+    # CR into LF and accept the file
+    f = tmp_path / "cr.txt"
+    f.write_bytes(body.encode())
+    assert main(["verify", "--in", str(f)]) == 1
+    assert f"error: {err}" in capsys.readouterr().err
+
+
 def test_verify_directory_exit_one(tmp_path, capsys):
     assert main(["verify", "--in", str(tmp_path), "--k", "2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -123,14 +123,12 @@ def test_biuniform_spends_each_retry_with_its_own_factors():
 
 def test_biuniform_draws_the_relabelings_once_per_retry(monkeypatch):
     calls = []
-    relabelings = bifactor._relabelings
 
-    def counting(q, seeds):
+    def counting(q, rs, seeds):
         calls.append(len(seeds))
-        return relabelings(q, seeds)
+        return bifactor.relabeled_circulants(q, rs, seeds)
 
-    monkeypatch.setattr(bifactor, "_relabelings", counting)
-    monkeypatch.setattr(construct, "_relabelings", counting)
+    monkeypatch.setattr(construct, "relabeled_circulants", counting)
     cert = biuniform_construct(403, 113, feasibility_matrix_4x4(400, 120), seed=7, max_retries=3)
     assert not cert.certified
     assert calls == [16] * 3
@@ -179,7 +177,7 @@ def test_sample_retry_places_each_block_at_its_grid_offset():
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             r = matrix.entries[i - 1][j - 1]
-            block = bifactor.relabeled_circulants(q, [r], [bifactor.derive_seed(3, 2, i, j)])[0]
+            block = bifactor.relabeled_circulants(q, [r], [bifactor.derive_seed(3, 2, i, j)])[0][0]
             assert np.array_equal(grid[(i - 1) * q : i * q, (j - 1) * q : j * q], block), (i, j)
 
 
@@ -208,12 +206,12 @@ def test_sample_retry_audit_catches_a_corrupted_block(monkeypatch, corrupt):
     matrix = feasibility_matrix_4x4(40, 30)
     assert biuniform_construct(40, 30, matrix, seed=3, max_retries=1).output.is_regular(30)
 
-    def corrupted(q, rs, sigma, tau):
-        blocks = bifactor._permuted_circulants(q, rs, sigma, tau)
+    def corrupted(q, rs, seeds):
+        blocks, sigma, tau = bifactor.relabeled_circulants(q, rs, seeds)
         corrupt(blocks)
-        return blocks
+        return blocks, sigma, tau
 
-    monkeypatch.setattr(construct, "_permuted_circulants", corrupted)
+    monkeypatch.setattr(construct, "relabeled_circulants", corrupted)
     with pytest.raises(RuntimeError, match=f"{NOT_A_FACTOR} 30-factor on \\[1,40\\]"):
         biuniform_construct(40, 30, matrix, seed=3, max_retries=1)
 
@@ -359,10 +357,9 @@ def test_spend_grow_by_two_keeps_rows_and_columns_exact(desk_scale_run):
 
 
 def _permuted_circulant(m, r, seed):
-    """The circulant r-factor on [1,m]^2 under random row and column
-    permutations."""
-    rng = np.random.default_rng(seed)
-    mask = bifactor._circulant(m, r)[rng.permutation(m)][:, rng.permutation(m)]
+    """The relabeled circulant r-factor on [1,m]^2 that
+    `relabeled_circulants` samples from `seed`, as a PointSet."""
+    mask = bifactor.relabeled_circulants(m, [r], [seed])[0][0]
     return PointSet(m, np.flatnonzero(mask))
 
 
@@ -568,13 +565,13 @@ def test_a_block_cell_a_dropped_factor_erases_leaves_the_output_unchanged(monkey
     # the cell lies in block (1, y // q + 1) of the block-row major array
     q = matrix.block_side
 
-    def erased(q_, rs, sigma, tau):
-        blocks = bifactor._permuted_circulants(q_, rs, sigma, tau)
+    def erased(q_, rs, seeds):
+        blocks, sigma, tau = bifactor.relabeled_circulants(q_, rs, seeds)
         assert blocks[y // q, 0, y % q]
         blocks[y // q, 0, y % q] = False
-        return blocks
+        return blocks, sigma, tau
 
-    monkeypatch.setattr(construct, "_permuted_circulants", erased)
+    monkeypatch.setattr(construct, "relabeled_circulants", erased)
     cert = biuniform_construct(40, 28, matrix, seed=3, max_retries=1)
     assert serialize(cert.output, 28) == serialize(clean.output, 28)
     assert cert.report == clean.report
@@ -623,6 +620,11 @@ def test_one_fault_at_any_stage_raises_or_leaves_a_regular_set(stage, drop, grow
 
         return wrapped
 
+    def faulty_blocks(q, rs, seeds):
+        blocks, sigma, tau = bifactor.relabeled_circulants(q, rs, seeds)
+        _flip_one(data, blocks)
+        return blocks, sigma, tau
+
     def faulty_matchings(factor):
         factors = np.array(list(islice(iter_matchings(factor), drop + grow)))
         _flip_one(data, factors)
@@ -635,7 +637,7 @@ def test_one_fault_at_any_stage_raises_or_leaves_a_regular_set(stage, drop, grow
             return PointSet.from_mask(mask)
 
     patches = {
-        "blocks": ("_permuted_circulants", faulty(bifactor._permuted_circulants)),
+        "blocks": ("relabeled_circulants", faulty_blocks),
         "factors": ("_retry_factors", faulty(construct._retry_factors)),
         "matchings": ("iter_matchings", faulty_matchings),
         "mask": ("PointSet", FaultyMask),
