@@ -100,10 +100,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .pointfile import parse
+    from .pointfile import read_points
     from .secants import verify
 
-    parsed = parse(Path(args.infile).read_bytes().decode("utf-8"))
+    with open(args.infile, "rb") as file:
+        parsed = read_points(file)
     k = args.k if args.k is not None else parsed.k
     report = verify(parsed.points, k, args.reserve)
     print(report.summary())

@@ -4,7 +4,8 @@ Line 1:  nkline v1
 Line 2:  n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>
 Body:    one "x y" pair per line, 1-indexed, sorted ascending by (x, y).
 
-The exact grammar, over the bytes of the file's UTF-8 encoding (ABNF,
+The exact grammar, over the bytes of the file (of a str, its UTF-8
+encoding; ABNF,
 string literals case-sensitive, LF = %x0A, SP = %x20, DIGIT =
 %x30-39):
 
@@ -33,6 +34,16 @@ header, then the body one chunk of `_CHUNK` points at a time, into
 buffers allocated once per call, so what it holds beyond the set is
 about a MiB however many points there are.
 `serialize` is `write_points` into memory, decoded once to a str.
+
+`read_points` reads the file from a binary file object in chunks of
+`_READ_CHUNK` bytes (1 MiB), each cut after its last LF, and carries the
+partial line and the line count into the next.  Per chunk, one compare
+finds every byte below "0", and the tokens' digits are gathered column
+by column and summed by Horner in int16, int32 or int64, the narrowest
+type that holds n's digit count.  So it holds the keys (8 bytes a
+point), the PointSet's copy of them, and a few chunks' arrays.  `parse`
+is `read_points` over a str's encoding; a byte that is not UTF-8 is a
+stray byte at its line.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -49,13 +60,16 @@ from .grid import MAX_SIDE, PointSet, _check_int
 
 MAGIC = "nkline v1"
 
-_LF, _SP, _ZERO = 0x0A, 0x20, 0x30
+_MAGIC = MAGIC.encode()
+_LF, _SP, _ZERO, _NINE = 0x0A, 0x20, 0x30, 0x39
 _WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
 _CHUNK = 16384  # points per body write; 8k-128k measured alike, less holds less
+_READ_CHUNK = 1 << 20  # bytes per read of `read_points`
+_PAD = len(str(MAX_SIDE)) + 1  # bytes carried before a partial line: an LF, a widest token
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(
-    f"n=(0|[1-9][0-9]*) k=({_INTEGER}) reserve=({_INTEGER}|unknown) seed=({_INTEGER}|none)"
+    f"n=(0|[1-9][0-9]*) k=({_INTEGER}) reserve=({_INTEGER}|unknown) seed=({_INTEGER}|none)".encode()
 )
 
 
@@ -160,90 +174,53 @@ def _group_words(separator: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse(text: str) -> ParsedPointSet:
-    head = text.split("\n", 2)
-    if head[0] != MAGIC:
-        raise ParseError(f"expected header {MAGIC!r}", 1)
-    if len(head) < 2:
-        raise ParseError("missing parameter line", 2)
-    fields = _HEADER.fullmatch(head[1])
-    if fields is None:
-        raise ParseError(
-            f"expected 'n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>' "
-            f"as canonical decimals, got {head[1]!r}",
-            2,
-        )
-    try:
-        n, k, reserve, seed = (
-            None if value in ("unknown", "none") else int(value) for value in fields.groups()
-        )
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(str(exc), 2) from None
-    if not 1 <= n <= MAX_SIDE:
-        raise ParseError(f"grid side n={n} outside [1, {MAX_SIDE}]", 2)
-    # surrogatepass: any str encodes; a non-ASCII character is bytes >= 0x80
-    data = text.encode("utf-8", "surrogatepass")
-    start = len(head[0]) + len(head[1]) + 2  # both lines are ASCII
-    del head  # its last item is a copy of the body
-    return ParsedPointSet(points=_parse_body(data, start, n), k=k, reserve=reserve, seed=seed)
+    """The point set of the nkline v1 text `text`, in any order, checked
+    against the grammar of the module docstring: the header's four
+    fields as canonical decimals, n in [1, MAX_SIDE], then one "x y" of
+    canonical decimals in [1, n] per line, no point twice.  A ParseError
+    names the first line that breaks the grammar or a range, else the
+    line where a point first repeats.  It is one call of `read_points`
+    on the text's UTF-8 encoding, made once (a lone surrogate encodes as
+    bytes >= 0x80, a stray byte)."""
+    return read_points(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
-def _parse_body(data: bytes, start: int, n: int) -> PointSet:
-    """The points of the body data[start:], checked against the grammar
-    on whole arrays.
-
-    Each check looks only at the lines above the first bad line found so
-    far, so the line reported is the first that fails any check.
-    """
-    if len(data) > start and not data.endswith(b"\n"):
-        data += b"\n"  # the final LF may be missing
-    width = len(str(n))
-    # the header, longer than any width, gives every token `width` byte
-    # columns to read
-    padded = np.frombuffer(data, np.uint8)[start - width :]
-    b = padded[width:]
-    # token t ends at seps[t]: a space after an x, an LF after a y
-    seps = np.flatnonzero((b == _SP) | (b == _LF))
-    kinds = b[seps]
-    lines = bad = np.count_nonzero(kinds == _LF)
-    if seps.size + np.count_nonzero(b - _ZERO < 10) < b.size:
-        stray = np.flatnonzero((b - _ZERO > 9) & (b != _SP) & (b != _LF))[0]
-        bad = np.count_nonzero(b[:stray] == _LF)
-    # lines above `bad` end in an LF, so their separators alternate SP, LF
-    wrong = kinds[: 2 * bad] != _SP
-    wrong[1::2] = kinds[1 : 2 * bad : 2] != _LF
-    bad = _first_line(wrong, bad)
-    seps = seps[: 2 * bad]
-    lengths = seps.copy()  # seps[t] - seps[t - 1] - 1, with seps[-1] = -1
-    lengths[1:] -= seps[:-1]
-    lengths[1:] -= 1
-    bad = _first_line((lengths == 0) | (b[seps - lengths] == _ZERO), bad)
-    seps, lengths = seps[: 2 * bad], lengths[: 2 * bad]
-    # Horner over the `width` byte columns before each separator, where a
-    # column left of its token reads as "0"
-    values = np.zeros(seps.size, np.int64)
-    for column in range(width):
-        digits = padded[column:].take(seps)
-        np.copyto(digits, _ZERO, where=lengths < width - column)
-        values *= 10
-        values += digits
-    values -= _ZERO * ((10**width - 1) // 9)
-    # a canonical decimal longer than n's is larger than n
-    out_of_range = _first_line((lengths > width) | (values > n), bad)
-    if min(bad, out_of_range) < lines:
-        i = min(bad, out_of_range)
-        line_ends = np.flatnonzero(b == _LF)
-        first = int(line_ends[i - 1]) + 1 if i else 0
-        line = bytes(b[first : line_ends[i]]).decode("utf-8", "surrogatepass")
-        if bad <= out_of_range:
-            raise ParseError(f"expected 'x y' as canonical decimals, got {line!r}", 3 + i)
-        x, y = map(int, line.split(" "))
-        raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", 3 + i)
-    del seps, lengths
-    keys = values[0::2]  # (x - 1) * n + (y - 1), in place
-    keys -= 1
-    keys *= n
-    keys += values[1::2]
-    keys -= 1
+def read_points(file) -> ParsedPointSet:
+    """The point set of the nkline v1 file `file`, a binary file object,
+    read `_READ_CHUNK` bytes at a time, with the checks and messages of
+    `parse`.  Each read is cut after its last LF; the partial line after
+    it, with the `_PAD` bytes before it, is carried into the next read,
+    and the header is read from the first two lines.  The body's keys
+    are built chunk by chunk, and the PointSet once from all of them, so
+    what the reader holds beyond the keys is a few chunks.  A BytesIO
+    over bytes shares them, and reads them back whole when they fit in
+    one chunk, so `parse` copies nothing more."""
+    header, start, parts = None, 0, []
+    keys, line_no = [], 3
+    # parts[0] holds `start` bytes already read, then the partial line
+    for chunk in iter(partial(file.read, _READ_CHUNK), b""):
+        parts.append(chunk)
+        if chunk.find(b"\n") < 0:
+            continue
+        data = b"".join(parts) if len(parts) > 1 else chunk
+        if header is None:
+            if data.find(b"\n", data.find(b"\n") + 1) < 0:
+                parts = [data]  # line 2 has not ended
+                continue
+            header, start = _read_header(data)
+        end = data.rfind(b"\n") + 1
+        if end > start:
+            keys.append(_read_lines(data, start, end, header[0], line_no))
+            line_no += keys[-1].size
+        # the body starts 35 bytes in or more, so _PAD bytes precede `end`
+        parts, start = [data[end - _PAD :]], _PAD
+    data = b"".join(parts)
+    if header is None:
+        header, start = _read_header(data)
+    if len(data) > start:  # the final LF may be missing
+        keys.append(_read_lines(data + b"\n", start, len(data) + 1, header[0], line_no))
+    n, k, reserve, seed = header
+    keys = keys[0] if len(keys) == 1 else np.concatenate(keys or [np.empty(0, np.int64)])
     # PointSet sorts keys that are out of order and drops repeats, so a
     # repeat is looked for only when the set comes out short
     points = PointSet(n, keys)
@@ -254,9 +231,107 @@ def _parse_body(data: bytes, start: int, n: int) -> PointSet:
         i = int(again.min())
         x, y = divmod(int(keys[i]), n)
         raise ParseError(f"duplicate point ({x + 1}, {y + 1})", 3 + i)
-    return points
+    return ParsedPointSet(points=points, k=k, reserve=reserve, seed=seed)
+
+
+def _read_header(data: bytes) -> tuple[tuple, int]:
+    """((n, k, reserve, seed), where the body starts) from the first two
+    lines of `data`, which holds both whole or is all of the file."""
+    magic_end = data.find(b"\n")
+    if data[: magic_end if magic_end >= 0 else len(data)] != _MAGIC:
+        raise ParseError(f"expected header {MAGIC!r}", 1)
+    if magic_end < 0:
+        raise ParseError("missing parameter line", 2)
+    end = data.find(b"\n", magic_end + 1)
+    if end < 0:
+        end = len(data)
+    line = data[magic_end + 1 : end]
+    fields = _HEADER.fullmatch(line)
+    if fields is None:
+        raise ParseError(
+            f"expected 'n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>' "
+            f"as canonical decimals, got {_text(line)!r}",
+            2,
+        )
+    try:
+        n, k, reserve, seed = (
+            None if value in (b"unknown", b"none") else int(value) for value in fields.groups()
+        )
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(str(exc), 2) from None
+    if not 1 <= n <= MAX_SIDE:
+        raise ParseError(f"grid side n={n} outside [1, {MAX_SIDE}]", 2)
+    return (n, k, reserve, seed), min(end + 1, len(data))
+
+
+def _read_lines(data: bytes, start: int, end: int, n: int, line_no: int) -> np.ndarray:
+    """The int64 keys (x - 1) * n + (y - 1) of the whole lines
+    data[start:end], the first of them line `line_no` of the file,
+    checked against the grammar on whole arrays.  data[start - 1] is the
+    LF that ends the line before, and the `width` bytes before that may
+    be any: a token's digit columns read them, and multiply them by 0.
+    Each check looks only at the lines above the first bad line found so
+    far, so the line reported is the first that fails any check."""
+    width = len(str(n))
+    padded = np.frombuffer(data, np.uint8, end - start + 1 + width, start - 1 - width)
+    b = padded[width:]
+    # token t runs from seps[t] + 1 to its separator seps[t + 1], a space
+    # after an x and an LF after a y; every other byte below "0" breaks
+    # the alternation, and every byte above "9" is stray
+    seps = np.flatnonzero(b < _ZERO)
+    kinds = b.take(seps[1:])
+    # line i is well split iff kinds[2i], kinds[2i + 1] are SP, LF: one
+    # little-endian uint16.  With an odd count and every pair right, the
+    # last line holds one separator
+    wrong = kinds[: kinds.size & ~1].view("<u2") != _SP | _LF << 8
+    bad = int(np.argmax(wrong)) if wrong.any() else kinds.size // 2
+    if b.max() > _NINE:
+        stray = np.searchsorted(seps[1:], np.argmax(b > _NINE))
+        bad = min(bad, np.count_nonzero(kinds[:stray] == _LF))
+    seps = seps[: 2 * bad + 1]
+    ends = seps[1:]
+    # a token is its gap - 1 bytes; the gap is capped at width + 2 in intp
+    # before it is narrowed, since a narrow gap would wrap
+    gaps = np.empty(ends.size, np.uint8)
+    np.minimum(ends - seps[:-1], width + 2, out=gaps, casting="unsafe")
+    # Horner over the `width` byte columns that end at each separator, in
+    # the narrowest type that holds 10**width - 1; a column left of its
+    # token counts 0
+    values = np.zeros(ends.size, np.int16 if width <= 4 else np.int32 if width <= 9 else np.int64)
+    for column in range(width, 0, -1):
+        digits = padded[width - column :].take(ends)
+        digits -= _ZERO
+        digits *= gaps > column
+        values *= 10
+        values += digits
+    # a token's first byte, its separator if it is empty, must be 1-9
+    bad = _first_line(b[1:].take(seps[:-1]) <= _ZERO, bad)
+    # a canonical decimal longer than n's is larger than n
+    out_of_range = _first_line(((gaps > width + 1) | (values > n))[: 2 * bad], bad)
+    i = min(bad, out_of_range)
+    if 2 * i < kinds.size:  # else every line held its two tokens and passed
+        line_ends = np.flatnonzero(b == _LF)
+        line = _text(bytes(b[line_ends[i] + 1 : line_ends[i + 1]]))
+        if bad <= out_of_range:
+            raise ParseError(f"expected 'x y' as canonical decimals, got {line!r}", line_no + i)
+        # canonical decimals: each token is its number's own digits
+        x, y = line.split(" ")
+        raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no + i)
+    keys = np.multiply(values[0::2], n, dtype=np.int64)
+    keys += values[1::2]
+    keys -= n + 1
+    return keys
 
 
 def _first_line(token_mask: np.ndarray, bad: int) -> int:
     """The line of the first token flagged in `token_mask`, else `bad`."""
     return int(np.argmax(token_mask)) // 2 if token_mask.any() else bad
+
+
+def _text(line: bytes) -> str:
+    """`line` for a message: the str that `parse` encoded, else with each
+    byte that is not UTF-8 escaped."""
+    try:
+        return line.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        return line.decode("utf-8", "backslashreplace")

@@ -383,7 +383,7 @@ def parse_by_lines(text):
     points = []
     for line_no, line in enumerate(lines[2:], start=3):
         if not _POINT_LINE.fullmatch(line):
-            raise ParseError(f"expected 'x y', got {line!r}", line_no)
+            raise ParseError(f"expected 'x y' as canonical decimals, got {line!r}", line_no)
         x, y = map(int, line.split(" "))
         if x > n or y > n:
             raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no)

@@ -321,7 +321,19 @@ def test_verify_file_that_is_not_utf8_exit_one(tmp_path, capsys):
     f = tmp_path / "latin1.txt"
     f.write_bytes(f"{MAGIC}\nn=3 k=2 reserve=unknown seed=none\n1 1\n".encode() + b"\xff 2\n")
     assert main(["verify", "--in", str(f), "--k", "2"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # the byte is a stray byte at its line, shown escaped
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 4: expected 'x y' as canonical decimals, got '\\\\xff 2'\n"
+
+
+def test_verify_names_the_line_of_a_coordinate_too_long_for_int(tmp_path, capsys):
+    f = tmp_path / "long.txt"
+    f.write_text(f"{MAGIC}\nn=3 k=2 reserve=unknown seed=none\n1 1\n{'9' * 5000} 2\n")
+    assert main(["verify", "--in", str(f), "--k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 4: point ({'9' * 5000}, 2) outside [1,3]^2\n"
 
 
 @pytest.mark.parametrize(

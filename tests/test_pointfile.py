@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nkline import pointfile
 from nkline.construct import explicit_construct
 from nkline.grid import MAX_SIDE, PointSet
-from nkline.pointfile import MAGIC, ParseError, parse, serialize, write_points
+from nkline.pointfile import MAGIC, ParseError, parse, read_points, serialize, write_points
 from oracles import parse_by_lines, serialize_by_points
 
 
@@ -299,7 +299,9 @@ def test_parse_rejects_non_canonical_lines(line):
     assert exc.value.line_no == 4
 
 
-_SIDES = [1, 9, 10, 11, 99, 100, 101, 1000, MAX_SIDE]
+# 1 to 10 digits: sides of 5 to 9 digits read through int32, 10 through int64
+_SIDES = [1, 9, 10, 11, 99, 100, 101, 1000, 32_768, 100_000, 10**6, 12_345_678, 999_999_999,
+          MAX_SIDE]
 _EDIT_CHARS = "0123456789 \n\r\t+_\u00e9\u0663"
 
 
@@ -353,6 +355,66 @@ def test_parse_agrees_with_line_by_line_oracle(text):
     assert _outcome(parse, text) == _outcome(parse_by_lines, text)
 
 
+def _read_bytes(text):
+    return read_points(io.BytesIO(text.encode("utf-8", "surrogatepass")))
+
+
+def _outcome_with_message(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return exc.line_no, str(exc)
+
+
+@given(text=_point_files(), chunk=st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=300, deadline=None)
+def test_read_points_in_small_chunks_agrees_with_line_by_line_oracle(text, chunk):
+    # chunks end inside the header, inside a token and on a separator
+    with mock.patch.object(pointfile, "_READ_CHUNK", chunk):
+        outcome = _outcome_with_message(_read_bytes, text)
+    assert outcome == _outcome_with_message(parse_by_lines, text)
+
+
+# the last side of each digit count up to MAX_SIDE's ten, and either side
+# of the int16 and int32 limits
+_WIDTH_EDGES = sorted(
+    {10**d - 1 for d in range(1, 10)} | {10**d for d in range(10)}
+    | {2**15 - 1, 2**15, 2**31 - 1, 2**31, MAX_SIDE}
+)
+
+
+@pytest.mark.parametrize("n", _WIDTH_EDGES)
+def test_parse_reads_back_coordinates_of_every_digit_count(n):
+    coords = [v for v in _WIDTH_EDGES if v <= n]
+    points = PointSet.from_points(n, [(x, y) for x in coords for y in coords[-3:]])
+    text = serialize(points, k=2)
+    assert parse(text).points == points
+    with mock.patch.object(pointfile, "_READ_CHUNK", 7):
+        assert _read_bytes(text).points == points
+
+
+@pytest.mark.parametrize("n", [4, 9_999, 99_999, MAX_SIDE])
+@pytest.mark.parametrize("line", ["9" * 65536 + "12 1", "1 " + "9" * 65536 + "12"])
+def test_parse_rejects_a_token_whose_length_wraps_a_narrow_integer(n, line):
+    # 65,538 digits are 2 in a uint16 or int16 length; read as the
+    # token's last digits it would be the coordinate 12
+    with pytest.raises(ParseError, match=r"^line 4: point \(\d+, \d+\) outside") as exc:
+        parse(f"{MAGIC}\nn={n} k=2 reserve=0 seed=none\n1 1\n{line}\n2 2\n")
+    assert exc.value.line_no == 4
+    assert str(exc.value).count("9") >= 65536
+
+
+def test_parse_reports_a_coordinate_too_long_for_int_at_its_line():
+    # int() converts at most 4,300 digits; the message repeats the
+    # canonical token as it is
+    text = f"{MAGIC}\nn=4 k=2 reserve=0 seed=none\n1 1\n2 2\n{'9' * 5000} 5\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_no == 5
+    assert str(exc.value) == f"line 5: point ({'9' * 5000}, 5) outside [1,4]^2"
+
+
+
 def test_serialize_peak_memory_is_at_most_6_bytes_per_byte_of_text():
     n, k = 400, 240
     xs = np.repeat(np.arange(1, n + 1), k)
@@ -366,6 +428,27 @@ def test_serialize_peak_memory_is_at_most_6_bytes_per_byte_of_text():
         tracemalloc.stop()
     assert len(text.split("\n")) == 2 + k * n + 1
     assert peak <= 6 * len(text)
+
+
+def test_read_points_peak_memory_is_two_key_arrays_and_a_few_chunks(tmp_path):
+    n, k = 1603, 933
+    xs = np.repeat(np.arange(1, n + 1), k)
+    ys = (xs + np.tile(np.arange(k), n)) % n + 1
+    path = tmp_path / "points.txt"
+    with open(path, "wb") as file:
+        write_points(file, PointSet.from_xy(n, xs, ys), k)
+    del xs, ys
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as file:
+            parsed = read_points(file)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed.points) == k * n and path.stat().st_size > 12 * 2**20
+    # the keys and the PointSet's copy are 22.8 MiB; a 1 MiB chunk's arrays
+    # measured ~5 MiB more
+    assert peak <= 32 * 2**20
 
 
 def test_parse_peak_memory_is_at_most_16_bytes_per_byte_of_text():
