@@ -375,8 +375,8 @@ def test_read_points_in_small_chunks_agrees_with_line_by_line_oracle(text, chunk
     assert outcome == _outcome_with_message(parse_by_lines, text)
 
 
-# the last side of each digit count up to MAX_SIDE's ten, and either side
-# of the int16 and int32 limits
+# the first and last number of each digit count up to MAX_SIDE's ten, and
+# either side of the int16 and int32 limits
 _WIDTH_EDGES = sorted(
     {10**d - 1 for d in range(1, 10)} | {10**d for d in range(10)}
     | {2**15 - 1, 2**15, 2**31 - 1, 2**31, MAX_SIDE}
@@ -396,8 +396,8 @@ def test_parse_reads_back_coordinates_of_every_digit_count(n):
 @pytest.mark.parametrize("n", [4, 9_999, 99_999, MAX_SIDE])
 @pytest.mark.parametrize("line", ["9" * 65536 + "12 1", "1 " + "9" * 65536 + "12"])
 def test_parse_rejects_a_token_whose_length_wraps_a_narrow_integer(n, line):
-    # 65,538 digits are 2 in a uint16 or int16 length; read as the
-    # token's last digits it would be the coordinate 12
+    # 65,538 digits are 2 in a 16- or 8-bit length; read as the token's
+    # last digits it would be the coordinate 12
     with pytest.raises(ParseError, match=r"^line 4: point \(\d+, \d+\) outside") as exc:
         parse(f"{MAGIC}\nn={n} k=2 reserve=0 seed=none\n1 1\n{line}\n2 2\n")
     assert exc.value.line_no == 4
@@ -412,7 +412,6 @@ def test_parse_reports_a_coordinate_too_long_for_int_at_its_line():
         parse(text)
     assert exc.value.line_no == 5
     assert str(exc.value) == f"line 5: point ({'9' * 5000}, 5) outside [1,4]^2"
-
 
 
 def test_serialize_peak_memory_is_at_most_6_bytes_per_byte_of_text():
@@ -446,8 +445,8 @@ def test_read_points_peak_memory_is_two_key_arrays_and_a_few_chunks(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(parsed.points) == k * n and path.stat().st_size > 12 * 2**20
-    # the keys and the PointSet's copy are 22.8 MiB; a 1 MiB chunk's arrays
-    # measured ~5 MiB more
+    # the keys and the PointSet's copy are 22.8 MiB, and the peak measured
+    # 23.1 MiB; the bound leaves room for a few 1 MiB chunks' arrays
     assert peak <= 32 * 2**20
 
 
