@@ -41,6 +41,7 @@ _EXPORTS = {
     "max_expected_load": "grid",
     "parse": "pointfile",
     "pipeline": "construct",
+    "read_points": "pointfile",
     "relabeled_circulants": "bifactor",
     "richness_bound": "secants",
     "sample_blocks": "bifactor",
