@@ -9,7 +9,7 @@ form.
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep
-serves the verifier (a histogram of a set's points per direction) and
+serves the verifier (the fullest line of a set per direction) and
 the expected load (per direction, one block histogram shifted to each
 block offset and scaled by the block entries); weights are integers,
 summed exactly, and a load is the exact fraction weight / block_side.
@@ -126,15 +126,26 @@ class PointSet:
     __slots__ = ("_n", "_keys")
 
     def __init__(self, n: int, keys):
+        self._take(n, _exact_int64(keys, "key").reshape(-1), copy=True)
+
+    @classmethod
+    def _adopt(cls, n: int, keys: np.ndarray) -> "PointSet":
+        """`PointSet(n, keys)` for a 1-d int64 array that nothing else
+        holds: keys in order become the set's own, without a copy."""
+        out = cls.__new__(cls)
+        out._take(n, keys, copy=False)
+        return out
+
+    def _take(self, n: int, keys: np.ndarray, copy: bool) -> None:
         if not 1 <= n <= MAX_SIDE:
             raise ValueError(f"grid side must be in [1, {MAX_SIDE}], got {n}")
-        keys = _exact_int64(keys, "key").reshape(-1)
-        # keys that arrive strictly increasing skip the sort, but are still
-        # copied; a sort and a drop of adjacent repeats is the cheap unique
+        # keys that arrive strictly increasing skip the sort, and are
+        # copied if the caller keeps them; a sort and a drop of adjacent
+        # repeats is the cheap unique
         if (keys[1:] <= keys[:-1]).any():
             keys = np.sort(keys)
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        else:
+        elif copy:
             keys = keys.copy()
         if keys.size and (keys[0] < 0 or keys[-1] >= n * n):
             raise ValueError(f"key outside [0, {n * n}) on a side-{n} grid")
@@ -345,14 +356,15 @@ def _directions_of_modulus(M: int) -> list[Direction]:
 def _heaviest_line(
     n: int,
     cap: Callable[[int], int],
-    histogram: Callable[[Direction], tuple[np.ndarray, int]],
+    heaviest: Callable[[Direction], tuple[int, int]],
     class_cap: Optional[Callable[[int], int]] = None,
 ) -> tuple[int, Optional[tuple[Direction, int]], int]:
     """Heaviest generic line of [1,n]^2 under a line weight, over the
     primitive directions walked in (modulus, vx, vy) order.
 
-    `histogram(d)` returns (weights, c0): weights[i] is the weight of
-    the line of direction d with intercept c = vy*x - vx*y = c0 + i.
+    `heaviest(d)` returns (weight, c): the largest weight of a line of
+    direction d, and the smallest intercept c = vy*x - vx*y of a line
+    of that weight.
     `cap(M)` bounds the weight of every line of modulus M or more; the
     walk stops at the first class whose cap cannot beat the best weight
     so far.  `class_cap(M)`, when given, bounds the lines of modulus M
@@ -360,7 +372,7 @@ def _heaviest_line(
     way the result equals that of the full walk.  The witness is the
     first direction to reach the maximum and, within it, the smallest
     intercept.  Returns (best weight, witness (direction, intercept) or
-    None, number of directions swept, one histogram each).
+    None, number of directions swept, one `heaviest` call each).
     """
     best, witness, swept = 0, None, 0
     for M in range(1, n):
@@ -369,15 +381,21 @@ def _heaviest_line(
         if class_cap is not None and class_cap(M) <= best:
             continue
         for d in _directions_of_modulus(M):
-            weights, c0 = histogram(d)
-            top = int(np.argmax(weights))
+            weight, c = heaviest(d)
             swept += 1
-            if weights[top] > best:
-                best, witness = int(weights[top]), (d, c0 + top)
+            if weight > best:
+                best, witness = weight, (d, c)
     return best, witness, swept
 
 
-def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[np.ndarray, int]]:
+def _heaviest_of(weights: np.ndarray, c0: int) -> tuple[int, int]:
+    """(weight, intercept) of the first heaviest line of a histogram
+    whose entry i is the weight of the line c = c0 + i."""
+    top = int(np.argmax(weights))
+    return int(weights[top]), c0 + top
+
+
+def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[int, int]]:
     """Per direction, the weight of every line of the full grid: each
     grid point weighs the entry of its block, and a line with fewer
     than 2 grid points weighs 0.
@@ -396,7 +414,7 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[n
     i, j = np.divmod(np.arange(m * m), m)
     u = np.arange(1, q + 1, dtype=np.int64)
 
-    def histogram(d: Direction) -> tuple[np.ndarray, int]:
+    def heaviest(d: Direction) -> tuple[int, int]:
         t0 = (d.vy if d.vy > 0 else d.vy * q) - d.vx * q
         block = np.bincount(((d.vy * u - t0)[:, None] - d.vx * u).ravel())
         s = d.vy * i - d.vx * j
@@ -413,9 +431,9 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[n
             weights[at] += entries_at[shift] * block
             counts[at] += blocks_at[shift] * block
         weights[counts < 2] = 0
-        return weights, s0 * q + t0
+        return _heaviest_of(weights, s0 * q + t0)
 
-    return histogram
+    return heaviest
 
 
 def _heaviest_expected_line(

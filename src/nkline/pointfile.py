@@ -41,7 +41,7 @@ partial line and the line count into the next.  Per chunk, one compare
 finds every byte below "0", and the tokens' digits are gathered column
 by column and summed by Horner in int16, int32 or int64, the narrowest
 type that holds n's digit count.  So it holds the keys (8 bytes a
-point), the PointSet's copy of them, and a few chunks' arrays.  `parse`
+point), which the PointSet adopts, and a few chunks' arrays.  `parse`
 is `read_points` over a str's encoding; a byte that is not UTF-8 is a
 stray byte at its line.
 """
@@ -66,6 +66,7 @@ _WORD = np.dtype("<u4")  # little-endian: byte i of a word holds bits 8i..8i+7
 _CHUNK = 16384  # points per body write; 8k-128k measured alike, less holds less
 _READ_CHUNK = 1 << 20  # bytes per read of `read_points`
 _PAD = len(str(MAX_SIDE)) + 1  # bytes carried before a partial line: an LF, a widest token
+_QUOTE = 80  # longest line, or token, that a ParseError quotes whole
 
 _INTEGER = "0|-?[1-9][0-9]*"
 _HEADER = re.compile(
@@ -191,12 +192,13 @@ def read_points(file) -> ParsedPointSet:
     `parse`.  Each read is cut after its last LF; the partial line after
     it, with the `_PAD` bytes before it, is carried into the next read,
     and the header is read from the first two lines.  The body's keys
-    are built chunk by chunk, and the PointSet once from all of them, so
-    what the reader holds beyond the keys is a few chunks.  A BytesIO
+    are built chunk by chunk into one array that grows in place
+    (`_extend`), and the PointSet adopts it, so what the reader holds
+    beyond the keys is a few chunks.  A BytesIO
     over bytes shares them, and reads them back whole when they fit in
     one chunk, so `parse` copies nothing more."""
     header, start, parts = None, 0, []
-    keys, line_no = [], 3
+    keys = np.empty(0, np.int64)
     # parts[0] holds `start` bytes already read, then the partial line
     for chunk in iter(partial(file.read, _READ_CHUNK), b""):
         parts.append(chunk)
@@ -210,20 +212,20 @@ def read_points(file) -> ParsedPointSet:
             header, start = _read_header(data)
         end = data.rfind(b"\n") + 1
         if end > start:
-            keys.append(_read_lines(data, start, end, header[0], line_no))
-            line_no += keys[-1].size
+            keys = _extend(keys, _read_lines(data, start, end, header[0], 3 + keys.size))
         # the body starts 35 bytes in or more, so _PAD bytes precede `end`
         parts, start = [data[end - _PAD :]], _PAD
     data = b"".join(parts)
     if header is None:
         header, start = _read_header(data)
     if len(data) > start:  # the final LF may be missing
-        keys.append(_read_lines(data + b"\n", start, len(data) + 1, header[0], line_no))
+        keys = _extend(keys, _read_lines(data + b"\n", start, len(data) + 1, header[0], 3 + keys.size))
     n, k, reserve, seed = header
-    keys = keys[0] if len(keys) == 1 else np.concatenate(keys or [np.empty(0, np.int64)])
-    # PointSet sorts keys that are out of order and drops repeats, so a
-    # repeat is looked for only when the set comes out short
-    points = PointSet(n, keys)
+    # the keys are the reader's own, so the set adopts them when they are
+    # in order; it sorts a copy of keys that are not and drops repeats,
+    # so a repeat is looked for, in file order, only when the set comes
+    # out short
+    points = PointSet._adopt(n, keys)
     if len(points) < keys.size:
         # a stable sort puts each repeat after its first occurrence
         order = np.argsort(keys, kind="stable")
@@ -232,6 +234,19 @@ def read_points(file) -> ParsedPointSet:
         x, y = divmod(int(keys[i]), n)
         raise ParseError(f"duplicate point ({x + 1}, {y + 1})", 3 + i)
     return ParsedPointSet(points=points, k=k, reserve=reserve, seed=seed)
+
+
+def _extend(keys: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """`keys` followed by `more`, both int64 arrays that own their data
+    and have no views: `keys` grows in place, by a realloc, which moves
+    the pages of a large array rather than copying them, so the reader
+    never holds its keys twice."""
+    if not keys.size:
+        return more
+    size = keys.size
+    keys.resize(size + more.size, refcheck=False)
+    keys[size:] = more
+    return keys
 
 
 def _read_header(data: bytes) -> tuple[tuple, int]:
@@ -250,7 +265,7 @@ def _read_header(data: bytes) -> tuple[tuple, int]:
     if fields is None:
         raise ParseError(
             f"expected 'n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>' "
-            f"as canonical decimals, got {_text(line)!r}",
+            f"as canonical decimals, got {_excerpt(_text(line))!r}",
             2,
         )
     try:
@@ -313,9 +328,11 @@ def _read_lines(data: bytes, start: int, end: int, n: int, line_no: int) -> np.n
         line_ends = np.flatnonzero(b == _LF)
         line = _text(bytes(b[line_ends[i] + 1 : line_ends[i + 1]]))
         if bad <= out_of_range:
-            raise ParseError(f"expected 'x y' as canonical decimals, got {line!r}", line_no + i)
+            raise ParseError(
+                f"expected 'x y' as canonical decimals, got {_excerpt(line)!r}", line_no + i
+            )
         # canonical decimals: each token is its number's own digits
-        x, y = line.split(" ")
+        x, y = map(_excerpt, line.split(" "))
         raise ParseError(f"point ({x}, {y}) outside [1,{n}]^2", line_no + i)
     keys = np.multiply(values[0::2], n, dtype=np.int64)
     keys += values[1::2]
@@ -326,6 +343,16 @@ def _read_lines(data: bytes, start: int, end: int, n: int, line_no: int) -> np.n
 def _first_line(token_mask: np.ndarray, bad: int) -> int:
     """The line of the first token flagged in `token_mask`, else `bad`."""
     return int(np.argmax(token_mask)) // 2 if token_mask.any() else bad
+
+
+def _excerpt(text: str) -> str:
+    """`text` for a message: whole up to `_QUOTE` characters, else its
+    first and last _QUOTE // 2 around the count of those left out, so a
+    message stays short however long the line it quotes."""
+    if len(text) <= _QUOTE:
+        return text
+    half = _QUOTE // 2
+    return f"{text[:half]}[{len(text) - 2 * half} more]{text[-half:]}"
 
 
 def _text(line: bytes) -> str:

@@ -333,7 +333,8 @@ def test_verify_names_the_line_of_a_coordinate_too_long_for_int(tmp_path, capsys
     assert main(["verify", "--in", str(f), "--k", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: line 4: point ({'9' * 5000}, 2) outside [1,3]^2\n"
+    # the 5,000-digit token is quoted by its first and last 40 digits
+    assert err == f"error: line 4: point ({'9' * 40}[4920 more]{'9' * 40}, 2) outside [1,3]^2\n"
 
 
 @pytest.mark.parametrize(

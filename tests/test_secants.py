@@ -1,18 +1,20 @@
 """Tests for the sweep verifier and the rich-secant census."""
 
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from math import gcd, nan, pi
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkline.grid import MAX_SIDE, Direction, PointSet, _directions_of_modulus
+from nkline.grid import MAX_SIDE, Direction, PointSet, _directions_of_modulus, feasibility_matrix_4x4
 from nkline import secants
-from nkline.construct import pipeline
+from nkline.construct import _sample_retry, pipeline
 from nkline.secants import census, count_on_line, richness_bound, verify
 
 from oracles import (
@@ -22,6 +24,18 @@ from oracles import (
     generic_line_sizes,
     grid_line_sizes,
 )
+
+
+def _verify_both(points, k, reserve=0):
+    """verify(points, k, reserve) through the intercept sweep and through
+    the mask sweep, by patching the rule that picks one; the two reports
+    must agree field for field."""
+    reports = []
+    for mask in (False, True):
+        with mock.patch.object(secants, "_mask_pays", lambda points, nx, ny: mask):
+            reports.append(verify(points, k, reserve))
+    assert reports[0] == reports[1], reports
+    return reports[0]
 
 
 def _rich_directions(n, t):
@@ -74,7 +88,7 @@ def test_primitive_directions_no_duplicates_and_primitive():
 def test_verify_full_grid():
     n = 4
     s = PointSet.from_points(n, [(x, y) for x in range(1, 5) for y in range(1, 5)])
-    rep = verify(s, 4, 0)
+    rep = _verify_both(s, 4, 0)
     assert rep.axis_max == 4
     assert rep.generic_max == 4
     assert rep.achieved_reserve == 0
@@ -83,7 +97,7 @@ def test_verify_full_grid():
 
 def test_verify_three_collinear_fails():
     s = PointSet.from_points(3, [(1, 1), (2, 2), (3, 3)])
-    rep = verify(s, 2, 0)
+    rep = _verify_both(s, 2, 0)
     assert not rep.passed
     assert rep.generic_max == 3
     d, c = rep.worst_line
@@ -92,7 +106,7 @@ def test_verify_three_collinear_fails():
 
 def test_verify_empty_set():
     s = PointSet.from_points(5, [])
-    rep = verify(s, 0, 0)
+    rep = _verify_both(s, 0, 0)
     assert rep.passed
     assert rep.axis_max == 0 and rep.generic_max == 0
     assert rep.worst_line is None and rep.directions_swept == 0
@@ -102,7 +116,7 @@ def test_verify_worst_line_recount_matches():
     rng = random.Random(7)
     pts = {(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(40)}
     s = PointSet.from_points(12, pts)
-    rep = verify(s, 3, 0)
+    rep = _verify_both(s, 3, 0)
     d, c = rep.worst_line
     assert count_on_line(s, d, c) == rep.generic_max
 
@@ -116,7 +130,7 @@ def test_verify_matches_bruteforce_generic_max():
         while len(pts) < size:
             pts.add((rng.randint(1, n), rng.randint(1, n)))
         s = PointSet.from_points(n, pts)
-        rep = verify(s, n, 0)
+        rep = _verify_both(s, n, 0)
         assert rep.generic_max == _expected_generic_max(n, pts)
 
 
@@ -140,7 +154,7 @@ def test_verify_matches_oracles_on_random_sets(n, data):
     cells = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
     pts = set(data.draw(st.lists(st.sampled_from(cells), max_size=n * n)))
     s = PointSet.from_points(n, pts)
-    rep = verify(s, n, 0)
+    rep = _verify_both(s, n, 0)
     expect = _expected_generic_max(n, pts)
     assert rep.generic_max == expect
     assert rep.axis_max == _axis_max(s)
@@ -177,7 +191,7 @@ def test_verify_stops_at_the_line_length_cap():
     pts = {(x, (x + s) % n + 1) for x in range(1, n + 1) for s in range(k)}
     s = PointSet.from_points(n, pts)
     assert s.is_regular(k)
-    rep = verify(s, k, 0)
+    rep = _verify_both(s, k, 0)
     assert rep.generic_max == _expected_generic_max(n, pts)
     stop = next(M for M in range(1, n) if (n - 1) // M + 1 <= rep.generic_max)
     assert rep.directions_swept == sum(len(_directions_of_modulus(M)) for M in range(1, stop))
@@ -253,7 +267,7 @@ def _edge_sets(draw):
 def test_verify_column_runs_match_direct_counts_on_edge_sets(case):
     n, pts = case
     s = PointSet.from_points(n, pts)
-    rep = verify(s, n, 0)
+    rep = _verify_both(s, n, 0)
     assert rep.generic_max == _expected_generic_max(n, pts)
     cols, rows = Counter(x for x, _ in pts), Counter(y for _, y in pts)
     assert rep.axis_max == max([*cols.values(), *rows.values(), 0])
@@ -273,7 +287,7 @@ def test_verify_column_runs_match_direct_counts_on_edge_sets(case):
     ],
 )
 def test_verify_sparse_set_without_a_rich_short_line_stops_early(pts, swept):
-    rep = verify(PointSet.from_points(1000, pts), 3, 0)
+    rep = _verify_both(PointSet.from_points(1000, pts), 3, 0)
     assert rep.generic_max == brute_generic_max(pts)[0] == 2
     assert rep.worst_line == (Direction(1, 1), 0)
     assert rep.directions_swept == swept
@@ -308,12 +322,13 @@ def _sparse_or_clustered(rng, n, most=80):
     return {draw() for _ in range(size)}
 
 
-def _assert_matches_line_sizes(n, pts):
+def _assert_matches_line_sizes(n, pts, sweep=_verify_both):
     s = PointSet.from_points(n, pts)
-    rep = verify(s, n, 0)
+    rep = sweep(s, n, 0)
     expect = _expected_generic_max(n, pts)
     assert rep.generic_max == expect, (n, sorted(pts))
-    assert rep.axis_max == _axis_max(s)
+    cols, rows = Counter(x for x, _ in pts), Counter(y for _, y in pts)
+    assert rep.axis_max == max([*cols.values(), *rows.values(), 0])
     if expect < 2:
         return
     # the witness is the first line of expect points in (modulus, vx,
@@ -338,7 +353,8 @@ def test_verify_matches_oracles_across_offset_widths(monkeypatch):
     # widened when the walk reaches a class past that; below n = 120 no
     # walk gets there, so these sets span hundreds of rows.  Sets stay
     # at 20 points: a sparse set with no 3 in line walks to modulus
-    # ~span/2, which takes seconds per set at 40 points.
+    # ~span/2, which takes seconds per set at 40 points.  The mask sweep
+    # has no offsets, and would read its 2 * span^2 bytes per direction.
     widths = []
 
     def spy(bound):
@@ -352,9 +368,61 @@ def test_verify_matches_oracles_across_offset_widths(monkeypatch):
     for trial in range(40):
         n = rng.randint(200, 1000)
         widths.clear()
-        _assert_matches_line_sizes(n, _sparse_or_clustered(rng, n, 20))
+        _assert_matches_line_sizes(n, _sparse_or_clustered(rng, n, 20), verify)
         widened += widths[-1] != np.int16
     assert widened >= 5
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(n, points) for the two sweeps of `verify`: a few random points in
+    an nx x ny box, nx and ny drawn apart, anywhere in [1,n]^2 up to its
+    far corner, with one or two parallel copies of a planted line, so
+    lines tie.  The line's direction has modulus up to 3, so vy < 0 and
+    |vy| > vx both occur; one case in four plants a line of 256 to 270
+    points, more than a uint8 step sum holds."""
+    vx = draw(st.integers(1, 3))
+    vy = draw(st.sampled_from([v for v in range(-3, 4) if v and gcd(vx, abs(v)) == 1]))
+    length = draw(st.integers(256, 270)) if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, 8))
+    span_x, span_y = (length - 1) * vx, (length - 1) * abs(vy)
+    nx, ny = span_x + draw(st.integers(1, 12)), span_y + draw(st.integers(1, 12))
+    n = draw(st.sampled_from([max(nx, ny), max(nx, ny) + 7, 10**6]))
+    x0 = draw(st.sampled_from([1, n - nx + 1, (n - nx) // 2 + 1]))
+    y0 = draw(st.sampled_from([1, n - ny + 1, (n - ny) // 3 + 1]))
+    pts = set(draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=30)))
+    for _ in range(draw(st.integers(1, 2))):
+        # a start from which the whole line stays in the box
+        a = draw(st.integers(0, nx - 1 - span_x))
+        b = draw(st.integers(0, ny - 1 - span_y)) + (span_y if vy < 0 else 0)
+        pts |= {(a + t * vx, b + t * vy) for t in range(length)}
+    return n, {(x0 + x, y0 + y) for x, y in pts}
+
+
+@given(case=_kernel_cases())
+@settings(max_examples=120, deadline=None)
+def test_mask_and_intercept_sweeps_agree_with_the_oracles(case):
+    # the sweeps agree field for field, directions_swept too, and with
+    # the oracles on the maximum, its witness and the axis counts
+    n, pts = case
+    _assert_matches_line_sizes(n, pts)
+
+
+def test_verify_peak_memory_on_a_search_retry_is_below_the_intercept_sweep():
+    # retry 0 of biuniform_construct(400, 120, seed=7) walks to modulus
+    # 3, so the mask sweep builds the transposed mask too: both masks
+    # are 640,000 bytes, and the peak measured 722,040 bytes.  The
+    # intercept sweep peaked at 922,496 bytes on it.
+    s = PointSet.from_mask(_sample_retry(feasibility_matrix_4x4(400, 120), 7, 0)[0])
+    assert secants._mask_pays(len(s), 400, 400)
+    tracemalloc.start()
+    try:
+        rep = verify(s, 120, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep == _verify_both(s, 120, 15)
+    assert rep.directions_swept == 14 and rep.generic_max == 118
+    assert peak <= 922_496
 
 
 @pytest.mark.parametrize(
