@@ -194,9 +194,9 @@ def read_points(file) -> ParsedPointSet:
     and the header is read from the first two lines.  The body's keys
     are built chunk by chunk into one array that grows in place
     (`_extend`), and the PointSet adopts it, so what the reader holds
-    beyond the keys is a few chunks.  A BytesIO
-    over bytes shares them, and reads them back whole when they fit in
-    one chunk, so `parse` copies nothing more."""
+    beyond the keys is a few chunks.  A BytesIO over bytes shares them,
+    and reads them back whole when they fit in one chunk, so `parse`
+    copies nothing more."""
     header, start, parts = None, 0, []
     keys = np.empty(0, np.int64)
     # parts[0] holds `start` bytes already read, then the partial line
@@ -219,7 +219,8 @@ def read_points(file) -> ParsedPointSet:
     if header is None:
         header, start = _read_header(data)
     if len(data) > start:  # the final LF may be missing
-        keys = _extend(keys, _read_lines(data + b"\n", start, len(data) + 1, header[0], 3 + keys.size))
+        last = _read_lines(data + b"\n", start, len(data) + 1, header[0], 3 + keys.size)
+        keys = _extend(keys, last)
     n, k, reserve, seed = header
     # the keys are the reader's own, so the set adopts them when they are
     # in order; it sorts a copy of keys that are not and drops repeats,

@@ -174,7 +174,9 @@ def _intercept_lines(
     return rows, heaviest
 
 
-def _line_counts(mask: np.ndarray, pad: int, stride: int, height: int, p: int, q: int) -> np.ndarray:
+def _line_counts(
+    mask: np.ndarray, pad: int, stride: int, height: int, p: int, q: int
+) -> np.ndarray:
     """Points per line of step (p, q), |q| <= p, in a padded byte mask.
 
     Row a, column b of the mask is byte pad + a*stride + b, for a in

@@ -398,7 +398,8 @@ def test_parse_reads_back_coordinates_of_every_digit_count(n):
 def test_parse_rejects_a_token_whose_length_wraps_a_narrow_integer(n, line):
     # 65,538 digits are 2 in a 16- or 8-bit length; read as the token's
     # last digits it would be the coordinate 12
-    with pytest.raises(ParseError, match=r"^line 4: point \(\d+(\[65458 more\]\d+)?, \d+(\[65458 more\]\d+)?\) outside") as exc:
+    token = r"\d+(\[65458 more\]\d+)?"
+    with pytest.raises(ParseError, match=rf"^line 4: point \({token}, {token}\) outside") as exc:
         parse(f"{MAGIC}\nn={n} k=2 reserve=0 seed=none\n1 1\n{line}\n2 2\n")
     assert exc.value.line_no == 4
     assert "[65458 more]" in str(exc.value)
@@ -423,12 +424,14 @@ _HEAD = f"n=4 k=2 reserve=0 seed={'1' * 100000}x"
     "text, message",
     [
         # a point out of range quotes each token whole up to 80 characters
-        (f"{_BODY}1 1\n{_LONG} 1\n", f"line 4: point ({'9' * 40}[65458 more]{'9' * 38}12, 1) outside [1,4]^2"),
+        (f"{_BODY}1 1\n{_LONG} 1\n",
+         f"line 4: point ({'9' * 40}[65458 more]{'9' * 38}12, 1) outside [1,4]^2"),
         (f"{_BODY}1 1\n4 {'9' * 80}\n", f"line 4: point (4, {'9' * 80}) outside [1,4]^2"),
         # a line that breaks the grammar is quoted whole up to 80 characters
         (f"{_BODY}1 1\n{_LONG} x\n",
          f"line 4: expected 'x y' as canonical decimals, got '{'9' * 40}[65460 more]{'9' * 36}12 x'"),
-        (f"{_BODY}1 {'9' * 76} x\n", f"line 3: expected 'x y' as canonical decimals, got '1 {'9' * 76} x'"),
+        (f"{_BODY}1 {'9' * 76} x\n",
+         f"line 3: expected 'x y' as canonical decimals, got '1 {'9' * 76} x'"),
         # and so is a header line
         (f"{MAGIC}\n{_HEAD}\n",
          "line 2: expected 'n=<n> k=<k> reserve=<h|unknown> seed=<seed|none>' as canonical "

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkline.grid import MAX_SIDE, Direction, PointSet, _directions_of_modulus, feasibility_matrix_4x4
+from nkline.grid import (
+    MAX_SIDE,
+    Direction,
+    PointSet,
+    _directions_of_modulus,
+    feasibility_matrix_4x4,
+)
 from nkline import secants
 from nkline.construct import _sample_retry, pipeline
 from nkline.secants import census, count_on_line, richness_bound, verify
@@ -383,13 +389,15 @@ def _kernel_cases(draw):
     points, more than a uint8 step sum holds."""
     vx = draw(st.integers(1, 3))
     vy = draw(st.sampled_from([v for v in range(-3, 4) if v and gcd(vx, abs(v)) == 1]))
-    length = draw(st.integers(256, 270)) if draw(st.integers(0, 3)) == 0 else draw(st.integers(1, 8))
+    long_line = draw(st.integers(0, 3)) == 0
+    length = draw(st.integers(256, 270) if long_line else st.integers(1, 8))
     span_x, span_y = (length - 1) * vx, (length - 1) * abs(vy)
     nx, ny = span_x + draw(st.integers(1, 12)), span_y + draw(st.integers(1, 12))
     n = draw(st.sampled_from([max(nx, ny), max(nx, ny) + 7, 10**6]))
     x0 = draw(st.sampled_from([1, n - nx + 1, (n - nx) // 2 + 1]))
     y0 = draw(st.sampled_from([1, n - ny + 1, (n - ny) // 3 + 1]))
-    pts = set(draw(st.lists(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)), max_size=30)))
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    pts = set(draw(st.lists(cell, max_size=30)))
     for _ in range(draw(st.integers(1, 2))):
         # a start from which the whole line stays in the box
         a = draw(st.integers(0, nx - 1 - span_x))
