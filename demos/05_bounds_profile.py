@@ -35,7 +35,7 @@ print()
 for C in (12.5, 14.8):
     n0 = smallest_feasible_n(C)
     rng = feasible_k_range(n0, C)
-    print(f"C={C}: smallest n with C*sqrt(n ln n) <= 5n/6 is {n0}; k range there {rng}")
+    print(f"C={C}: smallest n with a nonempty k range is {n0}; k range there {rng}")
 
 plain = compute_profile(10**12, m=4).k_min / sqrt(10**12 * log(10**12))
 print(f"plain k_min/sqrt(n ln n) at n=1e12 (m=4): {plain:.4f} -> limit {growth_coefficient():.4f}")

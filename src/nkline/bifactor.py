@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import PointSet, _check_int, _exact_int64
+from .grid import PointSet, _check_int, _exact_int64, _narrowest_int
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -97,10 +97,11 @@ def relabeled_circulants(q: int, rs, seeds) -> tuple[np.ndarray, np.ndarray, np.
     `_circulant(q, rs[b])[sigma[b]][:, tau[b]]`.  Returns (blocks,
     sigma, tau): blocks is a (B, q, q) bool array like `sample_blocks`,
     built in one broadcast with no chain rounds, and sigma, tau are the
-    (B, q) relabelings, int16 when q < 2^15 so that tau - sigma fits the
-    same type.  A block depends only on its own seed.  Shift class
-    s < rs[b] of block b, the cells with tau[b, c] = (sigma[b, a] + s)
-    mod q, is a perfect matching of the block.
+    (B, q) relabelings, in the narrowest integer type that holds [-q, q]
+    (`grid._narrowest_int`), so that tau - sigma fits the same type.  A
+    block depends only on its own seed.  Shift class s < rs[b] of block
+    b, the cells with tau[b, c] = (sigma[b, a] + s) mod q, is a perfect
+    matching of the block.
 
     Every cell lies in the factor with probability r/q, and two cells of
     one row (or column) with probability r(r-1)/(q(q-1)), as under the
@@ -109,7 +110,7 @@ def relabeled_circulants(q: int, rs, seeds) -> tuple[np.ndarray, np.ndarray, np.
     rs = _degrees(q, rs).reshape(-1)
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
-    dtype = np.int16 if q < 2**15 else np.int64
+    dtype = _narrowest_int(q)
     sigma = np.empty((rs.size, q), dtype=dtype)
     tau = np.empty_like(sigma)
     for b, seed in enumerate(seeds):

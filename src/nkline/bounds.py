@@ -8,6 +8,7 @@ k threshold reproduce its exact algebraic value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, inf, log, sqrt
 from typing import Optional
@@ -157,21 +158,14 @@ def feasible_k_range(n: int, C: float) -> Optional[tuple[int, int]]:
 def smallest_feasible_n(C: float) -> Optional[int]:
     """Smallest n <= 2^40 with a nonempty feasible k range; a desk-scale
     proxy for the unspecified threshold beyond which the randomized
-    regime opens up (no claim the true threshold equals it)."""
-    lo, hi = 2, None
-    n = 2
-    while n <= 1 << 40:
-        if feasible_k_range(n, C) is not None:
-            hi = n
-            break
-        lo = n
-        n *= 2
-    if hi is None:
-        return None
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if feasible_k_range(mid, C) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    regime opens up (no claim the true threshold equals it).
+
+    A nonempty range needs C*sqrt(n ln n) <= 5n/6.  Feasibility itself
+    is not monotone in n, but from n = 3 on that inequality stays true
+    once it holds, since sqrt(ln n / n) falls there; so its first n is
+    bisected, and the walk up from there stops at the first n whose
+    integer range is nonempty."""
+    if feasible_k_range(2, C) is not None:
+        return 2
+    fits = bisect_left(range(2**40 + 1), True, 3, key=lambda n: C * sqrt(n * log(n)) <= 5 * n / 6)
+    return next((n for n in range(fits, 2**40 + 1) if feasible_k_range(n, C)), None)

@@ -5,7 +5,9 @@ A point set on [1,n]^2 is one sorted int64 array of keys
 (x-1)*n + (y-1); the same form holds a bipartite factor on rows x
 columns, from the sampler to the point file.  Its n x n bool mask, read
 by `PointSet.from_mask` and written by `PointSet.mask`, is the one dense
-form.
+form of a whole set; the verifier's mask sweep (`secants._mask_lines`)
+scatters the keys into a padded uint8 mask of their bounding box of its
+own.
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep
@@ -32,17 +34,13 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _narrowest_int(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every integer
+    in [-bound, bound]."""
+    for t in (np.int16, np.int32):
+        if bound <= np.iinfo(t).max:
+            return np.dtype(t)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,8 @@ class Direction:
 def line_points(n: int, direction: Direction, c: int) -> list[tuple[int, int]]:
     """All grid points of [1,n]^2 on the line {vy*x - vx*y = c}, in x order."""
     vx, vy = direction.vx, direction.vy
-    _, s, t = ext_gcd(vy, vx)  # vy*s + vx*t = 1
-    x0 = s * c
-    y0 = -t * c
+    s = pow(vy, -1, vx)  # vy*s = 1 + vx*t
+    x0, y0 = s * c, (vy * s - 1) // vx * c
     lo = _ceil_div(1 - x0, vx)
     hi = (n - x0) // vx
     if vy > 0:
@@ -140,11 +137,9 @@ class PointSet:
         if not 1 <= n <= MAX_SIDE:
             raise ValueError(f"grid side must be in [1, {MAX_SIDE}], got {n}")
         # keys that arrive strictly increasing skip the sort, and are
-        # copied if the caller keeps them; a sort and a drop of adjacent
-        # repeats is the cheap unique
+        # copied if the caller keeps them
         if (keys[1:] <= keys[:-1]).any():
-            keys = np.sort(keys)
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            keys = np.unique(keys)
         elif copy:
             keys = keys.copy()
         if keys.size and (keys[0] < 0 or keys[-1] >= n * n):

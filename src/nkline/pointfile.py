@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import MAX_SIDE, PointSet, _check_int
+from .grid import MAX_SIDE, PointSet, _check_int, _narrowest_int
 
 MAGIC = "nkline v1"
 
@@ -313,7 +313,7 @@ def _read_lines(data: bytes, start: int, end: int, n: int, line_no: int) -> np.n
     # Horner over the `width` byte columns that end at each separator, in
     # the narrowest type that holds 10**width - 1; a column left of its
     # token counts 0
-    values = np.zeros(ends.size, np.int16 if width <= 4 else np.int32 if width <= 9 else np.int64)
+    values = np.zeros(ends.size, _narrowest_int(10**width - 1))
     for column in range(width, 0, -1):
         digits = padded[width - column :].take(ends)
         digits -= _ZERO

@@ -28,7 +28,8 @@ of |vy|*X + vx*Y, with no multiply for a coefficient of 1 (a modulus-1
 direction is a single add).  Both terms are nonnegative and their sum
 is at most 2*M*span on a modulus-M class, span being the larger side
 of the box.  So the offsets are held in the narrowest of int16, int32
-and int64 that holds that bound (int16 up to M = 41 on a 400-wide box),
+and int64 that holds that bound (`grid._narrowest_int`; int16 up to
+M = 41 on a 400-wide box),
 and are widened once, from the narrow copies, when the walk first
 reaches a class that needs more.
 
@@ -52,6 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Direction, PointSet, _check_int, _heaviest_line, _heaviest_of, line_points
+from .grid import _narrowest_int
 
 
 @dataclass(frozen=True)
@@ -101,15 +103,6 @@ class VerificationReport:
         )
 
 
-def _offset_dtype(bound: int) -> np.dtype:
-    """The narrowest of int16, int32 and int64 that holds every integer
-    in [0, bound]."""
-    for t in (np.int16, np.int32):
-        if bound <= np.iinfo(t).max:
-            return np.dtype(t)
-    return np.dtype(np.int64)
-
-
 def _mask_pays(points: int, nx: int, ny: int) -> bool:
     """Whether `verify` sweeps a set of `points` points whose bounding
     box is nx x ny through its byte masks (`_mask_lines`) rather than
@@ -144,7 +137,7 @@ def _intercept_lines(
     # from the column runs, and y - y0 is each key less its column's
     # base and y0 - 1, repeated over the run: the one int64 temporary,
     # freed once Y1 exists.
-    dtype = _offset_dtype(2 * span)
+    dtype = _narrowest_int(2 * span)
     X0 = np.repeat(np.arange(nx, dtype=dtype), cols)
     X1 = np.subtract(nx - 1, X0, dtype=dtype)
     ys = np.repeat(np.arange(x0 - 1, x1) * n + (y0 - 1), cols)
@@ -158,7 +151,7 @@ def _intercept_lines(
     def heaviest(d: Direction) -> tuple[int, int]:
         nonlocal X0, X1, Y1, c, tmp, top
         if 2 * d.modulus * span > top:
-            wider = _offset_dtype(2 * d.modulus * span)
+            wider = _narrowest_int(2 * d.modulus * span)
             X0, X1, Y1 = X0.astype(wider), X1.astype(wider), Y1.astype(wider)
             c, tmp = np.empty_like(Y1), np.empty_like(Y1)
             top = np.iinfo(wider).max

@@ -156,6 +156,37 @@ def test_feasible_k_range_examples():
     assert feasible_k_range(2, 100) is None
 
 
+def test_profile_rejects_a_negative_reserve_and_a_nonpositive_radicand():
+    with pytest.raises(ValueError, match="h must be >= 0"):
+        compute_profile(100, h=-1)
+    # ln(100)/2 + ln(7e-9/0.5)/2 = -6.73952
+    with pytest.raises(ValueError, match=r"radicand -6\.73952 is not positive"):
+        compute_profile(100, epsilon=1, K=1e-9)
+
+
+def test_feasible_k_range_rejects_a_grid_side_below_2():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        feasible_k_range(1, 1.0)
+
+
+def test_smallest_feasible_n_matches_a_linear_scan():
+    # a nonempty range is not monotone in n: at C = 1.4731, n = 6 has
+    # [5, 5] and n = 7 and 8 have none, since 5n/6 rounds down
+    assert feasible_k_range(6, 1.4731) == (5, 5)
+    assert feasible_k_range(7, 1.4731) is None and feasible_k_range(8, 1.4731) is None
+    assert smallest_feasible_n(1.4731) == 6
+    for C in np.linspace(0.05, 5, 250).tolist():
+        want = next(n for n in range(2, 1000) if feasible_k_range(n, C) is not None)
+        assert smallest_feasible_n(C) == want, C
+
+
+def test_smallest_feasible_n_keeps_its_answers_and_its_errors():
+    assert [smallest_feasible_n(C) for C in (12.5, 14.790199, 0.5, 1e6)] == [1671, 2460, 2, None]
+    for C in (0, -1.0, nan, inf):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            smallest_feasible_n(C)
+
+
 def test_smallest_feasible_n_is_a_boundary():
     n0 = smallest_feasible_n(12.5)
     assert n0 is not None

@@ -387,6 +387,11 @@ def test_stats_ratio_on_an_empty_grid_is_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_stats_needs_j_or_kappa(capsys):
+    assert main(["stats", "--n", "10"]) == 1
+    assert capsys.readouterr().err == "error: one of --j / --kappa is required\n"
+
+
 def test_stats_kappa_bound(capsys):
     assert main(["stats", "--n", "10", "--kappa", "10"]) == 0
     assert "10.00" in capsys.readouterr().out
@@ -410,6 +415,12 @@ def test_bounds_default_C_is_the_printed_growth_coefficient(capsys, m):
     assert line.group(1) == coeff
     # 14.79 * sqrt(n ln n) = 1824 lies above 5n/6 = 1666
     assert line.group(2) == ("[1542, 1666]" if m == 3 else "empty")
+
+
+def test_bounds_reports_the_smallest_n_with_a_nonempty_range(capsys):
+    # n = 6 has the range [5, 5] at this C, and n = 7 and 8 have none
+    assert main(["bounds", "--n", "100", "--C", "1.4731"]) == 0
+    assert capsys.readouterr().out.endswith("smallest n with nonempty range at this C: 6\n")
 
 
 def test_bounds_rejects_bad_parameters(capsys):

@@ -110,6 +110,11 @@ def test_biuniform_rejects_mismatched_matrix():
             biuniform_construct(n, k, matrix, seed=0)
 
 
+def test_biuniform_rejects_zero_retries():
+    with pytest.raises(ConstructionError, match="max_retries must be >= 1"):
+        biuniform_construct(40, 30, feasibility_matrix_4x4(40, 30), seed=0, max_retries=0)
+
+
 def test_biuniform_spends_each_retry_with_its_own_factors():
     # the retry at (400, 240) is spent to (403, 233), then swept once
     matrix = feasibility_matrix_4x4(400, 240)

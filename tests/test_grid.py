@@ -1,6 +1,7 @@
 """Tests for grid types, block matrices and the exact load evaluator."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -54,9 +55,17 @@ def test_direction_validation():
         Direction(2, 4)
 
 
+def test_equal_pointsets_hash_equal():
+    a = PointSet.from_points(5, [(2, 3), (1, 1), (2, 3)])
+    b = PointSet(5, [0, 7])
+    assert a == b and hash(a) == hash(b)
+
+
 def test_pointset_bounds_and_membership():
     s = PointSet.from_points(3, [(1, 1), (2, 3)])
     assert (1, 1) in s and (2, 2) not in s
+    five = PointSet.from_points(5, [(1, 1)])
+    assert (0, 0) not in five and (6, 1) not in five
     assert len(s) == 2
     with pytest.raises(ValueError):
         PointSet.from_points(3, [(0, 1)])
@@ -249,8 +258,6 @@ def test_line_points_negative_slope_and_steep():
 )
 @settings(max_examples=200)
 def test_line_points_hits_seed_point(n, vx, vy, x, y):
-    from math import gcd
-
     if gcd(vx, abs(vy)) != 1 or x > n or y > n:
         return
     d = Direction(vx, vy)
@@ -258,6 +265,24 @@ def test_line_points_hits_seed_point(n, vx, vy, x, y):
     assert (x, y) in pts
     for px, py in pts:
         assert d.intercept(px, py) == d.intercept(x, y)
+
+
+def test_line_points_equals_a_grid_scan_grouped_by_intercept():
+    # every line of every primitive direction with vx, |vy| <= n that
+    # meets the box's intercept range, lines with no grid point included
+    for n in range(1, 13):
+        for vx in range(1, n + 1):
+            for vy in range(-n, n + 1):
+                if vy == 0 or gcd(vx, abs(vy)) != 1:
+                    continue
+                d = Direction(vx, vy)
+                scan = {}
+                for x in range(1, n + 1):
+                    for y in range(1, n + 1):
+                        scan.setdefault(d.intercept(x, y), []).append((x, y))
+                corners = [d.intercept(x, y) for x in (1, n) for y in (1, n)]
+                for c in range(min(corners), max(corners) + 1):
+                    assert line_points(n, d, c) == scan.get(c, []), (n, d, c)
 
 
 def test_matrix_4x4_values_and_sums():
@@ -542,6 +567,12 @@ def test_is_feasible_passes_a_grid_with_no_generic_line(delta):
     assert _heaviest_expected_line(mat)[1] is None
     assert is_feasible(mat, 1, delta) == FeasibilityCheck(True)
     assert is_feasible(mat, 2, delta).witness == ("row", 1)
+
+
+def test_is_feasible_bad_column_sum():
+    # both rows sum to 3; the columns sum to 2 and 4
+    check = is_feasible(FeasibilityMatrix(2, 4, ((1, 2), (1, 2))), 3, "4/5")
+    assert check == FeasibilityCheck(False, ("col", 1))
 
 
 def test_is_feasible_rejects_delta_ge_one():

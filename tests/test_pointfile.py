@@ -200,6 +200,18 @@ def test_parse_rejects_missing_fields():
     assert exc.value.line_no == 2
 
 
+def test_parse_rejects_a_magic_line_with_no_line_after_it():
+    with pytest.raises(ParseError, match="^line 2: missing parameter line$") as exc:
+        parse(MAGIC)
+    assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("n", [0, MAX_SIDE + 1])
+def test_parse_rejects_a_grid_side_whose_keys_leave_int64(n):
+    with pytest.raises(ParseError, match=rf"^line 2: grid side n={n} outside \[1, {MAX_SIDE}\]$"):
+        parse(f"{MAGIC}\nn={n} k=1 reserve=0 seed=none\n")
+
+
 _BAD_HEADERS = [
     "n=1_0 k=+2 reserve=\u0663 seed=07 n=4",
     "n=10 k=2 reserve=0 seed=none n=4",

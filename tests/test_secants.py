@@ -17,6 +17,7 @@ from nkline.grid import (
     Direction,
     PointSet,
     _directions_of_modulus,
+    _narrowest_int,
     feasibility_matrix_4x4,
 )
 from nkline import secants
@@ -116,6 +117,7 @@ def test_verify_empty_set():
     assert rep.passed
     assert rep.axis_max == 0 and rep.generic_max == 0
     assert rep.worst_line is None and rep.directions_swept == 0
+    assert rep.worst_line_text == "none" and "worst_line=none " in rep.summary()
 
 
 def test_verify_worst_line_recount_matches():
@@ -364,11 +366,11 @@ def test_verify_matches_oracles_across_offset_widths(monkeypatch):
     widths = []
 
     def spy(bound):
-        widths.append(offset_dtype(bound))
+        widths.append(narrowest_int(bound))
         return widths[-1]
 
-    offset_dtype = secants._offset_dtype
-    monkeypatch.setattr(secants, "_offset_dtype", spy)
+    narrowest_int = secants._narrowest_int
+    monkeypatch.setattr(secants, "_narrowest_int", spy)
     rng = random.Random(2026)
     widened = 0
     for trial in range(40):
@@ -439,7 +441,7 @@ def test_verify_peak_memory_on_a_search_retry_is_below_the_intercept_sweep():
      (2**31 - 1, np.int32), (2**31, np.int64), (2**62, np.int64)],
 )
 def test_offset_width_is_the_narrowest_that_holds_the_bound(bound, dtype):
-    assert secants._offset_dtype(bound) == dtype
+    assert _narrowest_int(bound) == dtype
 
 
 @pytest.mark.parametrize("k, reserve", [(True, 0), (3.0, 0), (0.5, 0), (3, True), (3, 0.5), (3, 1.0)])
