@@ -74,7 +74,7 @@ class Direction:
 def line_points(n: int, direction: Direction, c: int) -> list[tuple[int, int]]:
     """All grid points of [1,n]^2 on the line {vy*x - vx*y = c}, in x order."""
     vx, vy = direction.vx, direction.vy
-    s = pow(vy, -1, vx)  # vy*s = 1 + vx*t
+    s = pow(vy, -1, vx)  # vy*s - vx*t = 1 for the whole t below: (x0, y0) is on the line
     x0, y0 = s * c, (vy * s - 1) // vx * c
     lo = _ceil_div(1 - x0, vx)
     hi = (n - x0) // vx

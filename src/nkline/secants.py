@@ -29,9 +29,8 @@ direction is a single add).  Both terms are nonnegative and their sum
 is at most 2*M*span on a modulus-M class, span being the larger side
 of the box.  So the offsets are held in the narrowest of int16, int32
 and int64 that holds that bound (`grid._narrowest_int`; int16 up to
-M = 41 on a 400-wide box),
-and are widened once, from the narrow copies, when the walk first
-reaches a class that needs more.
+M = 41 on a 400-wide box), and are widened once, from the narrow
+copies, when the walk first reaches a class that needs more.
 
 The mask sweep (dense sets) scatters the keys once into a zero-padded
 uint8 mask of the box, a row per x, with a stride of nx + ny bytes, so

@@ -187,6 +187,14 @@ def test_smallest_feasible_n_keeps_its_answers_and_its_errors():
             smallest_feasible_n(C)
 
 
+def test_smallest_feasible_n_is_none_past_the_float_range():
+    # no k range is nonempty up to 2^40, though C*sqrt(n ln n)
+    # overflows a float long before; an overflow at n = 2 still raises
+    assert smallest_feasible_n(1e307) is None
+    with pytest.raises(ValueError, match="overflows a float"):
+        smallest_feasible_n(1.6e308)
+
+
 def test_smallest_feasible_n_is_a_boundary():
     n0 = smallest_feasible_n(12.5)
     assert n0 is not None
