@@ -4,6 +4,9 @@ reserve to shrink k and grow n, and the end-to-end pipeline.
 
 Every construction output is certified by the sweep verifier rather
 than trusted; randomized steps are reproducible from a master seed.
+An output reaches the sweep as its n x n bool cells (`_certify`), and
+its keys are read once, for the set that is returned: a retry that is
+not kept has no key read.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice
 from math import ceil
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .bifactor import (
     relabeled_circulants,
 )
 from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
-from .secants import VerificationReport, verify
+from .secants import VerificationReport, _verify_cells
 
 
 class ConstructionError(ValueError):
@@ -71,6 +74,14 @@ def explicit_construct(n: int, k: int) -> PointSet:
     squares leave empty; the returned set is the grid minus that
     complement and holds exactly k points in every row and column.
     """
+    out = PointSet.from_mask(_explicit_cells(n, k))
+    assert len(out) == k * n
+    return out
+
+
+def _explicit_cells(n: int, k: int) -> np.ndarray:
+    """The n x n bool mask of `explicit_construct(n, k)`, [x-1, y-1] for
+    the point (x, y)."""
     _check_int(n=n, k=k)
     if not (0 <= k <= n):
         raise ConstructionError(f"k={k} outside [0, n={n}]")
@@ -89,9 +100,7 @@ def explicit_construct(n: int, k: int) -> PointSet:
     rows = rows[(rows <= 2 * k - n) | (rows > k)]
     assert len(rows) == len(cols) == 2 * k - n
     complement[np.ix_(cols - 1, rows - 1)] |= _circulant(2 * k - n, s)
-    out = PointSet.from_mask(~complement)
-    assert len(out) == k * n
-    return out
+    return ~complement
 
 
 def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> ConstructionCertificate:
@@ -100,30 +109,43 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     not pass is a program fault and raises RuntimeError."""
     if seed is not None:
         _check_int(seed=seed)
-    points = explicit_construct(n, k)
-    report = _certify(points, k, 0)
+    report, held = _certify(_explicit_cells(n, k), k, 0)
     if not report.passed:
         raise RuntimeError(f"explicit construction not certified: {report.summary()}")
     return ConstructionCertificate(
         seed=seed,
-        output=points,
+        output=_read_keys(held),
         report=report,
         lineage=(("explicit", {"n": n, "k": k}),),
     )
 
 
-def _certify(points: PointSet, k: int, reserve: int) -> VerificationReport:
-    """`verify(points, k, reserve)`, the one sweep of a construction's
-    output, which must also hold k * n points with no row or column
-    above k, so exactly k in each.  The constructions make such sets by
+# a certified output as `_certify` keeps it: its n x n bool cells, or the
+# PointSet the sweep read them into
+_Held = Union[np.ndarray, PointSet]
+
+
+def _certify(cells: np.ndarray, k: int, reserve: int) -> tuple[VerificationReport, _Held]:
+    """The one sweep of a construction's output, given as its n x n bool
+    cells (`secants._verify_cells` at (k, reserve)), and the output as
+    the sweep left it: the cells, or the PointSet it read them into.
+    The output must also hold k * n points with no row or column above
+    k, so exactly k in each.  The constructions make such sets by
     design, so any other is a program fault and raises RuntimeError."""
-    report = verify(points, k, reserve)
-    if len(points) != k * points.n or report.axis_max > k:
+    report, points = _verify_cells(cells, k, reserve)
+    held = cells if points is None else points
+    size = np.count_nonzero(cells) if points is None else len(points)
+    if size != k * len(cells) or report.axis_max > k:
         raise RuntimeError(
-            f"construction output is not a {k}-factor on [1,{points.n}]^2: "
-            f"{len(points)} points, axis_max={report.axis_max}"
+            f"construction output is not a {k}-factor on [1,{len(cells)}]^2: "
+            f"{size} points, axis_max={report.axis_max}"
         )
-    return report
+    return report, held
+
+
+def _read_keys(held: _Held) -> PointSet:
+    """The PointSet of an output `_certify` kept, its cells read once."""
+    return PointSet.from_mask(held) if isinstance(held, np.ndarray) else held
 
 
 def _sample_retry(
@@ -150,32 +172,22 @@ def _sample_retry(
     return cells, sigma, tau
 
 
-def _retry_factors(
-    matrix: FeasibilityMatrix, sigma: np.ndarray, tau: np.ndarray, count: int
-) -> np.ndarray:
-    """The first `count` 1-factors of the retry that `_sample_retry`
-    built, read off the relabelings sigma, tau that
-    `relabeled_circulants` returned for it, with no matching run on its
-    n x n cells, as one (count, n) array: row f of it maps row x to
-    column f[x-1], 1-based.  The row sums and column sums of the matrix
-    must all be equal, to k; then there are k factors, disjoint, whose
-    union is the retry.
+def _block_schedule(matrix: FeasibilityMatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block steps of the first `count` 1-factors of every retry
+    that `_sample_retry` builds on `matrix`, as two (count, m) arrays
+    (pi, c): at step s, block-row i takes block column pi[s, i] and
+    that block's shift class c[s, i].  The row sums and column sums of
+    the matrix must all be equal, to k; then there are k steps.
 
-    Block (i, j), row b = (i-1)*m + (j-1) of sigma and tau, is a
-    relabeled circulant, so each of its r_{i,j} shift classes is a
-    perfect matching of the block (`relabeled_circulants`).
     Step s takes a perfect matching pi of the support of the block
     entries not yet used, by `_hopcroft_karp` on m bits (one exists, by
-    König, as every line of what is left sums to k - s).  Each block
-    (i, pi(i)) gives its lowest unused shift class c, and row a of
-    block-row i goes to column pi(i)*q + tau^-1[(sigma[a] + c) mod q]
-    (0-based).  The m-bit walk runs step by step; the gather through
-    tau^-1 runs once, for all steps.  The first factors never depend on
-    how many follow.
+    König, as every line of what is left sums to k - s), and each block
+    (i, pi(i)) gives its lowest unused shift class.  The walk reads the
+    matrix alone, so one schedule serves every retry on it; the first
+    steps never depend on how many follow.
     """
-    m, q = matrix.m, matrix.block_side
+    m = matrix.m
     left = [list(row) for row in matrix.entries]
-    # pi[s, i] is the block column of block-row i at step s, c[s, i] its shift class
     pi = np.empty((count, m), dtype=np.intp)
     c = np.empty((count, m), dtype=np.intp)
     for s in range(count):
@@ -187,6 +199,28 @@ def _retry_factors(
             c[s, i] = matrix.entries[i][j] - left[i][j]
             left[i][j] -= 1
         pi[s] = step
+    return pi, c
+
+
+def _retry_factors(
+    schedule: tuple[np.ndarray, np.ndarray], sigma: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
+    """The 1-factors of a retry that `_sample_retry` built, one per step
+    of its matrix's `_block_schedule`, read off the relabelings sigma,
+    tau that `relabeled_circulants` returned for it, with no matching
+    run on its n x n cells, as one (count, n) array: row f of it maps
+    row x to column f[x-1], 1-based.  The factors are disjoint, and the
+    first k of them make up the retry.
+
+    Block (i, j), row b = (i-1)*m + (j-1) of sigma and tau, is a
+    relabeled circulant, so each of its r_{i,j} shift classes is a
+    perfect matching of the block (`relabeled_circulants`).  At the
+    step (pi, c), row a of block-row i goes to column
+    pi(i)*q + tau^-1[(sigma[a] + c(i)) mod q] (0-based): one gather
+    through tau^-1 for all steps.
+    """
+    pi, c = schedule
+    (count, m), q = pi.shape, sigma.shape[1]
     b = np.arange(m) * m + pi
     cols = np.argsort(tau, axis=1)[b[..., None], (sigma[b] + c[..., None]) % q]
     cols += (pi * q + 1)[..., None]
@@ -212,11 +246,15 @@ def biuniform_construct(
     uniform r-factor.  Each retry is spent
     (`_spend`): k' - k of its own shift-class 1-factors are dropped and
     the next n - n' each grow one row and column, which needs
-    (k' - k) + (n - n') <= k'; with nothing to spend it is read off the
-    retry's mask.  The set is then certified once (`_certify`), at
-    (k, target_reserve); only generic secants are random, and that exact
-    report is the certificate.  On exhaustion the best-effort set (at n
-    and k too) and its report are returned with certified=False.
+    (k' - k) + (n - n') <= k'; the block steps of those factors are the
+    same on every retry, so they are walked once (`_block_schedule`).
+    The spent cells, or with nothing to spend the retry's own, are then
+    certified once (`_certify`), at (k, target_reserve); only generic
+    secants are random, and that exact report is the certificate.  The
+    best retry so far is kept as its cells (or as the keys its sweep
+    read), and its keys are read when the loop ends.  On exhaustion the
+    best-effort set (at n and k too) and its report are returned with
+    certified=False.
     """
     _check_int(n=n, k=k, seed=seed, max_retries=max_retries, target_reserve=target_reserve)
     n_sample, k_sample = matrix.n, matrix.row_sums()[0]
@@ -232,36 +270,37 @@ def biuniform_construct(
         raise ConstructionError("max_retries must be >= 1")
     if target_reserve < 0:
         raise ConstructionError(f"target_reserve must be >= 0, got {target_reserve}")
-    best: Optional[tuple[PointSet, VerificationReport]] = None
+    schedule = _block_schedule(matrix, drop + grow) if drop or grow else None
+    best: Optional[tuple[_Held, VerificationReport]] = None
     reserves = []
     for t in range(max_retries):
         cells, sigma, tau = _sample_retry(matrix, seed, t)
         if drop or grow:
-            factors = _retry_factors(matrix, sigma, tau, drop + grow)
-            sample = _spend(cells, k_sample, drop, grow, factors)
-        else:
-            sample = PointSet.from_mask(cells)
-        # the retry's mask must not stay alive through the sweep
-        del cells, sigma, tau
-        report = _certify(sample, k, target_reserve)
+            # the retry's own cells must not stay alive through the sweep
+            cells = _spend(cells, k_sample, drop, grow, _retry_factors(schedule, sigma, tau))
+        del sigma, tau
+        report, held = _certify(cells, k, target_reserve)
+        # a retry its sweep read keys from is held as those keys alone
+        del cells
         reserves.append(report.achieved_reserve)
         if best is None or report.achieved_reserve > best[1].achieved_reserve:
-            best = (sample, report)
+            best = (held, report)
         if report.passed:
             break
         # a retry that is not the best must not stay alive while the next is built
-        del sample, report
-    sample, report = best
+        del held, report
+    held, report = best
     lineage = (("biuniform", {"n": n_sample, "k": k_sample, "m": matrix.m, "seed": seed,
                               "retry": t if report.passed else None}),)
     if drop or grow:
         lineage += (("spend", {"from": (n_sample, k_sample), "to": (n, k)}),)
-    return ConstructionCertificate(seed, sample, report, lineage, tuple(reserves))
+    return ConstructionCertificate(seed, _read_keys(held), report, lineage, tuple(reserves))
 
 
-def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray) -> PointSet:
+def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray) -> np.ndarray:
     """Spend drop + grow 1-factors of a k-factor on [1,n]^2, given as its
-    n x n bool mask (`PointSet.mask`), in one step.
+    n x n bool cells (`PointSet.mask`), in one step, and return the
+    cells of the result.
 
     `factors` is the (drop + grow, n) integer array of the 1-factors to
     spend, row f mapping row x to column f[x-1] (1-based):
@@ -271,9 +310,10 @@ def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray)
     (`_certify`).  The mask is copied once into an (n + grow)^2 mask,
     where the first `drop` are erased; then the i-th of the next `grow`
     moves its k - drop cells (x, y) of smallest x to
-    (n+i, y) and (x, n+i).  The result, a (k - drop)-factor of
-    [1, n + grow]^2, is read off that mask (`PointSet.from_mask`).  The
-    reserve is not checked here; `spend` checks it.
+    (n+i, y) and (x, n+i).  That mask is the result, a (k - drop)-factor
+    of [1, n + grow]^2; the sweep reads it as it is (`_certify`), and no
+    key is read off it here.  The reserve is not checked here; `spend`
+    checks it.
     """
     n, k_new = len(cells), k - drop
     factors = np.asarray(factors, dtype=np.int64)
@@ -289,7 +329,7 @@ def _spend(cells: np.ndarray, k: int, drop: int, grow: int, factors: np.ndarray)
     out[donors, donated] = False
     out[new, donated] = True
     out[donors, new] = True
-    return PointSet.from_mask(out)
+    return out
 
 
 def spend(
@@ -337,8 +377,9 @@ def spend(
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
     factors = islice(iter_matchings(points), drop + grow)
-    out = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
-    return out, _certify(out, k, 0)
+    cells = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
+    report, held = _certify(cells, k, 0)
+    return _read_keys(held), report
 
 
 def pipeline(n: int, k: int, seed: int, max_retries: int = 64) -> ConstructionCertificate:

@@ -5,9 +5,10 @@ A point set on [1,n]^2 is one sorted int64 array of keys
 (x-1)*n + (y-1); the same form holds a bipartite factor on rows x
 columns, from the sampler to the point file.  Its n x n bool mask, read
 by `PointSet.from_mask` and written by `PointSet.mask`, is the one dense
-form of a whole set; the verifier's mask sweep (`secants._mask_lines`)
-scatters the keys into a padded uint8 mask of their bounding box of its
-own.
+form of a whole set.  A construction's output reaches the verifier as
+that mask, and its keys are read once, for the set that is kept
+(`construct._certify`); the verifier's mask sweep holds a padded uint8
+mask of the set's bounding box of its own (`secants._padded_mask`).
 
 All line identities are integer-only: a line with primitive direction
 (vx, vy) is the level set of c = vy*x - vx*y.  One heaviest-line sweep

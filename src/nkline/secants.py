@@ -11,13 +11,19 @@ hands it, per direction, the weight of the set's fullest line and its
 smallest intercept.  Axis-parallel lines are handled separately by
 row/column counts over the set's bounding box [x0, x1] x [y0, y1].
 
-The keys are decoded by column runs, not into coordinate arrays: the
+Two feeders hand a set to the sweep.  `verify` takes a PointSet, and
+decodes its keys by column runs, not into coordinate arrays: the
 sorted keys of column x are those in [(x-1)*n, x*n), so one
 `searchsorted` gives every column's count, and a `repeat` of one value
 per column by those counts gives each key what it needs from its
-column.  Two sweeps count the lines, with the same report; one private
-rule (`_mask_pays`) picks the faster, from the number of points and the
-box, unless its peak would be the higher.
+column.  `_verify_cells` takes a construction's output as its n x n
+bool cells, and counts their rows and columns in two uint8 reductions,
+which give the box and the number of points with no key read.  Two
+sweeps count the lines, with the same report; one private rule
+(`_mask_pays`) picks the faster, from the number of points and the
+box, unless its peak would be the higher.  Cells bound for the
+intercept sweep are read into a PointSet first, and that set goes back
+to the caller with its report.
 
 The intercept sweep (sparse sets) offsets intercepts by the lowest one
 over the box, so c - c0 = |vy|*X + vx*Y with X = x - x0 when vy > 0,
@@ -32,15 +38,18 @@ and int64 that holds that bound (`grid._narrowest_int`; int16 up to
 M = 41 on a 400-wide box), and are widened once, from the narrow
 copies, when the walk first reaches a class that needs more.
 
-The mask sweep (dense sets) scatters the keys once into a zero-padded
-uint8 mask of the box, a row per x, with a stride of nx + ny bytes, so
-that each row's right padding is the next row's left padding.  The
-lines of a direction (vx, vy) with |vy| <= vx are then one strided view
-of the mask, vx classes of x by their steps by offsets, summed over
-the steps in uint8 chunks of 255 with no intercept computed
-(`_line_counts`); a direction with |vy| > vx reads the transposed
-mask, built the first time the walk reaches one.  Only the fullest
-lines are mapped back to their intercepts.
+The mask sweep (dense sets) runs over a zero-padded uint8 mask of the
+box (`_padded_mask`), a row per x, with a stride of nx + ny bytes, so
+that each row's right padding is the next row's left padding; that
+layout is known to this module alone.  `verify` scatters the keys into
+it a chunk of columns at a time, so that its int64 index stays
+bounded, and `_verify_cells` copies the box's cells into it in one 2-D
+copy.  The lines of a direction (vx, vy) with |vy| <= vx are then one
+strided view of the mask, vx classes of x by their steps by offsets,
+summed over the steps in uint8 chunks of 255 with no intercept
+computed (`_line_counts`); a direction with |vy| > vx reads the
+transposed mask, built the first time the walk reaches one.  Only the
+fullest lines are mapped back to their intercepts.
 """
 
 from __future__ import annotations
@@ -103,7 +112,7 @@ class VerificationReport:
 
 
 def _mask_pays(points: int, nx: int, ny: int) -> bool:
-    """Whether `verify` sweeps a set of `points` points whose bounding
+    """Whether the verifier sweeps a set of `points` points whose bounding
     box is nx x ny through its byte masks (`_mask_lines`) rather than
     through its intercepts (`_intercept_lines`).
 
@@ -119,17 +128,21 @@ def _mask_pays(points: int, nx: int, ny: int) -> bool:
     return mask_ns < 4000 + 1.6 * points and (nx + ny) ** 2 <= 18 * points
 
 
-# (rows, heaviest) of one sweep: rows[y - y0] counts the points of row y,
-# and heaviest(d) gives the weight and smallest intercept of d's fullest line
-_Lines = tuple[np.ndarray, Callable[[Direction], tuple[int, int]]]
+# the number of points whose int64 scatter index `verify` builds at once
+_SCATTER_CHUNK = 1 << 16
+
+# heaviest(d) of one sweep: the weight and smallest intercept of d's
+# fullest line
+_Heaviest = Callable[[Direction], tuple[int, int]]
 
 
 def _intercept_lines(
     keys: np.ndarray, n: int, x0: int, y0: int, nx: int, ny: int, cols: np.ndarray
-) -> _Lines:
+) -> tuple[np.ndarray, _Heaviest]:
     """The intercept sweep of the set `keys` on the nx x ny box at
     (x0, y0), whose column x holds cols[x - x0] points: one `bincount`
-    of the offset intercepts per direction."""
+    of the offset intercepts per direction.  Returns (rows, heaviest),
+    rows[y - y0] counting the points of row y."""
     x1, y1, span = x0 + nx - 1, y0 + ny - 1, max(nx, ny) - 1
     # the offset arrays of the module docstring; a modulus-M class needs
     # their type to hold 2*M*span, up to `top`.  X0 and X1 come straight
@@ -194,28 +207,27 @@ def _line_counts(
     return counts
 
 
-def _mask_lines(
-    keys: np.ndarray, n: int, x0: int, y0: int, nx: int, ny: int, cols: np.ndarray
-) -> _Lines:
-    """The mask sweep of what `_intercept_lines` sweeps, read off the
-    set's byte mask of the box.
-
-    Row x - x0 of the mask holds column y - y0 (`_line_counts`, pad nx
-    and stride nx + ny), and serves the directions with |vy| <= vx.
-    The others read its transpose, row y - y0 holding column x - x0
-    (pad ny, the same stride), built from it the first time one is
-    swept.  A direction's lines are one `_line_counts` call in its
-    mask, and its fullest lines are mapped back to c = vy*x - vx*y.
-    """
+def _padded_mask(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero byte mask of an nx x ny box in the layout `_mask_lines`
+    reads (`_line_counts`, pad nx and stride nx + ny), and the 2-D view
+    of its cells, [x - x0, y - y0] for the point (x, y)."""
     stride = nx + ny
     mask = np.zeros(nx + nx * stride, np.uint8)
-    # key + base of its column is nx + (x - x0)*stride + (y - y0): the
-    # one int64 temporary, freed once the mask is set
-    flat = np.repeat(np.arange(nx) * (stride - n) + (nx - (x0 - 1) * n - (y0 - 1)), cols)
-    flat += keys
-    mask[flat] = 1
-    del flat
-    rows = _line_counts(mask, nx, stride, nx, 1, 0)[:ny]
+    return mask, mask[nx:].reshape(nx, stride)[:, :ny]
+
+
+def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heaviest:
+    """The mask sweep's heaviest(d), read off the set's padded byte mask
+    of the nx x ny box at (x0, y0) (`_padded_mask`).
+
+    Row x - x0 of the mask holds column y - y0, and serves the
+    directions with |vy| <= vx.  The others read its transpose, row
+    y - y0 holding column x - x0 (pad ny, the same stride), built from
+    it the first time one is swept.  A direction's lines are one
+    `_line_counts` call in its mask, and its fullest lines are mapped
+    back to c = vy*x - vx*y.
+    """
+    stride = nx + ny
     transposed = None
 
     def heaviest(d: Direction) -> tuple[int, int]:
@@ -227,9 +239,8 @@ def _mask_lines(
             A, B, shift = vy, -vx, (nx // vx) * max(vy, 0)
         else:
             if transposed is None:
-                transposed = np.zeros(ny + ny * stride, np.uint8)
-                cells = transposed[ny:].reshape(ny, stride)
-                cells[:, :nx] = mask[nx:].reshape(nx, stride)[:, :ny].T
+                transposed, cells = _padded_mask(ny, nx)
+                cells[...] = mask[nx:].reshape(nx, stride)[:, :ny].T
             # cell (a, b) is (x0 + b, y0 + a), and the line steps by
             # (vx, vy) or its reverse, so that its row grows
             p, q = (vy, vx) if vy > 0 else (-vy, -vx)
@@ -241,34 +252,25 @@ def _mask_lines(
         c = min(A * (j // stride) + B * (j % stride - shift) for j in fullest)
         return int(weight), vy * x0 - vx * y0 + c
 
-    return rows, heaviest
+    return heaviest
 
 
-def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
-    """Check |S ∩ line| <= k on every line and <= k - reserve on every
-    generic line.  A failing set yields a failing report, never an error.
-    """
+def _check_bounds(k: int, reserve: int) -> None:
     _check_int(k=k, reserve=reserve)
     if reserve < 0:
         raise ValueError("reserve must be >= 0")
-    n, keys = points.n, points.keys
-    # the keys are sorted by (x, y), so column x is the run of keys in
-    # [(x - 1) * n, x * n): the first and last key give the columns'
-    # span [x0, x1], one searchsorted gives each run, and the first and
-    # last key of each run hold its column's lowest and highest y
-    x0, x1 = (int(keys[0]) // n + 1, int(keys[-1]) // n + 1) if len(keys) else (1, 1)
-    runs = np.searchsorted(keys, np.arange(x0 - 1, x1 + 1) * n)
-    cols = np.diff(runs)
-    first, last = keys[runs[:-1][cols > 0]] % n, keys[runs[1:][cols > 0] - 1] % n
-    y0, y1 = (int(first.min()) + 1, int(last.max()) + 1) if len(keys) else (1, 1)
-    nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    span = max(nx, ny) - 1
+
+
+def _report(
+    n: int, k: int, reserve: int, cols: np.ndarray, rows: np.ndarray, heaviest: _Heaviest
+) -> VerificationReport:
+    """The report of the sweep `heaviest` of a set on [1,n]^2 whose
+    bounding box has columns and rows holding cols and rows points."""
+    span = max(len(cols), len(rows)) - 1
+    axis_max = int(max(cols.max(), rows.max()))
     # rows and columns are counted over the box, so a set in a far
     # corner gets histograms of its own size; ux and uy hold the
     # occupied ones
-    lines = _mask_lines if _mask_pays(len(keys), nx, ny) else _intercept_lines
-    rows, heaviest = lines(keys, n, x0, y0, nx, ny, cols)
-    axis_max = int(max(cols.max(), rows.max()))
     ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
 
     def residue_cap(M: int) -> int:
@@ -294,6 +296,74 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         worst_line=worst,
         directions_swept=swept,
     )
+
+
+def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
+    """Check |S ∩ line| <= k on every line and <= k - reserve on every
+    generic line.  A failing set yields a failing report, never an error.
+    """
+    _check_bounds(k, reserve)
+    n, keys = points.n, points.keys
+    # the keys are sorted by (x, y), so column x is the run of keys in
+    # [(x - 1) * n, x * n): the first and last key give the columns'
+    # span [x0, x1], one searchsorted gives each run, and the first and
+    # last key of each run hold its column's lowest and highest y
+    x0, x1 = (int(keys[0]) // n + 1, int(keys[-1]) // n + 1) if len(keys) else (1, 1)
+    runs = np.searchsorted(keys, np.arange(x0 - 1, x1 + 1) * n)
+    cols = np.diff(runs)
+    first, last = keys[runs[:-1][cols > 0]] % n, keys[runs[1:][cols > 0] - 1] % n
+    y0, y1 = (int(first.min()) + 1, int(last.max()) + 1) if len(keys) else (1, 1)
+    nx, ny = x1 - x0 + 1, y1 - y0 + 1
+    if not _mask_pays(len(keys), nx, ny):
+        rows, heaviest = _intercept_lines(keys, n, x0, y0, nx, ny, cols)
+        return _report(n, k, reserve, cols, rows, heaviest)
+    stride = nx + ny
+    mask, _ = _padded_mask(nx, ny)
+    # key + base of its column is nx + (x - x0)*stride + (y - y0), an
+    # int64 index, built for a chunk of columns of at most
+    # _SCATTER_CHUNK points at a time
+    base = np.arange(nx) * (stride - n) + (nx - (x0 - 1) * n - (y0 - 1))
+    width = max(1, _SCATTER_CHUNK // ny)
+    for a in range(0, nx, width):
+        flat = np.repeat(base[a : a + width], cols[a : a + width])
+        flat += keys[runs[a] : runs[min(a + width, nx)]]
+        mask[flat] = 1
+    del flat
+    rows = _line_counts(mask, nx, stride, nx, 1, 0)[:ny]
+    return _report(n, k, reserve, cols, rows, _mask_lines(mask, x0, y0, nx, ny))
+
+
+def _verify_cells(
+    cells: np.ndarray, k: int, reserve: int
+) -> tuple[VerificationReport, Optional[PointSet]]:
+    """`verify(PointSet.from_mask(cells), k, reserve)` of an n x n bool
+    mask, [x-1, y-1] for the point (x, y), and the PointSet it read the
+    cells into, or None if it read no keys.
+
+    Its columns and rows are counted in uint8 reductions; the counts
+    give the bounding box and the number of points.  When the mask
+    sweep pays (`_mask_pays`) the box's cells are copied into its padded
+    mask in one 2-D copy, and no key is read.  Otherwise the cells are
+    read into a PointSet, which takes the intercept sweep of `verify`;
+    the caller can then keep the set's keys, not its cells.
+    """
+    _check_bounds(k, reserve)
+    n, u8 = len(cells), cells.view(np.uint8)
+    dtype = np.min_scalar_type(n)
+    cols = np.add.reduce(u8, axis=1, dtype=dtype)
+    rows = np.add.reduce(u8, axis=0, dtype=dtype)
+    ux, uy = np.flatnonzero(cols), np.flatnonzero(rows)
+    # the box's 0-based corners; an empty set gets the box at (1, 1)
+    a0, a1 = (int(ux[0]), int(ux[-1])) if len(ux) else (0, 0)
+    b0, b1 = (int(uy[0]), int(uy[-1])) if len(uy) else (0, 0)
+    nx, ny = a1 - a0 + 1, b1 - b0 + 1
+    if not _mask_pays(int(cols.sum()), nx, ny):
+        points = PointSet.from_mask(cells)
+        return verify(points, k, reserve), points
+    mask, box = _padded_mask(nx, ny)
+    box[...] = u8[a0 : a1 + 1, b0 : b1 + 1]
+    heaviest = _mask_lines(mask, a0 + 1, b0 + 1, nx, ny)
+    return _report(n, k, reserve, cols[a0 : a1 + 1], rows[b0 : b1 + 1], heaviest), None
 
 
 def count_on_line(points: PointSet, direction: Direction, c: int) -> int:

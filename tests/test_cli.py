@@ -44,8 +44,13 @@ def test_construct_explicit_golden_bytes(tmp_path):
 def test_construct_explicit_failed_certificate_raises_and_writes_nothing(tmp_path, monkeypatch):
     # the explicit construction is proven, so a failed certificate is a
     # program fault: it raises, and no file or sidecar is left behind
-    real = construct.verify
-    monkeypatch.setattr(construct, "verify", lambda p, k, h=0: replace(real(p, k, h), generic_max=k + 1))
+    real = construct._verify_cells
+
+    def failing(cells, k, h):
+        report, points = real(cells, k, h)
+        return replace(report, generic_max=k + 1), points
+
+    monkeypatch.setattr(construct, "_verify_cells", failing)
     out = tmp_path / "e.txt"
     with pytest.raises(RuntimeError, match="^explicit construction not certified: FAIL k=11 "):
         main(["construct", "--n", "16", "--k", "11", "--mode", "explicit", "--out", str(out)])

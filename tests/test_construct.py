@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkline import bifactor, construct
+from nkline import bifactor, construct, secants
 from nkline.bifactor import iter_matchings, sample_r_factor
 from nkline.construct import (
     ConstructionError,
@@ -120,7 +120,8 @@ def test_biuniform_spends_each_retry_with_its_own_factors():
     matrix = feasibility_matrix_4x4(400, 240)
     cert = biuniform_construct(403, 233, matrix, seed=11, max_retries=1)
     sample, sigma, tau = _sample_retry(matrix, 11, 0)
-    want = construct._spend(sample, 240, 7, 3, construct._retry_factors(matrix, sigma, tau, 10))
+    factors = construct._retry_factors(construct._block_schedule(matrix, 10), sigma, tau)
+    want = PointSet.from_mask(construct._spend(sample, 240, 7, 3, factors))
     assert cert.certified and cert.output == want
     assert cert.report == verify(want, 233, 0)
     assert cert.lineage[1] == ("spend", {"from": (400, 240), "to": (403, 233)})
@@ -163,6 +164,24 @@ def test_biuniform_search_400_120_golden_bytes():
     text = serialize(cert.output, 120, seed=7)
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_400_120_SHA256
     assert cert.per_retry_reserves == (2, -2, -5, -4)
+
+
+def test_unspent_route_reads_back_its_best_retry():
+    # retry 0 holds the best reserve of the four; its cells are kept
+    # through the three that follow, and its keys are read once, at the
+    # end: the report is the sweep of exactly the set returned
+    matrix = feasibility_matrix_4x4(400, 120)
+    cert = biuniform_construct(400, 120, matrix, seed=7, max_retries=4, target_reserve=15)
+    assert not cert.certified and cert.per_retry_reserves == (2, -2, -5, -4)
+    assert cert.output == PointSet.from_mask(_sample_retry(matrix, 7, 0)[0])
+    assert cert.report == verify(cert.output, 120, 15)
+
+
+def test_explicit_certificate_reports_on_its_output():
+    for n, k in [(16, 11), (68, 46), (300, 240)]:
+        cert = explicit_certificate(n, k)
+        assert cert.output == explicit_construct(n, k)
+        assert cert.report == verify(cert.output, k, 0)
 
 
 def _flip_cell(blocks):
@@ -227,7 +246,7 @@ def test_spend_nothing_returns_the_set_unswept(monkeypatch, extractions):
     s = explicit_construct(12, 8)
     report = verify(s, 8, 0)
     sweeps = []
-    monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
+    monkeypatch.setattr(construct, "_verify_cells", lambda *args: sweeps.append(args))
     out, rep = spend(s, report, 8, 12)
     assert out is s and rep == report and rep.passed
     assert sweeps == [] and extractions == []
@@ -243,7 +262,7 @@ def _first_factors(points, count):
 def test_spend_kernel_drops_a_factor_of_the_full_grid():
     n = 6
     full = PointSet.from_points(n, [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)])
-    out = construct._spend(full.mask(), n, 1, 0, _first_factors(full, 1))
+    out = PointSet.from_mask(construct._spend(full.mask(), n, 1, 0, _first_factors(full, 1)))
     assert len(out) == n * (n - 1)
     assert out.is_regular(n - 1)
 
@@ -255,6 +274,7 @@ def test_adjustments_leave_their_input_unchanged(desk_scale_run):
     shrunk, report = spend(s, cert.report, 233, 400)
     assert np.array_equal(s.keys, before)
     assert len(s) == 240 * 400 and s.is_regular(240)
+    assert report == verify(shrunk, 233, 0)
     before = shrunk.keys.copy()
     spend(shrunk, report, 233, 403)
     assert np.array_equal(shrunk.keys, before)
@@ -317,7 +337,7 @@ def test_spend_drop_never_increases_any_line_count(extractions):
         s = sample_r_factor(m, r, seed=40 + trial)
         before = generic_line_sizes(s.sorted_xy())
         extractions.clear()
-        out = construct._spend(s.mask(), r, 2, 0, _first_factors(s, 2))
+        out = PointSet.from_mask(construct._spend(s.mask(), r, 2, 0, _first_factors(s, 2)))
         assert len(extractions) == 2
         after = generic_line_sizes(out.sorted_xy())
         for key, cnt in after.items():
@@ -328,7 +348,7 @@ def test_spend_nothing_retargets_a_reserve_15_report(desk_scale_run, monkeypatch
     # a report certified at reserve 15 comes back re-targeted to reserve 0
     cert, _ = desk_scale_run
     sweeps = []
-    monkeypatch.setattr(construct, "verify", lambda *args: sweeps.append(args))
+    monkeypatch.setattr(construct, "_verify_cells", lambda *args: sweeps.append(args))
     out, rep = spend(cert.output, cert.report, 240, 400)
     assert out is cert.output and sweeps == []
     assert rep == replace(cert.report, required_reserve=0) and rep.passed
@@ -381,9 +401,10 @@ def _spends(draw):
 def test_spend_in_one_step_equals_drop_then_grow(sizes, circulant, seed):
     m, r, drop, grow = sizes
     f = _permuted_circulant(m, r, seed) if circulant else sample_r_factor(m, r, seed=seed)
-    once = construct._spend(f.mask(), r, drop, grow, _first_factors(f, drop + grow))
-    dropped = construct._spend(f.mask(), r, drop, 0, _first_factors(f, drop))
+    once = PointSet.from_mask(construct._spend(f.mask(), r, drop, grow, _first_factors(f, drop + grow)))
+    dropped = PointSet.from_mask(construct._spend(f.mask(), r, drop, 0, _first_factors(f, drop)))
     grown = construct._spend(dropped.mask(), r - drop, 0, grow, _first_factors(dropped, grow))
+    grown = PointSet.from_mask(grown)
     assert once == grown
     assert once.n == m + grow and once.is_regular(r - drop)
 
@@ -426,7 +447,7 @@ def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed,
     n = matrix.n
     cells, sigma, tau = _sample_retry(matrix, seed, t)
     points = PointSet.from_mask(cells)
-    factors = construct._retry_factors(matrix, sigma, tau, k)
+    factors = construct._retry_factors(construct._block_schedule(matrix, k), sigma, tau)
     assert factors.shape == (k, n)
     for f in factors:
         assert sorted(f.tolist()) == list(range(1, n + 1))
@@ -436,17 +457,20 @@ def test_retry_factors_split_the_retry_into_disjoint_perfect_matchings(mk, seed,
     # a prefix does not depend on how many are asked for, and a rerun
     # with the same seed gives the same factors
     j = data.draw(st.integers(0, k))
-    assert np.array_equal(construct._retry_factors(matrix, sigma, tau, j), factors[:j])
+    schedule = construct._block_schedule(matrix, j)
+    assert np.array_equal(construct._retry_factors(schedule, sigma, tau), factors[:j])
     _, sigma, tau = _sample_retry(matrix, seed, t)
-    assert np.array_equal(construct._retry_factors(matrix, sigma, tau, k), factors)
+    schedule = construct._block_schedule(matrix, k)
+    assert np.array_equal(construct._retry_factors(schedule, sigma, tau), factors)
 
 
 def test_retry_factors_reject_unequal_line_sums():
     matrix = FeasibilityMatrix(2, 3, [[1, 0], [0, 2]])
     _, sigma, tau = _sample_retry(matrix, 0, 0)
-    assert sorted(construct._retry_factors(matrix, sigma, tau, 1)[0].tolist()) == list(range(1, 7))
+    factors = construct._retry_factors(construct._block_schedule(matrix, 1), sigma, tau)
+    assert sorted(factors[0].tolist()) == list(range(1, 7))
     with pytest.raises(ConstructionError, match="unequal line sums"):
-        construct._retry_factors(matrix, sigma, tau, 2)
+        construct._block_schedule(matrix, 2)
 
 
 def _swap_into_a_cell_outside_the_set(factors):
@@ -481,7 +505,7 @@ def _give_too_few(factors):
 def _spend_and_certify(cells, k, drop, grow, factors):
     out = construct._spend(cells, k, drop, grow, factors)
     construct._certify(out, k - drop, 0)
-    return out
+    return PointSet.from_mask(out)
 
 
 @pytest.mark.parametrize(
@@ -566,7 +590,7 @@ def test_a_block_cell_a_dropped_factor_erases_leaves_the_output_unchanged(monkey
     matrix = _M40
     clean = biuniform_construct(40, 28, matrix, seed=3, max_retries=1)
     _, sigma, tau = _sample_retry(matrix, 3, 0)
-    y = int(construct._retry_factors(matrix, sigma, tau, 1)[0, 0]) - 1
+    y = int(construct._retry_factors(construct._block_schedule(matrix, 1), sigma, tau)[0, 0]) - 1
     # the cell lies in block (1, y // q + 1) of the block-row major array
     q = matrix.block_side
 
@@ -641,14 +665,16 @@ def test_one_fault_at_any_stage_raises_or_leaves_a_regular_set(stage, drop, grow
             _flip_one(data, mask)
             return PointSet.from_mask(mask)
 
+    # the keys of a set this small are read off its cells before its
+    # sweep, by `secants._verify_cells`
     patches = {
-        "blocks": ("relabeled_circulants", faulty_blocks),
-        "factors": ("_retry_factors", faulty(construct._retry_factors)),
-        "matchings": ("iter_matchings", faulty_matchings),
-        "mask": ("PointSet", FaultyMask),
+        "blocks": (construct, "relabeled_circulants", faulty_blocks),
+        "factors": (construct, "_retry_factors", faulty(construct._retry_factors)),
+        "matchings": (construct, "iter_matchings", faulty_matchings),
+        "mask": (secants, "PointSet", FaultyMask),
     }
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, *patches[stage])
+        mp.setattr(*patches[stage])
         try:
             out = run()
         except RuntimeError as e:
@@ -663,8 +689,11 @@ def test_explicit_route_raises_on_a_failed_certificate_under_python_o():
         "from dataclasses import replace\n"
         "from nkline import construct\n"
         "assert False, 'not running under -O'\n"
-        "real = construct.verify\n"
-        "construct.verify = lambda p, k, h=0: replace(real(p, k, h), generic_max=k + 1)\n"
+        "real = construct._verify_cells\n"
+        "def failing(cells, k, h):\n"
+        "    report, points = real(cells, k, h)\n"
+        "    return replace(report, generic_max=k + 1), points\n"
+        "construct._verify_cells = failing\n"
         "try:\n"
         "    construct.pipeline(16, 11, seed=0)\n"
         "except RuntimeError as exc:\n"
@@ -684,9 +713,10 @@ def test_every_route_returns_a_report_made_by_certify(monkeypatch, desk_scale_ru
     made = []
     certify = construct._certify
 
-    def counting(points, k, reserve):
-        made.append(certify(points, k, reserve))
-        return made[-1]
+    def counting(cells, k, reserve):
+        report, held = certify(cells, k, reserve)
+        made.append(report)
+        return report, held
 
     monkeypatch.setattr(construct, "_certify", counting)
     cert = explicit_certificate(16, 11)
@@ -759,17 +789,29 @@ def test_pipeline_verifies_once_per_retry(monkeypatch, n, k, steps):
     # at (n, k, 0), and the last one's report is the certificate
     calls = []
 
-    def counting(points, k, reserve=0):
-        calls.append((points.n, k, reserve))
-        return verify(points, k, reserve)
+    verify_cells = construct._verify_cells
 
-    monkeypatch.setattr(construct, "verify", counting)
+    def counting(cells, k, reserve):
+        calls.append((len(cells), k, reserve))
+        return verify_cells(cells, k, reserve)
+
+    monkeypatch.setattr(construct, "_verify_cells", counting)
     cert = pipeline(n, k, seed=11)
     assert cert.certified
     assert calls == [(n, k, 0)] * cert.retries_used
     assert [s for s, _ in cert.lineage] == steps
     assert cert.output.n == n and cert.output.is_regular(k)
     assert cert.report == verify(cert.output, k, 0)
+
+
+def test_biuniform_walks_the_block_schedule_once_per_call(extractions):
+    # every retry on one matrix spends the same block steps: two retries
+    # of 7 dropped and 3 grown factors walk the 4 x 4 block matrix 10
+    # times, not 20
+    with pytest.raises(RetriesExhausted) as exc:
+        pipeline(403, 113, seed=7, max_retries=2)
+    assert exc.value.certificate.per_retry_reserves == (-5, -9)
+    assert extractions == [4] * 10
 
 
 def test_pipeline_retries_exhausted_carries_best_effort():

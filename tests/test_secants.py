@@ -417,6 +417,63 @@ def test_mask_and_intercept_sweeps_agree_with_the_oracles(case):
     _assert_matches_line_sizes(n, pts)
 
 
+@st.composite
+def _cell_masks(draw):
+    """An n x n bool mask, n in [1, 60], from empty to full: over the
+    whole grid, only in a box at one of its corners, or with rows and
+    columns left empty, so that the residue cap runs."""
+    n = draw(st.integers(1, 60))
+    fill = draw(st.sampled_from([0.0, 0.03, 0.2, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((n, n)) < fill
+    kind = draw(st.sampled_from(["whole", "corner", "gaps"]))
+    if kind == "corner":
+        a, b = draw(st.integers(1, n)), draw(st.integers(1, n))
+        xs = slice(0, a) if draw(st.booleans()) else slice(n - a, n)
+        ys = slice(0, b) if draw(st.booleans()) else slice(n - b, n)
+        box = np.zeros_like(cells)
+        box[xs, ys] = True
+        cells &= box
+    elif kind == "gaps":
+        cells[rng.random(n) < 0.3] = False
+        cells[:, rng.random(n) < 0.3] = False
+    return cells
+
+
+@given(cells=_cell_masks(), reserve=st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_cells_feeder_matches_verify_of_its_keys(cells, reserve):
+    # both sweeps: the feeder's report equals that of the set's keys
+    # field for field; the mask sweep reads no key, the intercept sweep
+    # returns the keys it read, and neither writes to the cells
+    n = len(cells)
+    points, before = PointSet.from_mask(cells), cells.copy()
+    for mask in (False, True):
+        with mock.patch.object(secants, "_mask_pays", lambda points, nx, ny: mask):
+            report, read = secants._verify_cells(cells, n, reserve)
+            assert report == verify(points, n, reserve)
+        assert read is None if mask else read == points
+    assert np.array_equal(cells, before)
+
+
+def test_verify_scatter_peak_at_3203_is_the_masks_and_one_chunk():
+    # the keys are scattered a bounded chunk of columns at a time: the
+    # peak is the padded mask, its transpose (the walk reaches modulus
+    # 2) and at most one chunk's int64 index, where one index for every
+    # point had peaked at 68,465,765 bytes with the same report
+    out = pipeline(3203, 1866, seed=11).output
+    mask = 3203 + 3203 * (3203 + 3203)
+    tracemalloc.start()
+    try:
+        report = verify(out, 1866, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.axis_max == 1866 and report.generic_max == 1581
+    assert report.worst_line == (Direction(1, -1), -3283) and report.directions_swept == 6
+    assert peak <= 2 * mask + 8 * secants._SCATTER_CHUNK
+
+
 def test_verify_peak_memory_on_a_search_retry_is_below_the_intercept_sweep():
     # retry 0 of biuniform_construct(400, 120, seed=7) walks to modulus
     # 3, so the mask sweep builds the transposed mask too: both masks
