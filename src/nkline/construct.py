@@ -109,7 +109,7 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
     not pass is a program fault and raises RuntimeError."""
     if seed is not None:
         _check_int(seed=seed)
-    report, held = _certify(_explicit_cells(n, k), k, 0)
+    report, held = _certify([_explicit_cells(n, k)], k, 0)
     if not report.passed:
         raise RuntimeError(f"explicit construction not certified: {report.summary()}")
     return ConstructionCertificate(
@@ -125,19 +125,20 @@ def explicit_certificate(n: int, k: int, seed: Optional[int] = None) -> Construc
 _Held = Union[np.ndarray, PointSet]
 
 
-def _certify(cells: np.ndarray, k: int, reserve: int) -> tuple[VerificationReport, _Held]:
+def _certify(slot: list[np.ndarray], k: int, reserve: int) -> tuple[VerificationReport, _Held]:
     """The one sweep of a construction's output, given as its n x n bool
-    cells (`secants._verify_cells` at (k, reserve)), and the output as
-    the sweep left it: the cells, or the PointSet it read them into.
+    cells alone in the list `slot` (`secants._verify_cells` at
+    (k, reserve), which takes them out), and the output as the sweep
+    left it: the cells, or the PointSet it read them into.
     The output must also hold k * n points with no row or column above
     k, so exactly k in each.  The constructions make such sets by
     design, so any other is a program fault and raises RuntimeError."""
-    report, points = _verify_cells(cells, k, reserve)
-    held = cells if points is None else points
-    size = np.count_nonzero(cells) if points is None else len(points)
-    if size != k * len(cells) or report.axis_max > k:
+    n = len(slot[0])
+    report, held = _verify_cells(slot, k, reserve)
+    size = len(held) if isinstance(held, PointSet) else np.count_nonzero(held)
+    if size != k * n or report.axis_max > k:
         raise RuntimeError(
-            f"construction output is not a {k}-factor on [1,{len(cells)}]^2: "
+            f"construction output is not a {k}-factor on [1,{n}]^2: "
             f"{size} points, axis_max={report.axis_max}"
         )
     return report, held
@@ -278,10 +279,11 @@ def biuniform_construct(
         if drop or grow:
             # the retry's own cells must not stay alive through the sweep
             cells = _spend(cells, k_sample, drop, grow, _retry_factors(schedule, sigma, tau))
-        del sigma, tau
-        report, held = _certify(cells, k, target_reserve)
-        # a retry its sweep read keys from is held as those keys alone
-        del cells
+        # the sweep takes the only reference to the cells, so that a
+        # retry it reads keys from holds those keys alone through it
+        slot = [cells]
+        del cells, sigma, tau
+        report, held = _certify(slot, k, target_reserve)
         reserves.append(report.achieved_reserve)
         if best is None or report.achieved_reserve > best[1].achieved_reserve:
             best = (held, report)
@@ -376,9 +378,8 @@ def spend(
         )
     if not drop and not grow:
         return points, replace(report, required_reserve=0)
-    factors = islice(iter_matchings(points), drop + grow)
-    cells = _spend(points.mask(), report.k, drop, grow, np.array(list(factors)))
-    report, held = _certify(cells, k, 0)
+    factors = np.array(list(islice(iter_matchings(points), drop + grow)))
+    report, held = _certify([_spend(points.mask(), report.k, drop, grow, factors)], k, 0)
     return _read_keys(held), report
 
 

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isqrt
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -334,20 +334,24 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
 
 
 def _verify_cells(
-    cells: np.ndarray, k: int, reserve: int
-) -> tuple[VerificationReport, Optional[PointSet]]:
-    """`verify(PointSet.from_mask(cells), k, reserve)` of an n x n bool
-    mask, [x-1, y-1] for the point (x, y), and the PointSet it read the
-    cells into, or None if it read no keys.
+    slot: list[np.ndarray], k: int, reserve: int
+) -> tuple[VerificationReport, Union[np.ndarray, PointSet]]:
+    """`verify(PointSet.from_mask(cells), k, reserve)` of the n x n bool
+    mask alone in the list `slot`, [x-1, y-1] for the point (x, y), and
+    the set as the sweep held it: the cells, or the PointSet it read
+    them into.
 
     Its columns and rows are counted in uint8 reductions; the counts
     give the bounding box and the number of points.  When the mask
     sweep pays (`_mask_pays`) the box's cells are copied into its padded
     mask in one 2-D copy, and no key is read.  Otherwise the cells are
-    read into a PointSet, which takes the intercept sweep of `verify`;
-    the caller can then keep the set's keys, not its cells.
+    read into a PointSet, which takes the intercept sweep of `verify`.
+    The cells are taken out of `slot`, so that a caller holding no other
+    reference has them freed before that sweep: the set is then held as
+    its keys alone.
     """
     _check_bounds(k, reserve)
+    cells = slot.pop()
     n, u8 = len(cells), cells.view(np.uint8)
     dtype = np.min_scalar_type(n)
     cols = np.add.reduce(u8, axis=1, dtype=dtype)
@@ -359,11 +363,12 @@ def _verify_cells(
     nx, ny = a1 - a0 + 1, b1 - b0 + 1
     if not _mask_pays(int(cols.sum()), nx, ny):
         points = PointSet.from_mask(cells)
+        del cells, u8
         return verify(points, k, reserve), points
     mask, box = _padded_mask(nx, ny)
     box[...] = u8[a0 : a1 + 1, b0 : b1 + 1]
     heaviest = _mask_lines(mask, a0 + 1, b0 + 1, nx, ny)
-    return _report(n, k, reserve, cols[a0 : a1 + 1], rows[b0 : b1 + 1], heaviest), None
+    return _report(n, k, reserve, cols[a0 : a1 + 1], rows[b0 : b1 + 1], heaviest), cells
 
 
 def count_on_line(points: PointSet, direction: Direction, c: int) -> int:

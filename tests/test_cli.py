@@ -46,9 +46,9 @@ def test_construct_explicit_failed_certificate_raises_and_writes_nothing(tmp_pat
     # program fault: it raises, and no file or sidecar is left behind
     real = construct._verify_cells
 
-    def failing(cells, k, h):
-        report, points = real(cells, k, h)
-        return replace(report, generic_max=k + 1), points
+    def failing(slot, k, h):
+        report, held = real(slot, k, h)
+        return replace(report, generic_max=k + 1), held
 
     monkeypatch.setattr(construct, "_verify_cells", failing)
     out = tmp_path / "e.txt"

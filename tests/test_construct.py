@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -182,6 +183,36 @@ def test_explicit_certificate_reports_on_its_output():
         cert = explicit_certificate(n, k)
         assert cert.output == explicit_construct(n, k)
         assert cert.report == verify(cert.output, k, 0)
+
+
+@pytest.mark.parametrize("k", [30, 28])
+def test_a_retry_on_the_intercept_sweep_holds_its_keys_alone(monkeypatch, k):
+    # every n x n mask a retry made, its own and the spent one, is freed
+    # before the intercept sweep starts: a sparse retry holds the keys
+    # that sweep reads, not its cells beside them
+    made = []
+    for name in ("_sample_retry", "_spend"):
+        real = getattr(construct, name)
+
+        def recording(*args, real=real):
+            out = real(*args)
+            made.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+            return out
+
+        monkeypatch.setattr(construct, name, recording)
+    swept = []
+    intercept_lines = secants._intercept_lines
+
+    def checking(*args):
+        swept.append([r() is None for r in made])
+        return intercept_lines(*args)
+
+    monkeypatch.setattr(secants, "_mask_pays", lambda points, nx, ny: False)
+    monkeypatch.setattr(secants, "_intercept_lines", checking)
+    cert = biuniform_construct(40, k, _M40, seed=3, max_retries=3, target_reserve=30)
+    assert cert.retries_used == len(swept) == 3
+    assert len(made) == 3 * (1 + (k < 30)) and all(all(s) for s in swept)
+    assert cert.report == verify(cert.output, k, 30)
 
 
 def _flip_cell(blocks):
@@ -504,7 +535,7 @@ def _give_too_few(factors):
 
 def _spend_and_certify(cells, k, drop, grow, factors):
     out = construct._spend(cells, k, drop, grow, factors)
-    construct._certify(out, k - drop, 0)
+    construct._certify([out], k - drop, 0)
     return PointSet.from_mask(out)
 
 
@@ -690,9 +721,9 @@ def test_explicit_route_raises_on_a_failed_certificate_under_python_o():
         "from nkline import construct\n"
         "assert False, 'not running under -O'\n"
         "real = construct._verify_cells\n"
-        "def failing(cells, k, h):\n"
-        "    report, points = real(cells, k, h)\n"
-        "    return replace(report, generic_max=k + 1), points\n"
+        "def failing(slot, k, h):\n"
+        "    report, held = real(slot, k, h)\n"
+        "    return replace(report, generic_max=k + 1), held\n"
         "construct._verify_cells = failing\n"
         "try:\n"
         "    construct.pipeline(16, 11, seed=0)\n"
@@ -713,8 +744,8 @@ def test_every_route_returns_a_report_made_by_certify(monkeypatch, desk_scale_ru
     made = []
     certify = construct._certify
 
-    def counting(cells, k, reserve):
-        report, held = certify(cells, k, reserve)
+    def counting(slot, k, reserve):
+        report, held = certify(slot, k, reserve)
         made.append(report)
         return report, held
 
@@ -791,9 +822,9 @@ def test_pipeline_verifies_once_per_retry(monkeypatch, n, k, steps):
 
     verify_cells = construct._verify_cells
 
-    def counting(cells, k, reserve):
-        calls.append((len(cells), k, reserve))
-        return verify_cells(cells, k, reserve)
+    def counting(slot, k, reserve):
+        calls.append((len(slot[0]), k, reserve))
+        return verify_cells(slot, k, reserve)
 
     monkeypatch.setattr(construct, "_verify_cells", counting)
     cert = pipeline(n, k, seed=11)

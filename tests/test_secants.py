@@ -444,15 +444,16 @@ def _cell_masks(draw):
 @settings(max_examples=150, deadline=None)
 def test_cells_feeder_matches_verify_of_its_keys(cells, reserve):
     # both sweeps: the feeder's report equals that of the set's keys
-    # field for field; the mask sweep reads no key, the intercept sweep
-    # returns the keys it read, and neither writes to the cells
+    # field for field; the mask sweep holds the cells it was given, the
+    # intercept sweep the keys it read, and neither writes to the cells
     n = len(cells)
     points, before = PointSet.from_mask(cells), cells.copy()
     for mask in (False, True):
+        slot = [cells]
         with mock.patch.object(secants, "_mask_pays", lambda points, nx, ny: mask):
-            report, read = secants._verify_cells(cells, n, reserve)
+            report, held = secants._verify_cells(slot, n, reserve)
             assert report == verify(points, n, reserve)
-        assert read is None if mask else read == points
+        assert slot == [] and (held is cells if mask else held == points)
     assert np.array_equal(cells, before)
 
 
