@@ -5,8 +5,9 @@ reserve to shrink k and grow n, and the end-to-end pipeline.
 Every construction output is certified by the sweep verifier rather
 than trusted; randomized steps are reproducible from a master seed.
 An output reaches the sweep as its n x n bool cells (`_certify`), and
-its keys are read once, for the set that is returned: a retry that is
-not kept has no key read.
+its keys are read once: for the set that is returned, or by a sparse
+set's sweep, which needs them.  A dense retry that is not kept has no
+key read.
 """
 
 from __future__ import annotations

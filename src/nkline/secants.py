@@ -23,7 +23,8 @@ sweeps count the lines, with the same report; one private rule
 (`_mask_pays`) picks the faster, from the number of points and the
 box, unless its peak would be the higher.  Cells bound for the
 intercept sweep are read into a PointSet first, and that set goes back
-to the caller with its report.
+to the caller with its report; the cells come alone in a list that
+`_verify_cells` empties, so they can be freed before that sweep.
 
 The intercept sweep (sparse sets) offsets intercepts by the lowest one
 over the box, so c - c0 = |vy|*X + vx*Y with X = x - x0 when vy > 0,
