@@ -92,7 +92,9 @@ def relabeled_circulants(q: int, rs, seeds) -> tuple[np.ndarray, np.ndarray, np.
     factor under a uniformly random row and column relabeling.
 
     Block b seeds `default_rng(seeds[b])` and draws a row permutation
-    sigma[b], then a column permutation tau[b]; [b, a, c] is set iff
+    sigma[b], then a column permutation tau[b], in one `permuted` call
+    along the rows of a (2, q) arange, which takes the same draws from
+    the stream as two `permutation(q)` calls; [b, a, c] is set iff
     (tau[b, c] - sigma[b, a]) mod q < rs[b], which is
     `_circulant(q, rs[b])[sigma[b]][:, tau[b]]`.  Returns (blocks,
     sigma, tau): blocks is a (B, q, q) bool array like `sample_blocks`,
@@ -111,12 +113,11 @@ def relabeled_circulants(q: int, rs, seeds) -> tuple[np.ndarray, np.ndarray, np.
     if len(seeds) != rs.size:
         raise ValueError(f"{len(seeds)} seeds for {rs.size} blocks")
     dtype = _narrowest_int(q)
-    sigma = np.empty((rs.size, q), dtype=dtype)
-    tau = np.empty_like(sigma)
+    relabel = np.empty((rs.size, 2, q), dtype=dtype)
+    relabel[...] = np.arange(q, dtype=dtype)
     for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        sigma[b] = rng.permutation(q)
-        tau[b] = rng.permutation(q)
+        np.random.default_rng(seed).permuted(relabel[b], axis=1, out=relabel[b])
+    sigma, tau = relabel[:, 0], relabel[:, 1]
     # d = tau[c] - sigma[a] lies in (-q, q), so d mod q < r exactly when
     # 0 <= d < r or d < r - q; this skips an integer modulo per cell
     d = tau[:, None, :] - sigma[:, :, None]

@@ -335,8 +335,17 @@ def expected_load(
     return Fraction(weight, q)
 
 
-def _directions_of_modulus(M: int) -> list[Direction]:
-    """The primitive directions of modulus M, ascending by (vx, vy)."""
+# the moduli whose direction tables are built once per process: at most
+# 4M directions each, ~300 in all, whatever n or the number of sweeps
+_TABLED_MODULI = 16
+_TABLES: dict[int, tuple[Direction, ...]] = {}
+
+
+def _directions_of_modulus(M: int) -> tuple[Direction, ...]:
+    """The primitive directions of modulus M, ascending by (vx, vy);
+    kept for reuse when M <= _TABLED_MODULI."""
+    if M in _TABLES:
+        return _TABLES[M]
     if M < 1:
         raise ValueError(f"modulus must be >= 1, got {M}")
     dirs = []
@@ -346,21 +355,26 @@ def _directions_of_modulus(M: int) -> list[Direction]:
     vys = [b for b in range(1, M + 1) if gcd(M, b) == 1]
     dirs += [Direction(M, -b) for b in reversed(vys)]
     dirs += [Direction(M, b) for b in vys]
+    dirs = tuple(dirs)
+    if M <= _TABLED_MODULI:
+        _TABLES[M] = dirs
     return dirs
 
 
 def _heaviest_line(
     n: int,
     cap: Callable[[int], int],
-    heaviest: Callable[[Direction], tuple[int, int]],
+    heaviest: Callable[[Direction, int], tuple[int, Optional[int]]],
     class_cap: Optional[Callable[[int], int]] = None,
 ) -> tuple[int, Optional[tuple[Direction, int]], int]:
     """Heaviest generic line of [1,n]^2 under a line weight, over the
     primitive directions walked in (modulus, vx, vy) order.
 
-    `heaviest(d)` returns (weight, c): the largest weight of a line of
-    direction d, and the smallest intercept c = vy*x - vx*y of a line
-    of that weight.
+    `heaviest(d, best)` returns (weight, c): the largest weight of a
+    line of direction d and, when that weight beats `best` (the
+    heaviest found so far), the smallest intercept c = vy*x - vx*y of
+    a line of that weight.  A weight of at most `best` is never a
+    witness, so its c is not read and may be skipped (None).
     `cap(M)` bounds the weight of every line of modulus M or more; the
     walk stops at the first class whose cap cannot beat the best weight
     so far.  `class_cap(M)`, when given, bounds the lines of modulus M
@@ -377,7 +391,7 @@ def _heaviest_line(
         if class_cap is not None and class_cap(M) <= best:
             continue
         for d in _directions_of_modulus(M):
-            weight, c = heaviest(d)
+            weight, c = heaviest(d, best)
             swept += 1
             if weight > best:
                 best, witness = weight, (d, c)
@@ -391,7 +405,7 @@ def _heaviest_of(weights: np.ndarray, c0: int) -> tuple[int, int]:
     return int(weights[top]), c0 + top
 
 
-def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[int, int]]:
+def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction, int], tuple[int, int]]:
     """Per direction, the weight of every line of the full grid: each
     grid point weighs the entry of its block, and a line with fewer
     than 2 grid points weighs 0.
@@ -401,8 +415,8 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[i
     are one q x q block histogram of vy*u - vx*w, shifted by q times
     each distinct block offset s = vy*i - vx*j and scaled by the summed
     entries of the blocks at s; the same shifts scaled by the number of
-    blocks at s count the grid points per line.  Sums are exact int64.
-    A modulus-M direction takes O(q^2 + M*n) transient memory, not
+    blocks at s count the grid points per line.  Sums are exact int64,
+    and every direction's witness is found, whatever `best`.  A modulus-M direction takes O(q^2 + M*n) transient memory, not
     O(n^2).
     """
     m, q = matrix.m, matrix.block_side
@@ -410,7 +424,7 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction], tuple[i
     i, j = np.divmod(np.arange(m * m), m)
     u = np.arange(1, q + 1, dtype=np.int64)
 
-    def heaviest(d: Direction) -> tuple[int, int]:
+    def heaviest(d: Direction, best: int) -> tuple[int, int]:
         t0 = (d.vy if d.vy > 0 else d.vy * q) - d.vx * q
         block = np.bincount(((d.vy * u - t0)[:, None] - d.vx * u).ravel())
         s = d.vy * i - d.vx * j

@@ -49,8 +49,9 @@ copy.  The lines of a direction (vx, vy) with |vy| <= vx are then one
 strided view of the mask, vx classes of x by their steps by offsets,
 summed over the steps in uint8 chunks of 255 with no intercept
 computed (`_line_counts`); a direction with |vy| > vx reads the
-transposed mask, built the first time the walk reaches one.  Only the
-fullest lines are mapped back to their intercepts.
+transposed mask, built the first time the walk reaches one.  Only a
+direction whose fullest lines beat the best found so far maps them back
+to their intercepts; the walk reads no other direction's witness.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def _mask_pays(points: int, nx: int, ny: int) -> bool:
 # the number of points whose int64 scatter index `verify` builds at once
 _SCATTER_CHUNK = 1 << 16
 
-# heaviest(d) of one sweep: the weight and smallest intercept of d's
-# fullest line
-_Heaviest = Callable[[Direction], tuple[int, int]]
+# heaviest(d, best) of one sweep: the weight of d's fullest line, and
+# its smallest intercept when that weight beats best
+_Heaviest = Callable[[Direction, int], tuple[int, Optional[int]]]
 
 
 def _intercept_lines(
@@ -142,8 +143,9 @@ def _intercept_lines(
 ) -> tuple[np.ndarray, _Heaviest]:
     """The intercept sweep of the set `keys` on the nx x ny box at
     (x0, y0), whose column x holds cols[x - x0] points: one `bincount`
-    of the offset intercepts per direction.  Returns (rows, heaviest),
-    rows[y - y0] counting the points of row y."""
+    of the offset intercepts per direction, whose first maximum gives
+    the witness whatever `best`.  Returns (rows, heaviest), rows[y - y0]
+    counting the points of row y."""
     x1, y1, span = x0 + nx - 1, y0 + ny - 1, max(nx, ny) - 1
     # the offset arrays of the module docstring; a modulus-M class needs
     # their type to hold 2*M*span, up to `top`.  X0 and X1 come straight
@@ -161,7 +163,7 @@ def _intercept_lines(
     c, tmp = np.empty_like(Y1), np.empty_like(Y1)
     top = np.iinfo(dtype).max
 
-    def heaviest(d: Direction) -> tuple[int, int]:
+    def heaviest(d: Direction, best: int) -> tuple[int, int]:
         nonlocal X0, X1, Y1, c, tmp, top
         if 2 * d.modulus * span > top:
             wider = _narrowest_int(2 * d.modulus * span)
@@ -194,15 +196,19 @@ def _line_counts(
     height <= pad, so every line stays in [-pad, stride) and reads no
     cell of another.  Those steps of every line are one strided view,
     summed in uint8 a chunk of 255 steps at a time; the height % p rows
-    left over add one step to the first classes.
+    left over add one step to the first classes.  Lines of at most 255
+    points are counted by one uint8 reduce, whose result is kept.
     """
     steps, rest = divmod(height, p)
     step = p * stride + q
     base = pad - steps * q if q > 0 else pad
     view = np.ndarray((steps, p * stride), np.uint8, mask, base, (step, 1))
-    counts = np.zeros(p * stride, np.min_scalar_type(height))
-    for t in range(0, steps, 255):
-        counts += np.add.reduce(view[t : t + 255], axis=0, dtype=np.uint8)
+    if steps < 255:
+        counts = np.add.reduce(view, axis=0, dtype=np.uint8)
+    else:
+        counts = np.zeros(p * stride, np.min_scalar_type(height))
+        for t in range(0, steps, 255):
+            counts += np.add.reduce(view[t : t + 255], axis=0, dtype=np.uint8)
     end = base + steps * step
     counts[: rest * stride] += mask[end : end + rest * stride]
     return counts
@@ -225,13 +231,13 @@ def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heavie
     directions with |vy| <= vx.  The others read its transpose, row
     y - y0 holding column x - x0 (pad ny, the same stride), built from
     it the first time one is swept.  A direction's lines are one
-    `_line_counts` call in its mask, and its fullest lines are mapped
-    back to c = vy*x - vx*y.
+    `_line_counts` call in its mask; only a direction whose fullest
+    lines beat `best` maps them back to c = vy*x - vx*y.
     """
     stride = nx + ny
     transposed = None
 
-    def heaviest(d: Direction) -> tuple[int, int]:
+    def heaviest(d: Direction, best: int) -> tuple[int, Optional[int]]:
         nonlocal transposed
         vx, vy = d.vx, d.vy
         if abs(vy) <= vx:
@@ -248,10 +254,12 @@ def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heavie
             counts = _line_counts(transposed, ny, stride, ny, p, q)
             A, B, shift = -vx, vy, (ny // p) * max(q, 0)
         # argmax and a lookup are faster than max on these sizes
-        weight = counts[counts.argmax()]
+        weight = int(counts[counts.argmax()])
+        if weight <= best:
+            return weight, None
         fullest = np.flatnonzero(counts == weight).tolist()
         c = min(A * (j // stride) + B * (j % stride - shift) for j in fullest)
-        return int(weight), vy * x0 - vx * y0 + c
+        return weight, vy * x0 - vx * y0 + c
 
     return heaviest
 
@@ -391,16 +399,19 @@ def _mobius(N: int) -> np.ndarray:
 
     Only the primes p up to sqrt(N) are sieved, and rad[d] collects the
     ones that divide d.  A square-free d is rad[d] times 1 or one prime
-    above sqrt(N) (two would exceed N), which flips the sign."""
+    above sqrt(N) (two would exceed N), which flips the sign.  rad[d]
+    divides d <= N, so rad and d are held in the narrowest integer type
+    that holds N (`grid._narrowest_int`)."""
+    dtype = _narrowest_int(N)
     mu = np.ones(N + 1, dtype=np.int8)
-    rad = np.ones(N + 1, dtype=np.int64)
+    rad = np.ones(N + 1, dtype=dtype)
     mu[0] = 0
     for p in range(2, isqrt(N) + 1):
         if rad[p] == 1:  # no smaller prime divides p
             mu[p::p] *= -1
             mu[p * p :: p * p] = 0
             rad[p::p] *= p
-    mu[rad != np.arange(N + 1)] *= -1
+    mu[rad != np.arange(N + 1, dtype=dtype)] *= -1
     return mu
 
 

@@ -67,6 +67,55 @@ def brute_generic_max(points):
     return sizes[key], key
 
 
+def first_fullest_line(points):
+    """(size, (vx, vy, c)) of the fullest generic line spanned by at
+    least two of the points, the first in (modulus, vx, vy, c) order on
+    ties, or (0, None) if no two points span one."""
+    sizes = generic_line_sizes(points)
+    if not sizes:
+        return 0, None
+    top = max(sizes.values())
+    first = min((max(vx, abs(vy)), vx, vy, c) for (vx, vy, c), size in sizes.items() if size == top)
+    return top, first[1:]
+
+
+def _primitive_directions(M):
+    """The (vx, vy) of modulus M, vx >= 1, sorted, by a scan of the square."""
+    return sorted(
+        (vx, vy)
+        for vx in range(1, M + 1)
+        for vy in range(-M, M + 1)
+        if vy != 0 and max(vx, abs(vy)) == M and gcd(vx, abs(vy)) == 1
+    )
+
+
+def generic_max_by_cap(points, bound):
+    """(size, (vx, vy, c) or None) of the fullest generic line of the
+    PointSet among the directions whose lines can hold more than `bound`
+    grid points of [1,n]^2 (modulus M with (n-1)//M + 1 > bound), the
+    first in (modulus, vx, vy, c) order on ties; a lone point counts as
+    a line of size 1.  One `bincount` of the intercepts vy*x - vx*y of
+    every point per such direction, with no stop rule, no residue skip
+    and no mask.  A line of any other direction holds at most `bound`
+    points, so a size above `bound` is the set's generic maximum and
+    its witness."""
+    n = points.n
+    x, y = np.divmod(points.keys, n)
+    best, witness = 0, None
+    for M in range(1, n if len(x) else 1):
+        if (n - 1) // M + 1 <= bound:
+            break
+        for vx, vy in _primitive_directions(M):
+            # the intercepts of (x+1, y+1), offset to start at 0
+            c = vy * x - vx * y
+            c0 = int(c.min())
+            counts = np.bincount(c - c0)
+            at = int(np.argmax(counts))
+            if counts[at] > best:
+                best, witness = int(counts[at]), (vx, vy, c0 + vy - vx + at)
+    return best, witness
+
+
 def walk_line(n, vx, vy, x, y):
     """Grid points obtained by stepping (vx, vy) from (x, y), plus the
     backward extension; (x, y) need not be the start of the line."""
@@ -161,13 +210,7 @@ def scan_max_expected_load(matrix):
     for M in range(1, n):
         if top * ((n - 1) // M + 1) <= best:
             break
-        dirs = sorted(
-            (vx, vy)
-            for vx in range(1, M + 1)
-            for vy in range(-M, M + 1)
-            if vy != 0 and max(vx, abs(vy)) == M and gcd(vx, abs(vy)) == 1
-        )
-        for vx, vy in dirs:
+        for vx, vy in _primitive_directions(M):
             c = vy * x - vx * y
             c0 = int(c.min())
             weight = np.bincount(c - c0, weights=point_weight).astype(np.int64)

@@ -22,7 +22,7 @@ from nkline.bifactor import (
     sample_r_factor,
 )
 from nkline.bifactor import _row_bitsets, _split
-from nkline.grid import FeasibilityMatrix, PointSet
+from nkline.grid import FeasibilityMatrix, PointSet, _narrowest_int
 from oracles import ReadCounter, all_r_factors, matching_cells, matchings_by_lists, row_bitsets_by_or_at
 
 
@@ -207,6 +207,33 @@ def test_relabeled_circulants_match_per_block_oracle(q, data):
         # the returned relabelings rebuild the block
         assert np.array_equal(block, bifactor._circulant(q, r)[row_perm][:, col_perm])
         assert PointSet(q, np.flatnonzero(block)).is_regular(r)
+
+
+@pytest.mark.parametrize("q", [1, 2, 100, 2**15 + 3])
+def test_permuted_pair_draws_as_two_permutations(q):
+    # one permuted call along the rows of a (2, q) arange, in the
+    # relabelings' type (int16, or int32 past 2^15), takes the same draws
+    # as two permutation(q) calls on a fresh generator
+    dtype = _narrowest_int(q)
+    assert dtype == (np.int32 if q > 2**15 else np.int16)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        expect = [rng.permutation(q), rng.permutation(q)]
+        pair = np.tile(np.arange(q, dtype=dtype), (2, 1))
+        np.random.default_rng(seed).permuted(pair, axis=1, out=pair)
+        assert np.array_equal(pair, expect), seed
+
+
+@pytest.mark.parametrize("q", [1, 2, 100])
+def test_relabeled_circulants_are_the_circulant_under_two_permutation_draws(q):
+    seeds = list(range(50))
+    rs = [seed % (q + 1) for seed in seeds]
+    blocks, sigma, tau = relabeled_circulants(q, rs, seeds)
+    for block, r, seed, row_perm, col_perm in zip(blocks, rs, seeds, sigma, tau):
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(row_perm, rng.permutation(q))
+        assert np.array_equal(col_perm, rng.permutation(q))
+        assert np.array_equal(block, bifactor._circulant(q, r)[row_perm][:, col_perm])
 
 
 def test_relabeled_circulants_block_depends_only_on_its_seed():

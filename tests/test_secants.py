@@ -28,7 +28,8 @@ from oracles import (
     brute_generic_max,
     census_by_coprime_pairs,
     census_by_pairs,
-    generic_line_sizes,
+    first_fullest_line,
+    generic_max_by_cap,
     grid_line_sizes,
 )
 
@@ -341,12 +342,8 @@ def _assert_matches_line_sizes(n, pts, sweep=_verify_both):
         return
     # the witness is the first line of expect points in (modulus, vx,
     # vy, intercept) order
-    sizes = generic_line_sizes(pts)
-    first = min(
-        (max(vx, abs(vy)), vx, vy, c) for (vx, vy, c), size in sizes.items() if size == expect
-    )
     d, c = rep.worst_line
-    assert (d.vx, d.vy, c) == first[1:], (n, sorted(pts))
+    assert first_fullest_line(pts) == (expect, (d.vx, d.vy, c)), (n, sorted(pts))
 
 
 def test_verify_matches_oracles_on_sparse_and_clustered_sets():
@@ -415,6 +412,93 @@ def test_mask_and_intercept_sweeps_agree_with_the_oracles(case):
     # the oracles on the maximum, its witness and the axis counts
     n, pts = case
     _assert_matches_line_sizes(n, pts)
+
+
+@st.composite
+def _tied_sets(draw):
+    """A set of [1,n]^2, n <= 40, whose fullest lines tie within and
+    across directions: a permutation matrix, a full box, or the union of
+    whole lines of one direction."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["permutation", "box", "lines"]))
+    if kind == "permutation":
+        return n, set(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    if kind == "box":
+        w, h = draw(st.integers(1, n)), draw(st.integers(1, n))
+        x0, y0 = draw(st.integers(1, n - w + 1)), draw(st.integers(1, n - h + 1))
+        return n, {(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)}
+    vx = draw(st.integers(1, 4))
+    vy = draw(st.sampled_from([v for v in range(-4, 5) if v and gcd(vx, abs(v)) == 1]))
+    grid = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
+    cs = draw(st.lists(st.sampled_from(sorted({vy * x - vx * y for x, y in grid})), min_size=1, max_size=6))
+    return n, {(x, y) for x, y in grid if vy * x - vx * y in cs}
+
+
+@given(case=_tied_sets())
+@settings(max_examples=120, deadline=None)
+def test_witness_under_ties_is_the_first_fullest_line_on_both_sweeps(case):
+    # the mask sweep maps a direction's lines to an intercept only when
+    # it beats the best so far; the report must not depend on it: both
+    # sweeps agree on generic_max, worst_line and directions_swept, and
+    # the witness is the oracle's first fullest line, at its smallest
+    # intercept (a lone point is a line of size 1 once n >= 2)
+    n, pts = case
+    points = PointSet.from_points(n, pts)
+    rep = _verify_both(points, n)
+    witness = rep.worst_line and (rep.worst_line[0].vx, rep.worst_line[0].vy, rep.worst_line[1])
+    assert (rep.generic_max, witness) == generic_max_by_cap(points, 0)
+
+
+def test_cap_oracle_agrees_with_the_pair_oracle():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        pts = _sparse_or_clustered(rng, n, 60)
+        size, line = generic_max_by_cap(PointSet.from_points(n, pts), 1)
+        if size >= 2:
+            assert (size, line) == first_fullest_line(pts)
+        else:
+            assert first_fullest_line(pts) == (0, None)
+
+
+def _assert_verify_matches_the_cap_oracle(points, k, reserve):
+    # the oracle scans every direction whose lines can hold generic_max
+    # points; no line of another can, so its maximum and witness are exact
+    rep = _verify_both(points, k, reserve)
+    d, c = rep.worst_line
+    assert generic_max_by_cap(points, rep.generic_max - 1) == (rep.generic_max, (d.vx, d.vy, c))
+    return rep
+
+
+def test_verify_matches_the_cap_oracle_on_the_403_233_output():
+    rep = _assert_verify_matches_the_cap_oracle(pipeline(403, 233, seed=11).output, 233, 0)
+    assert rep.passed
+
+
+@pytest.mark.parametrize("t, reserve", enumerate([2, -2, -5, -4]))
+def test_verify_matches_the_cap_oracle_on_the_400_120_search_retries(t, reserve):
+    cells = _sample_retry(feasibility_matrix_4x4(400, 120), 7, t)[0]
+    rep = _assert_verify_matches_the_cap_oracle(PointSet.from_mask(cells), 120, 15)
+    assert rep.achieved_reserve == reserve
+
+
+@pytest.mark.parametrize("height", [253, 254, 255, 256, 257, 258, 509, 510, 511])
+def test_line_counts_match_a_direct_count_on_either_side_of_255(height):
+    # lines of at most 255 points take one uint8 reduce, longer ones
+    # are summed in chunks; an all-ones square box of side 253-258
+    # holds lines of those lengths for p = 1, and of 255 and 256 for
+    # p = 2 at heights 509-511
+    mask, cells = secants._padded_mask(height, height)
+    cells[...] = 1
+    stride = 2 * height
+    for p in (1, 2, 3):
+        a, u, t = np.ogrid[:p, :stride, : height // p + 1]
+        for q in range(-p, p + 1):
+            # the line through row a, column u - shift, stepping (p, q)
+            col = u - (height // p) * max(q, 0) + t * q
+            direct = ((a + t * p < height) & (col >= 0) & (col < height)).sum(axis=2).ravel()
+            got = secants._line_counts(mask, height, stride, height, p, q)
+            assert np.array_equal(got, direct), (p, q)
 
 
 @st.composite
@@ -649,6 +733,20 @@ def test_mobius_sieve_matches_trial_division():
 
     for N in (0, 1, 2, 3, 4, 24, 25, 26, 1000):
         assert secants._mobius(N).tolist() == [0] + [mu(d) for d in range(1, N + 1)], N
+
+
+def test_census_sieve_peak_is_ten_bytes_a_divisor():
+    # mu (int8), rad and d (int32 up to N = 999,999) and their bool
+    # comparison: ten bytes per d, where int64 rad and d peaked at
+    # 18,000,776 bytes with the same count
+    tracemalloc.start()
+    try:
+        row = census(10**6, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.count == 227_972_663_236_440_098_907_106
+    assert peak <= 10 * 10**6 + 2**16
 
 
 def test_census_below_richness_bound():
