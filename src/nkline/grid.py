@@ -416,8 +416,8 @@ def _block_histogram(matrix: FeasibilityMatrix) -> Callable[[Direction, int], tu
     each distinct block offset s = vy*i - vx*j and scaled by the summed
     entries of the blocks at s; the same shifts scaled by the number of
     blocks at s count the grid points per line.  Sums are exact int64,
-    and every direction's witness is found, whatever `best`.  A modulus-M direction takes O(q^2 + M*n) transient memory, not
-    O(n^2).
+    and every direction's witness is found, whatever `best`.  A
+    modulus-M direction takes O(q^2 + M*n) transient memory, not O(n^2).
     """
     m, q = matrix.m, matrix.block_side
     entries = np.asarray(matrix.entries, dtype=np.int64).ravel()

@@ -196,8 +196,9 @@ def _line_counts(
     height <= pad, so every line stays in [-pad, stride) and reads no
     cell of another.  Those steps of every line are one strided view,
     summed in uint8 a chunk of 255 steps at a time; the height % p rows
-    left over add one step to the first classes.  Lines of at most 255
-    points are counted by one uint8 reduce, whose result is kept.
+    left over add one step to the first classes.  Below 255 steps no
+    line holds more than 255 points, and the one uint8 reduce is the
+    counts.
     """
     steps, rest = divmod(height, p)
     step = p * stride + q

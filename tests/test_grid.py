@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nkline import grid
 from nkline.grid import (
     MAX_SIDE,
     Direction,
@@ -461,6 +462,18 @@ def test_max_expected_load_witness_is_first_heaviest_line(mat):
     earlier = [e for M in range(1, d.modulus + 1) for e in _directions_of_modulus(M)]
     for e in earlier[: earlier.index(d)]:
         assert heaviest_line_by_scan(mat, e.vx, e.vy)[0] < load
+
+
+def test_walk_keeps_the_direction_tables_of_small_moduli_only():
+    # a walk to modulus 39 that never stops early reuses the tables of
+    # moduli up to 16 and keeps none beyond them, whatever n
+    _, witness, swept = grid._heaviest_line(40, lambda M: 1, lambda d, best: (0, None))
+    assert witness is None
+    assert swept == sum(len(_directions_of_modulus(M)) for M in range(1, 40))
+    assert set(grid._TABLES) <= set(range(1, grid._TABLED_MODULI + 1))
+    assert _directions_of_modulus(grid._TABLED_MODULI) is _directions_of_modulus(grid._TABLED_MODULI)
+    assert _directions_of_modulus(17) == _directions_of_modulus(17)
+    assert 17 not in grid._TABLES
 
 
 def test_max_expected_load_transient_memory_is_under_n_squared_bytes():
