@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import ceil
 from typing import Optional, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .bifactor import (
     iter_matchings,
     relabeled_circulants,
 )
-from .grid import FeasibilityMatrix, PointSet, _check_int, feasibility_matrix_4x4
+from .grid import FeasibilityMatrix, PointSet, _ceil_div, _check_int, feasibility_matrix_4x4
 from .secants import VerificationReport, _verify_cells
 
 
@@ -406,9 +405,12 @@ def pipeline(n: int, k: int, seed: int, max_retries: int = 64) -> ConstructionCe
         return explicit_certificate(n, k, seed)
 
     n_round = 4 * (n // 4)
-    k_round = 10 * ceil(k / 10)
+    k_round = 10 * _ceil_div(k, 10)
     if 6 * k_round > 5 * n_round:
-        raise ConstructionError(f"rounded k={k_round} exceeds 5/6 of rounded n={n_round}")
+        raise ConstructionError(
+            f"no route builds n={n}, k={k}: the explicit construction needs 3k >= 2n, "
+            f"and the randomized one 10*ceil(k/10) = {k_round} <= 5/6 of 4*floor(n/4) = {n_round}"
+        )
     matrix = feasibility_matrix_4x4(n_round, k_round)
     cert = biuniform_construct(n, k, matrix, seed, max_retries=max_retries)
     if not cert.certified:

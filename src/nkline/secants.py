@@ -19,12 +19,13 @@ per column by those counts gives each key what it needs from its
 column.  `_verify_cells` takes a construction's output as its n x n
 bool cells, and counts their rows and columns in two uint8 reductions,
 which give the box and the number of points with no key read.  Two
-sweeps count the lines, with the same report; one private rule
-(`_mask_pays`) picks the faster, from the number of points and the
-box, unless its peak would be the higher.  Cells bound for the
-intercept sweep are read into a PointSet first, and that set goes back
-to the caller with its report; the cells come alone in a list that
-`_verify_cells` empties, so they can be freed before that sweep.
+sweeps count the lines, with the same report.  The mask sweep runs
+whenever its two masks, (nx + ny)^2 bytes, fit in the ~18 bytes a point
+that the intercept sweep's offsets and its `bincount` copy take
+(`_masks_fit`); otherwise the intercept sweep runs.  Cells bound for
+the intercept sweep are read into a PointSet first, and that set goes
+back to the caller with its report; the cells come alone in a list
+that `_verify_cells` empties, so they can be freed before that sweep.
 
 The intercept sweep (sparse sets) offsets intercepts by the lowest one
 over the box, so c - c0 = |vy|*X + vx*Y with X = x - x0 when vy > 0,
@@ -113,21 +114,15 @@ class VerificationReport:
         )
 
 
-def _mask_pays(points: int, nx: int, ny: int) -> bool:
+def _masks_fit(points: int, nx: int, ny: int) -> bool:
     """Whether the verifier sweeps a set of `points` points whose bounding
     box is nx x ny through its byte masks (`_mask_lines`) rather than
-    through its intercepts (`_intercept_lines`).
-
-    Both sweeps give the same report; the rule picks the faster one
-    whose peak is no higher.  Measured on random sets of sides 30 to
-    900 (2 cores, numpy 2.4), a direction costs the mask sweep ~8 µs
-    plus ~0.05 ns per byte of its mask, max(nx, ny) * (nx + ny), and
-    the intercept sweep ~4 µs plus ~1.6 ns per point.  The two masks
-    take (nx + ny)^2 bytes, the intercept sweep's offsets and its
-    `bincount` copy ~18 bytes a point.
+    through its intercepts (`_intercept_lines`): whether the two masks,
+    (nx + ny)^2 bytes, fit in the ~18 bytes a point of the intercept
+    sweep's offsets and its `bincount` copy.  Both sweeps give the same
+    report.
     """
-    mask_ns = 8000 + 0.05 * max(nx, ny) * (nx + ny)
-    return mask_ns < 4000 + 1.6 * points and (nx + ny) ** 2 <= 18 * points
+    return (nx + ny) ** 2 <= 18 * points
 
 
 # the number of points whose int64 scatter index `verify` builds at once
@@ -182,27 +177,25 @@ def _intercept_lines(
     return rows, heaviest
 
 
-def _line_counts(
-    mask: np.ndarray, pad: int, stride: int, height: int, p: int, q: int
-) -> np.ndarray:
+def _line_counts(mask: np.ndarray, stride: int, height: int, p: int, q: int) -> np.ndarray:
     """Points per line of step (p, q), |q| <= p, in a padded byte mask.
 
-    Row a, column b of the mask is byte pad + a*stride + b, for a in
-    [0, height); each row's last `pad` bytes and the first `pad` bytes
-    of the buffer are zero, so any column in [-pad, stride) reads the
-    row's own cell or a zero.  Entry a*stride + u of the result counts
-    the line through row a in [0, p), column u - (height//p)*max(q, 0).
-    Along its height//p steps a line's column drifts by at most
-    height <= pad, so every line stays in [-pad, stride) and reads no
-    cell of another.  Those steps of every line are one strided view,
-    summed in uint8 a chunk of 255 steps at a time; the height % p rows
-    left over add one step to the first classes.  Below 255 steps no
-    line holds more than 255 points, and the one uint8 reduce is the
-    counts.
+    Row a, column b of the mask is byte height + a*stride + b, for a in
+    [0, height); each row's last `height` bytes and the first `height`
+    bytes of the buffer are zero, so any column in [-height, stride)
+    reads the row's own cell or a zero.  Entry a*stride + u of the
+    result counts the line through row a in [0, p), column
+    u - (height//p)*max(q, 0).  Along its height//p steps a line's
+    column drifts by at most height, so every line stays in
+    [-height, stride) and reads no cell of another.  Those steps of
+    every line are one strided view, summed in uint8 a chunk of 255
+    steps at a time; the height % p rows left over add one step to the
+    first classes.  Below 255 steps no line holds more than 255 points,
+    and the one uint8 reduce is the counts.
     """
     steps, rest = divmod(height, p)
     step = p * stride + q
-    base = pad - steps * q if q > 0 else pad
+    base = height - steps * q if q > 0 else height
     view = np.ndarray((steps, p * stride), np.uint8, mask, base, (step, 1))
     if steps < 255:
         counts = np.add.reduce(view, axis=0, dtype=np.uint8)
@@ -217,8 +210,8 @@ def _line_counts(
 
 def _padded_mask(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
     """A zero byte mask of an nx x ny box in the layout `_mask_lines`
-    reads (`_line_counts`, pad nx and stride nx + ny), and the 2-D view
-    of its cells, [x - x0, y - y0] for the point (x, y)."""
+    reads (`_line_counts`, height nx and stride nx + ny), and the 2-D
+    view of its cells, [x - x0, y - y0] for the point (x, y)."""
     stride = nx + ny
     mask = np.zeros(nx + nx * stride, np.uint8)
     return mask, mask[nx:].reshape(nx, stride)[:, :ny]
@@ -230,8 +223,8 @@ def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heavie
 
     Row x - x0 of the mask holds column y - y0, and serves the
     directions with |vy| <= vx.  The others read its transpose, row
-    y - y0 holding column x - x0 (pad ny, the same stride), built from
-    it the first time one is swept.  A direction's lines are one
+    y - y0 holding column x - x0 (height ny, the same stride), built
+    from it the first time one is swept.  A direction's lines are one
     `_line_counts` call in its mask; only a direction whose fullest
     lines beat `best` maps them back to c = vy*x - vx*y.
     """
@@ -243,7 +236,7 @@ def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heavie
         vx, vy = d.vx, d.vy
         if abs(vy) <= vx:
             # cell (a, b) is (x0 + a, y0 + b), and the line steps by (vx, vy)
-            counts = _line_counts(mask, nx, stride, nx, vx, vy)
+            counts = _line_counts(mask, stride, nx, vx, vy)
             A, B, shift = vy, -vx, (nx // vx) * max(vy, 0)
         else:
             if transposed is None:
@@ -252,7 +245,7 @@ def _mask_lines(mask: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> _Heavie
             # cell (a, b) is (x0 + b, y0 + a), and the line steps by
             # (vx, vy) or its reverse, so that its row grows
             p, q = (vy, vx) if vy > 0 else (-vy, -vx)
-            counts = _line_counts(transposed, ny, stride, ny, p, q)
+            counts = _line_counts(transposed, stride, ny, p, q)
             A, B, shift = -vx, vy, (ny // p) * max(q, 0)
         # argmax and a lookup are faster than max on these sizes
         weight = int(counts[counts.argmax()])
@@ -324,7 +317,7 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
     first, last = keys[runs[:-1][cols > 0]] % n, keys[runs[1:][cols > 0] - 1] % n
     y0, y1 = (int(first.min()) + 1, int(last.max()) + 1) if len(keys) else (1, 1)
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    if not _mask_pays(len(keys), nx, ny):
+    if not _masks_fit(len(keys), nx, ny):
         rows, heaviest = _intercept_lines(keys, n, x0, y0, nx, ny, cols)
         return _report(n, k, reserve, cols, rows, heaviest)
     stride = nx + ny
@@ -339,7 +332,7 @@ def verify(points: PointSet, k: int, reserve: int = 0) -> VerificationReport:
         flat += keys[runs[a] : runs[min(a + width, nx)]]
         mask[flat] = 1
     del flat
-    rows = _line_counts(mask, nx, stride, nx, 1, 0)[:ny]
+    rows = _line_counts(mask, stride, nx, 1, 0)[:ny]
     return _report(n, k, reserve, cols, rows, _mask_lines(mask, x0, y0, nx, ny))
 
 
@@ -353,7 +346,7 @@ def _verify_cells(
 
     Its columns and rows are counted in uint8 reductions; the counts
     give the bounding box and the number of points.  When the mask
-    sweep pays (`_mask_pays`) the box's cells are copied into its padded
+    sweep runs (`_masks_fit`) the box's cells are copied into its padded
     mask in one 2-D copy, and no key is read.  Otherwise the cells are
     read into a PointSet, which takes the intercept sweep of `verify`.
     The cells are taken out of `slot`, so that a caller holding no other
@@ -371,7 +364,7 @@ def _verify_cells(
     a0, a1 = (int(ux[0]), int(ux[-1])) if len(ux) else (0, 0)
     b0, b1 = (int(uy[0]), int(uy[-1])) if len(uy) else (0, 0)
     nx, ny = a1 - a0 + 1, b1 - b0 + 1
-    if not _mask_pays(int(cols.sum()), nx, ny):
+    if not _masks_fit(int(cols.sum()), nx, ny):
         points = PointSet.from_mask(cells)
         del cells, u8
         return verify(points, k, reserve), points

@@ -62,6 +62,14 @@ def test_construct_usage_error_for_k_above_n(tmp_path):
     assert code == 1
 
 
+def test_construct_error_for_a_size_no_route_builds(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["construct", "--n", "2", "--k", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no route builds n=2, k=1: ") and "needs 3k >= 2n" in err
+    assert not out.exists()
+
+
 def test_construct_biuniform_deterministic_bytes(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"

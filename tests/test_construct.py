@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -111,6 +112,19 @@ def test_biuniform_rejects_mismatched_matrix():
             biuniform_construct(n, k, matrix, seed=0)
 
 
+@pytest.mark.parametrize("n, k, k_round, n_round", [(2, 1, 10, 0), (11, 5, 10, 8)])
+def test_pipeline_error_names_both_routes_limits(n, k, k_round, n_round):
+    # neither route takes these sizes: 3k < 2n rules out the explicit
+    # construction, and the randomized one would round to a k above 5/6
+    # of its n (none at all for n < 4)
+    message = (
+        f"no route builds n={n}, k={k}: the explicit construction needs 3k >= 2n, and the "
+        f"randomized one 10*ceil(k/10) = {k_round} <= 5/6 of 4*floor(n/4) = {n_round}"
+    )
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        pipeline(n, k, seed=0)
+
+
 def test_biuniform_rejects_zero_retries():
     with pytest.raises(ConstructionError, match="max_retries must be >= 1"):
         biuniform_construct(40, 30, feasibility_matrix_4x4(40, 30), seed=0, max_retries=0)
@@ -207,7 +221,7 @@ def test_a_retry_on_the_intercept_sweep_holds_its_keys_alone(monkeypatch, k):
         swept.append([r() is None for r in made])
         return intercept_lines(*args)
 
-    monkeypatch.setattr(secants, "_mask_pays", lambda points, nx, ny: False)
+    monkeypatch.setattr(secants, "_masks_fit", lambda points, nx, ny: False)
     monkeypatch.setattr(secants, "_intercept_lines", checking)
     cert = biuniform_construct(40, k, _M40, seed=3, max_retries=3, target_reserve=30)
     assert cert.retries_used == len(swept) == 3

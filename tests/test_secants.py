@@ -4,12 +4,13 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from math import gcd, nan, pi
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from nkline.grid import (
@@ -19,9 +20,10 @@ from nkline.grid import (
     _directions_of_modulus,
     _narrowest_int,
     feasibility_matrix_4x4,
+    line_points,
 )
 from nkline import secants
-from nkline.construct import _sample_retry, pipeline
+from nkline.construct import ConstructionError, RetriesExhausted, _sample_retry, pipeline
 from nkline.secants import census, count_on_line, richness_bound, verify
 
 from oracles import (
@@ -40,7 +42,7 @@ def _verify_both(points, k, reserve=0):
     must agree field for field."""
     reports = []
     for mask in (False, True):
-        with mock.patch.object(secants, "_mask_pays", lambda points, nx, ny: mask):
+        with mock.patch.object(secants, "_masks_fit", lambda points, nx, ny: mask):
             reports.append(verify(points, k, reserve))
     assert reports[0] == reports[1], reports
     return reports[0]
@@ -359,7 +361,8 @@ def test_verify_matches_oracles_across_offset_widths(monkeypatch):
     # walk gets there, so these sets span hundreds of rows.  Sets stay
     # at 20 points: a sparse set with no 3 in line walks to modulus
     # ~span/2, which takes seconds per set at 40 points.  The mask sweep
-    # has no offsets, and would read its 2 * span^2 bytes per direction.
+    # has no offsets, so the rule is patched to the intercept sweep: a
+    # clustered set's masks can fit in its 18 bytes a point.
     widths = []
 
     def spy(bound):
@@ -368,6 +371,7 @@ def test_verify_matches_oracles_across_offset_widths(monkeypatch):
 
     narrowest_int = secants._narrowest_int
     monkeypatch.setattr(secants, "_narrowest_int", spy)
+    monkeypatch.setattr(secants, "_masks_fit", lambda points, nx, ny: False)
     rng = random.Random(2026)
     widened = 0
     for trial in range(40):
@@ -482,6 +486,97 @@ def test_verify_matches_the_cap_oracle_on_the_400_120_search_retries(t, reserve)
     assert rep.achieved_reserve == reserve
 
 
+@lru_cache(maxsize=2)
+def _certified(m, k, seed):
+    """The certified k-regular set that pipeline(m, k, seed) builds on
+    [1,m]^2 within 4 retries, and its report at reserve 0."""
+    cert = pipeline(m, k, seed=seed, max_retries=4)
+    return cert.output, cert.report
+
+
+def _switch_onto(cells, d, c, load, rng):
+    """Raise the line vy*x - vx*y = c of the n x n bool mask `cells`
+    ([x-1, y-1] for (x, y)) to `load` points by 2x2 switches (Kannan,
+    Tetali & Vempala 1999): each sets an empty cell (x1, y1) of the line
+    and a cell (x2, y2), and clears (x1, y2) and (x2, y1), so every row
+    and column keeps its count.  A generic line meets row x1 and column
+    y1 once, so the cleared cells are off it, and (x2, y2) is drawn off
+    it: each switch adds exactly one point to the line."""
+    xs, ys = np.array(line_points(len(cells), d, c)).T - 1
+    while cells[xs, ys].sum() < load:
+        # an empty cell of the line whose row and column hold points
+        free = ~cells[xs, ys] & cells[xs].any(axis=1) & cells[:, ys].any(axis=0)
+        i = rng.choice(np.flatnonzero(free))
+        x1, y1 = xs[i], ys[i]
+        for y2 in rng.permutation(np.flatnonzero(cells[x1])):
+            x2s = np.flatnonzero(cells[:, y1] & ~cells[:, y2])
+            x2s = x2s[d.vy * (x2s + 1) - d.vx * (y2 + 1) != c]
+            if len(x2s):
+                break
+        else:
+            raise AssertionError(f"no switch sets {(x1 + 1, y1 + 1)}")
+        x2 = rng.choice(x2s)
+        cells[x1, y1] = cells[x2, y2] = True
+        cells[x1, y2] = cells[x2, y1] = False
+
+
+@st.composite
+def _plants(draw):
+    """(m, k, seed, n, o, h, (vx, vy), c, switch seed): the certified set
+    `_certified(m, k, seed)`, m <= 400, shifted by (o, o) into [1,n]^2,
+    a reserve h it meets, and a line of a direction whose modulus M has
+    cap (m-1)//M + 1 above k - h, holding more than k - h cells of the
+    set's box."""
+    m = draw(st.integers(24, 400))
+    k = draw(st.integers(m // 4, m - 2))
+    seed = draw(st.integers(0, 2**16))
+    try:
+        report = _certified(m, k, seed)[1]
+    except (ConstructionError, RetriesExhausted):
+        # no route takes (m, k), or 4 retries do not certify it
+        reject()
+    n = m + draw(st.sampled_from([0, 9]))
+    o = draw(st.integers(0, n - m))
+    h = draw(st.integers(0, report.achieved_reserve))
+    M = draw(st.sampled_from([M for M in range(1, m) if (m - 1) // M + 1 > k - h]))
+    d = draw(st.sampled_from(_directions_of_modulus(M)))
+    x, y = np.indices((m, m)) + o + 1
+    sizes = Counter((d.vy * x - d.vx * y).ravel().tolist())
+    c = draw(st.sampled_from(sorted(c for c, size in sizes.items() if size > k - h)))
+    return m, k, seed, n, o, h, (d.vx, d.vy), c, draw(st.integers(0, 2**16))
+
+
+# a longest line of modulus 2, (m-1)//2 + 1 cells, filled by switches to
+# one above a set whose fullest lines, all of modulus 1, hold (m-1)//2:
+# the walk must not stop before modulus 2 (whole grids), nor skip it on
+# its residue cap (shifted sets, which miss rows and columns)
+@example(case=(200, 101, 1, 200, 0, 2, (1, -2), -402, 0))
+@example(case=(200, 101, 1, 209, 4, 2, (1, -2), -414, 0))
+@example(case=(1600, 920, 0, 1600, 0, 121, (1, -2), -3202, 0))
+@example(case=(1591, 908, 0, 1600, 4, 113, (1, -2), -3195, 1))
+@given(case=_plants())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_verify_catches_a_line_planted_one_above_the_reserve(case):
+    # switches that keep every row and column raise one line of a
+    # certified set to exactly k - h + 1 points: the exact sweep must
+    # fail the set at reserve h, with the cap oracle's maximum and
+    # witness, and the witness must recount
+    m, k, seed, n, o, h, (vx, vy), c, switch_seed = case
+    cells = np.zeros((n, n), bool)
+    cells[o : o + m, o : o + m] = _certified(m, k, seed)[0].mask()
+    rows, cols = cells.sum(axis=1), cells.sum(axis=0)
+    d = Direction(vx, vy)
+    _switch_onto(cells, d, c, k - h + 1, np.random.default_rng(switch_seed))
+    assert np.array_equal(cells.sum(axis=1), rows) and np.array_equal(cells.sum(axis=0), cols)
+    out = PointSet.from_mask(cells)
+    assert count_on_line(out, d, c) == k - h + 1
+    rep = _verify_both(out, k, h)
+    assert not rep.passed and rep.axis_max == k
+    wd, wc = rep.worst_line
+    assert generic_max_by_cap(out, k - h) == (rep.generic_max, (wd.vx, wd.vy, wc))
+    assert count_on_line(out, wd, wc) == rep.generic_max
+
+
 @pytest.mark.parametrize("height", [253, 254, 255, 256, 257, 258, 509, 510, 511])
 def test_line_counts_match_a_direct_count_on_either_side_of_255(height):
     # lines of at most 255 points take one uint8 reduce, longer ones
@@ -497,7 +592,7 @@ def test_line_counts_match_a_direct_count_on_either_side_of_255(height):
             # the line through row a, column u - shift, stepping (p, q)
             col = u - (height // p) * max(q, 0) + t * q
             direct = ((a + t * p < height) & (col >= 0) & (col < height)).sum(axis=2).ravel()
-            got = secants._line_counts(mask, height, stride, height, p, q)
+            got = secants._line_counts(mask, stride, height, p, q)
             assert np.array_equal(got, direct), (p, q)
 
 
@@ -534,7 +629,7 @@ def test_cells_feeder_matches_verify_of_its_keys(cells, reserve):
     points, before = PointSet.from_mask(cells), cells.copy()
     for mask in (False, True):
         slot = [cells]
-        with mock.patch.object(secants, "_mask_pays", lambda points, nx, ny: mask):
+        with mock.patch.object(secants, "_masks_fit", lambda points, nx, ny: mask):
             report, held = secants._verify_cells(slot, n, reserve)
             assert report == verify(points, n, reserve)
         assert slot == [] and (held is cells if mask else held == points)
@@ -565,7 +660,7 @@ def test_verify_peak_memory_on_a_search_retry_is_below_the_intercept_sweep():
     # are 640,000 bytes, and the peak measured 722,040 bytes.  The
     # intercept sweep peaked at 922,496 bytes on it.
     s = PointSet.from_mask(_sample_retry(feasibility_matrix_4x4(400, 120), 7, 0)[0])
-    assert secants._mask_pays(len(s), 400, 400)
+    assert secants._masks_fit(len(s), 400, 400)
     tracemalloc.start()
     try:
         rep = verify(s, 120, 15)
@@ -575,6 +670,52 @@ def test_verify_peak_memory_on_a_search_retry_is_below_the_intercept_sweep():
     assert rep == _verify_both(s, 120, 15)
     assert rep.directions_swept == 14 and rep.generic_max == 118
     assert peak <= 922_496
+
+
+def _sweeps_run(call):
+    """The names of the sweeps, `_intercept_lines` or `_mask_lines`,
+    that call() builds, in order."""
+    run = []
+
+    def spy(name):
+        real = getattr(secants, name)
+
+        def spied(*args):
+            run.append(name)
+            return real(*args)
+
+        return mock.patch.object(secants, name, spied)
+
+    with spy("_intercept_lines"), spy("_mask_lines"):
+        call()
+    return run
+
+
+@pytest.mark.parametrize(
+    "n, nx, ny, points, sweep",
+    [
+        (400, 400, 400, 48_000, "_mask_lines"),  # a search-400-120 retry
+        (403, 403, 403, 93_899, "_mask_lines"),  # construct-403-233's output
+        (200, 200, 200, 12_000, "_mask_lines"),  # audit-200-60's file
+        (1000, 1000, 20, 20, "_intercept_lines"),
+        (10**4, 10**4, 10**4, 2, "_intercept_lines"),
+        (15, 15, 15, 50, "_mask_lines"),  # (nx + ny)^2 = 900 = 18 * 50
+        (15, 15, 15, 49, "_intercept_lines"),
+    ],
+)
+def test_sweep_is_the_mask_sweep_exactly_when_its_masks_fit(n, nx, ny, points, sweep):
+    # the rule reads the memory bound alone: the mask sweep runs when
+    # its two masks, (nx + ny)^2 bytes, fit in 18 bytes a point; both
+    # feeders follow it on `points` random cells of the nx x ny box at
+    # (1, 1), two of them its corners
+    assert secants._masks_fit(points, nx, ny) == (sweep == "_mask_lines")
+    rng = np.random.default_rng(points)
+    box = np.concatenate(([0, nx * ny - 1], rng.choice(nx * ny - 2, points - 2, replace=False) + 1))
+    x, y = np.divmod(np.sort(box), ny)
+    s = PointSet(n, x * n + y)
+    assert _sweeps_run(lambda: verify(s, n)) == [sweep]
+    if n <= 1000:
+        assert _sweeps_run(lambda: secants._verify_cells([s.mask()], n, 0)) == [sweep]
 
 
 @pytest.mark.parametrize(
